@@ -69,7 +69,8 @@ fn main() {
             off += len;
         }
         let total = t_total.elapsed();
-        let query: Duration = engine.metrics(q).unwrap().iter().map(|m| m.total).sum();
+        let query: Duration =
+            engine.drain_with_metrics(q).unwrap().iter().map(|(_, m)| m.total).sum();
 
         rows.push(vec![
             w.to_string(),

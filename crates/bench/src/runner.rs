@@ -145,8 +145,10 @@ pub struct Q3Config {
     pub seed: u64,
 }
 
+/// Drain the query and keep the slide record that came with each window.
 fn drain_metrics(engine: &mut Engine, q: QueryId) -> (Vec<SlideMetrics>, usize) {
-    let metrics = engine.metrics(q).expect("query exists").to_vec();
+    let drained = engine.drain_with_metrics(q).expect("query exists");
+    let metrics: Vec<SlideMetrics> = drained.into_iter().map(|(_, m)| m).collect();
     let rows = metrics.iter().map(|m| m.rows).sum();
     (metrics, rows)
 }
@@ -269,7 +271,6 @@ struct ThrottledSumFactory {
     step: usize,
     threshold: i64,
     cost: Duration,
-    metrics: Vec<SlideMetrics>,
 }
 
 impl Factory for ThrottledSumFactory {
@@ -292,9 +293,8 @@ impl Factory for ThrottledSumFactory {
             xs.iter().zip(ys).filter(|(x, _)| **x > self.threshold).map(|(_, y)| *y).sum();
         let result = ResultSet::new(vec!["sum".into()], vec![Column::Int(vec![sum])])
             .map_err(|e| DataCellError::Unsupported(format!("result shape: {e}")))?;
-        let m = SlideMetrics { rows: 1, ..SlideMetrics::default() };
-        self.metrics.push(m);
-        Ok(FireOutcome::Produced { result, metrics: m })
+        let metrics = SlideMetrics { rows: 1, ..SlideMetrics::default() };
+        Ok(FireOutcome::Produced { result, metrics })
     }
 
     fn consumed_upto(&self, stream: &str) -> Option<Oid> {
@@ -303,10 +303,6 @@ impl Factory for ThrottledSumFactory {
 
     fn input_streams(&self) -> Vec<String> {
         vec![self.input.name.clone()]
-    }
-
-    fn metrics(&self) -> &[SlideMetrics] {
-        &self.metrics
     }
 }
 
@@ -340,7 +336,6 @@ pub fn run_scheduler_scale(workers: usize, cfg: &ScaleConfig) -> ScaleOutcome {
                     step: cfg.step,
                     threshold: thr,
                     cost: cfg.fire_cost,
-                    metrics: vec![],
                 }))
                 .unwrap()
         };

@@ -13,7 +13,7 @@ use crate::factory::reeval::ReevalFactory;
 use crate::factory::{Factory, StreamInput};
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{rewrite, IncrementalPlan};
-use crate::scheduler::{workers_from_env, ConsumerId, ParallelScheduler};
+use crate::scheduler::{workers_from_env, ConsumerId, Scheduler};
 use datacell_basket::{shards_from_env, Basket, ShardedBasket, Timestamp};
 use datacell_kernel::par::{partitions_from_env, placement_from_env};
 use datacell_kernel::{Catalog, Column, DataType, Oid, PlacementMode, Table};
@@ -108,8 +108,10 @@ const NS_PER_SEC: f64 = 1e9;
 pub struct Engine {
     baskets: HashMap<String, ShardedBasket>,
     catalog: Catalog,
-    scheduler: ParallelScheduler,
-    outputs: HashMap<usize, Vec<ResultSet>>,
+    scheduler: Scheduler,
+    /// Undrained window results per query, each paired with the slide
+    /// record it arrived with. Nothing per-slide outlives the drain.
+    outputs: HashMap<usize, Vec<(ResultSet, SlideMetrics)>>,
     /// Telemetry series per registered query, keyed like `outputs`.
     series: HashMap<usize, QuerySeries>,
     clock: Timestamp,
@@ -142,7 +144,7 @@ impl Default for Engine {
 
 impl Engine {
     /// A fresh engine. The scheduler worker count defaults to 1
-    /// (sequential, deterministic) unless the `DATACELL_WORKERS`
+    /// (factories fire on the calling thread) unless the `DATACELL_WORKERS`
     /// environment variable overrides it; [`Engine::set_workers`] always
     /// wins over both. The kernel partition fan-out likewise defaults to
     /// 1 unless `DATACELL_PARTITIONS` overrides it
@@ -154,8 +156,9 @@ impl Engine {
     }
 
     /// A fresh engine with an explicit scheduler worker count (min 1).
-    /// One worker runs the sequential Petri-net scheduler unchanged;
-    /// more workers fire independent factories concurrently. The
+    /// One worker fires factories on the thread that calls
+    /// [`Engine::run_until_idle`]; more workers fire independent
+    /// factories concurrently on a pool. The
     /// partition fan-out still comes from `DATACELL_PARTITIONS` (1 when
     /// unset) — the two axes compose: factories × partitions threads can
     /// run during a drain.
@@ -163,7 +166,7 @@ impl Engine {
         Engine {
             baskets: HashMap::new(),
             catalog: Catalog::default(),
-            scheduler: ParallelScheduler::new(workers),
+            scheduler: Scheduler::new(workers),
             outputs: HashMap::new(),
             series: HashMap::new(),
             clock: 0,
@@ -192,8 +195,8 @@ impl Engine {
     }
 
     /// Change the scheduler worker count (min 1); takes effect on the
-    /// next [`Engine::run_until_idle`]. Determinism-sensitive callers
-    /// (tests, result-diffing harnesses) should pin this to 1.
+    /// next [`Engine::run_until_idle`]. Per-query results do not depend
+    /// on it.
     pub fn set_workers(&mut self, workers: usize) {
         self.scheduler.set_workers(workers);
     }
@@ -542,19 +545,21 @@ impl Engine {
     /// per query. Expired basket prefixes are garbage collected after the
     /// drain, when every factory's consumption cursor is settled.
     ///
-    /// With one worker (the default) this is the sequential round-robin
-    /// Petri-net loop; with more ([`Engine::set_workers`] /
-    /// `DATACELL_WORKERS`) independent factories fire concurrently on the
-    /// scheduler's worker pool. Per-query result order is identical either
-    /// way; only cross-query interleaving (invisible through
-    /// [`Engine::drain_results`]) differs.
+    /// With one worker (the default) factories fire on the calling
+    /// thread; with more ([`Engine::set_workers`] / `DATACELL_WORKERS`)
+    /// independent factories fire concurrently on the scheduler's worker
+    /// pool. Per-query result order is identical either way; cross-query
+    /// interleaving is unspecified at every worker count (and invisible
+    /// through [`Engine::drain_results`]). A factory that errors or
+    /// panics aborts the drain with a typed error; the other queries keep
+    /// firing on the next call.
     pub fn run_until_idle(&mut self) -> Result<(), DataCellError> {
         let emissions = self.scheduler.run_until_idle(self.clock)?;
         for e in emissions {
             if let Some(s) = self.series.get(&e.factory) {
                 s.observe(&e.metrics);
             }
-            self.outputs.entry(e.factory).or_default().push(e.result);
+            self.outputs.entry(e.factory).or_default().push((e.result, e.metrics));
         }
         self.gc();
         Ok(())
@@ -625,25 +630,24 @@ impl Engine {
 
     /// Take all window results produced by a query since the last drain.
     pub fn drain_results(&mut self, q: QueryId) -> Result<Vec<ResultSet>, DataCellError> {
-        self.outputs.get_mut(&q.0).map(std::mem::take).ok_or(DataCellError::UnknownQuery(q.0))
+        Ok(self.drain_with_metrics(q)?.into_iter().map(|(result, _)| result).collect())
     }
 
-    /// Per-slide metrics of a query.
-    pub fn metrics(&self, q: QueryId) -> Result<&[SlideMetrics], DataCellError> {
-        Ok(self.scheduler.factory(q.0)?.metrics())
+    /// [`Engine::drain_results`] with each window result paired with the
+    /// [`SlideMetrics`] of the slide that produced it (the paper's Fig. 7
+    /// main-plan/merge split, per window). The engine keeps no per-slide
+    /// record past this call; the running totals stay in
+    /// [`Engine::telemetry_snapshot`].
+    pub fn drain_with_metrics(
+        &mut self,
+        q: QueryId,
+    ) -> Result<Vec<(ResultSet, SlideMetrics)>, DataCellError> {
+        self.outputs.get_mut(&q.0).map(std::mem::take).ok_or(DataCellError::UnknownQuery(q.0))
     }
 
     /// Resident tuple count of a stream's basket (tests/monitoring).
     pub fn basket_len(&self, stream: &str) -> Result<usize, DataCellError> {
         Ok(self.basket(stream)?.len())
-    }
-
-    /// The adaptive chunker's probe trail of a query, when it runs chunked.
-    pub fn chunker_history(
-        &self,
-        q: QueryId,
-    ) -> Result<Option<Vec<(usize, std::time::Duration)>>, DataCellError> {
-        Ok(self.scheduler.factory(q.0)?.chunker_history())
     }
 
     // -- telemetry ---------------------------------------------------------
@@ -723,7 +727,7 @@ impl Engine {
 
     /// Scheduler worker-pool series: queue depth, wake-to-fire latency
     /// and per-worker utilization (the latter only while a pool is live —
-    /// the one-worker sequential path has no workers to report).
+    /// with one worker the calling thread fires and there is none).
     fn scheduler_families(&self, snap: &mut Snapshot) {
         let mut depth = Family::new(
             "datacell_scheduler_queue_depth",
@@ -871,8 +875,29 @@ mod tests {
         assert_eq!(out[1].rows(), vec![vec![Value::Int(8)]]);
         // Drained: second drain is empty.
         assert!(e.drain_results(q).unwrap().is_empty());
-        // Metrics recorded.
-        assert_eq!(e.metrics(q).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn drain_with_metrics_pairs_each_window_with_its_slide_record() {
+        let mut e = engine_with_stream();
+        let q =
+            e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 10 WINDOW SIZE 4 SLIDE 2").unwrap();
+        e.append(
+            "s",
+            &[Column::Int(vec![5, 20, 30, 7, 40, 8]), Column::Int(vec![1, 2, 3, 4, 5, 6])],
+        )
+        .unwrap();
+        e.run_until_idle().unwrap();
+        let out = e.drain_with_metrics(q).unwrap();
+        assert_eq!(out.len(), 2);
+        for (i, (result, m)) in out.iter().enumerate() {
+            assert_eq!(m.window_index, i);
+            assert_eq!(m.rows, result.len());
+            assert_eq!(m.total, m.main_plan + m.merge);
+        }
+        // Nothing per-slide outlives the drain.
+        assert!(e.drain_with_metrics(q).unwrap().is_empty());
+        assert!(e.drain_with_metrics(QueryId(99)).is_err());
     }
 
     #[test]
@@ -1227,11 +1252,9 @@ mod tests {
     #[test]
     fn register_factory_validates_streams() {
         use crate::factory::FireOutcome;
-        use crate::metrics::SlideMetrics;
 
         struct CountFactory {
             input: StreamInput,
-            metrics: Vec<SlideMetrics>,
         }
         impl crate::factory::Factory for CountFactory {
             fn label(&self) -> &str {
@@ -1253,9 +1276,6 @@ mod tests {
             fn input_streams(&self) -> Vec<String> {
                 vec![self.input.name.clone()]
             }
-            fn metrics(&self) -> &[SlideMetrics] {
-                &self.metrics
-            }
         }
 
         let mut e = engine_with_stream();
@@ -1263,7 +1283,6 @@ mod tests {
         let q = e
             .register_factory(Box::new(CountFactory {
                 input: StreamInput::new("s", basket.shared()),
-                metrics: vec![],
             }))
             .unwrap();
         e.append("s", &[Column::Int(vec![1; 5]), Column::Int(vec![1; 5])]).unwrap();
@@ -1288,9 +1307,6 @@ mod tests {
             }
             fn input_streams(&self) -> Vec<String> {
                 vec!["ghost".into()]
-            }
-            fn metrics(&self) -> &[SlideMetrics] {
-                &[]
             }
         }
         assert!(matches!(

@@ -117,7 +117,6 @@ pub struct IncrementalFactory {
     /// merge segments never get the mark — their rows follow join-pair or
     /// concat order, not the grouping key's placement.
     aligned_clusters: bool,
-    metrics: Vec<SlideMetrics>,
 }
 
 impl IncrementalFactory {
@@ -224,7 +223,6 @@ impl IncrementalFactory {
             preface_time: Duration::ZERO,
             par: ParConfig::sequential(),
             aligned_clusters,
-            metrics: Vec::new(),
         })
     }
 
@@ -717,7 +715,6 @@ impl IncrementalFactory {
             rows: result.len(),
         };
         self.emitted += 1;
-        self.metrics.push(metrics);
         // Adapt m for the next basic window.
         if let Some(chunker) = &mut self.chunker {
             let next_m = chunker.observe(metrics.total);
@@ -775,14 +772,6 @@ impl Factory for IncrementalFactory {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
 
-    fn metrics(&self) -> &[SlideMetrics] {
-        &self.metrics
-    }
-
-    fn chunker_history(&self) -> Option<Vec<(usize, Duration)>> {
-        self.chunker.as_ref().map(|c| c.history().to_vec())
-    }
-
     fn set_partitions(&mut self, partitions: usize) {
         self.par = ParConfig::new(partitions).with_placement(self.par.placement());
     }
@@ -825,7 +814,13 @@ mod tests {
         let mut out = Vec::new();
         loop {
             match f.fire(0).unwrap() {
-                FireOutcome::Produced { result, .. } => out.push(result),
+                FireOutcome::Produced { result, metrics } => {
+                    // Every result carries its own slide record.
+                    assert_eq!(metrics.window_index, out.len());
+                    assert_eq!(metrics.total, metrics.main_plan + metrics.merge);
+                    assert_eq!(metrics.rows, result.len());
+                    out.push(result);
+                }
                 FireOutcome::Progressed => {}
                 FireOutcome::NotReady => break,
             }
@@ -846,9 +841,6 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].rows(), vec![vec![Value::Int(5)]]); // x1>10: 20,30 -> 2+3
         assert_eq!(results[1].rows(), vec![vec![Value::Int(8)]]); // 30,40 -> 3+5
-
-        // Metrics record both main and merge components.
-        assert_eq!(f.metrics().len(), 2);
     }
 
     #[test]

@@ -41,12 +41,12 @@ pub enum FireOutcome {
 
 /// A standing continuous query plan.
 ///
-/// `Send` is load-bearing: the parallel Petri-net scheduler moves a
-/// factory (as its owned box) onto a worker thread for each dispatch, so
-/// every piece of factory state must be transferable across threads. A
-/// factory is only ever *owned* by one thread at a time — implementations
-/// need no internal locking beyond what [`SharedBasket`] already provides
-/// for the baskets they read.
+/// `Send` is load-bearing: with more than one worker the Petri-net
+/// scheduler moves a factory (as its owned box) onto a worker thread for
+/// each dispatch, so every piece of factory state must be transferable
+/// across threads. A factory is only ever *owned* by one thread at a time
+/// — implementations need no internal locking beyond what
+/// [`SharedBasket`] already provides for the baskets they read.
 pub trait Factory: Send {
     /// Human-readable name (for scheduler introspection).
     fn label(&self) -> &str;
@@ -60,13 +60,6 @@ pub trait Factory: Send {
     fn consumed_upto(&self, stream: &str) -> Option<Oid>;
     /// The input streams.
     fn input_streams(&self) -> Vec<String>;
-    /// Per-slide metrics recorded so far.
-    fn metrics(&self) -> &[SlideMetrics];
-    /// The adaptive chunker's `(m, mean response)` probe trail, when the
-    /// factory runs with chunked processing (None otherwise).
-    fn chunker_history(&self) -> Option<Vec<(usize, std::time::Duration)>> {
-        None
-    }
     /// Set the intra-operator partition fan-out (`kernel::par`): plan
     /// executions after this call split heavy join/select nodes across
     /// this many scoped threads. The engine plumbs

@@ -30,7 +30,6 @@ pub struct ReevalFactory {
     par: ParConfig,
     advances: usize,
     emitted: usize,
-    metrics: Vec<SlideMetrics>,
 }
 
 impl ReevalFactory {
@@ -63,7 +62,6 @@ impl ReevalFactory {
             par: ParConfig::sequential(),
             advances: 0,
             emitted: 0,
-            metrics: Vec::new(),
         })
     }
 
@@ -111,7 +109,6 @@ impl ReevalFactory {
             rows: result.len(),
         };
         self.emitted += 1;
-        self.metrics.push(metrics);
         Ok(FireOutcome::Produced { result, metrics })
     }
 }
@@ -174,10 +171,6 @@ impl Factory for ReevalFactory {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
 
-    fn metrics(&self) -> &[SlideMetrics] {
-        &self.metrics
-    }
-
     fn set_partitions(&mut self, partitions: usize) {
         self.par = ParConfig::new(partitions).with_placement(self.par.placement());
     }
@@ -224,21 +217,22 @@ mod tests {
         assert!(matches!(f.fire(0).unwrap(), FireOutcome::Progressed));
         // advance 2: first full window [5,20,30,7] -> sum x2 of x1>10 = 2+3 = 5
         match f.fire(0).unwrap() {
-            FireOutcome::Produced { result, .. } => {
+            FireOutcome::Produced { result, metrics } => {
                 assert_eq!(result.rows(), vec![vec![Value::Int(5)]]);
+                assert_eq!((metrics.window_index, metrics.rows), (0, 1));
             }
             other => panic!("expected result, got {other:?}"),
         }
         // advance 3: window [30,7,40,8] -> 3 + 5 = 8
         match f.fire(0).unwrap() {
-            FireOutcome::Produced { result, .. } => {
+            FireOutcome::Produced { result, metrics } => {
                 assert_eq!(result.rows(), vec![vec![Value::Int(8)]]);
+                assert_eq!((metrics.window_index, metrics.rows), (1, 1));
             }
             other => panic!("expected result, got {other:?}"),
         }
         // exhausted
         assert!(matches!(f.fire(0).unwrap(), FireOutcome::NotReady));
-        assert_eq!(f.metrics().len(), 2);
         assert_eq!(f.consumed_upto("s"), Some(6));
         assert_eq!(f.consumed_upto("zz"), None);
     }

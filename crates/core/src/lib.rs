@@ -17,9 +17,9 @@
 //!   [`factory::reeval::ReevalFactory`] (Algorithm 1, the DataCellR
 //!   baseline);
 //! * [`adaptive`] — the self-adapting m-chunk controller (§3, Fig. 8);
-//! * [`scheduler`] — the Petri-net scheduler (§2): the sequential
-//!   round-robin loop plus [`scheduler::parallel::ParallelScheduler`], a
-//!   worker-pool executor firing independent transitions concurrently;
+//! * [`scheduler`] — the Petri-net scheduler (§2): one drain loop whose
+//!   executor is the calling thread (one worker) or a worker pool firing
+//!   independent transitions concurrently;
 //! * [`engine`] — the facade tying baskets, catalog, factories, scheduler
 //!   and result delivery together (Fig. 1).
 
@@ -41,8 +41,7 @@ pub use factory::{Factory, FireOutcome, StreamInput};
 pub use metrics::{summarize, MetricsSummary, SlideMetrics};
 pub use rewrite::{rewrite, verify_incremental, Cluster, IncrementalPlan, Stage, VarKind};
 pub use scheduler::{
-    parse_workers, workers_from_env, ConsumerId, Emission, FactoryId, ParallelScheduler, Scheduler,
-    WorkerStats,
+    parse_workers, workers_from_env, ConsumerId, Emission, FactoryId, Scheduler, WorkerStats,
 };
 
 // Re-export the window spec and result type from the plan layer so users

@@ -38,7 +38,7 @@ pub fn merge_var(kind: VarKind, parts: &[MalValue]) -> Result<MalValue, DataCell
         VarKind::GroupedPartial(_) | VarKind::GroupKeysPartial => Err(DataCellError::Unsupported(
             "cluster members must be merged via merge_cluster".into(),
         )),
-        VarKind::GroupsStruct | VarKind::Plain => Err(DataCellError::Unsupported(format!(
+        VarKind::Plain => Err(DataCellError::Unsupported(format!(
             "variable kind {kind:?} cannot cross the merge frontier"
         ))),
     }
@@ -328,6 +328,5 @@ mod tests {
     #[test]
     fn merge_var_rejects_cluster_kinds() {
         assert!(merge_var(VarKind::GroupedPartial(AggKind::Sum), &[bat(vec![1])]).is_err());
-        assert!(merge_var(VarKind::GroupsStruct, &[bat(vec![1])]).is_err());
     }
 }

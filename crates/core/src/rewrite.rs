@@ -57,13 +57,11 @@ pub enum VarKind {
     /// (paper: "applying the very operation ... also on the concatenated
     /// result", count compensated by sum).
     PartialScalar(AggKind),
-    /// Per-group partial aggregate column, member of the group cluster
-    /// identified by the `Group` variable (merged by re-grouping).
+    /// Per-group partial aggregate column, member of its `GroupAgg`
+    /// node's cluster (merged by re-grouping).
     GroupedPartial(AggKind),
     /// Per-basic-window distinct group keys (merged by re-grouping).
     GroupKeysPartial,
-    /// A grouping structure — never allowed to cross the frontier.
-    GroupsStruct,
     /// Per-basic-window distinct rows; merged by `distinct(concat(...))`.
     DistinctRows,
     /// Per-basic-window sorted rows; merged by `sort(concat(...))`.
@@ -75,12 +73,10 @@ pub enum VarKind {
     Plain,
 }
 
-/// One group-by cluster — the destinations of a fused `GroupAgg` node
-/// whose partials cross the merge frontier. Merged as a unit (Fig. 3d):
+/// One group-by cluster — the destinations of a `GroupAgg` node whose
+/// partials cross the merge frontier. Merged as a unit (Fig. 3d):
 /// concat the per-part distinct keys, re-group, compensate each
-/// aggregate member. The pre-fusion `Group`/`GroupKeys`/`GroupedAgg`
-/// triple collapsed into this node, so the cluster is just the node's
-/// destination list.
+/// aggregate member.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     /// The fused node's keys destination (per-bw distinct keys).
@@ -213,25 +209,8 @@ pub fn expand_avg(plan: &MalPlan) -> MalPlan {
                     op: MalOp::DivScalar { num: s, den: c },
                 });
             }
-            MalOp::GroupedAgg { kind: AggKind::Avg, vals, groups } => {
-                let s = nvars;
-                let c = nvars + 1;
-                nvars += 2;
-                instrs.push(Instr {
-                    dests: vec![s],
-                    op: MalOp::GroupedAgg { kind: AggKind::Sum, vals: *vals, groups: *groups },
-                });
-                instrs.push(Instr {
-                    dests: vec![c],
-                    op: MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: *groups },
-                });
-                instrs.push(Instr {
-                    dests: ins.dests.clone(),
-                    op: MalOp::MapArith { left: s, right: c, op: ArithOp::Div },
-                });
-            }
             MalOp::GroupAgg { keys, aggs } if aggs.iter().any(|(k, _)| *k == AggKind::Avg) => {
-                // Expand each avg slot of the fused node into a sum slot
+                // Expand each avg slot of the node into a sum slot
                 // + a count slot (fresh destinations) and divide them
                 // into the original avg destination right after the node.
                 let mut new_aggs = Vec::with_capacity(aggs.len() + 1);
@@ -285,21 +264,12 @@ pub fn expand_avg(plan: &MalPlan) -> MalPlan {
 /// mix two streams without a join, landmark joins are rejected later by the
 /// factory). Callers can fall back to re-evaluation mode for those.
 pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
-    // Lower any hand-built Group/GroupKeys/GroupedAgg chains to the fused
-    // GroupAgg form first (the SQL compiler already emits it), then
-    // expand avg so every surviving aggregate has a compensating action.
-    // Both passes run under the differential verifier (`checked_pass`):
-    // a structurally broken plan is rejected at the pass boundary that
+    // Expand avg so every aggregate has a compensating action. The pass
+    // runs under the differential verifier (`checked_pass`): a
+    // structurally broken plan is rejected at the pass boundary that
     // produced it, with the pass name in the diagnostic.
-    let mut fusion_diags = Vec::new();
-    let fused = datacell_plan::checked_pass("fuse_group_agg", plan, |p| {
-        let (out, diags) = datacell_plan::fuse_group_agg_diag(p);
-        fusion_diags = diags;
-        out
-    })
-    .map_err(DataCellError::Plan)?;
-    let mal = datacell_plan::checked_pass("expand_avg", &fused, expand_avg)
-        .map_err(DataCellError::Plan)?;
+    let mal =
+        datacell_plan::checked_pass("expand_avg", plan, expand_avg).map_err(DataCellError::Plan)?;
     mal.validate().map_err(DataCellError::Plan)?;
     let n_streams = mal.streams.len();
     let mut stages: Vec<Stage> = vec![Stage::Static; mal.nvars];
@@ -312,8 +282,8 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
     for ins in &mal.instrs {
         let (stage, kind) = classify(&ins.op, &stages, &kinds, &mal, &mut matrix_pair)?;
         match (&ins.op, stage) {
-            // A replicated fused group-agg writes mixed kinds: distinct
-            // keys first, then one grouped partial per aggregate.
+            // A replicated group-agg writes mixed kinds: distinct keys
+            // first, then one grouped partial per aggregate.
             (MalOp::GroupAgg { aggs, .. }, Stage::PerBw(_) | Stage::Matrix) => {
                 stages[ins.dests[0]] = stage;
                 kinds[ins.dests[0]] = VarKind::GroupKeysPartial;
@@ -364,15 +334,6 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
             push_frontier(v, &mut frontier);
         }
     }
-    for &v in &frontier {
-        if kinds[v] == VarKind::GroupsStruct {
-            return Err(DataCellError::Unsupported(
-                "a grouping structure crosses the merge frontier; \
-                 restructure the query or use re-evaluation mode"
-                    .into(),
-            ));
-        }
-    }
 
     // -- ring-only vars: per-bw vars read by matrix instructions.
     let mut ring_only = Vec::new();
@@ -384,9 +345,10 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
         }
     }
 
-    // -- group clusters: every per-bw/matrix fused GroupAgg node whose
-    //    members touch the frontier. A frontier member pulls the whole
-    //    cluster into the frontier (keys are needed to re-group partials).
+    // -- group clusters: every per-bw/matrix GroupAgg node whose members
+    //    touch the frontier. A frontier member pulls the whole cluster
+    //    into the frontier (keys are needed to re-group partials), so a
+    //    grouped partial never crosses the frontier outside a cluster.
     let mut clusters = Vec::new();
     for ins in &mal.instrs {
         let MalOp::GroupAgg { aggs, .. } = &ins.op else { continue };
@@ -401,9 +363,7 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
         if !any_frontier {
             continue;
         }
-        // All members must be cached to allow re-grouping — the keys dest
-        // always exists on the fused node, so the pre-fusion "grouped
-        // aggregation without group keys" failure mode is gone.
+        // All members must be cached to allow re-grouping.
         for v in std::iter::once(keys_var).chain(agg_vars.iter().map(|(v, _)| *v)) {
             if !frontier.contains(&v) {
                 frontier.push(v);
@@ -414,29 +374,6 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
             agg_vars,
             placement_aligned: matches!(stages[keys_var], Stage::PerBw(_)),
         });
-    }
-
-    // Unfused Group/GroupKeys/GroupedAgg chains (shapes fuse_group_agg
-    // declined) cannot cross the frontier: their partial kinds have no
-    // standalone merge rule.
-    for &v in &frontier {
-        let in_cluster =
-            clusters.iter().any(|c| c.keys_var == v || c.agg_vars.iter().any(|&(av, _)| av == v));
-        if !in_cluster && matches!(kinds[v], VarKind::GroupKeysPartial | VarKind::GroupedPartial(_))
-        {
-            // The fusion pass explained exactly why it declined this
-            // chain — surface that instead of a bare string.
-            let why = fusion_diags
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ");
-            let detail = if why.is_empty() { String::new() } else { format!(": {why}") };
-            return Err(DataCellError::Unsupported(format!(
-                "an unfused group/aggregate chain crosses the merge frontier; \
-                 restructure the query or use re-evaluation mode{detail}"
-            )));
-        }
     }
 
     let inc = IncrementalPlan {
@@ -462,8 +399,7 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
 
 /// Verify the ring-variable discipline and segment/stage consistency of an
 /// incremental plan — the `core`-side layer of the static analyzer (the
-/// `plan`-side layers are [`datacell_plan::verify_all`] and
-/// [`datacell_plan::lint_incremental`]).
+/// `plan`-side layer is [`datacell_plan::verify_all`]).
 ///
 /// Checks: stage/kind tables cover every variable; the four instruction
 /// segments partition the program and agree with the per-variable stages;
@@ -547,8 +483,8 @@ pub fn verify_incremental(inc: &IncrementalPlan) -> Result<(), DataCellError> {
                 Some(v),
             );
         }
-        if inc.kinds[v] == VarKind::GroupsStruct {
-            return ring_err("a grouping structure is cached in a ring".into(), Some(v));
+        if inc.kinds[v] == VarKind::Plain {
+            return ring_err("frontier variable has no merge rule".into(), Some(v));
         }
     }
 
@@ -675,11 +611,8 @@ fn classify(
                 | MalOp::Concat { .. }
                 | MalOp::Join { .. } => VarKind::Rows,
                 MalOp::ScalarAgg { kind, .. } => VarKind::PartialScalar(*kind),
-                MalOp::Group { .. } => VarKind::GroupsStruct,
-                MalOp::GroupKeys { .. } => VarKind::GroupKeysPartial,
-                MalOp::GroupedAgg { kind, .. } => VarKind::GroupedPartial(*kind),
                 // Placeholder for the keys dest; the rewrite loop assigns
-                // the per-destination kinds of a fused node itself.
+                // the node's per-destination kinds itself.
                 MalOp::GroupAgg { .. } => VarKind::GroupKeysPartial,
                 MalOp::Distinct { .. } => VarKind::DistinctRows,
                 MalOp::Sort { desc, .. } => VarKind::SortedRows { desc: *desc },
@@ -878,7 +811,7 @@ mod tests {
 
     #[test]
     fn cluster_is_the_fused_node_dest_list() {
-        // The rewriter consumes the fused GroupAgg node directly: the
+        // The rewriter consumes the GroupAgg node directly: the
         // cluster's keys/agg vars are exactly the node's destinations,
         // with per-destination kinds (keys partial + grouped partials).
         let inc = rewrite(&fig3d()).unwrap();
@@ -894,26 +827,6 @@ mod tests {
         assert_eq!(inc.kinds[ga.dests[0]], VarKind::GroupKeysPartial);
         assert_eq!(inc.kinds[ga.dests[1]], VarKind::GroupedPartial(AggKind::Max));
         assert!(matches!(inc.stages[ga.dests[0]], Stage::PerBw(0)));
-    }
-
-    #[test]
-    fn hand_built_unfused_chain_rewrites_through_the_shim() {
-        // A plan assembled with standalone Group/GroupKeys/GroupedAgg
-        // nodes (the pre-fusion MAL dialect) is lowered by fuse_group_agg
-        // inside rewrite() and builds the same cluster shape.
-        use datacell_plan::mal::MalBuilder;
-        let mut b = MalBuilder::new();
-        let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-        let v = b.emit(MalOp::BindStream { stream: "s".into(), attr: "v".into() });
-        let g = b.emit(MalOp::Group { keys: k });
-        let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-        let s = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: Some(v), groups: g });
-        let plan = b.finish(vec!["k".into(), "s".into()], vec![gk, s]);
-        let inc = rewrite(&plan).unwrap();
-        assert!(inc.mal.instrs.iter().any(|i| matches!(i.op, MalOp::GroupAgg { .. })));
-        assert!(!inc.mal.instrs.iter().any(|i| matches!(i.op, MalOp::Group { .. })));
-        assert_eq!(inc.clusters.len(), 1);
-        assert_eq!(inc.clusters[0].agg_vars[0].1, AggKind::Sum);
     }
 
     #[test]
@@ -1024,10 +937,10 @@ mod tests {
         inc.stages[f] = Stage::Merge;
         assert_ring_err(verify_incremental(&inc));
 
-        // A grouping structure smuggled onto the frontier.
+        // A frontier variable stripped of its merge rule.
         let mut inc = rewrite(&fig3b()).unwrap();
         let f = inc.frontier[0];
-        inc.kinds[f] = VarKind::GroupsStruct;
+        inc.kinds[f] = VarKind::Plain;
         assert_ring_err(verify_incremental(&inc));
 
         // A cluster member dropped from the frontier cache.
@@ -1046,25 +959,6 @@ mod tests {
         let mut inc = rewrite(&fig3e()).unwrap();
         inc.matrix_pair = None;
         assert_ring_err(verify_incremental(&inc));
-    }
-
-    #[test]
-    fn unfused_frontier_chain_error_carries_fusion_diagnostics() {
-        // A declined chain (member dest read before the fusion site) whose
-        // partials must cross the frontier: the error names the reason.
-        use datacell_plan::mal::MalBuilder;
-        let mut b = MalBuilder::new();
-        let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-        let g = b.emit(MalOp::Group { keys: k });
-        let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-        let srt = b.emit(MalOp::Sort { input: gk, desc: false });
-        let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-        let plan = b.finish(vec!["k".into(), "n".into()], vec![srt, n]);
-        let err = rewrite(&plan).expect_err("unfused chain cannot cross the frontier");
-        let text = err.to_string();
-        assert!(text.contains("unfused group/aggregate chain"), "{text}");
-        assert!(text.contains("open-group-chain"), "{text}");
-        assert!(text.contains("instr 3"), "{text}");
     }
 
     #[test]

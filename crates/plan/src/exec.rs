@@ -13,7 +13,7 @@ use crate::mal::{MalOp, MalPlan, MalValue};
 use crate::result::ResultSet;
 use crate::PlanError;
 use datacell_basket::BasicWindow;
-use datacell_kernel::algebra::{self, AggKind, ArithOp};
+use datacell_kernel::algebra::{self, AggKind};
 use datacell_kernel::par::{self, ParConfig};
 #[cfg(test)]
 use datacell_kernel::Value;
@@ -120,39 +120,6 @@ pub fn eval_op(op: &MalOp, args: &[&MalValue], ctx: &dyn ExecCtx) -> crate::Resu
             let (lo, ro) = par::hashjoin(l, r, &ctx.par_config())?;
             vec![MalValue::Bat(lo), MalValue::Bat(ro)]
         }
-        MalOp::Group { .. } => {
-            let keys = args[0].as_bat("group keys")?;
-            vec![MalValue::Groups(algebra::group(keys)?)]
-        }
-        MalOp::GroupKeys { .. } => {
-            let groups = args[0].as_groups("groupkeys")?;
-            let keys = args[1].as_bat("groupkeys source")?;
-            vec![MalValue::Bat(Bat::transient(groups.keys(keys)?))]
-        }
-        MalOp::GroupedAgg { kind, vals, groups: _ } => {
-            // args order: [vals?, groups]
-            let (vals_bat, groups) = match vals {
-                Some(_) => {
-                    (Some(args[0].as_bat("grouped agg vals")?), args[1].as_groups("grouped agg")?)
-                }
-                None => (None, args[0].as_groups("grouped agg")?),
-            };
-            let col = match kind {
-                AggKind::Count => algebra::count_grouped(groups),
-                AggKind::Sum => algebra::sum_grouped(req(vals_bat, "sum")?, groups)?,
-                AggKind::Min => algebra::min_grouped(req(vals_bat, "min")?, groups)?,
-                AggKind::Max => algebra::max_grouped(req(vals_bat, "max")?, groups)?,
-                AggKind::Avg => {
-                    let v = req(vals_bat, "avg")?;
-                    let sums = algebra::sum_grouped(v, groups)?;
-                    let counts = algebra::count_grouped(groups);
-                    let sums_b = Bat::transient(sums);
-                    let counts_b = Bat::transient(counts);
-                    algebra::map_arith(&sums_b, &counts_b, ArithOp::Div)?.tail
-                }
-            };
-            vec![MalValue::Bat(Bat::transient(col))]
-        }
         MalOp::GroupAgg { aggs, .. } => {
             // args order: [keys, then one entry per Some(vals) in agg order]
             let keys = args[0].as_bat("group agg keys")?;
@@ -229,10 +196,6 @@ pub fn eval_op(op: &MalOp, args: &[&MalValue], ctx: &dyn ExecCtx) -> crate::Resu
         }
     };
     Ok(out)
-}
-
-fn req<'a>(b: Option<&'a Bat>, kind: &str) -> crate::Result<&'a Bat> {
-    b.ok_or_else(|| PlanError::Internal(format!("grouped {kind} requires a value column")))
 }
 
 /// Scalar aggregation with SQL empty-set semantics: `count` of nothing is
@@ -330,10 +293,8 @@ mod tests {
         let mut b = MalBuilder::new();
         let x1 = b.emit(MalOp::BindStream { stream: "s".into(), attr: "x1".into() });
         let x2 = b.emit(MalOp::BindStream { stream: "s".into(), attr: "x2".into() });
-        let g = b.emit(MalOp::Group { keys: x1 });
-        let k = b.emit(MalOp::GroupKeys { groups: g, keys: x1 });
-        let s = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: Some(x2), groups: g });
-        let plan = b.finish(vec!["x1".into(), "sum_x2".into()], vec![k, s]);
+        let (k, aggs) = b.emit_group_agg(x1, vec![(AggKind::Sum, Some(x2))]);
+        let plan = b.finish(vec!["x1".into(), "sum_x2".into()], vec![k, aggs[0]]);
 
         let w = window(vec![1, 2, 1], vec![10, 20, 30]);
         let ctx = WindowCtx::new().with_stream("s", &w);
@@ -385,9 +346,8 @@ mod tests {
 
         let mut b = MalBuilder::new();
         let x1 = b.emit(MalOp::BindStream { stream: "s".into(), attr: "x1".into() });
-        let g = b.emit(MalOp::Group { keys: x1 });
-        let a = b.emit(MalOp::GroupedAgg { kind: AggKind::Avg, vals: Some(x1), groups: g });
-        let plan = b.finish(vec!["a".into()], vec![a]);
+        let (_, aggs) = b.emit_group_agg(x1, vec![(AggKind::Avg, Some(x1))]);
+        let plan = b.finish(vec!["a".into()], vec![aggs[0]]);
         let rs = execute(&plan, &ctx).unwrap();
         assert_eq!(rs.len(), 3);
     }

@@ -31,11 +31,11 @@ pub use error::PlanError;
 pub use exec::{execute, ExecCtx};
 pub use logical::{AggExpr, ColumnRef, LogicalPlan};
 pub use mal::{Instr, MalOp, MalPlan, MalValue, VarId};
-pub use optimize::{fuse_group_agg, fuse_group_agg_diag, optimize};
+pub use optimize::optimize;
 pub use result::ResultSet;
 pub use verify::{
-    checked_pass, lint_incremental, partition_safety, verify_all, NoSchema, ParSafety, Rule,
-    SchemaOverlay, SchemaSource, VerifyError,
+    checked_pass, partition_safety, verify_all, NoSchema, ParSafety, Rule, SchemaOverlay,
+    SchemaSource, VerifyError,
 };
 pub use window::WindowSpec;
 

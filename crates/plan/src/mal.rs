@@ -11,7 +11,7 @@
 //! one or more fresh [`VarId`]s and reads earlier ones. The final
 //! result-set columns are designated by `result_vars`.
 
-use datacell_kernel::algebra::{AggKind, ArithOp, Groups, Predicate};
+use datacell_kernel::algebra::{AggKind, ArithOp, Predicate};
 use datacell_kernel::{Bat, Value};
 use std::fmt;
 
@@ -23,8 +23,6 @@ pub type VarId = usize;
 pub enum MalValue {
     /// A columnar intermediate.
     Bat(Bat),
-    /// A grouping structure (`group.new` result).
-    Groups(Groups),
     /// A scalar (aggregate result).
     Scalar(Value),
     /// An absent scalar: aggregate over an empty window (`min`/`max`/`avg`
@@ -40,16 +38,6 @@ impl MalValue {
             MalValue::Bat(b) => Ok(b),
             other => {
                 Err(crate::PlanError::Internal(format!("{what}: expected BAT, got {other:?}")))
-            }
-        }
-    }
-
-    /// Borrow as Groups or fail.
-    pub fn as_groups(&self, what: &str) -> crate::Result<&Groups> {
-        match self {
-            MalValue::Groups(g) => Ok(g),
-            other => {
-                Err(crate::PlanError::Internal(format!("{what}: expected groups, got {other:?}")))
             }
         }
     }
@@ -106,38 +94,14 @@ pub enum MalOp {
         /// Right values.
         right: VarId,
     },
-    /// `group.new(keys)` → grouping structure.
-    Group {
-        /// Grouping keys.
-        keys: VarId,
-    },
-    /// Materialize per-group key values from a grouping.
-    GroupKeys {
-        /// The grouping.
-        groups: VarId,
-        /// The key column that was grouped.
-        keys: VarId,
-    },
-    /// Per-group aggregate (`aggr.sum` etc.). `vals` is `None` for
-    /// `count(*)` which needs no value column.
-    GroupedAgg {
-        /// Aggregate function.
-        kind: AggKind,
-        /// Aggregated values (aligned with the grouping input).
-        vals: Option<VarId>,
-        /// The grouping.
-        groups: VarId,
-    },
-    /// Fused group-and-aggregate: one grouping pass over `keys` feeding
-    /// every aggregate in `aggs`. Writes `1 + aggs.len()` destinations —
-    /// the distinct group keys (first-occurrence order) followed by one
-    /// aggregate column per entry, aligned with the keys. This is the
-    /// node the incremental rewriter consumes directly (the Fig. 3d
-    /// cluster as a single operator) and the one `plan::exec` fans out
-    /// through `kernel::par::grouped_agg_multi` at partitions > 1.
-    /// `Group`/`GroupKeys`/`GroupedAgg` stay legal standalone nodes; the
-    /// `fuse_group_agg` pass in [`crate::optimize`] lowers their chains
-    /// to this form.
+    /// Group-and-aggregate — the only way to group: one grouping pass
+    /// over `keys` feeding every aggregate in `aggs`. Writes
+    /// `1 + aggs.len()` destinations — the distinct group keys
+    /// (first-occurrence order) followed by one aggregate column per
+    /// entry, aligned with the keys. This is the node the incremental
+    /// rewriter consumes directly (the Fig. 3d cluster as a single
+    /// operator) and the one `plan::exec` fans out through
+    /// `kernel::par::grouped_agg_multi` at partitions > 1.
     GroupAgg {
         /// Grouping key column.
         keys: VarId,
@@ -218,12 +182,6 @@ impl MalOp {
             MalOp::Select { input, .. } => vec![*input],
             MalOp::Fetch { cands, values } => vec![*cands, *values],
             MalOp::Join { left, right } => vec![*left, *right],
-            MalOp::Group { keys } => vec![*keys],
-            MalOp::GroupKeys { groups, keys } => vec![*groups, *keys],
-            MalOp::GroupedAgg { vals, groups, .. } => match vals {
-                Some(v) => vec![*v, *groups],
-                None => vec![*groups],
-            },
             MalOp::GroupAgg { keys, aggs } => {
                 let mut out = vec![*keys];
                 out.extend(aggs.iter().filter_map(|(_, v)| *v));
@@ -258,9 +216,6 @@ impl MalOp {
             MalOp::Select { .. } => "algebra.select",
             MalOp::Fetch { .. } => "algebra.fetch",
             MalOp::Join { .. } => "algebra.join",
-            MalOp::Group { .. } => "group.new",
-            MalOp::GroupKeys { .. } => "group.keys",
-            MalOp::GroupedAgg { .. } => "aggr.grouped",
             MalOp::GroupAgg { .. } => "group.agg",
             MalOp::ScalarAgg { .. } => "aggr.scalar",
             MalOp::Concat { .. } => "algebra.concat",
@@ -321,10 +276,6 @@ impl MalPlan {
                 MalOp::BindStream { stream, attr } => format!("({stream}, {attr})"),
                 MalOp::BindTable { table, attr } => format!("({table}, {attr})"),
                 MalOp::Select { input, pred } => format!("(X_{input}, {pred:?})"),
-                MalOp::GroupedAgg { kind, vals, groups } => match vals {
-                    Some(v) => format!("[{}](X_{v}, X_{groups})", kind.sql()),
-                    None => format!("[{}](X_{groups})", kind.sql()),
-                },
                 MalOp::GroupAgg { keys, aggs } => {
                     let parts: Vec<String> = aggs
                         .iter()
@@ -540,7 +491,6 @@ mod tests {
     fn malvalue_accessors() {
         let b = MalValue::Bat(Bat::transient(Column::Int(vec![1])));
         assert!(b.as_bat("t").is_ok());
-        assert!(b.as_groups("t").is_err());
         assert!(b.as_scalar("t").is_err());
         assert_eq!(MalValue::Absent.as_scalar("t").unwrap(), None);
         let s = MalValue::Scalar(Value::Int(5));
@@ -551,7 +501,7 @@ mod tests {
     fn op_args_ordering() {
         let op = MalOp::Fetch { cands: 3, values: 7 };
         assert_eq!(op.args(), vec![3, 7]);
-        let op = MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: 2 };
+        let op = MalOp::GroupAgg { keys: 2, aggs: vec![(AggKind::Count, None)] };
         assert_eq!(op.args(), vec![2]);
         let op = MalOp::Concat { parts: vec![5, 6, 7] };
         assert_eq!(op.args(), vec![5, 6, 7]);

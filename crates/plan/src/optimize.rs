@@ -14,18 +14,9 @@
 //!   into one conjunction ([`Predicate::and`]), so `a > v1 AND a < v2`
 //!   becomes a single range select instead of a select + fetch + select
 //!   chain — and downstream MAL passes see canonical plan shapes.
-//!
-//! The module also hosts the MAL-level **group-agg fusion pass**
-//! ([`fuse_group_agg`]): the compatibility shim that lowers standalone
-//! `Group`/`GroupKeys`/`GroupedAgg` chains (hand-built MAL plans, older
-//! compilers) into the fused [`MalOp::GroupAgg`] node the incremental
-//! rewriter and the parallel aggregation kernel consume.
 
 use crate::logical::LogicalPlan;
-use crate::mal::{Instr, MalOp, MalPlan, VarId};
-use crate::verify::{Rule, VerifyError};
 use datacell_kernel::algebra::Predicate;
-use std::collections::{HashMap, HashSet};
 
 /// Apply all rewrites until fixpoint (the pass set is terminating: each
 /// rewrite strictly reduces a measure — filter depth or plan size).
@@ -178,180 +169,6 @@ fn is_equality(p: &Predicate) -> bool {
     matches!(p, Predicate::Cmp(datacell_kernel::algebra::CmpOp::Eq, _))
 }
 
-/// Lower `Group`/`GroupKeys`/`GroupedAgg` chains into fused
-/// [`MalOp::GroupAgg`] nodes — the compatibility shim for plans built
-/// directly in MAL (the SQL compiler already emits the fused form).
-///
-/// A chain is fused when it is *closed*: the `Groups` variable is read
-/// only by its own `GroupKeys`/`GroupedAgg` members (and is not a result
-/// variable), there is at most one `GroupKeys` and it materializes the
-/// same key column that was grouped, and no member's destination is read
-/// before the fusion site (the position of the last member, where every
-/// input is available). Chains that fail these checks are left untouched
-/// — the standalone nodes remain legal and executable; they just do not
-/// reach the fused parallel path.
-pub fn fuse_group_agg(plan: &MalPlan) -> MalPlan {
-    fuse_group_agg_diag(plan).0
-}
-
-/// [`fuse_group_agg`] with diagnostics: alongside the (possibly) fused
-/// plan, return one [`VerifyError`] per grouping chain the pass had to
-/// *decline*, each naming the op index and variable that broke the
-/// closed-chain precondition. Declined chains are not errors — the
-/// standalone nodes still execute — but the incremental rewriter uses
-/// these diagnostics to explain *why* an unfused chain ended up crossing
-/// its merge frontier instead of reporting a bare string.
-pub fn fuse_group_agg_diag(plan: &MalPlan) -> (MalPlan, Vec<VerifyError>) {
-    // Position of each instruction that writes a given variable, and the
-    // set of (reader instr, arg) pairs per variable.
-    let mut readers: HashMap<VarId, Vec<usize>> = HashMap::new();
-    for (i, ins) in plan.instrs.iter().enumerate() {
-        for a in ins.op.args() {
-            readers.entry(a).or_default().push(i);
-        }
-    }
-
-    let mut nvars = plan.nvars;
-    let mut dropped: HashSet<usize> = HashSet::new();
-    let mut fused_at: HashMap<usize, Instr> = HashMap::new();
-    let mut declined: Vec<VerifyError> = Vec::new();
-
-    'groups: for (gi, gins) in plan.instrs.iter().enumerate() {
-        let MalOp::Group { keys } = gins.op else { continue };
-        let gvar = gins.dests[0];
-        if plan.result_vars.contains(&gvar) {
-            declined.push(
-                VerifyError::at(
-                    plan,
-                    gi,
-                    Rule::OpenGroupChain,
-                    "not fused: grouping structure is a result variable",
-                )
-                .with_var(gvar),
-            );
-            continue;
-        }
-        // Collect members; any non-member reader of the Groups var
-        // disqualifies the chain.
-        let mut keys_member: Option<(usize, VarId)> = None;
-        let mut agg_members: Vec<(usize, VarId, datacell_kernel::algebra::AggKind, Option<VarId>)> =
-            Vec::new();
-        for &ri in readers.get(&gvar).map(std::vec::Vec::as_slice).unwrap_or_default() {
-            match &plan.instrs[ri].op {
-                MalOp::GroupKeys { groups, keys: k2 } if *groups == gvar && *k2 == keys => {
-                    if keys_member.is_some() {
-                        declined.push(
-                            VerifyError::at(
-                                plan,
-                                ri,
-                                Rule::OpenGroupChain,
-                                "not fused: second group.keys on one grouping is ambiguous",
-                            )
-                            .with_var(gvar),
-                        );
-                        continue 'groups;
-                    }
-                    keys_member = Some((ri, plan.instrs[ri].dests[0]));
-                }
-                MalOp::GroupedAgg { kind, vals, groups } if *groups == gvar => {
-                    agg_members.push((ri, plan.instrs[ri].dests[0], *kind, *vals));
-                }
-                _ => {
-                    declined.push(
-                        VerifyError::at(
-                            plan,
-                            ri,
-                            Rule::OpenGroupChain,
-                            format!(
-                                "not fused: {} is a foreign consumer of the grouping",
-                                plan.instrs[ri].op.name()
-                            ),
-                        )
-                        .with_var(gvar),
-                    );
-                    continue 'groups;
-                }
-            }
-        }
-        if agg_members.is_empty() && keys_member.is_none() {
-            continue; // dead grouping: nothing to fuse
-        }
-        // The fusion site: the last member, where all inputs are written.
-        let member_idxs: HashSet<usize> = keys_member
-            .iter()
-            .map(|&(i, _)| i)
-            .chain(agg_members.iter().map(|&(i, ..)| i))
-            .collect();
-        let site = *member_idxs.iter().max().expect("at least one member");
-        // No member destination may be read at or before the fusion site
-        // — by outsiders (the write would move past the read) or by the
-        // members themselves (every member index is ≤ site, so a member
-        // aggregating another member's output would fuse into a node
-        // that reads its own destination).
-        let member_dests: Vec<VarId> = keys_member
-            .iter()
-            .map(|&(_, d)| d)
-            .chain(agg_members.iter().map(|&(_, d, ..)| d))
-            .collect();
-        for d in member_dests {
-            for &ri in readers.get(&d).map(std::vec::Vec::as_slice).unwrap_or_default() {
-                if ri <= site {
-                    declined.push(
-                        VerifyError::at(
-                            plan,
-                            ri,
-                            Rule::OpenGroupChain,
-                            "not fused: a member destination is read at or before the fusion site",
-                        )
-                        .with_var(d),
-                    );
-                    continue 'groups;
-                }
-            }
-        }
-        // Build the fused node: keys dest reuses the GroupKeys dest (or a
-        // fresh, unread variable when the chain had no GroupKeys).
-        let keys_dest = match keys_member {
-            Some((_, d)) => d,
-            None => {
-                let v = nvars;
-                nvars += 1;
-                v
-            }
-        };
-        let mut dests = vec![keys_dest];
-        let mut aggs = Vec::with_capacity(agg_members.len());
-        for &(_, d, kind, vals) in &agg_members {
-            dests.push(d);
-            aggs.push((kind, vals));
-        }
-        dropped.insert(gi);
-        dropped.extend(&member_idxs);
-        fused_at.insert(site, Instr { dests, op: MalOp::GroupAgg { keys, aggs } });
-    }
-
-    if fused_at.is_empty() {
-        return (plan.clone(), declined);
-    }
-    let mut instrs = Vec::with_capacity(plan.instrs.len());
-    for (i, ins) in plan.instrs.iter().enumerate() {
-        if let Some(fused) = fused_at.remove(&i) {
-            instrs.push(fused);
-        } else if !dropped.contains(&i) {
-            instrs.push(ins.clone());
-        }
-    }
-    let out = MalPlan {
-        instrs,
-        result_names: plan.result_names.clone(),
-        result_vars: plan.result_vars.clone(),
-        nvars,
-        streams: plan.streams.clone(),
-    };
-    debug_assert!(out.validate().is_ok(), "fusion produced invalid MAL:\n{}", out.explain());
-    (out, declined)
-}
-
 fn plan_has_source(plan: &LogicalPlan, source: &str) -> bool {
     match plan {
         LogicalPlan::ScanStream { stream } => stream == source,
@@ -493,159 +310,5 @@ mod tests {
         let o = optimize(p);
         let filters = o.explain().lines().filter(|l| l.contains("filter")).count();
         assert_eq!(filters, 2);
-    }
-
-    mod fusion {
-        use super::*;
-        use crate::mal::{MalBuilder, MalOp};
-        use datacell_kernel::algebra::AggKind;
-
-        /// A hand-built unfused chain: bind, group, keys, sum, count.
-        fn unfused() -> crate::mal::MalPlan {
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let v = b.emit(MalOp::BindStream { stream: "s".into(), attr: "v".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let s = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: Some(v), groups: g });
-            let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-            b.finish(vec!["k".into(), "s".into(), "n".into()], vec![gk, s, n])
-        }
-
-        #[test]
-        fn chain_fuses_to_one_group_agg_node() {
-            let fused = fuse_group_agg(&unfused());
-            fused.validate().unwrap();
-            assert!(!fused.instrs.iter().any(|i| matches!(
-                i.op,
-                MalOp::Group { .. } | MalOp::GroupKeys { .. } | MalOp::GroupedAgg { .. }
-            )));
-            let ga = fused
-                .instrs
-                .iter()
-                .find(|i| matches!(i.op, MalOp::GroupAgg { .. }))
-                .expect("fused node emitted");
-            // Keys dest first (the GroupKeys dest), then the agg dests in
-            // member order — result vars unchanged.
-            assert_eq!(ga.dests, vec![3, 4, 5]);
-            let MalOp::GroupAgg { keys, aggs } = &ga.op else { unreachable!() };
-            assert_eq!(*keys, 0);
-            assert_eq!(aggs.len(), 2);
-            assert_eq!(fused.result_vars, vec![3, 4, 5]);
-        }
-
-        #[test]
-        fn chain_without_groupkeys_gets_fresh_keys_dest() {
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let a = b.emit(MalOp::GroupedAgg { kind: AggKind::Avg, vals: Some(k), groups: g });
-            let plan = b.finish(vec!["a".into()], vec![a]);
-            let fused = fuse_group_agg(&plan);
-            fused.validate().unwrap();
-            assert_eq!(fused.nvars, plan.nvars + 1); // fresh, unread keys var
-            assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::GroupAgg { .. })));
-        }
-
-        #[test]
-        fn groups_var_as_result_blocks_fusion() {
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let mut plan = b.finish(vec!["k".into()], vec![gk]);
-            plan.result_vars = vec![g]; // pathological: grouping itself is a result
-            let fused = fuse_group_agg(&plan);
-            assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::Group { .. })));
-        }
-
-        #[test]
-        fn member_dest_read_before_site_blocks_fusion() {
-            // GroupKeys dest is sorted *between* the members: fusing at
-            // the last member would move the write past the read.
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let srt = b.emit(MalOp::Sort { input: gk, desc: false });
-            let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-            let plan = b.finish(vec!["k".into(), "n".into()], vec![srt, n]);
-            let fused = fuse_group_agg(&plan);
-            fused.validate().unwrap();
-            assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::Group { .. })));
-        }
-
-        #[test]
-        fn member_aggregating_another_members_dest_blocks_fusion() {
-            // A GroupedAgg whose value column *is* the GroupKeys output:
-            // fusing would emit a node that reads its own destination.
-            // The chain must stay unfused (and keep executing as-is).
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: Some(gk), groups: g });
-            let plan = b.finish(vec!["k".into(), "n".into()], vec![gk, n]);
-            let fused = fuse_group_agg(&plan);
-            fused.validate().unwrap();
-            assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::Group { .. })));
-            assert!(!fused.instrs.iter().any(|i| matches!(i.op, MalOp::GroupAgg { .. })));
-        }
-
-        #[test]
-        fn declined_chains_report_located_diagnostics() {
-            use crate::verify::Rule;
-            // Result-var grouping: diagnostic anchored at the Group node.
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let mut plan = b.finish(vec!["k".into()], vec![gk]);
-            plan.result_vars = vec![g];
-            let (_, diags) = fuse_group_agg_diag(&plan);
-            assert_eq!(diags.len(), 1);
-            assert_eq!(diags[0].rule, Rule::OpenGroupChain);
-            assert_eq!(diags[0].instr, Some(1));
-            assert_eq!(diags[0].var, Some(g));
-            assert_eq!(diags[0].op, Some("group.new"));
-
-            // Member dest read before the fusion site: diagnostic anchored
-            // at the offending reader, naming the read variable.
-            let mut b = MalBuilder::new();
-            let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-            let g = b.emit(MalOp::Group { keys: k });
-            let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-            let srt = b.emit(MalOp::Sort { input: gk, desc: false });
-            let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-            let plan = b.finish(vec!["k".into(), "n".into()], vec![srt, n]);
-            let (_, diags) = fuse_group_agg_diag(&plan);
-            assert_eq!(diags.len(), 1);
-            assert_eq!(diags[0].rule, Rule::OpenGroupChain);
-            assert_eq!(diags[0].instr, Some(3));
-            assert_eq!(diags[0].var, Some(gk));
-
-            // A cleanly fused chain produces no diagnostics.
-            let (_, diags) = fuse_group_agg_diag(&unfused());
-            assert!(diags.is_empty());
-        }
-
-        #[test]
-        fn fused_plan_executes_identically() {
-            use crate::exec::{execute, WindowCtx};
-            use datacell_basket::BasicWindow;
-            use datacell_kernel::Column;
-            let plan = unfused();
-            let fused = fuse_group_agg(&plan);
-            let w = BasicWindow::new(
-                0,
-                vec![Column::Int(vec![1, 2, 1, 3, 2]), Column::Int(vec![10, 20, 30, 40, 50])],
-                vec![0; 5],
-                vec!["k".into(), "v".into()],
-            );
-            let ctx = WindowCtx::new().with_stream("s", &w);
-            let a = execute(&plan, &ctx).unwrap();
-            let b = execute(&fused, &ctx).unwrap();
-            assert_eq!(a.rows(), b.rows());
-        }
     }
 }

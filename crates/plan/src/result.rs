@@ -57,9 +57,6 @@ impl ResultSet {
                 },
                 MalValue::Scalar(_) => {}
                 MalValue::Absent => any_absent = true,
-                MalValue::Groups(_) => {
-                    return Err(PlanError::Internal("groups cannot be a result column".into()))
-                }
             }
         }
         let nrows = if any_absent { 0 } else { nrows.unwrap_or(1) };
@@ -75,7 +72,6 @@ impl ResultSet {
                     c
                 }
                 MalValue::Absent => Column::empty(datacell_kernel::DataType::Float),
-                MalValue::Groups(_) => unreachable!("rejected above"),
             };
             cols.push(col);
         }

@@ -1,11 +1,10 @@
 //! Static analysis over MAL plans: the pass-boundary verifier.
 //!
-//! Every plan transformation in the stack — `compile`, the MAL-level
-//! [`fuse_group_agg`](crate::optimize::fuse_group_agg) fusion, the
-//! rewriter's `expand_avg`, the incremental clustering in `datacell-core`
-//! — rewrites a [`MalPlan`] under invariants that used to be enforced only
-//! by scattered ad-hoc checks and executor panics. This module makes them
-//! a single static analyzer that runs at pass boundaries:
+//! Every plan transformation in the stack — `compile`, the rewriter's
+//! `expand_avg`, the incremental clustering in `datacell-core` — rewrites
+//! a [`MalPlan`] under invariants that used to be enforced only by
+//! scattered ad-hoc checks and executor panics. This module makes them a
+//! single static analyzer that runs at pass boundaries:
 //!
 //! 1. **Structural (SSA) rules** — every variable is written exactly once,
 //!    read only after its write, destination counts match
@@ -14,17 +13,13 @@
 //! 2. **Operand-kind and arity rules** — `Select` reads a value BAT, not a
 //!    candidate list; `Fetch` candidates are oid-kind; `Join` writes two
 //!    aligned oid dests; grouped aggregates other than `count` carry a
-//!    value column; `Group` outputs feed only grouping consumers
-//!    ([`verify_typed`]).
+//!    value column ([`verify_typed`]).
 //! 3. **Type/shape inference** — column types are seeded from a
 //!    [`SchemaSource`] at `BindStream`/`BindTable` and propagated through
 //!    select/fetch/join/group/map ops; mismatches are reported with the
 //!    op index and `X_n` names matching [`MalPlan::explain`].
-//! 4. **Incremental-safety lints** — open (non-closed) grouping chains
-//!    that the fusion pass must decline and the rewriter cannot merge
-//!    ([`lint_incremental`]), plus a partition-safety classification
-//!    ([`partition_safety`]) of which nodes may take the `kernel::par`
-//!    path.
+//! 4. **Partition safety** — a classification ([`partition_safety`]) of
+//!    which nodes may take the `kernel::par` path.
 //!
 //! [`checked_pass`] is the differential harness: it asserts
 //! verifier-cleanliness before *and* after a MAL→MAL pass, on by default
@@ -54,13 +49,10 @@ pub enum Rule {
     VarRange,
     /// A result variable is never written.
     ResultUnwritten,
-    /// An operand has the wrong kind (BAT/groups/scalar/candidate list).
+    /// An operand has the wrong kind (BAT/scalar/candidate list).
     OperandKind,
     /// Inferred column/scalar types disagree.
     TypeMismatch,
-    /// A grouping chain is not closed (foreign consumer, result-var
-    /// grouping, ambiguous or mismatched `GroupKeys`).
-    OpenGroupChain,
     /// Ring-variable discipline of an incremental plan is violated.
     RingDiscipline,
 }
@@ -76,7 +68,6 @@ impl Rule {
             Rule::ResultUnwritten => "result-unwritten",
             Rule::OperandKind => "operand-kind",
             Rule::TypeMismatch => "type-mismatch",
-            Rule::OpenGroupChain => "open-group-chain",
             Rule::RingDiscipline => "ring-discipline",
         }
     }
@@ -242,8 +233,6 @@ enum Shape {
     /// candidate lists (select/join/sortperm outputs and re-mapped
     /// candidate fetches) as opposed to value BATs.
     Bat { dt: Option<DataType>, cands: bool },
-    /// A grouping structure.
-    Groups,
     /// A scalar aggregate result (possibly absent at runtime).
     Scalar { dt: Option<DataType> },
 }
@@ -261,7 +250,6 @@ impl Shape {
         match self {
             Shape::Bat { dt, cands: true } => format!("candidate list ({})", fmt_dt(*dt)),
             Shape::Bat { dt, cands: false } => format!("value BAT ({})", fmt_dt(*dt)),
-            Shape::Groups => "grouping structure".into(),
             Shape::Scalar { dt } => format!("scalar ({})", fmt_dt(*dt)),
         }
     }
@@ -530,67 +518,6 @@ pub fn verify_typed(plan: &MalPlan, schema: &dyn SchemaSource) -> Vec<VerifyErro
                 }
                 vec![Shape::cand_list(), Shape::cand_list()]
             }
-            MalOp::Group { keys } => {
-                want_bat(&mut errs, &shapes, plan, i, *keys, "group keys");
-                vec![Shape::Groups]
-            }
-            MalOp::GroupKeys { groups, keys } => {
-                if shape_of(&shapes, *groups) != Shape::Groups {
-                    errs.push(
-                        VerifyError::at(
-                            plan,
-                            i,
-                            Rule::OperandKind,
-                            format!(
-                                "group.keys needs a grouping structure, found {}",
-                                shape_of(&shapes, *groups).describe()
-                            ),
-                        )
-                        .with_var(*groups),
-                    );
-                }
-                let dt = want_bat(&mut errs, &shapes, plan, i, *keys, "group.keys source");
-                vec![Shape::value_bat(dt)]
-            }
-            MalOp::GroupedAgg { kind, vals, groups } => {
-                if shape_of(&shapes, *groups) != Shape::Groups {
-                    errs.push(
-                        VerifyError::at(
-                            plan,
-                            i,
-                            Rule::OperandKind,
-                            format!(
-                                "grouped aggregate needs a grouping structure, found {}",
-                                shape_of(&shapes, *groups).describe()
-                            ),
-                        )
-                        .with_var(*groups),
-                    );
-                }
-                let vdt = match vals {
-                    Some(v) => want_bat(&mut errs, &shapes, plan, i, *v, "aggregate values"),
-                    None => {
-                        if *kind != AggKind::Count {
-                            errs.push(VerifyError::at(
-                                plan,
-                                i,
-                                Rule::OperandKind,
-                                format!("grouped {} requires a value column", kind.sql()),
-                            ));
-                        }
-                        None
-                    }
-                };
-                if !agg_input_ok(*kind, vdt) {
-                    errs.push(VerifyError::at(
-                        plan,
-                        i,
-                        Rule::TypeMismatch,
-                        format!("grouped {} over a {} column", kind.sql(), fmt_dt(vdt)),
-                    ));
-                }
-                vec![Shape::value_bat(agg_result(*kind, vdt))]
-            }
             MalOp::GroupAgg { keys, aggs } => {
                 let kdt = want_bat(&mut errs, &shapes, plan, i, *keys, "group.agg keys");
                 let mut out = vec![Shape::value_bat(kdt)];
@@ -777,19 +704,6 @@ pub fn verify_typed(plan: &MalPlan, schema: &dyn SchemaSource) -> Vec<VerifyErro
             }
         }
     }
-
-    // Result variables must be presentable: BATs or scalars, not groupings.
-    for (name, &v) in plan.result_names.iter().zip(&plan.result_vars) {
-        if shapes.get(v).copied().flatten() == Some(Shape::Groups) {
-            errs.push(
-                VerifyError::plan_level(
-                    Rule::OperandKind,
-                    format!("result column {name} is a grouping structure"),
-                )
-                .with_var(v),
-            );
-        }
-    }
     errs
 }
 
@@ -826,83 +740,8 @@ fn arith_result(op: ArithOp, l: Option<DataType>, r: Option<DataType>) -> Option
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-safety lints
+// Partition safety
 // ---------------------------------------------------------------------------
-
-/// Lint the grouping chains of a plan for *incremental safety*: a
-/// standalone `Group` whose chain is not closed cannot be fused by
-/// [`crate::optimize::fuse_group_agg`] and therefore cannot cross the
-/// incremental rewriter's merge frontier. Open chains still execute in
-/// one-shot/re-evaluation mode — these are lints, not structural errors.
-///
-/// A chain is *closed* when the `Groups` variable is read only by its own
-/// `GroupKeys`/`GroupedAgg` members, is not itself a result variable,
-/// and has at most one `GroupKeys` materializing the grouped column.
-pub fn lint_incremental(plan: &MalPlan) -> Vec<VerifyError> {
-    let mut lints = Vec::new();
-    for (gi, gins) in plan.instrs.iter().enumerate() {
-        let MalOp::Group { keys } = &gins.op else { continue };
-        let gvar = gins.dests[0];
-        if plan.result_vars.contains(&gvar) {
-            lints.push(
-                VerifyError::at(
-                    plan,
-                    gi,
-                    Rule::OpenGroupChain,
-                    "grouping structure is a result variable",
-                )
-                .with_var(gvar),
-            );
-            continue;
-        }
-        let mut n_groupkeys = 0usize;
-        for (ri, rins) in plan.instrs.iter().enumerate() {
-            if !rins.op.args().contains(&gvar) {
-                continue;
-            }
-            match &rins.op {
-                MalOp::GroupKeys { groups, keys: k2 } if *groups == gvar => {
-                    n_groupkeys += 1;
-                    if k2 != keys {
-                        lints.push(
-                            VerifyError::at(
-                                plan,
-                                ri,
-                                Rule::OpenGroupChain,
-                                "group.keys materializes a different column than was grouped",
-                            )
-                            .with_var(*k2),
-                        );
-                    }
-                    if n_groupkeys > 1 {
-                        lints.push(
-                            VerifyError::at(
-                                plan,
-                                ri,
-                                Rule::OpenGroupChain,
-                                "second group.keys on one grouping is ambiguous",
-                            )
-                            .with_var(gvar),
-                        );
-                    }
-                }
-                MalOp::GroupedAgg { groups, .. } if *groups == gvar => {}
-                _ => {
-                    lints.push(
-                        VerifyError::at(
-                            plan,
-                            ri,
-                            Rule::OpenGroupChain,
-                            format!("{} is a foreign consumer of a grouping", rins.op.name()),
-                        )
-                        .with_var(gvar),
-                    );
-                }
-            }
-        }
-    }
-    lints
-}
 
 /// Whether one MAL node may take the partitioned `kernel::par` execution
 /// path at partition fan-out > 1, or always runs the sequential kernel.
@@ -1080,11 +919,10 @@ mod tests {
     fn grouped_min_without_values_rejected() {
         let mut b = MalBuilder::new();
         let k = bind(&mut b, "k");
-        let g = b.emit(MalOp::Group { keys: k });
-        let m = b.emit(MalOp::GroupedAgg { kind: AggKind::Min, vals: None, groups: g });
-        let plan = b.finish(vec!["m".into()], vec![m]);
+        let (_, aggs) = b.emit_group_agg(k, vec![(AggKind::Min, None)]);
+        let plan = b.finish(vec!["m".into()], vec![aggs[0]]);
         let errs = verify_all(&plan, &NoSchema);
-        assert!(errs.iter().any(|e| e.rule == Rule::OperandKind && e.instr == Some(2)));
+        assert!(errs.iter().any(|e| e.rule == Rule::OperandKind && e.instr == Some(1)));
     }
 
     #[test]
@@ -1103,25 +941,6 @@ mod tests {
         assert_eq!(errs[0].rule, Rule::UseBeforeDef);
         assert_eq!(errs[0].var, Some(1));
         assert_eq!(errs[0].instr, Some(0));
-    }
-
-    #[test]
-    fn open_group_chain_lints() {
-        // Sort consumes the grouping structure directly: foreign consumer.
-        let mut b = MalBuilder::new();
-        let k = bind(&mut b, "k");
-        let g = b.emit(MalOp::Group { keys: k });
-        let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-        let plan = b.finish(vec!["k".into()], vec![gk]);
-        assert!(lint_incremental(&plan).is_empty());
-
-        // Grouping as result var.
-        let mut plan2 = plan.clone();
-        plan2.result_vars = vec![g];
-        let lints = lint_incremental(&plan2);
-        assert_eq!(lints.len(), 1);
-        assert_eq!(lints[0].rule, Rule::OpenGroupChain);
-        assert_eq!(lints[0].instr, Some(1));
     }
 
     #[test]

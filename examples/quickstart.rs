@@ -33,20 +33,21 @@ fn main() -> Result<(), DataCellError> {
     engine.append("readings", &[Column::Int(vec![1, 1, 2]), Column::Int(vec![250, 260, 180])])?;
     engine.run_until_idle()?;
 
-    // 4. Drain the produced window results.
-    for (i, window) in engine.drain_results(q)?.iter().enumerate() {
+    // 4. Drain the produced window results; each comes with the timings
+    //    of the slide that produced it.
+    let windows = engine.drain_with_metrics(q)?;
+    for (i, (window, _)) in windows.iter().enumerate() {
         println!("window {i}:");
         for row in window.rows() {
             println!("  sensor {} -> sum {}", row[0], row[1]);
         }
     }
 
-    // 5. Peek at what the incremental rewriter did to the plan.
-    let metrics = engine.metrics(q)?;
     println!(
         "\nprocessed {} windows, mean response {:?}",
-        metrics.len(),
-        metrics.iter().map(|m| m.total).sum::<std::time::Duration>() / metrics.len().max(1) as u32
+        windows.len(),
+        windows.iter().map(|(_, m)| m.total).sum::<std::time::Duration>()
+            / windows.len().max(1) as u32
     );
     Ok(())
 }

@@ -2,8 +2,13 @@
 //! bursty streams, degenerate windows, misuse of the API.
 
 use datacell::basket::{Basket, BasketError, CsvReceptor, MalformedPolicy, SharedBasket};
-use datacell::core::{ExecMode, RegisterOptions};
+use datacell::core::{ExecMode, Factory, FireOutcome, RegisterOptions, StreamInput};
+use datacell::net::{NetConfig, NetServer};
 use datacell::prelude::*;
+use datacell::telemetry::parse_text;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn engine() -> Engine {
     let mut e = Engine::new();
@@ -102,7 +107,7 @@ fn unknown_query_operations_fail_cleanly() {
     let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 1").unwrap();
     e.deregister(q).unwrap();
     assert!(e.drain_results(q).is_err());
-    assert!(e.metrics(q).is_err());
+    assert!(e.drain_with_metrics(q).is_err());
     assert!(e.deregister(q).is_err());
 }
 
@@ -174,4 +179,63 @@ fn schema_violation_on_append() {
     assert!(e.append("s", &[Column::Float(vec![1.0]), Column::Int(vec![1])]).is_err());
     // Misaligned columns.
     assert!(e.append("s", &[Column::Int(vec![1, 2]), Column::Int(vec![1])]).is_err());
+}
+
+/// A registered factory that takes one row and then blows up.
+struct ExplodingFactory {
+    input: StreamInput,
+}
+
+impl Factory for ExplodingFactory {
+    fn label(&self) -> &str {
+        "exploding"
+    }
+
+    fn ready(&self, _clock: u64) -> bool {
+        self.input.available() > 0
+    }
+
+    fn fire(&mut self, _clock: u64) -> Result<FireOutcome, DataCellError> {
+        self.input.take(1)?;
+        panic!("factory exploded");
+    }
+
+    fn consumed_upto(&self, stream: &str) -> Option<u64> {
+        (stream == self.input.name).then_some(self.input.consumed)
+    }
+
+    fn input_streams(&self) -> Vec<String> {
+        vec![self.input.name.clone()]
+    }
+}
+
+#[test]
+fn panicking_factory_does_not_take_the_server_down() {
+    // Default configuration (one worker: the server's loop thread fires
+    // the factory itself). The panic must come back from the drain as a
+    // typed error the server counts — not unwind through its loop.
+    let mut engine = engine();
+    let input = StreamInput::new("s", engine.basket("s").unwrap().shared());
+    engine.register_factory(Box::new(ExplodingFactory { input })).unwrap();
+    let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("bind");
+
+    let mut ingest = TcpStream::connect(server.local_addr()).expect("connect");
+    ingest.write_all(b"INGEST s\n1,1\n").expect("ingest");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().errors.get() == 0 {
+        assert!(Instant::now() < deadline, "the scheduler error was never counted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
+    let mut response = String::new();
+    sock.read_to_string(&mut response).expect("response");
+    assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+    let parsed = parse_text(response.split("\r\n\r\n").nth(1).expect("body")).expect("parse");
+    assert!(parsed.get("datacell_net_errors_total", &[]).expect("errors family") >= 1.0);
+
+    // The loop thread is alive to hand the engine back.
+    let engine = server.shutdown();
+    assert_eq!(engine.basket("s").unwrap().end_oid(), 1);
 }

@@ -1,35 +1,56 @@
-//! The fused `GroupAgg` node, end to end: byte-identical results against
-//! the unfused `Group`+`GroupKeys`+`GroupedAgg` chain at every partition
-//! fan-out, a golden aggregation pin through the sharded-ingest +
-//! parallel-scheduler + partitioned-kernel path (all three axes at 4),
-//! proof via the kernel stats counters that SQL aggregation actually
-//! reaches `kernel::par`'s parallel grouped-aggregate path at
-//! partitions > 1, and the optimizer's same-column filter-conjunction
-//! merge at the SQL level.
+//! The `GroupAgg` node, end to end: byte-identical results against the
+//! reference chain of sequential kernel calls (`algebra::group` +
+//! `*_grouped`) at every partition fan-out, a golden aggregation pin
+//! through the sharded-ingest + parallel-scheduler + partitioned-kernel
+//! path (all three axes at 4), proof via the kernel stats counters that
+//! SQL aggregation actually reaches `kernel::par`'s parallel
+//! grouped-aggregate path at partitions > 1, and the optimizer's
+//! same-column filter-conjunction merge at the SQL level.
 
-use datacell::kernel::algebra::AggKind;
+use datacell::kernel::algebra::{self, AggKind, ArithOp};
 use datacell::kernel::par;
 use datacell::plan::exec::{execute, WindowCtx};
 use datacell::plan::mal::{MalBuilder, MalOp, MalPlan};
-use datacell::plan::{fuse_group_agg, optimize};
+use datacell::plan::{optimize, ResultSet};
 use datacell::prelude::*;
 
-/// An unfused multi-aggregate chain over int keys:
-/// `SELECT k, sum(v), count(*), min(v), avg(v) GROUP BY k`.
-fn unfused_int_plan() -> MalPlan {
+const NAMES: [&str; 5] = ["k", "sum", "n", "min", "avg"];
+
+/// `SELECT k, sum(v), count(*), min(v), avg(v) GROUP BY k` as one
+/// `GroupAgg` node.
+fn group_agg_plan() -> MalPlan {
     let mut b = MalBuilder::new();
     let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
     let v = b.emit(MalOp::BindStream { stream: "s".into(), attr: "v".into() });
-    let g = b.emit(MalOp::Group { keys: k });
-    let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-    let s = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: Some(v), groups: g });
-    let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-    let mn = b.emit(MalOp::GroupedAgg { kind: AggKind::Min, vals: Some(v), groups: g });
-    let a = b.emit(MalOp::GroupedAgg { kind: AggKind::Avg, vals: Some(v), groups: g });
-    b.finish(
-        vec!["k".into(), "sum".into(), "n".into(), "min".into(), "avg".into()],
-        vec![gk, s, n, mn, a],
+    let (gk, ads) = b.emit_group_agg(
+        k,
+        vec![
+            (AggKind::Sum, Some(v)),
+            (AggKind::Count, None),
+            (AggKind::Min, Some(v)),
+            (AggKind::Avg, Some(v)),
+        ],
+    );
+    b.finish(NAMES.map(String::from).to_vec(), std::iter::once(gk).chain(ads).collect())
+}
+
+/// The reference implementation of [`group_agg_plan`]: the sequential
+/// kernels called one after the other, avg as sum / count.
+fn kernel_chain(w: &BasicWindow) -> ResultSet {
+    let (kb, vb) = (w.bat_by_name("k").unwrap(), w.bat_by_name("v").unwrap());
+    let g = algebra::group(&kb).unwrap();
+    let sums = algebra::sum_grouped(&vb, &g).unwrap();
+    let counts = algebra::count_grouped(&g);
+    let avgs = algebra::map_arith(
+        &Bat::transient(sums.clone()),
+        &Bat::transient(counts.clone()),
+        ArithOp::Div,
     )
+    .unwrap()
+    .tail;
+    let mins = algebra::min_grouped(&vb, &g).unwrap();
+    let cols = vec![g.keys(&kb).unwrap(), sums, counts, mins, avgs];
+    ResultSet::new(NAMES.map(String::from).to_vec(), cols).unwrap()
 }
 
 fn int_window(ks: Vec<i64>, vs: Vec<i64>) -> BasicWindow {
@@ -43,30 +64,22 @@ fn int_window(ks: Vec<i64>, vs: Vec<i64>) -> BasicWindow {
 }
 
 #[test]
-fn fused_matches_unfused_byte_identically_at_every_p() {
-    let plan = unfused_int_plan();
-    let fused = fuse_group_agg(&plan);
-    assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::GroupAgg { .. })));
-
+fn group_agg_matches_kernel_chain_byte_identically_at_every_p() {
+    let plan = group_agg_plan();
     let ks: Vec<i64> = (0..97).map(|i| (i * 7) % 5).collect();
     let vs: Vec<i64> = (0..97).map(|i| i * 3 + 1).collect();
     let w = int_window(ks, vs);
-    let reference = execute(&plan, &WindowCtx::new().with_stream("s", &w)).unwrap();
+    let reference = kernel_chain(&w);
     for p in [1usize, 2, 8] {
         let ctx = WindowCtx::new().with_stream("s", &w).with_partitions(p);
-        let got = execute(&fused, &ctx).unwrap();
-        assert_eq!(got.rows(), reference.rows(), "fused vs unfused diverged at P={p}");
-        // The unfused chain itself is unaffected by the partition fan-out
-        // (standalone Group/GroupedAgg run the sequential kernels).
-        let unfused_p = execute(&plan, &ctx).unwrap();
-        assert_eq!(unfused_p.rows(), reference.rows(), "unfused drifted at P={p}");
+        let got = execute(&plan, &ctx).unwrap();
+        assert_eq!(got.rows(), reference.rows(), "plan vs kernel chain diverged at P={p}");
     }
 }
 
 #[test]
-fn fused_matches_unfused_on_string_keys_and_empty_input() {
-    let plan = unfused_int_plan();
-    let fused = fuse_group_agg(&plan);
+fn group_agg_matches_kernel_chain_on_string_keys_and_empty_input() {
+    let plan = group_agg_plan();
 
     // String keys.
     let ks: Vec<String> = (0..60).map(|i| format!("g{}", i % 7)).collect();
@@ -77,17 +90,17 @@ fn fused_matches_unfused_on_string_keys_and_empty_input() {
         vec![0; 60],
         vec!["k".into(), "v".into()],
     );
-    let reference = execute(&plan, &WindowCtx::new().with_stream("s", &w)).unwrap();
+    let reference = kernel_chain(&w);
     for p in [1usize, 2, 8] {
         let ctx = WindowCtx::new().with_stream("s", &w).with_partitions(p);
-        assert_eq!(execute(&fused, &ctx).unwrap().rows(), reference.rows(), "P={p}");
+        assert_eq!(execute(&plan, &ctx).unwrap().rows(), reference.rows(), "P={p}");
     }
 
     // Empty input: zero groups, zero rows, at every fan-out.
     let w = int_window(vec![], vec![]);
     for p in [1usize, 2, 8] {
         let ctx = WindowCtx::new().with_stream("s", &w).with_partitions(p);
-        assert!(execute(&fused, &ctx).unwrap().is_empty(), "P={p}");
+        assert!(execute(&plan, &ctx).unwrap().is_empty(), "P={p}");
     }
 }
 

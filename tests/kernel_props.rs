@@ -38,33 +38,49 @@ fn plan_window_int(keys: &[i64], vals: &[i64]) -> datacell::basket::BasicWindow 
     )
 }
 
-/// Execute an unfused multi-aggregate Group/GroupKeys/GroupedAgg chain
-/// and its `fuse_group_agg`-lowered form over the same window; the fused
-/// plan must reproduce the unfused rows exactly at partition fan-out `p`.
-fn fused_vs_unfused(
+/// Execute a multi-aggregate `GroupAgg` plan at partition fan-out `p` and
+/// compare it with the reference implementation: the direct chain of
+/// sequential kernel calls (`algebra::group`, `Groups::keys`, `*_grouped`,
+/// avg as sum / count) over the same window. Rows must match exactly.
+fn group_agg_vs_kernel_chain(
     w: &datacell::basket::BasicWindow,
     p: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     use datacell::plan::exec::{execute, WindowCtx};
     use datacell::plan::mal::{MalBuilder, MalOp};
+    use datacell::plan::ResultSet;
     let mut b = MalBuilder::new();
     let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
     let v = b.emit(MalOp::BindStream { stream: "s".into(), attr: "v".into() });
-    let g = b.emit(MalOp::Group { keys: k });
-    let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
-    let s = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: Some(v), groups: g });
-    let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-    let mx = b.emit(MalOp::GroupedAgg { kind: AggKind::Max, vals: Some(v), groups: g });
-    let a = b.emit(MalOp::GroupedAgg { kind: AggKind::Avg, vals: Some(v), groups: g });
-    let plan = b.finish(
-        vec!["k".into(), "sum".into(), "n".into(), "max".into(), "avg".into()],
-        vec![gk, s, n, mx, a],
+    let (gk, ads) = b.emit_group_agg(
+        k,
+        vec![
+            (AggKind::Sum, Some(v)),
+            (AggKind::Count, None),
+            (AggKind::Max, Some(v)),
+            (AggKind::Avg, Some(v)),
+        ],
     );
-    let fused = datacell::plan::fuse_group_agg(&plan);
-    prop_assert!(fused.instrs.iter().any(|i| matches!(i.op, MalOp::GroupAgg { .. })));
-    let reference = execute(&plan, &WindowCtx::new().with_stream("s", w)).unwrap();
+    let names: Vec<String> = ["k", "sum", "n", "max", "avg"].map(String::from).to_vec();
+    let plan = b.finish(names.clone(), std::iter::once(gk).chain(ads).collect());
+
+    let (kb, vb) = (w.bat_by_name("k").unwrap(), w.bat_by_name("v").unwrap());
+    let g = algebra::group(&kb).unwrap();
+    let sums = algebra::sum_grouped(&vb, &g).unwrap();
+    let counts = algebra::count_grouped(&g);
+    let avgs = algebra::map_arith(
+        &Bat::transient(sums.clone()),
+        &Bat::transient(counts.clone()),
+        algebra::ArithOp::Div,
+    )
+    .unwrap()
+    .tail;
+    let maxes = algebra::max_grouped(&vb, &g).unwrap();
+    let reference =
+        ResultSet::new(names, vec![g.keys(&kb).unwrap(), sums, counts, maxes, avgs]).unwrap();
+
     let ctx = WindowCtx::new().with_stream("s", w).with_partitions(p);
-    let got = execute(&fused, &ctx).unwrap();
+    let got = execute(&plan, &ctx).unwrap();
     prop_assert_eq!(got.rows(), reference.rows(), "P={}", p);
     Ok(())
 }
@@ -468,17 +484,17 @@ proptest! {
     }
 
     #[test]
-    fn fused_plan_matches_unfused_plan_int_keys(
+    fn group_agg_plan_matches_kernel_chain_int_keys(
         keys in prop::collection::vec(0i64..7, 0..120),
         p_idx in 0usize..3,
     ) {
         let vals: Vec<i64> = keys.iter().enumerate().map(|(i, k)| k * 5 + i as i64).collect();
         let w = plan_window_int(&keys, &vals);
-        fused_vs_unfused(&w, [1usize, 2, 8][p_idx])?;
+        group_agg_vs_kernel_chain(&w, [1usize, 2, 8][p_idx])?;
     }
 
     #[test]
-    fn fused_plan_matches_unfused_plan_string_keys(
+    fn group_agg_plan_matches_kernel_chain_string_keys(
         keys in prop::collection::vec(0u8..4, 0..100),
         p_idx in 0usize..3,
     ) {
@@ -492,7 +508,7 @@ proptest! {
             vec![0; n],
             vec!["k".into(), "v".into()],
         );
-        fused_vs_unfused(&w, [1usize, 2, 8][p_idx])?;
+        group_agg_vs_kernel_chain(&w, [1usize, 2, 8][p_idx])?;
     }
 
     #[test]

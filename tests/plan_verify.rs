@@ -8,8 +8,7 @@ use datacell::kernel::algebra::{AggKind, Predicate};
 use datacell::kernel::{DataType, Value};
 use datacell::plan::mal::{Instr, MalBuilder, MalOp, MalPlan};
 use datacell::plan::verify::{
-    checked_pass, lint_incremental, verify_all, verify_structural, NoSchema, Rule, SchemaOverlay,
-    VerifyError,
+    checked_pass, verify_all, verify_structural, NoSchema, Rule, SchemaOverlay, VerifyError,
 };
 use datacell::plan::{compile, optimize};
 use proptest::prelude::*;
@@ -157,30 +156,12 @@ fn div_scalar_over_bats_is_an_operand_kind_error() {
 fn grouped_sum_without_a_value_column_is_rejected() {
     let mut b = MalBuilder::new();
     let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-    let g = b.emit(MalOp::Group { keys: k });
-    let a = b.emit(MalOp::GroupedAgg { kind: AggKind::Sum, vals: None, groups: g });
-    let plan = b.finish(vec!["a".into()], vec![a]);
+    let (_, aggs) = b.emit_group_agg(k, vec![(AggKind::Sum, None)]);
+    let plan = b.finish(vec!["a".into()], vec![aggs[0]]);
     let errs = verify_all(&plan, &NoSchema);
     assert_eq!(errs[0].rule, Rule::OperandKind);
-    assert_eq!(errs[0].instr, Some(2));
-}
-
-#[test]
-fn mismatched_group_keys_column_is_an_open_chain_lint() {
-    let mut b = MalBuilder::new();
-    let k = b.emit(MalOp::BindStream { stream: "s".into(), attr: "k".into() });
-    let v = b.emit(MalOp::BindStream { stream: "s".into(), attr: "v".into() });
-    let g = b.emit(MalOp::Group { keys: k });
-    // The chain materializes v, but k was grouped: the chain cannot fuse.
-    let gk = b.emit(MalOp::GroupKeys { groups: g, keys: v });
-    let n = b.emit(MalOp::GroupedAgg { kind: AggKind::Count, vals: None, groups: g });
-    let plan = b.finish(vec!["k".into(), "n".into()], vec![gk, n]);
-    let lints = lint_incremental(&plan);
-    assert!(!lints.is_empty());
-    assert_eq!(key(&lints[0]), (Rule::OpenGroupChain, Some(3), Some(v)));
-    // The structural and typed layers still consider the plan valid:
-    // open chains are an incremental-safety lint, not an error.
-    assert!(verify_all(&plan, &NoSchema).is_empty());
+    assert_eq!(errs[0].instr, Some(1));
+    assert_eq!(errs[0].op, Some("group.agg"));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,10 +183,8 @@ fn every_corpus_query_verifies_clean() {
         }
         let errs = verify_all(&mal, &schema);
         assert!(errs.is_empty(), "{name}: {:?}\n{}", errs, mal.explain());
-        // The rewriter's passes hold verifier-cleanliness on every entry.
-        let fused = checked_pass("fuse_group_agg", &mal, datacell::plan::fuse_group_agg)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        checked_pass("expand_avg", &fused, datacell::core::rewrite::expand_avg)
+        // The rewriter's pass holds verifier-cleanliness on every entry.
+        checked_pass("expand_avg", &mal, datacell::core::rewrite::expand_avg)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let inc = datacell::core::rewrite(&mal).unwrap_or_else(|e| panic!("{name}: {e}"));
         datacell::core::verify_incremental(&inc).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -217,8 +196,8 @@ fn every_corpus_query_verifies_clean() {
 // ---------------------------------------------------------------------------
 
 /// Build a valid plan from random shape parameters, mirroring the shapes
-/// the SQL compiler emits: optional filter, then either an unfused grouped
-/// chain or scalar aggregates.
+/// the SQL compiler emits: optional filter, then either a group-agg node
+/// or scalar aggregates.
 fn gen_plan(nattrs: usize, filter: bool, grouped: bool, aggs: &[AggKind], thr: i64) -> MalPlan {
     let mut b = MalBuilder::new();
     let binds: Vec<usize> = (0..nattrs.max(2))
@@ -232,13 +211,11 @@ fn gen_plan(nattrs: usize, filter: bool, grouped: bool, aggs: &[AggKind], thr: i
     }
     let (mut names, mut vars) = (Vec::new(), Vec::new());
     if grouped {
-        let g = b.emit(MalOp::Group { keys: k });
-        let gk = b.emit(MalOp::GroupKeys { groups: g, keys: k });
+        let specs = aggs.iter().map(|&kind| (kind, (kind != AggKind::Count).then_some(v)));
+        let (gk, ads) = b.emit_group_agg(k, specs.collect());
         names.push("k".to_owned());
         vars.push(gk);
-        for (i, &kind) in aggs.iter().enumerate() {
-            let vals = if kind == AggKind::Count { None } else { Some(v) };
-            let a = b.emit(MalOp::GroupedAgg { kind, vals, groups: g });
+        for (i, a) in ads.into_iter().enumerate() {
             names.push(format!("agg{i}"));
             vars.push(a);
         }
@@ -281,7 +258,7 @@ proptest! {
         grouped in any::<bool>(),
         aggmask in 1usize..32,
         thr in -100i64..100,
-        pipeline in prop::collection::vec(0usize..2, 0..5),
+        passes in 0usize..5,
     ) {
         let aggs: Vec<AggKind> = ALL_AGGS
             .iter()
@@ -290,16 +267,11 @@ proptest! {
             .map(|(_, &k)| k)
             .collect();
         let mut plan = gen_plan(2, filter, grouped, &aggs, thr);
-        for &which in &pipeline {
+        for _ in 0..passes {
             // checked_pass verifies the plan both entering and leaving the
             // pass; any dirtiness makes it return Err.
-            plan = match which {
-                0 => checked_pass("fuse_group_agg", &plan, |p| {
-                    datacell::plan::fuse_group_agg(p)
-                }),
-                _ => checked_pass("expand_avg", &plan, datacell::core::rewrite::expand_avg),
-            }
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            plan = checked_pass("expand_avg", &plan, datacell::core::rewrite::expand_avg)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         prop_assert!(verify_all(&plan, &NoSchema).is_empty());
     }

@@ -109,10 +109,10 @@ fn exposition_roundtrips_and_documents_every_family() {
         "families missing help text: {:?}",
         parsed.families_without_help()
     );
-    // The parsed text agrees with the structured snapshot it came from.
-    let slides_struct = e.metrics(q).unwrap().len() as f64;
+    // The slides counter agrees with the number of results drained.
+    let drained = e.drain_results(q).unwrap().len() as f64;
     let slides_parsed = parsed.get("datacell_query_slides_total", &[("query", "q0")]).unwrap();
-    assert_eq!(slides_parsed, slides_struct);
+    assert_eq!(slides_parsed, drained);
     // The three-axis workload left its marks in every subsystem.
     assert!(parsed.total("datacell_scheduler_worker_fires_total") > 0.0);
     assert!(parsed.total("datacell_basket_shard_rows_total") > 0.0);
