@@ -551,10 +551,11 @@ impl Engine {
     /// pool. Per-query result order is identical either way; cross-query
     /// interleaving is unspecified at every worker count (and invisible
     /// through [`Engine::drain_results`]). A factory that errors or
-    /// panics aborts the drain with a typed error; the other queries keep
-    /// firing on the next call.
+    /// panics aborts the drain with a typed error; the windows completed
+    /// before the abort are kept, and the other queries keep firing on
+    /// the next call.
     pub fn run_until_idle(&mut self) -> Result<(), DataCellError> {
-        let emissions = self.scheduler.run_until_idle(self.clock)?;
+        let (emissions, outcome) = self.scheduler.run_until_idle(self.clock);
         for e in emissions {
             if let Some(s) = self.series.get(&e.factory) {
                 s.observe(&e.metrics);
@@ -562,7 +563,7 @@ impl Engine {
             self.outputs.entry(e.factory).or_default().push((e.result, e.metrics));
         }
         self.gc();
-        Ok(())
+        outcome
     }
 
     /// Expire basket prefixes every factory has consumed.

@@ -29,10 +29,10 @@
 //!   then returns to its slot.
 //!
 //! There is one drain loop ([`Scheduler::run_until_idle`]): scan for
-//! enabled transitions, execute them, handle each reply (requeue a
-//! transition that stayed enabled), and rescan — a receptor thread may have
-//! appended in the meantime — until a scan finds nothing with nothing in
-//! flight.
+//! enabled transitions, execute them, handle the replies that are back
+//! (requeue a transition that stayed enabled), and rescan — a receptor
+//! thread may have appended in the meantime — until a scan finds nothing
+//! with nothing in flight.
 //!
 //! Factories sharing a basket still see consistent oid-ordered reads: all
 //! basket access goes through the shared-basket mutex, each factory
@@ -57,7 +57,7 @@ use datacell_basket::{ShardedBasket, Timestamp};
 use datacell_kernel::Oid;
 use datacell_plan::ResultSet;
 use datacell_telemetry::{Counter, Gauge, Histogram};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -370,22 +370,24 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 ///
 /// **Failure contract.** A factory that returns an error or panics aborts
 /// the drain with a typed [`DataCellError`] once every dispatched factory
-/// is back in its slot; emissions of the aborted drain are discarded, the
-/// input they consumed stays consumed, and the next drain rechecks every
-/// transition from scratch.
+/// is back in its slot. The windows completed before the abort are
+/// returned beside the error — their input is consumed, so dropping them
+/// would lose data — and the next drain rechecks every transition from
+/// scratch. Every transition enabled at a scan is fired before any reply
+/// is examined, so a factory that fails on every drain costs its
+/// neighbours the rearm rounds of that drain, never their windows.
 pub struct Scheduler {
     /// Factory slots; `None` while deregistered or out firing.
     factories: Vec<Option<Box<dyn Factory>>>,
     /// Petri-net edges: stream (place) → ids of factories reading it.
     deps: HashMap<String, Vec<FactoryId>>,
-    /// Sharded write handle per input stream. The scheduler both polls it
+    /// Sharded write handle per input stream, with the `end_oid` observed
+    /// at the last candidate scan. The scheduler both polls the basket
     /// for growth between scans and *seals* it — staged shard segments
     /// are merged into the ordered view on every scan, which is what
-    /// makes concurrent receptor appends visible to firing conditions.
-    baskets: HashMap<String, ShardedBasket>,
-    /// `end_oid` observed at the last candidate scan; a basket whose end
-    /// moved past its mark wakes its readers via `deps`.
-    marks: HashMap<String, Oid>,
+    /// makes concurrent receptor appends visible to firing conditions. A
+    /// basket whose end moved past its mark wakes its readers via `deps`.
+    baskets: HashMap<String, (ShardedBasket, Oid)>,
     /// Factories registered since the last drain (always scanned once).
     fresh: Vec<FactoryId>,
     /// Clock of the last scan; a clock change re-enables time-based
@@ -424,7 +426,6 @@ impl Scheduler {
             factories: Vec::new(),
             deps: HashMap::new(),
             baskets: HashMap::new(),
-            marks: HashMap::new(),
             fresh: Vec::new(),
             last_clock: None,
             consumers: HashMap::new(),
@@ -489,8 +490,10 @@ impl Scheduler {
                 // start below the mark (resident backlog at `base_oid`);
                 // the `fresh` list guarantees the one readiness check that
                 // dispatches it, and the dispatch drains to quiescence.
-                self.marks.entry(s.clone()).or_insert_with(|| b.end_oid());
-                self.baskets.entry(s.clone()).or_insert(b);
+                self.baskets.entry(s.clone()).or_insert_with(|| {
+                    let mark = b.end_oid();
+                    (b, mark)
+                });
             }
             self.deps.entry(s).or_default().push(id);
         }
@@ -510,7 +513,6 @@ impl Scheduler {
             !readers.is_empty()
         });
         self.baskets.retain(|s, _| self.deps.contains_key(s));
-        self.marks.retain(|s, _| self.deps.contains_key(s));
         self.fresh.retain(|&r| r != id);
         Ok(())
     }
@@ -625,60 +627,73 @@ impl Scheduler {
 
     // -- the drain ----------------------------------------------------------
 
-    /// Run until no factory is enabled. Returns all emissions; see the
-    /// type-level docs for the ordering and failure contracts.
-    pub fn run_until_idle(&mut self, clock: Timestamp) -> Result<Vec<Emission>, DataCellError> {
+    /// Run until no factory is enabled. Returns every emission of the drain
+    /// and, beside them, whether the drain ran to its fixpoint or was
+    /// aborted; see the type-level docs for the ordering and failure
+    /// contracts.
+    pub fn run_until_idle(
+        &mut self,
+        clock: Timestamp,
+    ) -> (Vec<Emission>, Result<(), DataCellError>) {
         self.size_pool();
         let mut emissions = Vec::new();
         let mut first_err: Option<DataCellError> = None;
         // Factories out of their slot whose `Done` has not been handled.
         let mut outstanding = 0usize;
-        // `Done`s of the jobs the calling thread fired itself.
-        let mut fired_here: VecDeque<Done> = VecDeque::new();
+        // `Done`s waiting to be handled: of the jobs the calling thread
+        // fired itself, or received from the pool.
+        let mut returned: VecDeque<Done> = VecDeque::new();
 
         loop {
             // Scan for transitions enabled since the last scan — at the
-            // start, and after every reply: a receptor may have appended
-            // meanwhile, and without the rescan one busy factory rearming
-            // forever would starve every factory enabled after the first
-            // scan. (In-flight factories whose streams grew are covered by
-            // the rearm check below, so consuming their growth marks here
-            // loses nothing.) After an error only collect what is out.
+            // start, and after every round of replies: a receptor may have
+            // appended meanwhile, and without the rescan one busy factory
+            // rearming forever would starve every factory enabled after
+            // the first scan. (In-flight factories whose streams grew are
+            // covered by the rearm check below, so consuming their growth
+            // marks here loses nothing.) After an error only collect what
+            // is out.
             if first_err.is_none() {
                 for id in self.scan_candidates(clock) {
-                    outstanding += self.execute(id, clock, &mut emissions, &mut fired_here);
+                    outstanding += self.execute(id, clock, &mut emissions, &mut returned);
                 }
             }
             if outstanding == 0 {
                 break; // fixpoint: nothing enabled, nothing in flight
             }
-            let Some(done) = fired_here.pop_front().or_else(|| self.recv_done(&mut emissions))
-            else {
+            if !self.collect_returned(&mut emissions, &mut returned) {
                 first_err.get_or_insert(DataCellError::Unsupported(
                     "scheduler worker pool disconnected".into(),
                 ));
                 break;
-            };
-            outstanding -= 1;
-            let Done { id, factory, progressed, error, .. } = done;
-            // Re-check before deciding: a receptor may have refilled the
-            // basket mid-fire.
-            let rearm =
-                error.is_none() && first_err.is_none() && progressed && factory.ready(clock);
-            self.factories[id] = Some(factory);
-            if let Some(e) = error {
-                first_err.get_or_insert(e);
-            } else if rearm {
-                outstanding += self.execute(id, clock, &mut emissions, &mut fired_here);
+            }
+            // Handle every factory that is back before scanning again: a
+            // scan seals and polls every basket, so scans per drain must
+            // track scheduling rounds, not factories. A factory rearmed
+            // here joins the next round, after that scan.
+            for _ in 0..returned.len() {
+                let Some(done) = returned.pop_front() else { break };
+                outstanding -= 1;
+                let Done { id, factory, progressed, error, .. } = done;
+                // Re-check before deciding: a receptor may have refilled
+                // the basket mid-fire.
+                let rearm =
+                    error.is_none() && first_err.is_none() && progressed && factory.ready(clock);
+                self.factories[id] = Some(factory);
+                if let Some(e) = error {
+                    first_err.get_or_insert(e);
+                } else if rearm {
+                    outstanding += self.execute(id, clock, &mut emissions, &mut returned);
+                }
             }
         }
 
         match first_err {
             Some(e) => {
                 self.reset_scan_state();
-                Err(e)
+                (emissions, Err(e))
             }
-            None => Ok(emissions),
+            None => (emissions, Ok(())),
         }
     }
 
@@ -703,14 +718,14 @@ impl Scheduler {
     /// Move factory `id` out of its slot and execute it: onto the work
     /// queue when there is a pool, right here on the calling thread when
     /// there is not (emissions go straight into `emissions`, the `Done`
-    /// into `fired_here`). Returns how many jobs were dispatched — 0 when
+    /// into `returned`). Returns how many jobs were dispatched — 0 when
     /// the factory is already out.
     fn execute(
         &mut self,
         id: FactoryId,
         clock: Timestamp,
         emissions: &mut Vec<Emission>,
-        fired_here: &mut VecDeque<Done>,
+        returned: &mut VecDeque<Done>,
     ) -> usize {
         let Some(factory) = self.factories.get_mut(id).and_then(Option::take) else { return 0 };
         match &self.pool {
@@ -719,7 +734,7 @@ impl Scheduler {
             }
             None => {
                 let job = Job { id, factory, clock, enqueued: None };
-                fired_here.push_back(run_job(job, |e| {
+                returned.push_back(run_job(job, |e| {
                     emissions.push(e);
                     true
                 }));
@@ -728,16 +743,29 @@ impl Scheduler {
         1
     }
 
-    /// Block for the next `Done` from the pool, collecting the emissions
-    /// streamed ahead of it. `None` when the pool is gone.
-    fn recv_done(&self, emissions: &mut Vec<Emission>) -> Option<Done> {
-        let pool = self.pool.as_ref()?;
-        loop {
-            match pool.reply_rx.recv().ok()? {
-                Reply::Emission(e) => emissions.push(e),
-                Reply::Done(done) => return Some(done),
+    /// Move every reply the pool has ready into `emissions` and `returned`,
+    /// blocking for the first `Done` only when none is waiting. `false`
+    /// when no factory is back and none can come (the pool is gone).
+    fn collect_returned(
+        &self,
+        emissions: &mut Vec<Emission>,
+        returned: &mut VecDeque<Done>,
+    ) -> bool {
+        if let Some(pool) = &self.pool {
+            loop {
+                let reply = if returned.is_empty() {
+                    pool.reply_rx.recv().ok()
+                } else {
+                    pool.reply_rx.try_recv().ok()
+                };
+                match reply {
+                    Some(Reply::Emission(e)) => emissions.push(e),
+                    Some(Reply::Done(done)) => returned.push_back(done),
+                    None => break,
+                }
             }
         }
+        !returned.is_empty()
     }
 
     /// Forget all scan bookkeeping after an aborted drain so the next
@@ -758,25 +786,23 @@ impl Scheduler {
     fn scan_candidates(&mut self, clock: Timestamp) -> Vec<FactoryId> {
         let clock_moved = self.last_clock != Some(clock);
         self.last_clock = Some(clock);
-        let mut cand: BTreeSet<FactoryId> = self.fresh.drain(..).collect();
+        let mut cand: Vec<FactoryId> = std::mem::take(&mut self.fresh);
         if clock_moved {
             cand.extend(self.ids());
         }
-        for (s, b) in &self.baskets {
-            b.seal();
-            let end = b.end_oid();
-            // `marks` is kept key-synchronized with `baskets` by
-            // register/deregister, so no allocating entry() fallback
-            // on this per-dispatch path.
-            let mark = self.marks.get_mut(s).expect("mark exists for every basket");
+        for (s, (b, mark)) in &mut self.baskets {
+            let end = b.seal();
             if end > *mark {
                 *mark = end;
                 if let Some(readers) = self.deps.get(s) {
-                    cand.extend(readers.iter().copied());
+                    cand.extend(readers);
                 }
             }
         }
-        cand.into_iter().filter(|&id| self.factory(id).is_ok_and(|f| f.ready(clock))).collect()
+        cand.sort_unstable();
+        cand.dedup();
+        cand.retain(|&id| self.factory(id).is_ok_and(|f| f.ready(clock)));
+        cand
     }
 }
 
@@ -893,6 +919,13 @@ mod tests {
         vec![Column::Int(vec![v; n])]
     }
 
+    /// A drain that must reach its fixpoint.
+    fn drain(s: &mut Scheduler) -> Vec<Emission> {
+        let (emissions, outcome) = s.run_until_idle(0);
+        outcome.unwrap();
+        emissions
+    }
+
     fn sums_of(emissions: &[Emission], id: FactoryId) -> Vec<i64> {
         emissions
             .iter()
@@ -932,7 +965,7 @@ mod tests {
             let fb = register_sum(&mut s, "b", &b, 1);
             a.append(&[Column::Int(vec![1, 2])], 0).unwrap();
             b.append(&[Column::Int(vec![10, 20, 30])], 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 5, "workers={workers}");
             assert_eq!(sums_of(&e, fa), vec![1, 2], "workers={workers}");
             assert_eq!(sums_of(&e, fb), vec![10, 20, 30], "workers={workers}");
@@ -956,7 +989,7 @@ mod tests {
             for (i, b) in baskets.iter().enumerate() {
                 b.append(&ints(6, i as i64 + 1), 0).unwrap();
             }
-            let emissions = s.run_until_idle(0).unwrap();
+            let emissions = drain(&mut s);
             let mut per: HashMap<FactoryId, Vec<Vec<Vec<datacell_kernel::Value>>>> = HashMap::new();
             for e in emissions {
                 per.entry(e.factory).or_default().push(e.result.rows());
@@ -984,18 +1017,18 @@ mod tests {
             assert_eq!(s.readers("b"), &[fb]);
 
             a.append(&ints(4, 1), 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 4, "workers={workers}");
             assert!(e.iter().all(|e| e.factory == fa));
 
             // Quiescent; now only b grows — only fb fires.
             b.append(&ints(2, 7), 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 2, "workers={workers}");
             assert!(e.iter().all(|e| e.factory == fb));
 
             // Nothing new: immediate quiescence.
-            assert!(s.run_until_idle(0).unwrap().is_empty());
+            assert!(drain(&mut s).is_empty());
         }
     }
 
@@ -1013,7 +1046,7 @@ mod tests {
             b.append_shard(1, &ints(2, 7), 0).unwrap();
             assert_eq!(b.len(), 0);
             assert_eq!(b.staged_len(), 4);
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 2, "workers={workers}");
             assert!(e.iter().all(|e| e.factory == id));
             assert_eq!(b.staged_len(), 0);
@@ -1021,7 +1054,7 @@ mod tests {
             // Quiescent again: staged growth after the drain re-arms the
             // growth mark via the next drain's seal.
             b.append_shard(3, &ints(2, 1), 0).unwrap();
-            assert_eq!(s.run_until_idle(0).unwrap().len(), 1, "workers={workers}");
+            assert_eq!(drain(&mut s).len(), 1, "workers={workers}");
         }
     }
 
@@ -1033,7 +1066,7 @@ mod tests {
             let fast = register_sum(&mut s, "s", &b, 1);
             let slow = register_sum(&mut s, "s", &b, 4);
             b.append(&ints(6, 1), 0).unwrap();
-            s.run_until_idle(0).unwrap();
+            drain(&mut s);
             // fast consumed 6; slow consumed 4 (one step, 2 left over):
             // the GC bound is the slower reader's cursor.
             assert_eq!(s.min_consumed("s"), Some(4), "workers={workers}");
@@ -1058,7 +1091,7 @@ mod tests {
         let dead = s.register_consumer("s", 0);
         assert_eq!(s.consumers_of("s"), 2);
         b.append(&ints(6, 1), 0).unwrap();
-        s.run_until_idle(0).unwrap();
+        drain(&mut s);
         // The factory consumed all 6; both consumers still sit at 0, so
         // the bound is pinned at the slowest stake.
         assert_eq!(s.min_consumed("s"), Some(0));
@@ -1102,18 +1135,26 @@ mod tests {
             let fx = BrokenFactory::register(&mut s, &bad, Failure::Error);
             good.append(&ints(2, 1), 0).unwrap();
             bad.append(&ints(1, 1), 0).unwrap();
-            let err = s.run_until_idle(0).unwrap_err();
+            let (kept, outcome) = s.run_until_idle(0);
+            let err = outcome.unwrap_err();
             assert!(matches!(err, DataCellError::Unsupported(_)), "workers={workers}");
             // Both factories are back in their slots and the scheduler is
-            // usable. Emissions produced before the abort are discarded
-            // but their input stays consumed:
+            // usable. The neighbour's windows come back beside the error,
+            // as their input is consumed:
             assert!(s.factory(fg).is_ok());
             assert!(s.factory(fx).is_ok());
             assert_eq!(s.min_consumed("g"), Some(2), "workers={workers}");
+            assert_eq!(sums_of(&kept, fg), vec![1, 1], "workers={workers}");
+            // A transition that fails on every drain costs its neighbour
+            // no window.
+            good.append(&ints(1, 5), 0).unwrap();
+            let (kept, outcome) = s.run_until_idle(0);
+            assert!(outcome.is_err(), "workers={workers}");
+            assert_eq!(sums_of(&kept, fg), vec![5], "workers={workers}");
             // Dropping the failing transition lets fresh input drain normally.
             s.deregister(fx).unwrap();
             good.append(&ints(1, 2), 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 1);
             assert_eq!(e[0].factory, fg);
         }
@@ -1128,7 +1169,7 @@ mod tests {
             let b = shared("x");
             let id = BrokenFactory::register(&mut s, &b, Failure::Panic);
             b.append(&ints(1, 1), 0).unwrap();
-            let err = s.run_until_idle(0).unwrap_err();
+            let err = s.run_until_idle(0).1.unwrap_err();
             assert!(err.to_string().contains("panicked"), "workers={workers} got: {err}");
             // The factory's slot is intact and the scheduler still drains
             // others.
@@ -1137,7 +1178,7 @@ mod tests {
             let g = shared("g");
             let ok = register_sum(&mut s, "g", &g, 1);
             g.append(&ints(2, 3), 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             assert_eq!(e.len(), 2, "workers={workers}");
             assert!(e.iter().all(|e| e.factory == ok));
         }
@@ -1154,11 +1195,11 @@ mod tests {
             let bad = shared("x");
             let fx = BrokenFactory::register(&mut s, &bad, Failure::Error);
             bad.append(&ints(1, 1), 0).unwrap();
-            assert!(s.run_until_idle(0).is_err());
+            assert!(s.run_until_idle(0).1.is_err());
             s.set_workers(second);
-            assert!(s.run_until_idle(0).is_err(), "{first}->{second}: stranded");
+            assert!(s.run_until_idle(0).1.is_err(), "{first}->{second}: stranded");
             s.deregister(fx).unwrap();
-            assert!(s.run_until_idle(0).unwrap().is_empty());
+            assert!(drain(&mut s).is_empty());
         }
     }
 
@@ -1168,19 +1209,19 @@ mod tests {
         let b = shared("s");
         let id = register_sum(&mut s, "s", &b, 1);
         b.append(&ints(3, 1), 0).unwrap();
-        assert_eq!(s.run_until_idle(0).unwrap().len(), 3);
+        assert_eq!(drain(&mut s).len(), 3);
         assert!(s.worker_stats().is_empty());
         s.set_workers(3);
         assert_eq!(s.workers(), 3);
         b.append(&ints(5, 1), 0).unwrap();
-        let e = s.run_until_idle(0).unwrap();
+        let e = drain(&mut s);
         assert_eq!(e.len(), 5);
         assert!(e.iter().all(|e| e.factory == id));
         assert_eq!(s.worker_stats().iter().map(|w| w.fires()).sum::<u64>(), 5);
         s.set_workers(0); // clamped
         assert_eq!(s.workers(), 1);
         b.append(&ints(1, 1), 0).unwrap();
-        assert_eq!(s.run_until_idle(0).unwrap().len(), 1);
+        assert_eq!(drain(&mut s).len(), 1);
         assert!(s.worker_stats().is_empty(), "the pool is dropped with one worker");
     }
 
@@ -1195,13 +1236,13 @@ mod tests {
             let f2 = register_sum(&mut s, "s", &b, 5);
             for _ in 0..8 {
                 b.append(&[Column::Int((0..5).collect())], 0).unwrap();
-                s.run_until_idle(0).unwrap();
+                drain(&mut s);
                 // Between drains the expiry bound is settled and safe.
                 let upto = s.min_consumed("s").unwrap();
                 b.with(|bk| bk.expire_upto(upto));
             }
             b.append(&[Column::Int((0..5).collect())], 0).unwrap();
-            let e = s.run_until_idle(0).unwrap();
+            let e = drain(&mut s);
             // Last drain: f1 sums 5 fresh tuples one by one, f2 one window.
             assert_eq!(sums_of(&e, f1), vec![0, 1, 2, 3, 4], "workers={workers}");
             assert_eq!(sums_of(&e, f2), vec![10], "workers={workers}");

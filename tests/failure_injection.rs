@@ -181,9 +181,11 @@ fn schema_violation_on_append() {
     assert!(e.append("s", &[Column::Int(vec![1, 2]), Column::Int(vec![1])]).is_err());
 }
 
-/// A registered factory that takes one row and then blows up.
+/// A registered factory that blows up when fired, after taking one row
+/// or — so that it stays enabled and fails every drain — none.
 struct ExplodingFactory {
     input: StreamInput,
+    takes_row: bool,
 }
 
 impl Factory for ExplodingFactory {
@@ -196,7 +198,9 @@ impl Factory for ExplodingFactory {
     }
 
     fn fire(&mut self, _clock: u64) -> Result<FireOutcome, DataCellError> {
-        self.input.take(1)?;
+        if self.takes_row {
+            self.input.take(1)?;
+        }
         panic!("factory exploded");
     }
 
@@ -216,7 +220,7 @@ fn panicking_factory_does_not_take_the_server_down() {
     // typed error the server counts — not unwind through its loop.
     let mut engine = engine();
     let input = StreamInput::new("s", engine.basket("s").unwrap().shared());
-    engine.register_factory(Box::new(ExplodingFactory { input })).unwrap();
+    engine.register_factory(Box::new(ExplodingFactory { input, takes_row: true })).unwrap();
     let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("bind");
 
     let mut ingest = TcpStream::connect(server.local_addr()).expect("connect");
@@ -238,4 +242,23 @@ fn panicking_factory_does_not_take_the_server_down() {
     // The loop thread is alive to hand the engine back.
     let engine = server.shutdown();
     assert_eq!(engine.basket("s").unwrap().end_oid(), 1);
+}
+
+#[test]
+fn factory_failing_every_drain_costs_its_neighbours_no_window() {
+    // The exploding factory consumes nothing, so it is enabled — and
+    // aborts the drain — every time. The SQL query beside it reads the
+    // same stream; the windows it completes in an aborted drain are kept.
+    let mut e = engine();
+    let q = e.register_sql("SELECT sum(x2) FROM s WINDOW SIZE 2 SLIDE 2").unwrap();
+    let input = StreamInput::new("s", e.basket("s").unwrap().shared());
+    e.register_factory(Box::new(ExplodingFactory { input, takes_row: false })).unwrap();
+    for round in 0..3i64 {
+        e.append("s", &[Column::Int(vec![0, 0]), Column::Int(vec![round, round])]).unwrap();
+        let err = e.run_until_idle().unwrap_err();
+        assert!(err.to_string().contains("panicked"), "{err}");
+        let out = e.drain_results(q).unwrap();
+        assert_eq!(out.len(), 1, "round {round}");
+        assert_eq!(out[0].rows()[0][0].as_i64(), Some(2 * round));
+    }
 }
