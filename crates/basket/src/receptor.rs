@@ -74,19 +74,124 @@ pub struct ParseOutcome {
 
 /// Parses delimiter-separated rows into typed columns according to a schema.
 ///
-/// The receptor is incremental: feed it text with [`CsvReceptor::parse`],
-/// then deliver the accumulated batch to a basket with
+/// The receptor is incremental: feed it bytes with
+/// [`CsvReceptor::parse_bytes`] (or text with [`CsvReceptor::parse`]), then
+/// deliver the accumulated batch to a basket with
 /// [`CsvReceptor::flush_into`]. Statistics (rows parsed / skipped) support
 /// failure-injection tests and operational visibility.
+///
+/// # Grammar (the behaviour contract)
+///
+/// Input is a sequence of lines ended by `\n`; a non-empty remainder after
+/// the last `\n` is a line too. Every line, blank or not,
+/// advances the 1-based line number [`CsvError::line`] reports. A line is
+/// trimmed of ASCII whitespace (so `\r\n` works) and skipped when empty;
+/// otherwise it is split at every delimiter byte, each field is trimmed of
+/// ASCII whitespace, and the row is accepted iff the field count equals
+/// the schema's and every field parses as its column type:
+///
+/// * `Int` — `str::parse::<i64>`: optional `+`/`-`, decimal digits;
+/// * `Oid` — `str::parse::<u64>`: optional `+`, decimal digits (a negative
+///   or overflowing oid is a reject, never a wrapped value);
+/// * `Float` — `str::parse::<f64>` (`1e5`, `inf`, `nan` included);
+/// * `Bool` — exactly `true` or `false`;
+/// * `Str` — any bytes, decoded lossily (invalid UTF-8 → U+FFFD).
+///
+/// A rejected row leaves nothing behind in the pending batch, bumps
+/// [`CsvReceptor::rows_skipped`], [`ParseOutcome::rejected`] and the
+/// process-wide `datacell_receptor_rows_rejected_total` counter, and under
+/// [`MalformedPolicy::Fail`] ends the call with its line number. The
+/// outcome depends only on the concatenated lines, never on how they were
+/// cut into calls, as long as every call but the last ends on a `\n`.
+/// "Whitespace" is `char::is_whitespace` restricted to ASCII (`\t`, `\n`,
+/// VT, FF, `\r`, space): non-ASCII whitespace is field content, so a
+/// numeric field padded with it is a counted reject.
 #[derive(Debug)]
 pub struct CsvReceptor {
-    schema: Vec<DataType>,
-    delimiter: char,
+    delimiter: u8,
     policy: MalformedPolicy,
+    /// One typed vector per schema column; a row is pushed field by field
+    /// and rolled back as a whole if a later field rejects it. Flushing
+    /// clears the vectors in place, so their capacity is reused.
     pending: Vec<Column>,
     rows_ok: usize,
     rows_skipped: usize,
     lines_seen: usize,
+}
+
+/// `char::is_whitespace` on ASCII. Unlike `u8::is_ascii_whitespace` this
+/// includes VT (0x0B), which `str::trim` strips.
+const fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+fn trim(mut s: &[u8]) -> &[u8] {
+    while let [first, rest @ ..] = s {
+        if !is_space(*first) {
+            break;
+        }
+        s = rest;
+    }
+    while let [rest @ .., last] = s {
+        if !is_space(*last) {
+            break;
+        }
+        s = rest;
+    }
+    s
+}
+
+/// Up to 18 decimal digits, which fit both `i64` and `u64` without an
+/// overflow check; `None` for anything else (the caller falls back to
+/// `str::parse`, which also owns the error cases).
+fn short_decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 18 {
+        return None;
+    }
+    let mut v = 0u64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v * 10 + u64::from(d);
+    }
+    Some(v)
+}
+
+fn std_parse<T: std::str::FromStr>(field: &[u8]) -> Option<T> {
+    std::str::from_utf8(field).ok()?.parse().ok()
+}
+
+fn parse_int(field: &[u8]) -> Option<i64> {
+    let (negative, digits) = match field {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        _ => (false, field),
+    };
+    match short_decimal(digits) {
+        #[allow(clippy::cast_possible_wrap)] // < 10^18
+        Some(v) => Some(if negative { -(v as i64) } else { v as i64 }),
+        None => std_parse(field),
+    }
+}
+
+fn parse_oid(field: &[u8]) -> Option<Oid> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    short_decimal(digits).or_else(|| std_parse(field))
+}
+
+fn parse_bool(field: &[u8]) -> Option<bool> {
+    match field {
+        b"true" => Some(true),
+        b"false" => Some(false),
+        _ => None,
+    }
+}
+
+/// Append a field that parsed; `false` for one that did not.
+fn push<T>(column: &mut Vec<T>, parsed: Option<T>) -> bool {
+    parsed.map(|value| column.push(value)).is_some()
 }
 
 impl CsvReceptor {
@@ -94,8 +199,7 @@ impl CsvReceptor {
     /// malformed rows.
     pub fn new(schema: &[DataType]) -> CsvReceptor {
         CsvReceptor {
-            schema: schema.to_vec(),
-            delimiter: ',',
+            delimiter: b',',
             policy: MalformedPolicy::Skip,
             pending: schema.iter().map(|t| Column::empty(*t)).collect(),
             rows_ok: 0,
@@ -105,8 +209,16 @@ impl CsvReceptor {
     }
 
     /// Use a different delimiter.
+    ///
+    /// # Panics
+    ///
+    /// If `d` is not ASCII or is `\n`: rows are split bytewise.
     pub fn with_delimiter(mut self, d: char) -> CsvReceptor {
-        self.delimiter = d;
+        assert!(
+            d.is_ascii() && d != '\n',
+            "CSV delimiter must be an ASCII character other than \\n"
+        );
+        self.delimiter = d as u8;
         self
     }
 
@@ -132,7 +244,8 @@ impl CsvReceptor {
     }
 
     /// Parse a chunk of CSV text (possibly many lines; blank lines are
-    /// ignored) into the pending batch.
+    /// ignored) into the pending batch: [`CsvReceptor::parse_bytes`] over
+    /// the whole of `text`.
     ///
     /// Returns how many rows parsed **and** how many were rejected — under
     /// [`MalformedPolicy::Skip`] bad rows used to vanish silently unless
@@ -140,95 +253,101 @@ impl CsvReceptor {
     /// must see the loss on every call. Each rejection also bumps the
     /// process-wide `datacell_receptor_rows_rejected_total` counter.
     pub fn parse(&mut self, text: &str) -> Result<ParseOutcome, CsvError> {
+        self.parse_bytes(text.as_bytes(), usize::MAX).map(|(outcome, _)| outcome)
+    }
+
+    /// Parse lines of `bytes` straight into the typed pending columns, in
+    /// place and without a per-row allocation (`Str` fields own their
+    /// text), stopping before a line once `max_pending` rows are pending.
+    /// Returns what the consumed lines did and how many bytes they span;
+    /// the caller flushes and passes the rest again. The grammar is on
+    /// [`CsvReceptor`].
+    pub fn parse_bytes(
+        &mut self,
+        bytes: &[u8],
+        max_pending: usize,
+    ) -> Result<(ParseOutcome, usize), CsvError> {
         let mut out = ParseOutcome::default();
-        for line in text.lines() {
+        let mut at = 0;
+        while at < bytes.len() && self.pending_rows() < max_pending {
+            let rest = &bytes[at..];
+            let line = match rest.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    at += nl + 1;
+                    &rest[..nl]
+                }
+                None => {
+                    at = bytes.len();
+                    rest
+                }
+            };
             self.lines_seen += 1;
-            let line = line.trim();
+            let line = trim(line);
             if line.is_empty() {
                 continue;
             }
-            match self.parse_line(line) {
-                Ok(()) => {
+            match self.push_row(line) {
+                None => {
                     self.rows_ok += 1;
                     out.rows += 1;
                 }
-                Err(msg) => {
+                Some(column) => {
                     self.rows_skipped += 1;
                     out.rejected += 1;
                     rejected_counter().inc();
                     if self.policy == MalformedPolicy::Fail {
-                        return Err(CsvError { line: self.lines_seen, message: msg });
+                        let message = self.why_rejected(line, column);
+                        return Err(CsvError { line: self.lines_seen, message });
                     }
                 }
             }
         }
-        Ok(out)
+        Ok((out, at))
     }
 
-    fn parse_line(&mut self, line: &str) -> Result<(), String> {
-        let fields: Vec<&str> = line.split(self.delimiter).collect();
-        if fields.len() != self.schema.len() {
-            return Err(format!("expected {} fields, found {}", self.schema.len(), fields.len()));
-        }
-        // Two-phase: validate everything first so a bad row never leaves a
-        // partially appended batch behind.
-        let mut ints = Vec::new();
-        let mut floats = Vec::new();
-        let mut bools = Vec::new();
-        for (f, t) in fields.iter().zip(&self.schema) {
-            let f = f.trim();
-            match t {
-                DataType::Int => {
-                    ints.push(f.parse::<i64>().map_err(|e| format!("int `{f}`: {e}"))?);
+    /// Append one trimmed, non-blank line to the pending columns. A field
+    /// that does not parse, or a field count off the schema's, rolls the
+    /// columns back to where the row started and returns the index of the
+    /// column the row failed at (the column count for a surplus field).
+    fn push_row(&mut self, line: &[u8]) -> Option<usize> {
+        let row_base = self.pending_rows();
+        let delimiter = self.delimiter;
+        let mut fields = line.split(|&b| b == delimiter);
+        let failed = self
+            .pending
+            .iter_mut()
+            .position(|col| {
+                let Some(field) = fields.next().map(trim) else { return true };
+                !match col {
+                    Column::Int(v) => push(v, parse_int(field)),
+                    Column::Oid(v) => push(v, parse_oid(field)),
+                    Column::Float(v) => push(v, std_parse(field)),
+                    Column::Bool(v) => push(v, parse_bool(field)),
+                    Column::Str(v) => push(v, Some(String::from_utf8_lossy(field).into_owned())),
                 }
-                DataType::Float => {
-                    floats.push(f.parse::<f64>().map_err(|e| format!("float `{f}`: {e}"))?);
-                }
-                DataType::Bool => {
-                    bools.push(f.parse::<bool>().map_err(|e| format!("bool `{f}`: {e}"))?);
-                }
-                DataType::Oid => {
-                    ints.push(f.parse::<i64>().map_err(|e| format!("oid `{f}`: {e}"))?);
-                }
-                DataType::Str => {}
+            })
+            .or_else(|| fields.next().map(|_| self.pending.len()));
+        if failed.is_some() {
+            for col in &mut self.pending {
+                col.truncate(row_base);
             }
         }
-        let row_base = self.pending.first().map_or(0, Column::len);
-        let (mut ii, mut fi, mut bi) = (0, 0, 0);
-        for ((f, t), col) in fields.iter().zip(&self.schema).zip(&mut self.pending) {
-            let v = match t {
-                DataType::Int => {
-                    ii += 1;
-                    datacell_kernel::Value::Int(ints[ii - 1])
-                }
-                DataType::Oid => {
-                    ii += 1;
-                    datacell_kernel::Value::Oid(ints[ii - 1] as u64)
-                }
-                DataType::Float => {
-                    fi += 1;
-                    datacell_kernel::Value::Float(floats[fi - 1])
-                }
-                DataType::Bool => {
-                    bi += 1;
-                    datacell_kernel::Value::Bool(bools[bi - 1])
-                }
-                DataType::Str => datacell_kernel::Value::Str(f.trim().to_owned()),
-            };
-            if let Err(e) = col.push(v) {
-                // A value/column type mismatch (schema drifted under us, or
-                // a receptor was built with a schema its columns disagree
-                // with). Off a socket this must reject the *row*, never
-                // abort the engine: roll back the columns already pushed so
-                // no partial row survives, and report it like any other
-                // malformed line.
-                for c in &mut self.pending {
-                    c.truncate(row_base);
-                }
-                return Err(format!("schema mismatch: {e}"));
-            }
+        failed
+    }
+
+    /// The [`CsvError::message`] for a line `push_row` rejected at
+    /// `column`: the field count when it is off, else the offending field.
+    fn why_rejected(&self, line: &[u8], column: usize) -> String {
+        let mut fields = line.split(|&b| b == self.delimiter);
+        let found = fields.clone().count();
+        match (self.pending.get(column), fields.nth(column)) {
+            (Some(col), Some(field)) if found == self.pending.len() => format!(
+                "{} `{}` does not parse",
+                col.data_type(),
+                String::from_utf8_lossy(trim(field))
+            ),
+            _ => format!("expected {} fields, found {found}", self.pending.len()),
         }
-        Ok(())
     }
 
     /// Move the pending batch into a basket, stamping all rows `now`.
@@ -238,11 +357,11 @@ impl CsvReceptor {
     /// classic single-mutex path) or a [`crate::ShardedBasket`] (the
     /// contention-free sharded path) both work unchanged.
     pub fn flush_into(&mut self, basket: &impl Ingest, now: Timestamp) -> crate::Result<Oid> {
-        let batch: Vec<Column> = std::mem::replace(
-            &mut self.pending,
-            self.schema.iter().map(|t| Column::empty(*t)).collect(),
-        );
-        basket.ingest(&batch, now)
+        let first = basket.ingest(&self.pending, now);
+        for col in &mut self.pending {
+            col.truncate(0);
+        }
+        first
     }
 }
 
@@ -344,19 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_mismatched_push_rejects_the_row_without_panicking() {
-        // Build a receptor whose pending columns disagree with its schema —
-        // the situation that used to hit `expect("schema-aligned push")`.
-        let mut r = CsvReceptor::new(&[DataType::Int, DataType::Int]);
-        r.pending[1] = Column::empty(DataType::Float);
-        let out = r.parse("1,2\n3,4\n").unwrap();
-        assert_eq!(out, ParseOutcome { rows: 0, rejected: 2 });
-        // The rollback left no partial rows behind.
-        assert_eq!(r.pending_rows(), 0);
-        assert!(r.pending.iter().all(Column::is_empty));
-    }
-
-    #[test]
     fn csv_custom_delimiter_and_strings() {
         let mut r = CsvReceptor::new(&[DataType::Str, DataType::Int]).with_delimiter(';');
         r.parse("hello; 7\nworld;8").unwrap();
@@ -376,6 +482,40 @@ mod tests {
         r.parse("true,42").unwrap();
         assert_eq!(r.rows_ok(), 1);
         assert_eq!(r.rows_skipped(), 0);
+    }
+
+    #[test]
+    fn csv_negative_or_overflowing_oid_is_rejected_not_wrapped() {
+        // `-1` used to parse as i64 and land as 18446744073709551615.
+        let mut r = CsvReceptor::new(&[DataType::Oid]);
+        let out = r.parse("-1\n18446744073709551616\n-0\n18446744073709551615\n+7\n").unwrap();
+        assert_eq!(out, ParseOutcome { rows: 2, rejected: 3 });
+        assert_eq!(r.pending, vec![Column::Oid(vec![u64::MAX, 7])]);
+    }
+
+    #[test]
+    fn parse_bytes_stops_at_the_pending_cap_and_reports_consumed_bytes() {
+        let mut r = CsvReceptor::new(&[DataType::Int]);
+        let bytes = b"1\n\n2\n3\n4";
+        let (out, used) = r.parse_bytes(bytes, 2).unwrap();
+        assert_eq!((out.rows, used), (2, 5)); // "1\n\n2\n"
+        let b = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        r.flush_into(&b, 0).unwrap();
+        let (out, used) = r.parse_bytes(&bytes[5..], 2).unwrap();
+        assert_eq!((out.rows, used), (2, 3)); // "3\n4": the tail counts as a line
+        assert_eq!(r.pending, vec![Column::Int(vec![3, 4])]);
+    }
+
+    #[test]
+    fn flush_keeps_the_pending_capacity() {
+        let mut r = CsvReceptor::new(&[DataType::Int]);
+        r.parse("1\n2\n3\n").unwrap();
+        let Column::Int(v) = &r.pending[0] else { panic!("int column") };
+        let cap = v.capacity();
+        let b = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        r.flush_into(&b, 0).unwrap();
+        let Column::Int(v) = &r.pending[0] else { panic!("int column") };
+        assert_eq!((v.len(), v.capacity()), (0, cap));
     }
 
     #[test]

@@ -25,15 +25,23 @@
 //! multi-core hardware appends/s at 4+ receptors should improve
 //! monotonically from 1 → 4 shards.
 //!
+//! A second, single-threaded leg — `wire-bytes` — prices the layer in
+//! front of the append: ns/row of `CsvReceptor::parse_bytes` over a
+//! pre-rendered CSV ring per schema (`int,float` / `int,int` /
+//! `str,int`), flushed every 256 rows the way the network edge does,
+//! asserting zero rejects and an exact row count.
+//!
 //! Flags: `--scale f` resizes the per-receptor batch count, `--shards n`
 //! measures one shard count instead of the default sweep, `--placement m`
 //! pins one placement mode instead of sweeping both, `--windows n`
 //! overrides batches/receptor, `--seed n` the value seed.
 
-use datacell_basket::{Basket, ShardedBasket};
+use datacell_basket::{Basket, CsvReceptor, Ingest, ShardedBasket, Timestamp};
 use datacell_bench::{print_table, Args};
 use datacell_kernel::par::stats;
-use datacell_kernel::{Column, DataType, PlacementMode};
+use datacell_kernel::{Column, DataType, Oid, PlacementMode};
+use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -135,8 +143,82 @@ fn run_point(
     }
 }
 
+/// An ingest edge that drops the batch: the `wire-bytes` leg measures
+/// the parser and its in-place batch reuse, not the basket.
+struct Discard;
+
+impl Ingest for Discard {
+    fn ingest(&self, batch: &[Column], _now: Timestamp) -> datacell_basket::Result<Oid> {
+        black_box(batch);
+        Ok(0)
+    }
+}
+
+const WIRE_RING_ROWS: usize = 4096;
+const WIRE_FLUSH_ROWS: usize = 256;
+
+/// The `wire-bytes` leg: one table row per schema.
+fn wire_bytes(passes: usize, seed: u64) {
+    let schemas: [(&str, [DataType; 2]); 3] = [
+        ("int,float", [DataType::Int, DataType::Float]),
+        ("int,int", [DataType::Int, DataType::Int]),
+        ("str,int", [DataType::Str, DataType::Int]),
+    ];
+    let mut rows = Vec::new();
+    for (name, schema) in schemas {
+        let mut ring = String::new();
+        for i in 0..WIRE_RING_ROWS as u64 {
+            let x = (seed.wrapping_add(i)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            for (j, t) in schema.iter().enumerate() {
+                if j > 0 {
+                    ring.push(',');
+                }
+                match t {
+                    DataType::Float => write!(ring, "{:.3}", x as f64 / 1000.0),
+                    DataType::Str => write!(ring, "k{}", x % 4096),
+                    _ => write!(ring, "{}", x + j as u64),
+                }
+                .expect("write to String");
+            }
+            ring.push('\n');
+        }
+        let ring = ring.as_bytes();
+        let mut receptor = CsvReceptor::new(&schema);
+        let mut parsed = 0;
+        let start = Instant::now();
+        for _ in 0..passes {
+            let mut at = 0;
+            while at < ring.len() {
+                let (out, used) = receptor
+                    .parse_bytes(black_box(&ring[at..]), WIRE_FLUSH_ROWS)
+                    .expect("skip policy");
+                assert_eq!(out.rejected, 0, "{name}: generated rows must all parse");
+                parsed += out.rows;
+                at += used;
+                receptor.flush_into(&Discard, 0).expect("discard");
+            }
+        }
+        let wall = start.elapsed();
+        assert_eq!(parsed, passes * WIRE_RING_ROWS, "{name}: row count");
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.1}", ring.len() as f64 / WIRE_RING_ROWS as f64),
+            format!("{wall:?}"),
+            format!("{:.1}", wall.as_nanos() as f64 / parsed as f64),
+            format!("{:.2}", parsed as f64 / wall.as_secs_f64().max(f64::EPSILON) / 1.0e6),
+        ]);
+    }
+    println!(
+        "wire-bytes: CsvReceptor::parse_bytes over a {WIRE_RING_ROWS}-row ring × {passes} passes, \
+         flushed every {WIRE_FLUSH_ROWS} rows"
+    );
+    print_table(&["schema", "bytes/row", "wall", "ns/row", "Mrows/s"], &rows);
+    println!();
+}
+
 fn main() {
     let args = Args::parse();
+    wire_bytes(args.windows.unwrap_or_else(|| args.sized(500, 10)).max(1), args.seed);
     let batches = args.windows.unwrap_or_else(|| args.sized(2_000, 50)).max(1);
     let shard_list: Vec<usize> = match args.shards {
         Some(s) if s > 1 => vec![1, s],

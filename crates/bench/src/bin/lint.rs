@@ -27,7 +27,9 @@
 //!    data outright (the parallel seal collects staged segments
 //!    *before* spawning its stitchers for exactly this reason).
 //! 4. **Exposition conformance** — a live engine runs a small
-//!    three-axis workload, its telemetry snapshot is rendered to
+//!    three-axis workload, its telemetry snapshot (plus the network
+//!    edge's `datacell_net_*` families, parse-time histogram included)
+//!    is rendered to
 //!    Prometheus text and re-parsed with the strict
 //!    `datacell_telemetry::parse_text` validator, and every exposed
 //!    family must carry help text (a counter registered without help is
@@ -356,7 +358,8 @@ fn audit_file(rel: &str, text: &str, lock_free: bool, findings: &mut Vec<Finding
 // Pass 4: exposition conformance.
 // ---------------------------------------------------------------------------
 
-/// Run a small three-axis workload and hold the engine's exposition to the
+/// Run a small three-axis workload and hold the engine's exposition, with
+/// the network edge's families folded in as `/metrics` serves them, to the
 /// strict parser plus the every-family-has-help rule. Returns the number of
 /// families checked.
 fn lint_exposition(findings: &mut Vec<Finding>) -> usize {
@@ -372,7 +375,11 @@ fn lint_exposition(findings: &mut Vec<Finding>) -> usize {
     e.append("lint_s", &[Column::Int(ks), Column::Int(vs)]).expect("lint append");
     e.run_until_idle().expect("lint drain");
 
-    let text = render_text(&e.telemetry_snapshot());
+    let mut snap = e.telemetry_snapshot();
+    let net = datacell_net::NetStats::new();
+    net.parse_seconds.record(std::time::Duration::from_micros(1));
+    net.extend_snapshot(&mut snap);
+    let text = render_text(&snap);
     let parsed = match parse_text(&text) {
         Ok(p) => p,
         Err(err) => {

@@ -4,7 +4,9 @@
 //! snapshot in Prometheus text format, followed by a human summary:
 //! per-query slide-latency quantiles, the paper's Fig. 7 main-plan vs.
 //! merge split, per-worker fire counts, per-shard staged depth and the
-//! kernel's concat-vs-regroup merge ratio.
+//! kernel's concat-vs-regroup merge ratio. The first burst goes in over a
+//! real `INGEST` socket, so the dump also carries the network edge's
+//! `datacell_net_*` families, as `GET /metrics` would serve them.
 //!
 //! The dump re-parses its own exposition with `telemetry::parse_text`
 //! before printing anything, so every run doubles as a format
@@ -21,7 +23,11 @@ use datacell_bench::Args;
 use datacell_core::scheduler::parse_workers;
 use datacell_core::Engine;
 use datacell_kernel::{Column, DataType};
+use datacell_net::{NetConfig, NetServer};
 use datacell_telemetry::{parse_text, render_text, SampleValue};
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::time::{Duration, Instant};
 
 /// Deterministic key/value batch: keys from a small domain (heavy
 /// groups), values from the LCG stream.
@@ -57,10 +63,30 @@ fn main() {
             .unwrap(),
     ];
 
+    // One burst over the wire: the server owns the engine while it runs
+    // and hands it back, with its own counters kept for the dump.
+    let mut seed = args.seed.wrapping_add(1);
+    let wire_rows = rows_per_shard * shards;
+    let mut csv = String::from("INGEST s\n");
+    let burst = batch(wire_rows, &mut seed);
+    for (k, v) in burst[0].as_int().unwrap().iter().zip(burst[1].as_int().unwrap()) {
+        writeln!(csv, "{k},{v}").unwrap();
+    }
+    let server = NetServer::spawn(e, "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    sock.write_all(csv.as_bytes()).unwrap();
+    drop(sock);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().ingest_rows.get() < wire_rows as u64 {
+        assert!(Instant::now() < deadline, "wire burst never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let net = server.stats().clone();
+    let mut e = server.shutdown();
+
     // N rounds of "one batch per staging shard, then drain" — the
     // steady-state loop of `shards` receptors feeding standing queries.
     let b = e.basket("s").unwrap();
-    let mut seed = args.seed.wrapping_add(1);
     for _ in 0..rounds {
         for shard in 0..shards {
             b.append_shard(shard, &batch(rows_per_shard, &mut seed), 0).unwrap();
@@ -76,7 +102,8 @@ fn main() {
         b.append_shard(shard, &batch(8, &mut seed), 0).unwrap();
     }
 
-    let snap = e.telemetry_snapshot();
+    let mut snap = e.telemetry_snapshot();
+    net.extend_snapshot(&mut snap);
     let text = render_text(&snap);
     let parsed = parse_text(&text).expect("exposition must parse as Prometheus text");
     println!("{text}");
@@ -143,6 +170,14 @@ fn main() {
     assert!(sorts > 0.0, "ORDER BY workload recorded no sort calls");
     if partitions > 1 {
         assert!(par_sorts > 0.0, "partitioned run never took the parallel sort path");
+    }
+    let wire = parsed.total("datacell_net_ingest_rows_total");
+    let parse_ticks = parsed.total("datacell_net_parse_seconds_count");
+    let parse_s = parsed.total("datacell_net_parse_seconds_sum");
+    println!("# net edge: {wire} rows ingested, parsed in {parse_ticks} ticks, {parse_s:.6}s in the parser");
+    assert!(wire > 0.0, "wire burst not visible in the dump");
+    if datacell_telemetry::enabled() {
+        assert!(parse_ticks > 0.0, "wire burst recorded no parse time");
     }
     println!("# metrics_dump: exposition parsed clean ({} families)", parsed.families.len());
 }

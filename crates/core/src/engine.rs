@@ -1151,8 +1151,12 @@ mod tests {
             return;
         }
         let mut e = Engine::new();
-        // Defaults: shards == partitions (1 == 1) -> auto-aligned (inert
-        // at 1 partition: the sequential path runs regardless).
+        // Pin both counts: `Engine::new` inherits them from
+        // DATACELL_PARTITIONS / DATACELL_BASKET_SHARDS.
+        e.set_partitions(1);
+        e.set_basket_shards(1);
+        // shards == partitions (1 == 1) -> auto-aligned (inert at 1
+        // partition: the sequential path runs regardless).
         assert_eq!(e.placement(), PlacementMode::Aligned);
         e.set_partitions(4);
         assert_eq!(e.placement(), PlacementMode::RoundRobin); // 1 shard != 4 parts

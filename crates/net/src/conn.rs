@@ -42,7 +42,7 @@ pub(crate) struct Conn {
     pub peer: String,
     pub role: Role,
     /// Bytes read but not yet consumed as complete lines.
-    pub inbuf: Vec<u8>,
+    pub inbuf: InBuf,
     /// Bytes queued for the socket (partial writes leave a suffix here).
     pub outbuf: Vec<u8>,
     /// Close once `outbuf` drains.
@@ -59,7 +59,7 @@ impl Conn {
             sock,
             peer,
             role: Role::Handshake,
-            inbuf: Vec::new(),
+            inbuf: InBuf::default(),
             outbuf: Vec::new(),
             close_after_flush: false,
             eof: false,
@@ -75,27 +75,17 @@ impl Conn {
     /// Drain everything currently readable into `inbuf` without blocking.
     /// Returns bytes read this pass; flags `eof` / `dead` as appropriate.
     pub(crate) fn read_available(&mut self) -> usize {
-        let mut total = 0;
-        let mut chunk = [0u8; 8192];
-        loop {
-            match self.sock.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    total += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
+        let before = self.inbuf.bytes.len();
+        // `read_to_end` reads straight into the vector's spare capacity
+        // (growing it as needed), retries `Interrupted`, and on any other
+        // error — `WouldBlock` is how a drained nonblocking socket ends
+        // it — leaves what it already read appended.
+        match (&self.sock).read_to_end(&mut self.inbuf.bytes) {
+            Ok(_) => self.eof = true,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(_) => self.dead = true,
         }
-        total
+        self.inbuf.bytes.len() - before
     }
 
     /// Write as much of `outbuf` as the socket accepts without blocking.
@@ -138,60 +128,104 @@ impl Conn {
     }
 }
 
-/// Pop every complete line (`…\n`) off the front of `buf`, leaving the
-/// unterminated tail in place. When `take_tail` is set (peer sent EOF) the
-/// tail is returned as a final line too — a closing client's last row
-/// counts even without a trailing newline. Lines are lossy-decoded; a
-/// stray `\r` (telnet-style `\r\n`) is trimmed.
-pub(crate) fn split_lines(buf: &mut Vec<u8>, take_tail: bool) -> Vec<String> {
-    let mut lines = Vec::new();
-    let mut start = 0;
-    while let Some(pos) = buf[start..].iter().position(|&b| b == b'\n') {
-        let line = &buf[start..start + pos];
-        lines.push(decode(line));
-        start += pos + 1;
-    }
-    buf.drain(..start);
-    if take_tail && !buf.is_empty() {
-        let tail = std::mem::take(buf);
-        lines.push(decode(&tail));
-    }
-    lines
+/// A connection's input: socket reads append to `bytes`, consumers take
+/// from the front by advancing `start`. The consumed prefix is dropped
+/// only when that is free (nothing unconsumed) or pays for itself (it is
+/// more than half the buffer), never by a memmove per tick.
+#[derive(Default)]
+pub(crate) struct InBuf {
+    bytes: Vec<u8>,
+    start: usize,
 }
 
-fn decode(raw: &[u8]) -> String {
-    let s = String::from_utf8_lossy(raw);
-    s.strip_suffix('\r').unwrap_or(&s).to_owned()
+impl InBuf {
+    /// Bytes read and not yet consumed.
+    pub(crate) fn unconsumed(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    /// What a socket read does, for tests that feed fragments by hand.
+    #[cfg(test)]
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// Mark the first `n` unconsumed bytes consumed.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.bytes.len() {
+            self.bytes.clear();
+            self.start = 0;
+        } else if self.start > self.bytes.len() / 2 {
+            self.bytes.drain(..self.start);
+            self.start = 0;
+        }
+    }
+
+    /// Pop one complete line (`…\n`) off the front, leaving an
+    /// unterminated tail in place. When `take_tail` is set (peer sent EOF)
+    /// the tail is returned as a final line too. The line is lossy-decoded
+    /// and a stray `\r` (telnet-style `\r\n`) is trimmed. Only the
+    /// handshake / `GET` line of a connection comes through here; ingest
+    /// rows are parsed from [`InBuf::unconsumed`] in place.
+    pub(crate) fn take_line(&mut self, take_tail: bool) -> Option<String> {
+        let rest = self.unconsumed();
+        let (line, used) = match rest.iter().position(|&b| b == b'\n') {
+            Some(nl) => (&rest[..nl], nl + 1),
+            None if take_tail && !rest.is_empty() => (rest, rest.len()),
+            None => return None,
+        };
+        let line = String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line)).into_owned();
+        self.consume(used);
+        Some(line)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn inbuf(bytes: &[u8]) -> InBuf {
+        InBuf { bytes: bytes.to_vec(), start: 0 }
+    }
+
     #[test]
-    fn split_lines_keeps_partial_tail() {
-        let mut buf = b"a,1\nb,2\nc,".to_vec();
-        let lines = split_lines(&mut buf, false);
-        assert_eq!(lines, vec!["a,1".to_owned(), "b,2".to_owned()]);
-        assert_eq!(buf, b"c,");
+    fn take_line_keeps_partial_tail() {
+        let mut buf = inbuf(b"a,1\nb,2\nc,");
+        assert_eq!(buf.take_line(false).as_deref(), Some("a,1"));
+        assert_eq!(buf.take_line(false).as_deref(), Some("b,2"));
+        assert_eq!(buf.take_line(false), None);
+        assert_eq!(buf.unconsumed(), b"c,");
         // More bytes arrive, completing the line.
-        buf.extend_from_slice(b"3\n");
-        assert_eq!(split_lines(&mut buf, false), vec!["c,3".to_owned()]);
-        assert!(buf.is_empty());
+        buf.extend(b"3\n");
+        assert_eq!(buf.take_line(false).as_deref(), Some("c,3"));
+        assert!(buf.unconsumed().is_empty());
     }
 
     #[test]
-    fn split_lines_takes_tail_on_eof() {
-        let mut buf = b"x,9".to_vec();
-        assert_eq!(split_lines(&mut buf, false), Vec::<String>::new());
-        assert_eq!(split_lines(&mut buf, true), vec!["x,9".to_owned()]);
-        assert!(buf.is_empty());
+    fn take_line_takes_tail_on_eof() {
+        let mut buf = inbuf(b"x,9");
+        assert_eq!(buf.take_line(false), None);
+        assert_eq!(buf.take_line(true).as_deref(), Some("x,9"));
+        assert_eq!(buf.take_line(true), None);
     }
 
     #[test]
-    fn split_lines_trims_carriage_returns() {
-        let mut buf = b"GET /metrics HTTP/1.1\r\nHost: x\r\n".to_vec();
-        let lines = split_lines(&mut buf, false);
-        assert_eq!(lines, vec!["GET /metrics HTTP/1.1".to_owned(), "Host: x".to_owned()]);
+    fn take_line_trims_carriage_returns() {
+        let mut buf = inbuf(b"GET /metrics HTTP/1.1\r\nHost: x\r\n");
+        assert_eq!(buf.take_line(false).as_deref(), Some("GET /metrics HTTP/1.1"));
+        assert_eq!(buf.take_line(false).as_deref(), Some("Host: x"));
+    }
+
+    #[test]
+    fn consume_compacts_only_when_empty_or_past_half() {
+        let mut buf = inbuf(b"0123456789");
+        buf.consume(4);
+        assert_eq!((buf.start, buf.bytes.len()), (4, 10)); // under half: offset only
+        assert_eq!(buf.unconsumed(), b"456789");
+        buf.consume(2);
+        assert_eq!((buf.start, buf.bytes.as_slice()), (0, &b"6789"[..])); // past half
+        buf.consume(4);
+        assert_eq!((buf.start, buf.bytes.len()), (0, 0)); // empty: free
     }
 }

@@ -21,9 +21,10 @@
 //! * `INGEST <stream>` — every following line is one CSV row for
 //!   `<stream>`, parsed with the same [`datacell_basket::CsvReceptor`] as
 //!   the in-process loading path (malformed rows are counted and skipped,
-//!   never fatal). Rows are batched per connection and flushed into the
-//!   stream's [`datacell_basket::ShardedBasket`] once per poll tick or
-//!   every [`NetConfig::batch_rows`] rows, whichever comes first. The
+//!   never fatal; the grammar is on the receptor). Rows are batched per
+//!   connection and flushed into the stream's
+//!   [`datacell_basket::ShardedBasket`] once per poll tick or every
+//!   [`NetConfig::batch_rows`] rows, whichever comes first. The
 //!   server accepts **silently** (an ingest connection is write-only — a
 //!   reply would arm TCP's reset-on-close-with-unread-data against writers
 //!   that never read) and answers only errors: `ERR unknown stream <s>`.
@@ -34,6 +35,24 @@
 //! * `GET /metrics` — one-shot HTTP: the engine's full telemetry snapshot
 //!   plus this server's `datacell_net_*` families in Prometheus text
 //!   format, then the connection closes.
+//!
+//! ## The ingest byte path
+//!
+//! Only a connection's first line (and a `GET`'s headers) is ever turned
+//! into a `String`. From then on an ingest connection's bytes are touched
+//! once: the socket is read straight into the spare capacity of the
+//! connection's input buffer, the loop hands the receptor the prefix of
+//! that buffer up to its last `\n` (all of it once the peer has closed —
+//! a final row needs no newline), and
+//! [`datacell_basket::CsvReceptor::parse_bytes`] scans lines and fields
+//! in place and appends each value to the typed pending column it belongs
+//! to — no per-row allocation (a `Str` field owns its text), no line or
+//! field vectors. What was parsed is dropped by advancing a read offset;
+//! the buffer is compacted only when it is empty or more than half
+//! consumed. Because the receptor only ever sees whole lines, how TCP cut
+//! the stream into reads cannot change what lands in the basket. Time in
+//! the parser is exposed as `datacell_net_parse_seconds`, one observation
+//! per ingest connection per tick.
 //!
 //! ## Backpressure and slow consumers
 //!

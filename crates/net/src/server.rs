@@ -8,9 +8,9 @@
 //! runs between socket passes, exactly like a driver program alternating
 //! `append` and `run_until_idle`.
 
-use crate::conn::{split_lines, Conn, Role};
+use crate::conn::{Conn, Role};
 use crate::{NetConfig, NetStats};
-use datacell_basket::{BasicWindow, CsvReceptor};
+use datacell_basket::{BasicWindow, CsvReceptor, Timestamp};
 use datacell_core::Engine;
 use datacell_kernel::{Column, DataType};
 use datacell_telemetry::render_text;
@@ -21,6 +21,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// Name of the engine stream buffering results of the query `label` for
 /// network subscribers (`q0` → `q0.out`). The suffix is reserved: input
@@ -165,7 +166,7 @@ impl EventLoop {
     }
 
     /// Read every socket (ingest sockets only while under the staging
-    /// budget) and process complete lines.
+    /// budget); dispatch handshake lines, parse ingest bytes in place.
     fn pump(&mut self) -> bool {
         let paused = self.ingest_backlog() > self.cfg.staging_budget;
         if paused {
@@ -184,16 +185,21 @@ impl EventLoop {
                 stats.rx_bytes.add(n as u64);
                 busy = true;
             }
-            if conn.inbuf.len() > cfg.max_line && !conn.inbuf.contains(&b'\n') {
+            let input = conn.inbuf.unconsumed();
+            if input.len() > cfg.max_line && !input.contains(&b'\n') {
                 stats.errors.inc();
                 conn.fail("line too long");
                 continue;
             }
-            for line in split_lines(&mut conn.inbuf, conn.eof) {
+            // The first line picks the role. Once it is `Ingest` the rest
+            // of the input is rows, which never become lines.
+            while !conn.is_ingest() {
+                let Some(line) = conn.inbuf.take_line(conn.eof) else { break };
                 busy = true;
-                handle_line(engine, stats, cfg, conn, &line);
+                handle_line(engine, stats, conn, &line);
             }
-            if conn.eof && conn.inbuf.is_empty() {
+            busy |= ingest_available(engine.clock(), stats, cfg, conn);
+            if conn.eof && conn.inbuf.unconsumed().is_empty() {
                 match conn.role {
                     // Ingest connections die in `flush_ingest`, after
                     // their final batch lands.
@@ -233,7 +239,7 @@ impl EventLoop {
                         }
                     }
                 }
-                if conn.eof && conn.inbuf.is_empty() {
+                if conn.eof && conn.inbuf.unconsumed().is_empty() {
                     conn.dead = true;
                 }
             }
@@ -441,23 +447,17 @@ impl EventLoop {
     }
 }
 
-/// Dispatch one complete line according to the connection's role.
-fn handle_line(
-    engine: &mut Engine,
-    stats: &NetStats,
-    cfg: &NetConfig,
-    conn: &mut Conn,
-    line: &str,
-) {
+/// Dispatch one complete line of a connection that is not (yet) ingesting.
+fn handle_line(engine: &mut Engine, stats: &NetStats, conn: &mut Conn, line: &str) {
     match conn.role {
         Role::Handshake => handshake(engine, stats, conn, line),
-        Role::Ingest { .. } => ingest_line(engine, stats, cfg, conn, line),
         Role::Subscribe { .. } => {
             stats.errors.inc();
             conn.fail("unexpected input on a subscriber connection");
         }
-        // Trailing HTTP headers and the like: ignored.
-        Role::Drain => {}
+        // Ingest rows go through `ingest_available`; trailing HTTP headers
+        // and the like are ignored.
+        Role::Ingest { .. } | Role::Drain => {}
     }
 }
 
@@ -530,34 +530,64 @@ fn handshake(engine: &mut Engine, stats: &NetStats, conn: &mut Conn, line: &str)
     }
 }
 
-/// A data line on an ingest connection: parse, and flush early if the
-/// pending batch hit the configured size.
-fn ingest_line(engine: &Engine, stats: &NetStats, cfg: &NetConfig, conn: &mut Conn, line: &str) {
-    let outcome = match &mut conn.role {
-        Role::Ingest { receptor, .. } => receptor.parse(line),
-        _ => return,
+/// Parse what an ingest connection has read, in place: every complete line
+/// (up to the last `\n`; everything once the peer sent EOF — a closing
+/// client's last row counts without a trailing newline) goes through
+/// [`CsvReceptor::parse_bytes`] straight from the input buffer, flushing
+/// into the basket whenever [`NetConfig::batch_rows`] rows are pending.
+/// Returns whether anything was consumed.
+fn ingest_available(clock: Timestamp, stats: &NetStats, cfg: &NetConfig, conn: &mut Conn) -> bool {
+    let Role::Ingest { stream, basket, receptor } = &mut conn.role else { return false };
+    let input = conn.inbuf.unconsumed();
+    let end = if conn.eof {
+        input.len()
+    } else {
+        input.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1)
     };
-    match outcome {
-        Ok(o) => stats.ingest_rows.add(o.rows as u64),
-        // Only reachable under `MalformedPolicy::Fail`; server receptors
-        // use the default skip-and-count policy, so rejects are counters,
-        // not connection errors.
-        Err(e) => {
-            stats.errors.inc();
-            conn.fail(&format!("csv: {e}"));
-            return;
-        }
+    if end == 0 {
+        return false;
     }
-    let clock = engine.clock();
-    if let Role::Ingest { stream, basket, receptor } = &mut conn.role {
-        if receptor.pending_rows() >= cfg.batch_rows {
+    let batch_rows = cfg.batch_rows.max(1);
+    let mut at = 0;
+    let mut parsing = Duration::ZERO;
+    let mut csv_error = None;
+    while at < end {
+        let started = datacell_telemetry::timer();
+        let parsed = receptor.parse_bytes(&input[at..end], batch_rows);
+        if let Some(t) = started {
+            parsing += t.elapsed();
+        }
+        match parsed {
+            Ok((outcome, used)) => {
+                stats.ingest_rows.add(outcome.rows as u64);
+                at += used;
+            }
+            // Only reachable under `MalformedPolicy::Fail`; server
+            // receptors use the default skip-and-count policy, so rejects
+            // are counters, not connection errors.
+            Err(e) => {
+                csv_error = Some(e);
+                break;
+            }
+        }
+        if receptor.pending_rows() >= batch_rows {
             if let Err(e) = receptor.flush_into(basket, clock) {
                 stats.errors.inc();
                 eprintln!("datacell-net: flush into `{stream}` failed: {e}");
                 conn.dead = true;
+                break;
             }
         }
     }
+    if datacell_telemetry::enabled() {
+        stats.parse_seconds.record(parsing);
+    }
+    conn.inbuf.consume(end);
+    if let Some(e) = csv_error {
+        stats.errors.inc();
+        conn.fail(&format!("csv: {e}"));
+    }
+    true
 }
 
 /// Engine snapshot plus this server's families, in Prometheus text format.
@@ -634,6 +664,65 @@ mod tests {
         }
         let engine = server.shutdown();
         assert_eq!(engine.basket_len("s").unwrap(), 3);
+    }
+
+    /// Feed `stream` to a fresh ingest connection in the given read
+    /// fragments (one `ingest_available` per fragment, then EOF) and return
+    /// what landed: the basket's columns, the receptor's rejects, and the
+    /// `ingest_rows` counter.
+    fn ingest_fragmented(stream: &[u8], cuts: &[usize]) -> (Vec<Column>, usize, u64) {
+        let engine = engine_with_stream();
+        let basket = engine.basket("s").unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, addr) = listener.accept().unwrap();
+        let mut conn = Conn::new(sock, addr.to_string());
+        conn.role = Role::Ingest {
+            stream: "s".to_owned(),
+            basket: basket.clone(),
+            receptor: CsvReceptor::new(&[DataType::Int, DataType::Float]),
+        };
+        let stats = NetStats::new();
+        let cfg = NetConfig { batch_rows: 2, ..NetConfig::default() };
+        let mut from = 0;
+        for &to in cuts.iter().chain([&stream.len()]) {
+            conn.inbuf.extend(&stream[from..to]);
+            conn.eof = to == stream.len();
+            ingest_available(engine.clock(), &stats, &cfg, &mut conn);
+            from = to;
+        }
+        assert!(conn.inbuf.unconsumed().is_empty(), "EOF consumes the tail");
+        let Role::Ingest { receptor, .. } = &mut conn.role else { panic!("still ingesting") };
+        receptor.flush_into(&basket, engine.clock()).unwrap();
+        basket.seal();
+        let cols = basket.with(|b| {
+            let w = b.snapshot();
+            vec![w.col(0).unwrap().clone(), w.col(1).unwrap().clone()]
+        });
+        (cols, receptor.rows_skipped(), stats.ingest_rows.get())
+    }
+
+    #[test]
+    fn ingest_is_invariant_under_read_fragmentation() {
+        // CRLF and LF rows, a blank line, a malformed row, and a final row
+        // with no newline before EOF.
+        let stream = b"1,0.5\r\n22,1.5\nbad,row\n\n333, 2.5 \r\n4444,3.5";
+        let whole = ingest_fragmented(stream, &[]);
+        assert_eq!(
+            whole,
+            (
+                vec![Column::Int(vec![1, 22, 333, 4444]), Column::Float(vec![0.5, 1.5, 2.5, 3.5])],
+                1,
+                4
+            )
+        );
+        // Every single cut — inside a field, between `\r` and `\n`, right
+        // before the unterminated last row — and one byte per read.
+        for cut in 1..stream.len() {
+            assert_eq!(ingest_fragmented(stream, &[cut]), whole, "cut at {cut}");
+        }
+        let every_byte: Vec<usize> = (1..stream.len()).collect();
+        assert_eq!(ingest_fragmented(stream, &every_byte), whole);
     }
 
     #[test]

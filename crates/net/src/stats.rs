@@ -4,7 +4,7 @@
 //! so two servers in one process never alias each other's series; the
 //! server folds them into the engine snapshot when answering `/metrics`.
 
-use datacell_telemetry::{Counter, Family, Gauge, MetricKind, Snapshot};
+use datacell_telemetry::{Counter, Family, Gauge, Histogram, MetricKind, Snapshot};
 
 /// Counters and gauges for one [`crate::NetServer`]. All handles are
 /// clonable atomics: the event-loop thread records, any thread may read.
@@ -34,6 +34,9 @@ pub struct NetStats {
     pub metrics_requests: Counter,
     /// Protocol or engine errors answered with `ERR` / logged.
     pub errors: Counter,
+    /// Time inside `CsvReceptor::parse_bytes`, one observation per ingest
+    /// connection per poll tick that had complete lines to parse.
+    pub parse_seconds: Histogram,
 }
 
 impl NetStats {
@@ -104,6 +107,13 @@ impl NetStats {
             f.push_value(&[], g.get() as f64);
             snap.push(f);
         }
+        let mut f = Family::new(
+            "datacell_net_parse_seconds",
+            "Time one ingest connection's bytes spent in the CSV parser per poll tick.",
+            MetricKind::Histogram,
+        );
+        f.push_histogram(&[], self.parse_seconds.snapshot());
+        snap.push(f);
     }
 
     /// Record an accepted connection (total, open, peak).
@@ -131,6 +141,7 @@ mod tests {
         s.connection_opened();
         s.connection_closed();
         s.ingest_rows.add(7);
+        s.parse_seconds.record(std::time::Duration::from_micros(3));
         let mut snap = Snapshot::default();
         s.extend_snapshot(&mut snap);
         let text = render_text(&snap);
@@ -139,6 +150,7 @@ mod tests {
         assert_eq!(parsed.get("datacell_net_connections_open", &[]), Some(1.0));
         assert_eq!(parsed.get("datacell_net_connections_peak", &[]), Some(2.0));
         assert_eq!(parsed.get("datacell_net_ingest_rows_total", &[]), Some(7.0));
+        assert_eq!(parsed.get("datacell_net_parse_seconds_count", &[]), Some(1.0));
         assert!(parsed.families_without_help().is_empty());
     }
 }

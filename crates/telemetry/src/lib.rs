@@ -261,7 +261,11 @@ impl Histogram {
         self.snapshot().quantile(q)
     }
 
-    /// A point-in-time copy of all cells, for exposition.
+    /// A point-in-time copy of all cells, for exposition. `count` is the
+    /// cumulative bucket total just read, not the `count` cell: the cells
+    /// are separate atomics, so against a concurrent [`Histogram::record`]
+    /// the cell can disagree with the buckets, and a `+Inf` bucket that
+    /// differs from `_count` is an invalid exposition.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::with_capacity(HISTOGRAM_BUCKETS);
@@ -274,7 +278,7 @@ impl Histogram {
         HistogramSnapshot {
             buckets,
             sum: self.0.sum_ns.load(Ordering::Relaxed) as f64 / 1.0e9,
-            count: self.0.count.load(Ordering::Relaxed),
+            count: cum,
         }
     }
 }
@@ -688,6 +692,33 @@ mod tests {
         assert_eq!(h.sum(), Duration::from_nanos(expect_ns));
         let snap = h.snapshot();
         assert_eq!(snap.buckets.last().map(|&(_, c)| c), Some(8 * PER_THREAD));
+    }
+
+    #[test]
+    fn snapshot_racing_a_recorder_keeps_inf_bucket_equal_to_count() {
+        // The strict exposition parser rejects `+Inf bucket != _count`;
+        // a scrape must never render that, however it interleaves with
+        // `record`'s three separate cell updates.
+        let h = Histogram::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let torn = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(Duration::from_nanos(100));
+                }
+            });
+            start.wait();
+            let torn = (0..20_000)
+                .map(|_| h.snapshot())
+                .filter(|snap| snap.buckets.last().map(|&(_, c)| c) != Some(snap.count))
+                .count();
+            stop.store(true, Ordering::Relaxed); // before any assert: the recorder must end
+            torn
+        });
+        assert_eq!(torn, 0, "snapshots whose +Inf bucket differs from count");
+        assert!(h.count() > 0);
     }
 
     #[test]

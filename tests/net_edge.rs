@@ -257,3 +257,58 @@ fn backpressure_pauses_ingest_reads_when_nothing_consumes() {
     assert!(landed >= 64, "budget tripped before any rows landed ({landed})");
     drop(sock);
 }
+
+#[test]
+fn overlong_line_without_newline_gets_a_typed_error() {
+    let mut engine = Engine::new();
+    engine.create_stream("u", &[("x", DataType::Int)]).expect("stream");
+    let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("spawn");
+    let errors_before = server.stats().errors.get();
+
+    let mut sock = connect(&server);
+    sock.write_all(b"INGEST u\n1\n2\n").expect("hello and two good rows");
+    // 70 KiB of digits and never a newline: past `max_line` (64 KiB).
+    sock.write_all(&vec![b'7'; 70 * 1024]).expect("overlong line");
+    let mut reader = BufReader::new(&sock);
+    assert_eq!(read_line(&mut reader), "ERR line too long");
+    assert_eq!(server.stats().errors.get(), errors_before + 1);
+
+    let engine = server.shutdown();
+    assert_eq!(engine.basket_len("u").expect("basket"), 2, "the rows before it landed");
+}
+
+#[test]
+fn malformed_row_inside_a_burst_rejects_exactly_that_row() {
+    const ROWS: usize = 10_000;
+    let mut engine = Engine::new();
+    engine.create_stream("u", &[("x", DataType::Int), ("y", DataType::Float)]).expect("stream");
+    let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("spawn");
+
+    let mut burst = String::from("INGEST u\n");
+    for j in 0..ROWS {
+        if j == ROWS / 2 {
+            burst.push_str("5000,not-a-float\n");
+        } else {
+            let _ = writeln!(burst, "{j},{}.5", j % 10);
+        }
+    }
+    let mut sock = connect(&server);
+    sock.write_all(burst.as_bytes()).expect("burst");
+    drop(sock); // EOF: the server lands the final batch
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().ingest_rows.get() < (ROWS - 1) as u64 {
+        assert!(Instant::now() < deadline, "burst never finished parsing");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let counted = server.stats().ingest_rows.clone();
+    let engine = server.shutdown();
+    assert_eq!(counted.get(), (ROWS - 1) as u64, "ingest_rows counts accepted rows exactly");
+    assert_eq!(engine.basket_len("u").expect("basket"), ROWS - 1);
+    let xs: i64 = engine
+        .basket("u")
+        .expect("basket")
+        .with(|b| b.snapshot().col(0).expect("x").as_int().expect("ints").iter().sum());
+    let all: i64 = (0..ROWS as i64).sum();
+    assert_eq!(xs, all - (ROWS / 2) as i64, "every row but the malformed one, once");
+}
