@@ -14,9 +14,7 @@
 
 use crate::window::BasicWindow;
 use datacell_kernel::{Column, DataType, KernelError, Oid, Value};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
 
 /// Arrival timestamps: milliseconds on a logical clock. The engine decides
 /// whether this is wall-clock time or a synthetic tick (experiments use
@@ -384,56 +382,6 @@ impl Basket {
     }
 }
 
-/// A basket behind a mutex — the shared handle receptors, factories and
-/// emitters use concurrently. Cloning shares the underlying basket.
-#[derive(Debug, Clone)]
-pub struct SharedBasket {
-    inner: Arc<Mutex<Basket>>,
-}
-
-impl SharedBasket {
-    /// Wrap a basket for shared use.
-    pub fn new(basket: Basket) -> SharedBasket {
-        SharedBasket { inner: Arc::new(Mutex::new(basket)) }
-    }
-
-    /// Run `f` with the basket locked — the paper's lock/unlock bracket.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Basket) -> R) -> R {
-        let mut guard = self.inner.lock();
-        f(&mut guard)
-    }
-
-    /// Append under the lock.
-    pub fn append(&self, batch: &[Column], now: Timestamp) -> crate::Result<Oid> {
-        self.with(|b| b.append(batch, now))
-    }
-
-    /// Resident tuple count.
-    pub fn len(&self) -> usize {
-        self.with(|b| b.len())
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Oid of the first resident tuple (the expiry front).
-    pub fn base_oid(&self) -> Oid {
-        self.with(|b| b.base_oid())
-    }
-
-    /// One past the newest oid — the total number of tuples ever appended.
-    /// Monotonically non-decreasing, so schedulers can poll it as a cheap
-    /// growth signal: `end_oid() > mark` means the place gained tokens
-    /// since `mark` was taken, and a reader that saw `end_oid() == e` is
-    /// guaranteed every oid below `e` is either readable or already
-    /// consumed past (never silently skipped).
-    pub fn end_oid(&self) -> Oid {
-        self.with(|b| b.end_oid())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,20 +572,6 @@ mod tests {
         b.append_row(&[Value::Int(9), Value::Float(0.9)], 1).unwrap();
         assert_eq!(b.len(), 1);
         assert!(b.append_row(&[Value::Int(9)], 2).is_err());
-    }
-
-    #[test]
-    fn shared_basket_locking() {
-        let sb = SharedBasket::new(basket());
-        let sb2 = sb.clone();
-        sb.append(&batch(vec![1], vec![0.1]), 0).unwrap();
-        assert_eq!(sb2.len(), 1);
-        let n = sb.with(|b| {
-            b.append(&batch(vec![2], vec![0.2]), 1).unwrap();
-            b.len()
-        });
-        assert_eq!(n, 2);
-        assert!(!sb.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! output baskets and deliver the rows to clients (paper §2: "a set of
 //! separate processes … per client … to deliver results").
 
-use crate::basket::{SharedBasket, Timestamp};
+use crate::basket::Timestamp;
 use crate::sharded::ShardedBasket;
 use datacell_kernel::Value;
 
@@ -13,17 +13,10 @@ pub type Row = Vec<Value>;
 
 /// Something that consumes result batches from an output basket.
 pub trait Emitter {
-    /// Drain everything currently resident in the output basket, marking it
-    /// consumed (expired). Returns the number of rows delivered.
-    fn drain(&mut self, out: &SharedBasket) -> crate::Result<usize>;
-
-    /// Drain a sharded output basket: seal staged shard segments first so
-    /// the client sees every delivered row, then drain the merged view.
-    /// Provided for all emitters; `drain` does the per-implementation work.
-    fn drain_sharded(&mut self, out: &ShardedBasket) -> crate::Result<usize> {
-        out.seal();
-        self.drain(&out.shared())
-    }
+    /// Seal the output basket's staged segments (so the client sees every
+    /// delivered row), then drain everything resident, marking it consumed
+    /// (expired). Returns the number of rows delivered.
+    fn drain(&mut self, out: &ShardedBasket) -> crate::Result<usize>;
 }
 
 /// Collects delivered rows in memory — the default client used by tests,
@@ -66,7 +59,8 @@ impl CollectEmitter {
 }
 
 impl Emitter for CollectEmitter {
-    fn drain(&mut self, out: &SharedBasket) -> crate::Result<usize> {
+    fn drain(&mut self, out: &ShardedBasket) -> crate::Result<usize> {
+        out.seal();
         out.with(|b| {
             let w = b.snapshot();
             let n = w.len();
@@ -91,7 +85,7 @@ mod tests {
 
     #[test]
     fn collect_emitter_drains_and_expires() {
-        let out = SharedBasket::new(Basket::new("out", &[("sum", DataType::Int)]));
+        let out = ShardedBasket::new(Basket::new("out", &[("sum", DataType::Int)]), 1);
         out.append(&[Column::Int(vec![10, 20])], 5).unwrap();
         let mut e = CollectEmitter::new();
         assert_eq!(e.drain(&out).unwrap(), 2);
@@ -107,14 +101,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_sharded_seals_then_delivers() {
-        use crate::sharded::ShardedBasket;
+    fn drain_seals_then_delivers() {
         let out = ShardedBasket::new(Basket::new("out", &[("sum", DataType::Int)]), 2);
         out.append_shard(0, &[Column::Int(vec![10])], 1).unwrap();
         out.append_shard(1, &[Column::Int(vec![20])], 2).unwrap();
         assert_eq!(out.len(), 0); // everything still staged
         let mut e = CollectEmitter::new();
-        assert_eq!(e.drain_sharded(&out).unwrap(), 2);
+        assert_eq!(e.drain(&out).unwrap(), 2);
         assert_eq!(e.values(), vec![vec![Value::Int(10)], vec![Value::Int(20)]]);
         assert_eq!(out.len(), 0);
         assert_eq!(out.staged_len(), 0);
@@ -122,8 +115,10 @@ mod tests {
 
     #[test]
     fn drain_multi_column_rows() {
-        let out =
-            SharedBasket::new(Basket::new("out", &[("k", DataType::Int), ("v", DataType::Float)]));
+        let out = ShardedBasket::new(
+            Basket::new("out", &[("k", DataType::Int), ("v", DataType::Float)]),
+            1,
+        );
         out.append(&[Column::Int(vec![1]), Column::Float(vec![0.5])], 0).unwrap();
         let mut e = CollectEmitter::new();
         e.drain(&out).unwrap();

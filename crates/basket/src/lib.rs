@@ -10,13 +10,14 @@
 //!   (here: [`Basket::read_range`]), `delete` of expired prefixes
 //!   ([`Basket::expire_upto`]) and `split` into basic windows
 //!   ([`BasicWindow::split`]).
-//! * [`SharedBasket`] — a basket behind a `parking_lot` mutex, the
-//!   `basket.lock()` / `basket.unlock()` pairs of the paper's Algorithms 1–2.
-//! * [`ShardedBasket`] — the scaled ingest edge: N independently-locked
-//!   staging shards plus a global oid/clock allocator, so many receptors
-//!   append without contending on one mutex; a seal step merges shards
-//!   into the ordered [`SharedBasket`] view factories read. One shard
-//!   dispatches to the single-mutex path, byte-identical.
+//! * [`ShardedBasket`] — the one shared stream handle: a basket behind a
+//!   `parking_lot` mutex ([`ShardedBasket::with`] is the `basket.lock()` /
+//!   `basket.unlock()` bracket of the paper's Algorithms 1–2), fronted by N
+//!   independently-locked staging shards plus a global oid/clock allocator
+//!   so many receptors append without contending on that mutex; a seal
+//!   step merges shards into the ordered view factories read. One shard
+//!   stages nothing: appends write the view directly, byte-identical to a
+//!   bare [`Basket`].
 //! * [`receptor`] — CSV and synthetic-generator receptors, including the
 //!   full parse-and-load path measured by the paper's loading-cost breakdown.
 //! * [`emitter`] — the client-facing side: drain output baskets into rows.
@@ -28,10 +29,10 @@ pub mod sharded;
 pub mod threaded;
 pub mod window;
 
-pub use basket::{Basket, BasketError, SharedBasket, Timestamp};
+pub use basket::{Basket, BasketError, Timestamp};
 pub use emitter::{CollectEmitter, Emitter, Row};
 pub use receptor::{CsvError, CsvReceptor, GeneratorReceptor, MalformedPolicy, ParseOutcome};
-pub use sharded::{parse_shards, shards_from_env, Ingest, ShardStats, ShardedBasket};
+pub use sharded::{Ingest, ShardStats, ShardedBasket};
 pub use threaded::ReceptorHandle;
 pub use window::BasicWindow;
 

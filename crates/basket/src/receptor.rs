@@ -353,9 +353,8 @@ impl CsvReceptor {
     /// Move the pending batch into a basket, stamping all rows `now`.
     /// Returns the first assigned oid (or the basket end when empty).
     ///
-    /// Generic over the ingest edge: a [`crate::SharedBasket`] (the
-    /// classic single-mutex path) or a [`crate::ShardedBasket`] (the
-    /// contention-free sharded path) both work unchanged.
+    /// Generic over the ingest edge: a [`crate::ShardedBasket`] at any
+    /// shard count, or a bench's discarding sink.
     pub fn flush_into(&mut self, basket: &impl Ingest, now: Timestamp) -> crate::Result<Oid> {
         let first = basket.ingest(&self.pending, now);
         for col in &mut self.pending {
@@ -384,8 +383,8 @@ impl GeneratorReceptor {
         GeneratorReceptor { gen: Box::new(gen), produced: 0 }
     }
 
-    /// Pull one batch and append it to the basket (either ingest edge —
-    /// see [`CsvReceptor::flush_into`]). Returns how many tuples were
+    /// Pull one batch and append it to the basket (any ingest edge — see
+    /// [`CsvReceptor::flush_into`]). Returns how many tuples were
     /// delivered, or `None` when the generator is exhausted.
     pub fn pump(&mut self, basket: &impl Ingest, now: Timestamp) -> crate::Result<Option<usize>> {
         match (self.gen)() {
@@ -408,11 +407,11 @@ impl GeneratorReceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basket::{Basket, SharedBasket};
+    use crate::basket::Basket;
     use crate::sharded::ShardedBasket;
 
-    fn shared() -> SharedBasket {
-        SharedBasket::new(Basket::new("s", &[("x", DataType::Int), ("y", DataType::Float)]))
+    fn shared() -> ShardedBasket {
+        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int), ("y", DataType::Float)]), 1)
     }
 
     #[test]
@@ -499,7 +498,7 @@ mod tests {
         let bytes = b"1\n\n2\n3\n4";
         let (out, used) = r.parse_bytes(bytes, 2).unwrap();
         assert_eq!((out.rows, used), (2, 5)); // "1\n\n2\n"
-        let b = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
         r.flush_into(&b, 0).unwrap();
         let (out, used) = r.parse_bytes(&bytes[5..], 2).unwrap();
         assert_eq!((out.rows, used), (2, 3)); // "3\n4": the tail counts as a line
@@ -512,7 +511,7 @@ mod tests {
         r.parse("1\n2\n3\n").unwrap();
         let Column::Int(v) = &r.pending[0] else { panic!("int column") };
         let cap = v.capacity();
-        let b = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
         r.flush_into(&b, 0).unwrap();
         let Column::Int(v) = &r.pending[0] else { panic!("int column") };
         assert_eq!((v.len(), v.capacity()), (0, cap));
@@ -520,8 +519,8 @@ mod tests {
 
     #[test]
     fn receptors_feed_sharded_baskets_through_the_same_api() {
-        // The ingest edges are interchangeable: the same receptor code
-        // flushes into a sharded basket, which seals to the same view.
+        // The shard count is invisible to a receptor: the same code
+        // flushes into a 4-shard basket, which seals to the same view.
         let mut r = CsvReceptor::new(&[DataType::Int, DataType::Float]);
         r.parse("1,0.5\n2,1.5\n").unwrap();
         let sb = ShardedBasket::new(

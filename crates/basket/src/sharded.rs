@@ -1,12 +1,14 @@
-//! Sharded basket ingestion: many receptors appending without contending
-//! on one mutex.
+//! The shared stream handle: one basket behind the paper's
+//! `lock()`/`unlock()` bracket, with a sharded ingest edge in front of it.
 //!
 //! The paper runs "a set of separate processes per stream" as receptors
-//! (§2); PR 2/3 parallelized factory firing and kernel operators, which
-//! leaves the *ingest* edge as the serial stage — every
-//! [`SharedBasket::append`] holds the one basket mutex for the whole
-//! column copy. [`ShardedBasket`] splits that hand-off point:
+//! (§2). With one mutex around the basket every append holds it for the
+//! whole column copy, which makes the *ingest* edge the serial stage once
+//! factory firing and kernel operators run in parallel. [`ShardedBasket`]
+//! splits that hand-off point:
 //!
+//! * **The merged view** — the one [`Basket`] factories, emitters and GC
+//!   read under [`ShardedBasket::with`] (Algorithms 1–2's bracket).
 //! * **N independently-locked shards** stage incoming batches. A receptor
 //!   appends to its own shard ([`ShardedBasket::append_shard`], shard
 //!   chosen per receptor handle or by key hash), so concurrent appenders
@@ -18,10 +20,8 @@
 //!   oid order — exactly the invariants the basket/window machinery
 //!   relies on.
 //! * A **seal** path ([`ShardedBasket::seal`]) merges staged segments
-//!   into the downstream [`SharedBasket`] in oid order, stopping at the
-//!   first gap (an oid range allocated to an appender that has not staged
-//!   its batch yet). Factories keep reading the merged view through the
-//!   existing `SharedBasket` APIs — same ordered view, same expiry rules.
+//!   into the merged view in oid order, stopping at the first gap (an oid
+//!   range allocated to an appender that has not staged its batch yet).
 //!   Large runs stitch their segments into sub-batches on scoped worker
 //!   threads (the workers own the segments — no locks), leaving only the
 //!   short dense-oid splice serial.
@@ -31,32 +31,33 @@
 //!   partitions and aligned aggregation morsels, so keyed ingest lands
 //!   pre-partitioned for the operators downstream.
 //!
-//! **`N = 1` dispatches to the existing single-mutex path**: appends go
-//! straight through [`SharedBasket::append`] with no allocator and no
-//! staging, byte-identical to a bare `SharedBasket` (mirroring the
-//! scheduler's "1 worker ≡ sequential" and `kernel::par`'s "P = 1 ≡
-//! sequential" rules).
+//! **One shard stages nothing.** With a single shard there is no second
+//! appender whose column copy a staging area would keep out of the way,
+//! so every append writes straight into the merged view and the basket's
+//! own oid and stamp rules apply: byte-identical to a bare [`Basket`]
+//! behind a mutex. That is one branch, in the one private append function
+//! all three public appends share; sealing finds nothing staged.
 //!
 //! ## Lock order
 //!
-//! `shards` RwLock (read) → allocator → one shard; the inner basket
-//! mutex is only ever taken with no shard or allocator lock held (the
-//! seal drops the shard lock before each merge append, so receptors
-//! pinned to a shard never wait behind the merge's column copy). Every
-//! path acquires locks in this order, shards one at a time, so the
-//! sharded paths cannot deadlock against each other, against readers of
-//! the merged view, or against the engine's GC (which takes the inner
+//! `shards` RwLock (read) → allocator → one shard; the merged-view mutex
+//! is only ever taken with no shard or allocator lock held (the seal
+//! drops the shard lock before each merge append, so receptors pinned to
+//! a shard never wait behind the merge's column copy). Every path
+//! acquires locks in this order, shards one at a time, so the sharded
+//! paths cannot deadlock against each other, against readers of the
+//! merged view, or against the engine's GC (which takes the merged-view
 //! mutex only).
 //!
 //! ## What stays out of bounds
 //!
-//! At `shards > 1` every write must go through this handle. Appending
-//! directly to the merged view ([`ShardedBasket::shared`]) would assign
-//! oids the allocator has already promised to a staged segment and
-//! corrupt the stream; the merged view is for *reading* (factories,
-//! emitters, GC).
+//! At `shards > 1` every write must go through the `append*` methods.
+//! Appending inside [`ShardedBasket::with`] would assign oids the
+//! allocator has already promised to a staged segment and corrupt the
+//! stream; the bracket is for *reading* and expiry (factories, emitters,
+//! GC).
 
-use crate::basket::{Basket, BasketError, SharedBasket, Timestamp};
+use crate::basket::{validate_batch, Basket, BasketError, Timestamp};
 use datacell_kernel::par::stats;
 use datacell_kernel::{Column, DataType, Oid, Placement};
 use parking_lot::{Mutex, RwLock};
@@ -65,20 +66,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Anything a receptor can deliver batches into: the single-mutex
-/// [`SharedBasket`] or the sharded ingest path. Receptor front-ends
+/// Anything a receptor can deliver batches into. Receptor front-ends
 /// (`CsvReceptor::flush_into`, `GeneratorReceptor::pump`) are generic
-/// over this, so the same parsing code feeds either edge.
+/// over this, so a bench can time parsing against a sink that discards.
 pub trait Ingest {
     /// Append a batch of aligned columns stamped `now`; returns the oid
     /// of the first appended tuple.
     fn ingest(&self, batch: &[Column], now: Timestamp) -> crate::Result<Oid>;
-}
-
-impl Ingest for SharedBasket {
-    fn ingest(&self, batch: &[Column], now: Timestamp) -> crate::Result<Oid> {
-        self.append(batch, now)
-    }
 }
 
 impl Ingest for ShardedBasket {
@@ -107,12 +101,13 @@ struct Shard {
 }
 
 /// The global oid/clock allocator: one short critical section per append
-/// (a few integer ops), vs. the whole column copy the single-mutex path
-/// serializes on.
+/// (a few integer ops), vs. the whole column copy the merged-view mutex
+/// would serialize on.
 struct Alloc {
-    /// Next unallocated oid. Invariant: `next >= inner.end_oid()`, and
-    /// every oid in `[inner.end_oid(), next)` is staged in exactly one
-    /// segment or owned by an appender between allocation and staging.
+    /// Next unallocated oid. Invariant at `shards > 1`: `next >=
+    /// merged.end_oid()`, and every oid in `[merged.end_oid(), next)` is
+    /// staged in exactly one segment or owned by an appender between
+    /// allocation and staging.
     next: Oid,
     /// Timestamp high-water mark across all allocations; stamps are
     /// clamped up to it so the merged view sees non-decreasing
@@ -120,9 +115,23 @@ struct Alloc {
     last_ts: Timestamp,
 }
 
+/// Where an append lands once there is more than one shard.
+enum Route {
+    /// Round-robin shard, stamp checked against the high-water mark,
+    /// sealed before returning — the engine's single-writer path.
+    Ordered,
+    /// This shard (modulo the live count), stamp clamped.
+    Shard(usize),
+    /// Every row at the shard its key-hash owns (the key column's
+    /// index), stamp clamped.
+    Keyed(usize),
+}
+
 struct State {
     name: String,
     schema: Vec<(String, DataType)>,
+    /// The sealed, oid-ordered view.
+    merged: Mutex<Basket>,
     /// Write-locked only by [`ShardedBasket::set_shards`]; appends and
     /// seals hold read locks, so resharding waits out in-flight writers.
     shards: RwLock<Vec<Mutex<Shard>>>,
@@ -131,11 +140,11 @@ struct State {
     next_writer: AtomicUsize,
 }
 
-/// The sharded write handle over a [`SharedBasket`]. Cloning shares the
-/// shards, the allocator and the underlying basket.
+/// A basket behind a mutex plus its staging shards — the shared handle
+/// receptors, factories and emitters use concurrently. Cloning shares the
+/// basket, the shards and the allocator.
 #[derive(Clone)]
 pub struct ShardedBasket {
-    inner: SharedBasket,
     state: Arc<State>,
 }
 
@@ -145,41 +154,29 @@ impl fmt::Debug for ShardedBasket {
             .field("name", &self.state.name)
             .field("shards", &self.shards())
             .field("staged", &self.staged_len())
-            .field("inner", &self.inner)
+            .field("sealed", &(self.base_oid()..self.end_oid()))
             .finish()
     }
 }
 
-impl From<SharedBasket> for ShardedBasket {
-    /// Wrap an existing shared basket as a single-shard handle — the
-    /// byte-identical dispatch path, so legacy `SharedBasket` call sites
-    /// keep their exact semantics.
-    fn from(shared: SharedBasket) -> ShardedBasket {
-        ShardedBasket::wrap(shared, 1)
-    }
+fn new_shards(n: usize) -> Vec<Mutex<Shard>> {
+    (0..n).map(|_| Mutex::new(Shard::default())).collect()
 }
 
 impl ShardedBasket {
-    /// Wrap a basket with `shards` staging shards (clamped to ≥ 1).
+    /// Share a basket behind `shards` staging shards (clamped to ≥ 1).
+    /// The allocator starts at the basket's current end.
     pub fn new(basket: Basket, shards: usize) -> ShardedBasket {
-        ShardedBasket::wrap(SharedBasket::new(basket), shards)
-    }
-
-    /// Wrap an already-shared basket. The allocator starts at the
-    /// basket's current end; from here on, all writes must come through
-    /// this handle (or its clones) when `shards > 1`.
-    pub fn wrap(shared: SharedBasket, shards: usize) -> ShardedBasket {
-        let shards = shards.max(1);
-        let (name, schema, end, last_ts) = shared.with(|b| {
-            (b.name().to_owned(), b.schema().to_vec(), b.end_oid(), b.ts_high_water().unwrap_or(0))
-        });
         ShardedBasket {
-            inner: shared,
             state: Arc::new(State {
-                name,
-                schema,
-                shards: RwLock::new((0..shards).map(|_| Mutex::new(Shard::default())).collect()),
-                alloc: Mutex::new(Alloc { next: end, last_ts }),
+                name: basket.name().to_owned(),
+                schema: basket.schema().to_vec(),
+                shards: RwLock::new(new_shards(shards.max(1))),
+                alloc: Mutex::new(Alloc {
+                    next: basket.end_oid(),
+                    last_ts: basket.ts_high_water().unwrap_or(0),
+                }),
+                merged: Mutex::new(basket),
                 next_writer: AtomicUsize::new(0),
             }),
         }
@@ -195,48 +192,43 @@ impl ShardedBasket {
         self.state.shards.read().len()
     }
 
-    /// The merged, oid-ordered view factories and emitters read. At
-    /// `shards > 1` this view is **read-only by contract**: appending
-    /// through it bypasses the oid allocator and corrupts the stream.
-    pub fn shared(&self) -> SharedBasket {
-        self.inner.clone()
-    }
-
-    /// Run `f` with the merged view locked (reads, expiry).
+    /// Run `f` with the merged view locked — the paper's lock/unlock
+    /// bracket (reads, expiry). At `shards > 1` the view is **read-only
+    /// by contract**: appending through it bypasses the oid allocator.
     pub fn with<R>(&self, f: impl FnOnce(&mut Basket) -> R) -> R {
-        self.inner.with(f)
+        let mut guard = self.state.merged.lock();
+        f(&mut guard)
     }
 
     /// Resident tuple count of the merged (sealed) view.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.with(|b| b.len())
     }
 
     /// True when the merged view is empty (staged tuples don't count).
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 
-    /// First resident oid of the merged view.
+    /// First resident oid of the merged view (the expiry front).
     pub fn base_oid(&self) -> Oid {
-        self.inner.base_oid()
+        self.with(|b| b.base_oid())
     }
 
-    /// One past the newest *sealed* oid. Staged segments live at or past
-    /// this frontier, which is why expiry (always `< end_oid`) can never
-    /// reclaim an undrained shard.
+    /// One past the newest *sealed* oid. Monotonically non-decreasing, so
+    /// schedulers poll it as a cheap growth signal: a reader that saw
+    /// `end_oid() == e` is guaranteed every oid below `e` is either
+    /// readable or already consumed past. Staged segments live at or
+    /// past this frontier, which is why expiry (always `< end_oid`) can
+    /// never reclaim an undrained shard.
     pub fn end_oid(&self) -> Oid {
-        self.inner.end_oid()
+        self.with(|b| b.end_oid())
     }
 
     /// Tuples staged in shards but not yet sealed into the merged view.
     pub fn staged_len(&self) -> usize {
-        self.state
-            .shards
-            .read()
-            .iter()
-            .map(|s| s.lock().segs.values().map(|g| g.rows).sum::<usize>())
-            .sum()
+        let shards = self.state.shards.read();
+        shards.iter().map(|s| s.lock().segs.values().map(|g| g.rows).sum::<usize>()).sum()
     }
 
     /// Point-in-time staging telemetry, one entry per shard in shard
@@ -265,42 +257,29 @@ impl ShardedBasket {
     /// `append_shard(hash as usize, ..)`; the index is taken modulo the
     /// live shard count.
     pub fn assign_shard(&self) -> usize {
-        let n = self.shards();
-        self.state.next_writer.fetch_add(1, Ordering::Relaxed) % n
+        self.state.next_writer.fetch_add(1, Ordering::Relaxed) % self.shards()
     }
 
-    /// Ordered append — the engine's single-writer path. Dispatches to
-    /// [`SharedBasket::append`] at 1 shard (byte-identical); at more it
-    /// enforces the same non-decreasing-timestamp rule against the
-    /// allocator's high-water mark, stages the batch, and seals
-    /// immediately so synchronous callers observe their own writes.
+    /// Ordered append — the engine's single-writer path. Rejects a stamp
+    /// below the stream's high-water mark, and seals before returning so
+    /// synchronous callers observe their own writes.
     pub fn append(&self, batch: &[Column], now: Timestamp) -> crate::Result<Oid> {
-        let shards = self.state.shards.read();
-        if shards.len() == 1 {
-            return self.inner.append(batch, now);
-        }
-        let start = self.stage(&shards, batch, now, false)?;
-        self.seal_locked(&shards);
-        Ok(start)
+        self.append_routed(Route::Ordered, batch, now)
     }
 
-    /// Concurrent append to one shard — the receptor path. The stamp is
-    /// clamped up to the allocator's high-water mark instead of erroring:
-    /// with many receptors there is no global arrival order to violate,
-    /// so the allocation order *defines* the stream order. Staged data
-    /// becomes readable at the next [`ShardedBasket::seal`] (the
-    /// scheduler seals on every scan).
+    /// Concurrent append to one shard — the receptor path. At `shards >
+    /// 1` the stamp is clamped up to the allocator's high-water mark
+    /// instead of erroring: with many receptors there is no global
+    /// arrival order to violate, so the allocation order *defines* the
+    /// stream order. Staged data becomes readable at the next
+    /// [`ShardedBasket::seal`] (the scheduler seals on every scan).
     pub fn append_shard(
         &self,
         shard: usize,
         batch: &[Column],
         now: Timestamp,
     ) -> crate::Result<Oid> {
-        let shards = self.state.shards.read();
-        if shards.len() == 1 {
-            return self.inner.append(batch, now);
-        }
-        self.stage_at(&shards, shard, batch, now, true)
+        self.append_routed(Route::Shard(shard), batch, now)
     }
 
     /// Key-hash placement append — the aligned-dataflow receptor path.
@@ -312,133 +291,98 @@ impl ShardedBasket {
     /// batch (one contiguous oid range, one clamped stamp); within the
     /// batch, rows land in shard order — stable within a shard — so the
     /// merged view's row order is the documented placement scatter of the
-    /// input. Dispatches to the plain single-mutex append at 1 shard
-    /// (byte-identical, no reorder).
+    /// input (with one shard: the input order).
     pub fn append_keyed(
         &self,
         key_col: usize,
         batch: &[Column],
         now: Timestamp,
     ) -> crate::Result<Oid> {
+        self.append_routed(Route::Keyed(key_col), batch, now)
+    }
+
+    /// The one append body. Everything that can fail runs *before* the
+    /// allocator hands out oids: a rejected batch must not leave a
+    /// permanent gap in the oid sequence (the seal frontier would never
+    /// pass it).
+    fn append_routed(&self, route: Route, batch: &[Column], now: Timestamp) -> crate::Result<Oid> {
         let shards = self.state.shards.read();
         if shards.len() == 1 {
-            return self.inner.append(batch, now);
+            // Nothing to stay out of the way of: write the merged view
+            // directly; the basket's own end oid and stamp check are the
+            // allocator.
+            return self.with(|b| b.append(batch, now));
         }
-        let n = self.validate(batch)?;
-        if n == 0 {
-            return Ok(self.state.alloc.lock().next);
-        }
-        let keys = batch.get(key_col).ok_or_else(|| {
-            BasketError::Malformed(format!(
-                "{}: key column {} out of range for {} columns",
-                self.state.name,
-                key_col,
-                batch.len()
-            ))
-        })?;
-        let parts = Placement::new(shards.len()).scatter(&keys.as_slice());
-        // One critical section for the whole batch: a contiguous oid
-        // range, one clamped stamp. Sub-ranges are carved per shard in
-        // shard order below.
-        let (start, ts) = {
-            let mut alloc = self.state.alloc.lock();
-            let ts = now.max(alloc.last_ts);
-            let start = alloc.next;
-            alloc.next += n as u64;
-            alloc.last_ts = ts;
-            (start, ts)
-        };
-        let mut sub_start = start;
-        for (shard, pos) in shards.iter().zip(&parts) {
-            if pos.is_empty() {
-                continue;
-            }
-            let cols: Vec<Column> = batch.iter().map(|c| c.gather(pos)).collect();
-            let seg = Segment { cols, rows: pos.len(), ts };
-            {
-                let mut g = shard.lock();
-                g.total_rows += pos.len() as u64;
-                g.segs.insert(sub_start, seg);
-            }
-            sub_start += pos.len() as u64;
-        }
-        Ok(start)
-    }
-
-    /// Validate, allocate and stage one batch into the round-robin shard.
-    fn stage(
-        &self,
-        shards: &[Mutex<Shard>],
-        batch: &[Column],
-        now: Timestamp,
-        clamp: bool,
-    ) -> crate::Result<Oid> {
-        let shard = self.state.next_writer.fetch_add(1, Ordering::Relaxed) % shards.len();
-        self.stage_at(shards, shard, batch, now, clamp)
-    }
-
-    fn stage_at(
-        &self,
-        shards: &[Mutex<Shard>],
-        shard: usize,
-        batch: &[Column],
-        now: Timestamp,
-        clamp: bool,
-    ) -> crate::Result<Oid> {
-        // Validate *before* allocating: a rejected batch must not leave a
-        // permanent gap in the oid sequence (the seal frontier would
-        // never pass it).
-        let n = self.validate(batch)?;
+        let n = validate_batch(&self.state.name, &self.state.schema, batch)?;
         if n == 0 {
             // Mirror `Basket::append`: an empty batch is a no-op that
             // reports the current end of the stream (allocator frontier
             // here — staged tuples included), with no timestamp check.
             return Ok(self.state.alloc.lock().next);
         }
+        // (shard, columns) pieces in oid order.
+        let pieces: Vec<(usize, Vec<Column>)> = match route {
+            Route::Ordered => {
+                let shard = self.state.next_writer.fetch_add(1, Ordering::Relaxed);
+                vec![(shard % shards.len(), batch.to_vec())]
+            }
+            Route::Shard(shard) => vec![(shard % shards.len(), batch.to_vec())],
+            Route::Keyed(key_col) => {
+                let keys = batch.get(key_col).ok_or_else(|| {
+                    BasketError::Malformed(format!(
+                        "{}: key column {} out of range for {} columns",
+                        self.state.name,
+                        key_col,
+                        batch.len()
+                    ))
+                })?;
+                let parts = Placement::new(shards.len()).scatter(&keys.as_slice());
+                let piece = |pos: &Vec<u32>| batch.iter().map(|c| c.gather(pos)).collect();
+                parts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, pos)| !pos.is_empty())
+                    .map(|(shard, pos)| (shard, piece(pos)))
+                    .collect()
+            }
+        };
+        let ordered = matches!(route, Route::Ordered);
         let (start, ts) = {
             let mut alloc = self.state.alloc.lock();
-            let ts = if clamp {
-                now.max(alloc.last_ts)
-            } else {
-                if now < alloc.last_ts {
-                    return Err(BasketError::Malformed(format!(
-                        "{}: timestamps must be non-decreasing ({} < {})",
-                        self.state.name, now, alloc.last_ts
-                    )));
-                }
-                now
-            };
+            if ordered && now < alloc.last_ts {
+                return Err(BasketError::Malformed(format!(
+                    "{}: timestamps must be non-decreasing ({} < {})",
+                    self.state.name, now, alloc.last_ts
+                )));
+            }
+            let ts = now.max(alloc.last_ts);
             let start = alloc.next;
             alloc.next += n as u64;
             alloc.last_ts = ts;
             (start, ts)
         };
-        let seg = Segment { cols: batch.to_vec(), rows: n, ts };
-        {
-            let mut g = shards[shard % shards.len()].lock();
-            g.total_rows += n as u64;
-            g.segs.insert(start, seg);
+        let mut at = start;
+        for (shard, cols) in pieces {
+            let rows = cols[0].len();
+            {
+                let mut g = shards[shard].lock();
+                g.total_rows += rows as u64;
+                g.segs.insert(at, Segment { cols, rows, ts });
+            }
+            at += rows as u64;
+        }
+        if ordered {
+            self.seal_locked(&shards);
         }
         Ok(start)
-    }
-
-    /// Arity, alignment and type checks against the schema — exactly what
-    /// `Basket::append` rejects (one shared implementation), performed
-    /// *before* oid allocation so a rejected batch leaves no gap.
-    fn validate(&self, batch: &[Column]) -> crate::Result<usize> {
-        crate::basket::validate_batch(&self.state.name, &self.state.schema, batch)
     }
 
     /// Merge every staged segment that extends the contiguous oid prefix
     /// into the merged view, in oid order. Stops at the first gap — an
     /// oid range some appender has allocated but not yet staged — and
-    /// returns the new sealed end. A no-op (and gap-free by definition)
-    /// at 1 shard.
+    /// returns the new sealed end.
     pub fn seal(&self) -> Oid {
         let shards = self.state.shards.read();
-        if shards.len() == 1 {
-            return self.inner.end_oid();
-        }
         self.seal_locked(&shards)
     }
 
@@ -452,8 +396,7 @@ impl ShardedBasket {
         // the frontier — a sealer that loses the `remove` race simply
         // sees no progress. The guard must not ride along in a
         // `while let` scrutinee — there it would live for the whole body.
-        let start = datacell_telemetry::timer();
-        let mut frontier = self.inner.end_oid();
+        let mut frontier = self.end_oid();
         let mut run: Vec<Segment> = Vec::new();
         loop {
             let mut progressed = false;
@@ -476,6 +419,9 @@ impl ShardedBasket {
         if run.is_empty() {
             return frontier;
         }
+        // Timed from here: the merge is the cost, and a seal that finds
+        // nothing staged (every seal at one shard) pays for no clock.
+        let start = datacell_telemetry::timer();
         let total: usize = run.iter().map(|s| s.rows).sum();
         let workers = shards.len().min(run.len());
         if workers < 2 || total < PAR_SEAL_MIN_ROWS {
@@ -485,8 +431,7 @@ impl ShardedBasket {
             for seg in run {
                 // Cannot fail: arity/alignment/types were validated at
                 // staging and the allocator stamps monotonically.
-                self.inner
-                    .with(|b| b.append_with_ts(&seg.cols, |_| seg.ts))
+                self.with(|b| b.append_with_ts(&seg.cols, |_| seg.ts))
                     .expect("staged segments are pre-validated and stamped in oid order");
             }
             seal_metrics().serial.record_since(start);
@@ -519,8 +464,7 @@ impl ShardedBasket {
         // Phase 3 — the short serial tail: splice each stitched sub-batch
         // into the merged view in oid order, moving the payloads.
         for (cols, ts) in stitched {
-            self.inner
-                .with(|b| b.append_stitched(cols, ts))
+            self.with(|b| b.append_stitched(cols, ts))
                 .expect("staged segments are pre-validated and stamped in oid order");
         }
         seal_metrics().parallel.record_since(start);
@@ -528,11 +472,10 @@ impl ShardedBasket {
     }
 
     /// Change the shard count (clamped to ≥ 1). Waits out in-flight
-    /// appenders, seals everything staged, resynchronizes the allocator
-    /// with the merged view and rebuilds the staging array. Any segment
-    /// a *panicked* appender orphaned behind a gap is carried over
-    /// untouched. Receptor clones keep working across the switch (the
-    /// shard index is taken modulo the live count).
+    /// appenders, seals everything staged and rebuilds the staging
+    /// array. Any segment a *panicked* appender orphaned behind a gap is
+    /// carried over untouched. Receptor clones keep working across the
+    /// switch (the shard index is taken modulo the live count).
     pub fn set_shards(&self, shards: usize) {
         let shards = shards.max(1);
         let mut guard = self.state.shards.write();
@@ -542,16 +485,16 @@ impl ShardedBasket {
             let mut g = shard.lock();
             leftover.extend(std::mem::take(&mut g.segs));
         }
-        if leftover.is_empty() {
-            // Quiescent: make the allocator authoritative again from the
-            // merged view (it went stale if the old count was 1, where
-            // appends bypass it).
-            let (end, last_ts) = self.inner.with(|b| (b.end_oid(), b.ts_high_water().unwrap_or(0)));
+        // Single-shard appends never consult the allocator, so it may be
+        // behind the merged view; it is ahead of it only by what
+        // `leftover` holds.
+        let (end, last_ts) = self.with(|b| (b.end_oid(), b.ts_high_water().unwrap_or(0)));
+        {
             let mut alloc = self.state.alloc.lock();
-            alloc.next = end;
+            alloc.next = alloc.next.max(end);
             alloc.last_ts = alloc.last_ts.max(last_ts);
         }
-        let new: Vec<Mutex<Shard>> = (0..shards).map(|_| Mutex::new(Shard::default())).collect();
+        let new = new_shards(shards);
         for (i, (start, seg)) in leftover.into_iter().enumerate() {
             new[i % shards].lock().segs.insert(start, seg);
         }
@@ -621,18 +564,6 @@ fn stitch_segments(range: Vec<Segment>) -> (Vec<Column>, Vec<Timestamp>) {
     (cols, ts)
 }
 
-/// Parse a `DATACELL_BASKET_SHARDS`-style override: a positive shard
-/// count. Returns `None` for unset, empty, non-numeric or zero values.
-pub fn parse_shards(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
-
-/// Shard count from the `DATACELL_BASKET_SHARDS` environment variable,
-/// falling back to 1 (the single-mutex path) when unset or invalid.
-pub fn shards_from_env() -> usize {
-    parse_shards(std::env::var("DATACELL_BASKET_SHARDS").ok().as_deref()).unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,18 +576,20 @@ mod tests {
         vec![Column::Int(vals.to_vec())]
     }
 
-    fn snapshot_ints(b: &SharedBasket) -> (Oid, Vec<i64>, Vec<Timestamp>) {
-        b.with(|bk| {
-            let w = bk.snapshot();
-            (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec(), w.timestamps().to_vec())
-        })
+    fn basket_ints(b: &Basket) -> (Oid, Vec<i64>, Vec<Timestamp>) {
+        let w = b.snapshot();
+        (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec(), w.timestamps().to_vec())
+    }
+
+    fn snapshot_ints(sb: &ShardedBasket) -> (Oid, Vec<i64>, Vec<Timestamp>) {
+        sb.with(|b| basket_ints(b))
     }
 
     #[test]
-    fn one_shard_is_byte_identical_to_shared_basket() {
+    fn one_shard_is_byte_identical_to_a_plain_basket() {
         // The same append sequence — including an error case — through a
-        // bare SharedBasket and a 1-shard ShardedBasket.
-        let plain = SharedBasket::new(basket());
+        // bare Basket and a 1-shard ShardedBasket.
+        let mut plain = basket();
         let sharded = ShardedBasket::new(basket(), 1);
         let script: &[(&[i64], Timestamp)] = &[(&[1, 2], 5), (&[3], 5), (&[], 0), (&[4, 5, 6], 9)];
         for (vals, ts) in script {
@@ -664,10 +597,10 @@ mod tests {
             let b = sharded.append(&ints(vals), *ts);
             assert_eq!(a, b);
         }
-        // Regression errors identically (dispatches to the basket check).
+        // A stamp regression errors identically (the basket's own check).
         assert_eq!(plain.append(&ints(&[7]), 3), sharded.append(&ints(&[7]), 3));
         assert!(sharded.append(&ints(&[7]), 3).is_err());
-        assert_eq!(snapshot_ints(&plain), snapshot_ints(&sharded.shared()));
+        assert_eq!(basket_ints(&plain), snapshot_ints(&sharded));
         assert_eq!(sharded.seal(), plain.end_oid());
         assert_eq!(sharded.staged_len(), 0);
     }
@@ -684,7 +617,7 @@ mod tests {
         assert_eq!(sb.staged_len(), 5);
         assert_eq!(sb.seal(), 5);
         assert_eq!(sb.staged_len(), 0);
-        let (base, vals, ts) = snapshot_ints(&sb.shared());
+        let (base, vals, ts) = snapshot_ints(&sb);
         assert_eq!(base, 0);
         assert_eq!(vals, vec![1, 2, 3, 4, 5]);
         assert_eq!(ts, vec![10, 10, 11, 12, 12]);
@@ -708,7 +641,7 @@ mod tests {
         // A receptor racing behind: stamp 5 is clamped up to 20.
         sb.append_shard(1, &ints(&[2]), 5).unwrap();
         sb.seal();
-        let (_, vals, ts) = snapshot_ints(&sb.shared());
+        let (_, vals, ts) = snapshot_ints(&sb);
         assert_eq!(vals, vec![1, 2]);
         assert_eq!(ts, vec![20, 20]);
     }
@@ -754,7 +687,7 @@ mod tests {
         // The in-flight appender lands; the next seal drains everything.
         sb.state.shards.read()[1].lock().segs.insert(1, stolen);
         assert_eq!(sb.seal(), 3);
-        let (_, vals, _) = snapshot_ints(&sb.shared());
+        let (_, vals, _) = snapshot_ints(&sb);
         assert_eq!(vals, vec![1, 2, 3]);
     }
 
@@ -770,7 +703,7 @@ mod tests {
         assert_eq!(sb.staged_len(), 2);
         // Undrained tuples survive and seal on top of the expired prefix.
         assert_eq!(sb.seal(), 4);
-        let (base, vals, _) = snapshot_ints(&sb.shared());
+        let (base, vals, _) = snapshot_ints(&sb);
         assert_eq!(base, 2);
         assert_eq!(vals, vec![3, 4]);
     }
@@ -789,9 +722,9 @@ mod tests {
         sb.append_shard(7, &ints(&[5]), 3).unwrap(); // index taken mod 2
         sb.set_shards(1);
         assert_eq!(sb.len(), 5);
-        let (_, vals, _) = snapshot_ints(&sb.shared());
+        let (_, vals, _) = snapshot_ints(&sb);
         assert_eq!(vals, vec![1, 2, 3, 4, 5]);
-        // Back on the single-mutex path: direct dispatch, basket oids.
+        // Back on one shard: straight into the merged view, basket oids.
         assert_eq!(sb.append(&ints(&[6]), 3).unwrap(), 5);
     }
 
@@ -815,23 +748,15 @@ mod tests {
     }
 
     #[test]
-    fn from_shared_wraps_single_shard() {
-        let shared = SharedBasket::new(basket());
-        shared.append(&ints(&[1]), 0).unwrap();
-        let sb: ShardedBasket = shared.clone().into();
-        assert_eq!(sb.shards(), 1);
-        sb.ingest(&ints(&[2]), 0).unwrap();
-        assert_eq!(shared.len(), 2);
-    }
-
-    #[test]
-    fn parse_shards_accepts_positive_counts() {
-        assert_eq!(parse_shards(None), None);
-        assert_eq!(parse_shards(Some("")), None);
-        assert_eq!(parse_shards(Some("many")), None);
-        assert_eq!(parse_shards(Some("0")), None);
-        assert_eq!(parse_shards(Some("1")), Some(1));
-        assert_eq!(parse_shards(Some(" 8 ")), Some(8));
+    fn a_basket_with_history_keeps_its_oids_and_stamps_when_shared() {
+        let mut b = basket();
+        b.append(&ints(&[1]), 7).unwrap();
+        for shards in [1, 3] {
+            let sb = ShardedBasket::new(b.clone(), shards);
+            assert!(sb.append(&ints(&[2]), 6).is_err(), "high-water mark carried over");
+            assert_eq!(sb.ingest(&ints(&[2]), 7).unwrap(), 1);
+            assert_eq!(snapshot_ints(&sb), (0, vec![1, 2], vec![7, 7]));
+        }
     }
 
     #[test]
@@ -852,7 +777,7 @@ mod tests {
         // The merged view is the documented stable scatter order.
         let expect: Vec<i64> =
             parts.iter().flat_map(|pos| pos.iter().map(|&p| keys[p as usize])).collect();
-        let (_, vals, ts) = snapshot_ints(&sb.shared());
+        let (_, vals, ts) = snapshot_ints(&sb);
         assert_eq!(vals, expect);
         assert!(ts.iter().all(|&t| t == 5), "one stamp for the whole batch");
     }
@@ -872,13 +797,13 @@ mod tests {
     }
 
     #[test]
-    fn append_keyed_one_shard_is_byte_identical_to_shared() {
-        let plain = SharedBasket::new(basket());
+    fn append_keyed_one_shard_is_byte_identical_to_a_plain_basket() {
+        let mut plain = basket();
         let sb = ShardedBasket::new(basket(), 1);
         for (vals, ts) in [(&[3i64, 1, 3][..], 2u64), (&[7], 2)] {
             assert_eq!(plain.append(&ints(vals), ts), sb.append_keyed(0, &ints(vals), ts));
         }
-        assert_eq!(snapshot_ints(&plain), snapshot_ints(&sb.shared()));
+        assert_eq!(basket_ints(&plain), snapshot_ints(&sb));
     }
 
     #[test]
@@ -916,7 +841,7 @@ mod tests {
         assert_eq!(sb.seal(), 40 * 256);
         assert!(stats::seal_calls() > s0);
         assert!(stats::seal_par_calls() > p1, "large seal must fan out");
-        let (_, vals, ts) = snapshot_ints(&sb.shared());
+        let (_, vals, ts) = snapshot_ints(&sb);
         assert_eq!(vals, expect);
         // Per-segment stamps survive the stitch, monotone in oid order.
         assert!(ts.windows(2).all(|w| w[0] <= w[1]));
@@ -945,7 +870,7 @@ mod tests {
         }
         assert_eq!(sb.seal(), 400);
         assert_eq!(sb.len(), 400);
-        let (base, mut vals, _) = snapshot_ints(&sb.shared());
+        let (base, mut vals, _) = snapshot_ints(&sb);
         assert_eq!(base, 0);
         vals.sort_unstable();
         let mut expect: Vec<i64> =

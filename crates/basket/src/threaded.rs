@@ -8,18 +8,16 @@
 //! ballooning memory.
 //!
 //! Each handle writes through a [`ShardedBasket`] and is pinned to one
-//! staging shard at spawn (round-robin): with a sharded basket, many
-//! receptor handles append concurrently without contending on one mutex;
-//! with a single shard (including every [`SharedBasket`] passed via
-//! `Into`), writes dispatch to the classic single-mutex path unchanged.
+//! staging shard at spawn (round-robin) or places every row by key hash:
+//! many receptor handles append concurrently without contending on the
+//! basket's mutex. With a single shard there is nothing to pin to and
+//! every batch goes straight into the merged view.
 
-#[cfg(doc)]
-use crate::basket::SharedBasket;
 use crate::basket::Timestamp;
 use crate::sharded::ShardedBasket;
 use crate::Result;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use datacell_kernel::Column;
+use datacell_kernel::{Column, Oid};
 use std::thread::JoinHandle;
 
 /// A batch travelling from a source thread to the basket pump.
@@ -27,7 +25,7 @@ type TimedBatch = (Timestamp, Vec<Column>);
 
 /// Handle to a receptor thread feeding one basket.
 pub struct ReceptorHandle {
-    join: Option<JoinHandle<usize>>,
+    join: Option<JoinHandle<Result<usize>>>,
     /// Dropped to signal shutdown if the source is still running.
     shutdown: Option<Sender<()>>,
 }
@@ -35,19 +33,15 @@ pub struct ReceptorHandle {
 impl ReceptorHandle {
     /// Spawn a receptor thread running `source`. The closure is called
     /// repeatedly and returns `None` when the stream ends; each `Some`
-    /// batch is appended to the basket with its timestamp.
-    ///
-    /// Accepts a [`ShardedBasket`] (or anything converting into one, like
-    /// a [`SharedBasket`], which becomes the 1-shard byte-identical
-    /// path). The handle is pinned to one staging shard for its lifetime.
+    /// batch is appended to the basket with its timestamp. The handle is
+    /// pinned to one staging shard (round-robin) for its lifetime.
     ///
     /// `queue` bounds the number of in-flight batches (back-pressure).
     pub fn spawn(
-        basket: impl Into<ShardedBasket>,
+        basket: ShardedBasket,
         queue: usize,
         source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
     ) -> ReceptorHandle {
-        let basket = basket.into();
         let shard = basket.assign_shard();
         ReceptorHandle::spawn_on_shard(basket, shard, queue, source)
     }
@@ -60,41 +54,12 @@ impl ReceptorHandle {
     /// without a grouping key should keep [`ReceptorHandle::spawn`]'s
     /// round-robin pinning.
     pub fn spawn_keyed(
-        basket: impl Into<ShardedBasket>,
+        basket: ShardedBasket,
         key_col: usize,
         queue: usize,
-        mut source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
+        source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
     ) -> ReceptorHandle {
-        let basket = basket.into();
-        let (tx, rx): (Sender<TimedBatch>, Receiver<TimedBatch>) = bounded(queue.max(1));
-        let (stop_tx, stop_rx) = bounded::<()>(0);
-
-        std::thread::spawn(move || {
-            while let Some(batch) = source() {
-                crossbeam::channel::select! {
-                    send(tx, batch) -> res => {
-                        if res.is_err() {
-                            break; // pump gone
-                        }
-                    }
-                    recv(stop_rx) -> _ => break,
-                }
-            }
-        });
-
-        // Pump thread: split each batch across its keys' home shards.
-        let join = std::thread::spawn(move || {
-            let mut delivered = 0usize;
-            while let Ok((ts, batch)) = rx.recv() {
-                let n = batch.first().map_or(0, datacell_kernel::Column::len);
-                if basket.append_keyed(key_col, &batch, ts).is_ok() {
-                    delivered += n;
-                }
-            }
-            delivered
-        });
-
-        ReceptorHandle { join: Some(join), shutdown: Some(stop_tx) }
+        spawn_pump(queue, source, move |batch, ts| basket.append_keyed(key_col, batch, ts))
     }
 
     /// [`ReceptorHandle::spawn`] with an explicit staging shard — key- or
@@ -104,49 +69,61 @@ impl ReceptorHandle {
         basket: ShardedBasket,
         shard: usize,
         queue: usize,
-        mut source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
+        source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
     ) -> ReceptorHandle {
-        let (tx, rx): (Sender<TimedBatch>, Receiver<TimedBatch>) = bounded(queue.max(1));
-        let (stop_tx, stop_rx) = bounded::<()>(0);
-
-        // Source thread: produce until exhausted or shut down.
-        std::thread::spawn(move || {
-            while let Some(batch) = source() {
-                crossbeam::channel::select! {
-                    send(tx, batch) -> res => {
-                        if res.is_err() {
-                            break; // pump gone
-                        }
-                    }
-                    recv(stop_rx) -> _ => break,
-                }
-            }
-        });
-
-        // Pump thread: drain the channel into the pinned shard.
-        let join = std::thread::spawn(move || {
-            let mut delivered = 0usize;
-            while let Ok((ts, batch)) = rx.recv() {
-                let n = batch.first().map_or(0, datacell_kernel::Column::len);
-                if basket.append_shard(shard, &batch, ts).is_ok() {
-                    delivered += n;
-                }
-            }
-            delivered
-        });
-
-        ReceptorHandle { join: Some(join), shutdown: Some(stop_tx) }
+        spawn_pump(queue, source, move |batch, ts| basket.append_shard(shard, batch, ts))
     }
 
     /// Wait for the source to finish naturally and all batches to land in
-    /// the basket. Returns the number of tuples delivered. (To stop an
-    /// unbounded source early, drop the handle instead.)
+    /// the basket. Returns the number of tuples delivered, or the first
+    /// error the basket answered a batch with (later batches were still
+    /// offered, so one rejected batch costs only its own rows). A panic
+    /// on the pump thread resumes here. (To stop an unbounded source
+    /// early, drop the handle instead.)
     pub fn join(mut self) -> Result<usize> {
         let handle = self.join.take().expect("join called once");
-        let delivered = handle.join().unwrap_or(0);
+        let delivered = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         drop(self.shutdown.take());
-        Ok(delivered)
+        delivered
     }
+}
+
+/// A source thread producing until exhausted or shut down, and a pump
+/// thread draining the channel into the basket through `append`.
+fn spawn_pump(
+    queue: usize,
+    mut source: impl FnMut() -> Option<TimedBatch> + Send + 'static,
+    append: impl Fn(&[Column], Timestamp) -> Result<Oid> + Send + 'static,
+) -> ReceptorHandle {
+    let (tx, rx): (Sender<TimedBatch>, Receiver<TimedBatch>) = bounded(queue.max(1));
+    let (stop_tx, stop_rx) = bounded::<()>(0);
+
+    std::thread::spawn(move || {
+        while let Some(batch) = source() {
+            crossbeam::channel::select! {
+                send(tx, batch) -> res => {
+                    if res.is_err() {
+                        break; // pump gone
+                    }
+                }
+                recv(stop_rx) -> _ => break,
+            }
+        }
+    });
+
+    let join = std::thread::spawn(move || {
+        let mut delivered = 0usize;
+        let mut first_err = None;
+        while let Ok((ts, batch)) = rx.recv() {
+            match append(&batch, ts) {
+                Ok(_) => delivered += batch.first().map_or(0, Column::len),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(delivered), Err)
+    });
+
+    ReceptorHandle { join: Some(join), shutdown: Some(stop_tx) }
 }
 
 impl Drop for ReceptorHandle {
@@ -161,11 +138,35 @@ impl Drop for ReceptorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basket::{Basket, SharedBasket};
+    use crate::basket::{Basket, BasketError};
     use datacell_kernel::DataType;
 
-    fn shared() -> SharedBasket {
-        SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]))
+    fn shared() -> ShardedBasket {
+        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1)
+    }
+
+    #[test]
+    fn join_reports_the_first_rejected_batch() {
+        // A wrong-arity batch between two good ones, at both ends of the
+        // shard axis: the good rows land, `join` is the error.
+        for shards in [1, 4] {
+            let basket = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
+            let mut feed = vec![
+                vec![Column::Int(vec![1, 2])],
+                vec![Column::Int(vec![3]), Column::Int(vec![4])],
+                vec![Column::Float(vec![0.5])],
+                vec![Column::Int(vec![5])],
+            ]
+            .into_iter();
+            let handle =
+                ReceptorHandle::spawn(basket.clone(), 2, move || feed.next().map(|b| (0, b)));
+            let err = handle.join().unwrap_err();
+            assert!(
+                matches!(&err, BasketError::Malformed(m) if m.contains("arity")),
+                "first error wins: {err}"
+            );
+            assert_eq!(basket.seal(), 3);
+        }
     }
 
     #[test]
@@ -303,7 +304,6 @@ mod tests {
         // 8 receptor handles (round-robin over 4 shards) feed one
         // sharded basket while a "scheduler" thread seals concurrently —
         // the engine's wake-up pattern. Nothing may be lost or doubled.
-        use crate::basket::Basket;
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
@@ -347,7 +347,6 @@ mod tests {
 
     #[test]
     fn keyed_receptor_delivers_batches_in_placement_order() {
-        use crate::basket::Basket;
         use datacell_kernel::Placement;
 
         let sb = ShardedBasket::new(Basket::new("s", &[("k", DataType::Int)]), 4);
@@ -378,8 +377,6 @@ mod tests {
 
     #[test]
     fn keyed_receptor_fleet_loses_nothing() {
-        use crate::basket::Basket;
-
         let sb = ShardedBasket::new(Basket::new("s", &[("k", DataType::Int)]), 4);
         let handles: Vec<_> = (0..4)
             .map(|tid| {

@@ -3,7 +3,7 @@
 //! must produce the same columns, the same `ParseOutcome`, and under
 //! `MalformedPolicy::Fail` the same line number.
 
-use datacell_basket::{Basket, CsvReceptor, MalformedPolicy, ParseOutcome, SharedBasket};
+use datacell_basket::{Basket, CsvReceptor, MalformedPolicy, ParseOutcome, ShardedBasket};
 use datacell_kernel::{Column, DataType, Value};
 use proptest::prelude::*;
 
@@ -204,7 +204,7 @@ proptest! {
         let names: Vec<String> = (0..schema.len()).map(|i| format!("c{i}")).collect();
         let named: Vec<(&str, DataType)> =
             names.iter().map(String::as_str).zip(schema.iter().copied()).collect();
-        let basket = SharedBasket::new(Basket::new("s", &named));
+        let basket = ShardedBasket::new(Basket::new("s", &named), 1);
         let mut receptor =
             CsvReceptor::new(&schema).with_delimiter(delimiter as char).with_policy(policy);
         let mut got = Ok(ParseOutcome::default());

@@ -55,7 +55,7 @@ fn bench_hashjoin(c: &mut Criterion) {
 
 fn bench_hashjoin_partitioned(c: &mut Criterion) {
     // Regression-tracks the `kernel::par` radix join against the
-    // sequential baseline (P=1 dispatches to it). On a single-core
+    // sequential baseline (P=1 is one partition, unscattered). On a single-core
     // container the interesting number is the partitioning overhead; on
     // multi-core hardware this group should scale with physical cores —
     // the `join_scale` binary prints the full speedup table.

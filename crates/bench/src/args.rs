@@ -19,6 +19,7 @@
 //!   `roundrobin`; `agg_scale`/`ingest_scale`: measure one mode instead
 //!   of sweeping both).
 
+use datacell_core::parse_count;
 use datacell_kernel::par::parse_placement;
 use datacell_kernel::PlacementMode;
 
@@ -98,23 +99,17 @@ impl Args {
                     );
                 }
                 "--partitions" => {
-                    // Zero is rejected like DATACELL_PARTITIONS rejects it
-                    // (kernel::par::parse_partitions), so both config
-                    // surfaces agree that the minimum fan-out is 1.
+                    // The parser DATACELL_PARTITIONS goes through: zero is
+                    // rejected, the minimum fan-out is 1.
                     args.partitions = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n >= 1)
+                        parse_count(it.next().as_deref())
                             .unwrap_or_else(|| usage("--partitions needs a positive count")),
                     );
                 }
                 "--shards" => {
-                    // Zero is rejected like DATACELL_BASKET_SHARDS rejects
-                    // it (basket::parse_shards): minimum shard count is 1.
+                    // As DATACELL_BASKET_SHARDS: minimum shard count is 1.
                     args.shards = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n >= 1)
+                        parse_count(it.next().as_deref())
                             .unwrap_or_else(|| usage("--shards needs a positive count")),
                     );
                 }

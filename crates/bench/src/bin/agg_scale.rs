@@ -4,9 +4,9 @@
 //! sum + count + avg, per partition count × placement mode.
 //!
 //! For each `P` the harness runs `par::grouped_agg_multi` over the same
-//! key/value BATs; `P = 1` computes a single partial and finalizes it —
-//! the literal sequential group-then-aggregate chain, so it *is* the
-//! sequential baseline. The sweep repeats per placement mode: round
+//! key/value BATs; `P = 1` is one morsel on the calling thread whose
+//! partial is finalized as is — the sequential group-then-aggregate
+//! chain, so it *is* the sequential baseline. The sweep repeats per placement mode: round
 //! robin chunks rows and re-groups the partials at merge; aligned
 //! scatters rows by the canonical key-hash (`kernel::hash::Placement`)
 //! so every partial owns disjoint keys and the merge is pure

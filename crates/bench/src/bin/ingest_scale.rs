@@ -5,9 +5,9 @@
 //! `ShardedBasket` with `receptors` appender threads, then seals and
 //! verifies the stream: dense oids, exact tuple count, exact value
 //! checksum — the same invariants `tests/sharded_ingest.rs` asserts.
-//! `shards = 1` dispatches to the literal single-mutex `SharedBasket`
-//! path, so it *is* the contention baseline the sharded path is measured
-//! against. The sweep repeats per placement mode: `roundrobin` pins each
+//! `shards = 1` stages nothing — every append takes the merged view's
+//! one mutex — so it *is* the contention baseline the sharded path is
+//! measured against. The sweep repeats per placement mode: `roundrobin` pins each
 //! receptor to its round-robin shard (`append_shard`), `aligned` routes
 //! every batch through `append_keyed`, scattering rows to shards by the
 //! canonical key-hash (`kernel::hash::Placement`) — the same map the
@@ -280,8 +280,8 @@ fn main() {
          monotonically from 1 to 4 shards on multi-core hardware;\non a \
          single-core container the 1-shard path has no second core to \
          lose to, so the table bounds the sharding overhead instead.\n\
-         shards=1 dispatches to the literal single-mutex SharedBasket \
-         path; every point verifies dense oids and an exact checksum.\n\
+         shards=1 appends straight into the merged view under its one \
+         mutex; every point verifies dense oids and an exact checksum.\n\
          aligned mode routes rows by key-hash (append_keyed) — same \
          totals, placement-scatter order; seals past {} staged rows \
          stitch shards on parallel threads.",

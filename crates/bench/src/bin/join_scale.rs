@@ -2,8 +2,9 @@
 //! radix hash join on the ROADMAP's 100k×100k hot-path workload.
 //!
 //! For each partition count `P` the harness joins the same two BATs
-//! (`par::hashjoin`); `P = 1` dispatches to the literal sequential
-//! `algebra::hashjoin` code path, so it *is* the sequential baseline. The
+//! (`par::hashjoin`); `P = 1` is one partition — the whole inputs through
+//! the join core `algebra::hashjoin` runs — so it *is* the sequential
+//! baseline. The
 //! harness asserts that every `P` produces the same pair set (sorted
 //! comparison — the canonical order at `P > 1` interleaves partitions)
 //! and prints wall/iter, input rows/s, and speedup per `P`.
@@ -97,7 +98,7 @@ fn main() {
 
     println!(
         "shape check: speedup tracks physical cores (≈1x minus partitioning \
-         overhead on a single-core container);\nP=1 dispatches to the \
-         sequential algebra::hashjoin code path."
+         overhead on a single-core container);\nP=1 is one partition: \
+         the whole inputs through algebra::hashjoin's core, unscattered."
     );
 }

@@ -15,13 +15,12 @@
 //!
 //! Flags: `--scale f` resizes the per-round batch, `--shards n` /
 //! `--partitions n` / `--windows n` (rounds) override the axes;
-//! `DATACELL_WORKERS` overrides the worker count (default 4 here, not
-//! the engine's usual 1). `DATACELL_TELEMETRY=0` kills the timed
+//! `DATACELL_WORKERS` above 1 overrides the worker count (default 4
+//! here, not the engine's usual 1). `DATACELL_TELEMETRY=0` kills the timed
 //! signals; counters and gauges stay on.
 
 use datacell_bench::Args;
-use datacell_core::scheduler::parse_workers;
-use datacell_core::Engine;
+use datacell_core::{Engine, EngineConfig};
 use datacell_kernel::{Column, DataType};
 use datacell_net::{NetConfig, NetServer};
 use datacell_telemetry::{parse_text, render_text, SampleValue};
@@ -45,7 +44,12 @@ fn batch(rows: usize, seed: &mut u64) -> Vec<Column> {
 
 fn main() {
     let args = Args::parse();
-    let workers = parse_workers(std::env::var("DATACELL_WORKERS").ok().as_deref()).unwrap_or(4);
+    // The engine's usual default of one worker would leave the pool
+    // families empty; this dump wants all three axes live.
+    let workers = match EngineConfig::from_env().workers {
+        1 => 4,
+        n => n,
+    };
     let shards = args.shards.unwrap_or(4);
     let partitions = args.partitions.unwrap_or(4);
     let rounds = args.windows.unwrap_or(8).max(1);

@@ -74,12 +74,16 @@ fn run_point(conns: usize, subs: usize, rows: usize, seed: u64) -> Point {
         NetServer::spawn(engine(), "127.0.0.1:0", NetConfig::default()).expect("spawn server");
     let addr = server.local_addr();
 
-    // Subscribers attach first so every one of them sees window 0.
+    // Subscribers attach first so every one of them sees window 0: a
+    // late subscriber starts at the stream's end and would wait for a
+    // window that already went by. Each reports its handshake here.
+    let (attached_tx, attached_rx) = std::sync::mpsc::channel();
     let writers_on = |stream: usize| (0..conns).filter(|c| c % STREAMS == stream).count();
     let readers: Vec<_> = (0..subs)
         .map(|m| {
             let qi = m % STREAMS;
             let want = expected_lines(writers_on(qi) * rows);
+            let attached = attached_tx.clone();
             std::thread::spawn(move || {
                 let sock = TcpStream::connect(addr).expect("subscriber connect");
                 sock.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
@@ -88,6 +92,7 @@ fn run_point(conns: usize, subs: usize, rows: usize, seed: u64) -> Point {
                 let mut line = String::new();
                 r.read_line(&mut line).expect("ack");
                 assert!(line.starts_with("OK"), "handshake failed: {line:?}");
+                attached.send(()).expect("main is waiting");
                 for _ in 0..want {
                     line.clear();
                     let n = r.read_line(&mut line).expect("result line");
@@ -96,6 +101,10 @@ fn run_point(conns: usize, subs: usize, rows: usize, seed: u64) -> Point {
             })
         })
         .collect();
+
+    for _ in 0..subs {
+        attached_rx.recv().expect("subscriber handshake");
+    }
 
     let start = Instant::now();
     let writers: Vec<_> = (0..conns)

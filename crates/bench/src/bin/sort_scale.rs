@@ -6,8 +6,8 @@
 //! For each `P` the harness runs `par::sort_perm` over the same key BAT
 //! and then `par::fetch` of a payload column through the resulting
 //! head-oid candidate list — the exact operator chain the executor emits
-//! for `ORDER BY k`. `P = 1` dispatches to the literal sequential
-//! `algebra::sort_perm` / `algebra::fetch`, so it *is* the sequential
+//! for `ORDER BY k`. `P = 1` is one run and one morsel on the calling
+//! thread (no merge, no spawn), so it *is* the sequential
 //! baseline, and the harness asserts every `P` produces byte-identical
 //! permutations and fetched columns. Three key distributions stress the
 //! merge differently: *dense* (near-unique keys — comparator-bound),
@@ -219,8 +219,8 @@ fn main() {
     );
     println!(
         "shape check: sort speedup tracks physical cores (≈1x minus run-sort/merge \
-         overhead on a single-core container);\nP=1 dispatches to the literal \
-         sequential algebra::sort_perm / algebra::fetch;\nthe aligned-input mark \
+         overhead on a single-core container);\nP=1 is one run and one morsel on \
+         the calling thread: no merge, no spawn;\nthe aligned-input mark \
          trades per-row scatter position lists for run-compressed bulk copies and \
          can never change results — the kernel still hashes every key."
     );

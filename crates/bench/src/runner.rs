@@ -329,10 +329,7 @@ pub fn run_scheduler_scale(workers: usize, cfg: &ScaleConfig) -> ScaleOutcome {
             engine
                 .register_factory(Box::new(ThrottledSumFactory {
                     label: stream.clone(),
-                    input: StreamInput::new(
-                        stream.clone(),
-                        engine.basket(&stream).unwrap().shared(),
-                    ),
+                    input: StreamInput::new(stream.clone(), engine.basket(&stream).unwrap()),
                     step: cfg.step,
                     threshold: thr,
                     cost: cfg.fire_cost,

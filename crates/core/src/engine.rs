@@ -7,16 +7,16 @@
 //! accumulate per query until drained (the emitter side).
 
 use crate::adaptive::AdaptiveChunker;
+use crate::config::EngineConfig;
 use crate::error::DataCellError;
 use crate::factory::incremental::IncrementalFactory;
 use crate::factory::reeval::ReevalFactory;
 use crate::factory::{Factory, StreamInput};
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{rewrite, IncrementalPlan};
-use crate::scheduler::{workers_from_env, ConsumerId, Scheduler};
-use datacell_basket::{shards_from_env, Basket, ShardedBasket, Timestamp};
-use datacell_kernel::par::{partitions_from_env, placement_from_env};
-use datacell_kernel::{Catalog, Column, DataType, Oid, PlacementMode, Table};
+use crate::scheduler::{ConsumerId, Scheduler};
+use datacell_basket::{Basket, ShardedBasket, Timestamp};
+use datacell_kernel::{Catalog, Column, DataType, Oid, ParConfig, PlacementMode, Table};
 use datacell_plan::{
     compile, optimize, verify_all, LogicalPlan, MalOp, MalPlan, PlanError, ResultSet,
     SchemaOverlay, WindowSpec,
@@ -122,7 +122,7 @@ pub struct Engine {
     partitions: usize,
     /// Staging shards per basket — the third parallelism axis: workers
     /// scale across factories, partitions inside operators, shards across
-    /// *receptors* appending to one stream. 1 is the single-mutex path.
+    /// *receptors* appending to one stream. 1 stages nothing.
     basket_shards: usize,
     /// Explicit placement-mode override (`DATACELL_PLACEMENT` or
     /// [`Engine::set_placement`]). `None` auto-resolves: `Aligned` when
@@ -143,37 +143,37 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// A fresh engine. The scheduler worker count defaults to 1
-    /// (factories fire on the calling thread) unless the `DATACELL_WORKERS`
-    /// environment variable overrides it; [`Engine::set_workers`] always
-    /// wins over both. The kernel partition fan-out likewise defaults to
-    /// 1 unless `DATACELL_PARTITIONS` overrides it
-    /// ([`Engine::set_partitions`] always wins), and the basket shard
-    /// count to 1 unless `DATACELL_BASKET_SHARDS` overrides it
-    /// ([`Engine::set_basket_shards`] always wins).
+    /// A fresh engine configured from the environment
+    /// ([`EngineConfig::from_env`]): one worker, one partition, one basket
+    /// shard and auto-resolved placement unless a `DATACELL_*` variable
+    /// says otherwise. Every `set_*` below wins over the environment.
     pub fn new() -> Engine {
-        Engine::with_workers(workers_from_env())
+        Engine::with_config(EngineConfig::from_env())
     }
 
-    /// A fresh engine with an explicit scheduler worker count (min 1).
-    /// One worker fires factories on the thread that calls
-    /// [`Engine::run_until_idle`]; more workers fire independent
-    /// factories concurrently on a pool. The
-    /// partition fan-out still comes from `DATACELL_PARTITIONS` (1 when
-    /// unset) — the two axes compose: factories × partitions threads can
-    /// run during a drain.
+    /// A fresh engine with an explicit scheduler worker count (min 1);
+    /// everything else as in [`Engine::new`]. One worker fires factories
+    /// on the thread that calls [`Engine::run_until_idle`]; more workers
+    /// fire independent factories concurrently on a pool. The axes
+    /// compose: factories × partitions threads can run during a drain.
     pub fn with_workers(workers: usize) -> Engine {
+        Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() })
+    }
+
+    /// A fresh engine with exactly this configuration (counts clamped to
+    /// at least 1); the environment is not consulted.
+    pub fn with_config(config: EngineConfig) -> Engine {
         Engine {
             baskets: HashMap::new(),
             catalog: Catalog::default(),
-            scheduler: Scheduler::new(workers),
+            scheduler: Scheduler::new(config.workers),
             outputs: HashMap::new(),
             series: HashMap::new(),
             clock: 0,
-            partitions: partitions_from_env(),
-            basket_shards: shards_from_env(),
-            placement_override: placement_from_env(),
-            verify: datacell_plan::verify::enabled(),
+            partitions: config.partitions.max(1),
+            basket_shards: config.basket_shards.max(1),
+            placement_override: config.placement,
+            verify: config.verify,
         }
     }
 
@@ -226,8 +226,8 @@ impl Engine {
     /// Change the basket shard count (min 1) — how many receptors can
     /// append to one stream without contending on its mutex. Applies to
     /// every registered stream (existing staged data is sealed across the
-    /// switch) and to streams created later. 1 is the single-mutex path,
-    /// byte-identical to the pre-sharding engine. Quiesce receptor
+    /// switch) and to streams created later. 1 stages nothing: appends
+    /// write the ordered view directly, byte-identical to a bare basket. Quiesce receptor
     /// threads before resharding live streams: the switch waits out
     /// in-flight appends, but a receptor that keeps appending mid-switch
     /// simply lands in the rebuilt shard set.
@@ -266,14 +266,18 @@ impl Engine {
         self.push_par_config();
     }
 
-    /// Re-plumb the partition fan-out and resolved placement mode into
-    /// every registered factory.
+    /// The `kernel::par` configuration factories execute under: the
+    /// partition fan-out plus the resolved placement mode.
+    fn par_config(&self) -> ParConfig {
+        ParConfig::new(self.partitions).with_placement(self.placement())
+    }
+
+    /// Re-plumb [`Engine::par_config`] into every registered factory.
     fn push_par_config(&mut self) {
-        let placement = self.placement();
+        let par = self.par_config();
         for id in self.scheduler.ids() {
             if let Ok(f) = self.scheduler.factory_mut(id) {
-                f.set_partitions(self.partitions);
-                f.set_placement(placement);
+                f.set_par_config(par);
             }
         }
     }
@@ -312,12 +316,12 @@ impl Engine {
         &mut self.catalog
     }
 
-    /// The write handle of a stream (receptors feed through this). At
+    /// The shared handle of a stream (receptors feed through this). At
     /// `basket_shards > 1` appends stage into per-receptor shards and the
     /// scheduler seals them into the ordered view on every drain; at 1
-    /// shard it is the classic single-mutex `SharedBasket` path. The
-    /// merged read view is [`ShardedBasket::shared`] — never append
-    /// through that view directly when shards > 1.
+    /// shard appends write that view directly. [`ShardedBasket::with`]
+    /// locks the view for reading — never append inside it when
+    /// shards > 1.
     pub fn basket(&self, stream: &str) -> Result<ShardedBasket, DataCellError> {
         self.baskets
             .get(stream)
@@ -420,7 +424,7 @@ impl Engine {
                 .get(s)
                 .cloned()
                 .ok_or_else(|| DataCellError::UnknownStream(s.clone()))?;
-            inputs.push(StreamInput::new(s.clone(), basket.shared()));
+            inputs.push(StreamInput::new(s.clone(), basket));
         }
         if inputs.is_empty() {
             return Err(DataCellError::Unsupported(
@@ -428,7 +432,9 @@ impl Engine {
             ));
         }
         let tables = self.table_snapshot(&mal)?;
-        let label = format!("q{}", self.outputs.len());
+        // Labelled by the id registration is about to hand out: ids are
+        // never reused, so no two live queries share a label.
+        let label = format!("q{}", self.scheduler.next_id());
         let factory: Box<dyn Factory> = match opts.mode {
             ExecMode::Incremental => {
                 let inc: IncrementalPlan = rewrite(&mal)?;
@@ -452,8 +458,7 @@ impl Engine {
                 return Err(DataCellError::UnknownStream(s));
             }
         }
-        f.set_partitions(self.partitions);
-        f.set_placement(self.placement());
+        f.set_par_config(self.par_config());
         let label = f.label().to_owned();
         let baskets = &self.baskets;
         let id = self.scheduler.register(f, |s| baskets.get(s).cloned());
@@ -996,6 +1001,30 @@ mod tests {
     }
 
     #[test]
+    fn labels_stay_distinct_across_a_deregister() {
+        // Regression: labels were numbered by the count of live queries,
+        // so deregistering q0 made the next registration a second "q1".
+        let mut e = engine_with_stream();
+        let q0 = e.register_sql("SELECT sum(x2) FROM s WINDOW SIZE 2 SLIDE 2").unwrap();
+        let q1 = e.register_sql("SELECT count(x1) FROM s WINDOW SIZE 2 SLIDE 2").unwrap();
+        e.deregister(q0).unwrap();
+        let q2 = e.register_sql("SELECT max(x2) FROM s WINDOW SIZE 2 SLIDE 2").unwrap();
+        assert_eq!(e.queries(), vec![(q1, "q1".to_owned()), (q2, "q2".to_owned())]);
+        e.append("s", &[Column::Int(vec![1, 2]), Column::Int(vec![5, 7])]).unwrap();
+        e.run_until_idle().unwrap();
+        // One series per live query in the exposition, no label set twice.
+        let text = datacell_telemetry::render_text(&e.telemetry_snapshot());
+        let parsed = datacell_telemetry::parse_text(&text).expect("valid exposition");
+        let labels: Vec<&str> = parsed
+            .samples
+            .iter()
+            .filter(|s| s.name == "datacell_query_slides_total")
+            .map(|s| s.labels[0].1.as_str())
+            .collect();
+        assert_eq!(labels, vec!["q1", "q2"]);
+    }
+
+    #[test]
     fn clock_rule_is_uniform_across_append_variants() {
         // Regression: `append` and `append_at` follow one rule — stamp,
         // then advance the clock to the stamp iff it is ahead.
@@ -1140,23 +1169,16 @@ mod tests {
         };
         let seq = run(1);
         assert!(!seq.is_empty());
-        assert_eq!(run(4), seq, "shards=4 diverged from the single-mutex path");
+        assert_eq!(run(4), seq, "shards=4 diverged from one shard");
     }
 
     #[test]
     fn placement_auto_resolves_and_override_wins() {
-        if placement_from_env().is_some() {
-            // A DATACELL_PLACEMENT override pins every engine in this
-            // process; auto-resolution is unobservable here.
-            return;
-        }
-        let mut e = Engine::new();
-        // Pin both counts: `Engine::new` inherits them from
-        // DATACELL_PARTITIONS / DATACELL_BASKET_SHARDS.
-        e.set_partitions(1);
-        e.set_basket_shards(1);
+        // An explicit config, so no DATACELL_* variable of the harness
+        // environment pins the placement or either count.
+        let mut e = Engine::with_config(EngineConfig::default());
         // shards == partitions (1 == 1) -> auto-aligned (inert at 1
-        // partition: the sequential path runs regardless).
+        // partition: one morsel regardless).
         assert_eq!(e.placement(), PlacementMode::Aligned);
         e.set_partitions(4);
         assert_eq!(e.placement(), PlacementMode::RoundRobin); // 1 shard != 4 parts
@@ -1213,7 +1235,7 @@ mod tests {
         e.append("s", &[Column::Int(vec![1; 2]), Column::Int(vec![1; 2])]).unwrap();
         e.run_until_idle().unwrap();
         assert_eq!(e.drain_results(q).unwrap().len(), 2);
-        e.set_basket_shards(0); // clamps to the single-mutex path
+        e.set_basket_shards(0); // clamps to one shard
         assert_eq!(e.basket_shards(), 1);
         assert_eq!(e.basket("s").unwrap().shards(), 1);
     }
@@ -1286,9 +1308,7 @@ mod tests {
         let mut e = engine_with_stream();
         let basket = e.basket("s").unwrap();
         let q = e
-            .register_factory(Box::new(CountFactory {
-                input: StreamInput::new("s", basket.shared()),
-            }))
+            .register_factory(Box::new(CountFactory { input: StreamInput::new("s", basket) }))
             .unwrap();
         e.append("s", &[Column::Int(vec![1; 5]), Column::Int(vec![1; 5])]).unwrap();
         e.run_until_idle().unwrap();

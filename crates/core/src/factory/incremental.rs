@@ -25,7 +25,7 @@ use crate::merge::{merge_cluster, merge_var};
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{IncrementalPlan, Stage};
 use datacell_basket::{BasicWindow, Timestamp};
-use datacell_kernel::{Oid, ParConfig, PlacementMode, Table};
+use datacell_kernel::{Oid, ParConfig, Table};
 use datacell_plan::exec::{eval_op, ExecCtx};
 use datacell_plan::{MalValue, PlanError, ResultSet, VarId, WindowSpec};
 use std::collections::{HashMap, VecDeque};
@@ -273,7 +273,7 @@ impl IncrementalFactory {
     ) -> Result<HashMap<VarId, MalValue>, DataCellError> {
         let plan = &self.plan;
         // The aligned-input vouch is applied per call, never stored in
-        // `self.par`, so `set_partitions`' config rebuild cannot lose it.
+        // `self.par`, so a `set_par_config` cannot lose it.
         let par = self.par.with_aligned_input(self.aligned_clusters);
         let ctx = OneStreamCtx { name: &plan.mal.streams[k], window: w, par };
         let mut env: Vec<Option<MalValue>> = vec![None; plan.mal.nvars];
@@ -772,12 +772,8 @@ impl Factory for IncrementalFactory {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
 
-    fn set_partitions(&mut self, partitions: usize) {
-        self.par = ParConfig::new(partitions).with_placement(self.par.placement());
-    }
-
-    fn set_placement(&mut self, placement: PlacementMode) {
-        self.par = self.par.with_placement(placement);
+    fn set_par_config(&mut self, par: ParConfig) {
+        self.par = par;
     }
 }
 
@@ -785,7 +781,7 @@ impl Factory for IncrementalFactory {
 mod tests {
     use super::*;
     use crate::rewrite::rewrite;
-    use datacell_basket::{Basket, SharedBasket};
+    use datacell_basket::{Basket, ShardedBasket};
     use datacell_kernel::algebra::{AggKind, Predicate};
     use datacell_kernel::{Column, DataType, Value};
     use datacell_plan::{compile, AggExpr, ColumnRef, LogicalPlan};
@@ -794,14 +790,14 @@ mod tests {
         ColumnRef::new(s, a)
     }
 
-    fn basket2() -> SharedBasket {
-        SharedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]))
+    fn basket2() -> ShardedBasket {
+        ShardedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]), 1)
     }
 
     fn factory(
         plan: LogicalPlan,
         window: WindowSpec,
-        basket: &SharedBasket,
+        basket: &ShardedBasket,
         chunker: Option<AdaptiveChunker>,
     ) -> IncrementalFactory {
         let mal = compile(&plan).unwrap();
@@ -928,8 +924,10 @@ mod tests {
             );
         let mal = compile(&plan).unwrap();
         let inc = rewrite(&mal).unwrap();
-        let ba = SharedBasket::new(Basket::new("a", &[("k", DataType::Int), ("v", DataType::Int)]));
-        let bb = SharedBasket::new(Basket::new("b", &[("k", DataType::Int), ("v", DataType::Int)]));
+        let ba =
+            ShardedBasket::new(Basket::new("a", &[("k", DataType::Int), ("v", DataType::Int)]), 1);
+        let bb =
+            ShardedBasket::new(Basket::new("b", &[("k", DataType::Int), ("v", DataType::Int)]), 1);
         // Window 4, step 2 => n = 2 basic windows.
         // a: k=[1,2 | 3,4 | 5,6], v=[10,20 | 30,40 | 50,60]
         // b: k=[2,3 | 4,9 | 6,1], v=[5,6 | 7,8 | 9,1]
@@ -1042,8 +1040,8 @@ mod tests {
             .join(LogicalPlan::stream("b"), col("a", "k"), col("b", "k"))
             .aggregate(None, vec![AggExpr::new(AggKind::Count, col("a", "k"), "n")]);
         let inc = rewrite(&compile(&plan).unwrap()).unwrap();
-        let ba = SharedBasket::new(Basket::new("a", &[("k", DataType::Int)]));
-        let bb = SharedBasket::new(Basket::new("b", &[("k", DataType::Int)]));
+        let ba = ShardedBasket::new(Basket::new("a", &[("k", DataType::Int)]), 1);
+        let bb = ShardedBasket::new(Basket::new("b", &[("k", DataType::Int)]), 1);
         let inputs = vec![StreamInput::new("a", ba), StreamInput::new("b", bb)];
         let err = IncrementalFactory::new(
             "q",

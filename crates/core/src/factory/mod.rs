@@ -16,8 +16,8 @@ pub mod reeval;
 
 use crate::error::DataCellError;
 use crate::metrics::SlideMetrics;
-use datacell_basket::{BasicWindow, SharedBasket, Timestamp};
-use datacell_kernel::{Oid, ParConfig, PlacementMode, Table};
+use datacell_basket::{BasicWindow, ShardedBasket, Timestamp};
+use datacell_kernel::{Oid, ParConfig, Table};
 use datacell_plan::exec::ExecCtx;
 use datacell_plan::ResultSet;
 use std::collections::HashMap;
@@ -46,7 +46,7 @@ pub enum FireOutcome {
 /// each dispatch, so every piece of factory state must be transferable
 /// across threads. A factory is only ever *owned* by one thread at a time
 /// — implementations need no internal locking beyond what
-/// [`SharedBasket`] already provides for the baskets they read.
+/// [`ShardedBasket`] already provides for the baskets they read.
 pub trait Factory: Send {
     /// Human-readable name (for scheduler introspection).
     fn label(&self) -> &str;
@@ -60,38 +60,34 @@ pub trait Factory: Send {
     fn consumed_upto(&self, stream: &str) -> Option<Oid>;
     /// The input streams.
     fn input_streams(&self) -> Vec<String>;
-    /// Set the intra-operator partition fan-out (`kernel::par`): plan
-    /// executions after this call split heavy join/select nodes across
-    /// this many scoped threads. The engine plumbs
-    /// `Engine::set_partitions` / `DATACELL_PARTITIONS` through here; the
-    /// default is a no-op so custom factories that never execute MAL
-    /// plans are unaffected.
-    fn set_partitions(&mut self, _partitions: usize) {}
-    /// Set the morsel placement mode (`kernel::par`): `Aligned` carves
+    /// Set the `kernel::par` configuration plan executions use from now
+    /// on: the partition fan-out (heavy nodes split across that many
+    /// scoped threads) and the morsel placement mode (`Aligned` carves
     /// grouped-aggregation morsels by the canonical key-hash so partial
-    /// merges are pure concatenation; `RoundRobin` is the contiguous-chunk
-    /// split. The engine resolves the mode from `DATACELL_PLACEMENT` (or
-    /// auto-aligns when basket shards == partitions) and plumbs it through
-    /// here; the default is a no-op, like [`Factory::set_partitions`].
-    fn set_placement(&mut self, _placement: PlacementMode) {}
+    /// merges are pure concatenation; `RoundRobin` is the contiguous
+    /// split). The engine plumbs its `partitions` and resolved
+    /// `placement` through here; the default is a no-op so custom
+    /// factories that never execute MAL plans are unaffected.
+    fn set_par_config(&mut self, _par: ParConfig) {}
 }
 
 /// One input stream endpoint: the shared basket plus the factory's private
 /// consumption cursor. Several factories can read the same basket at
 /// different positions; the engine expires tuples below the minimum cursor.
 ///
-/// The handle is the *sealed, oid-ordered* view of the stream. When the
-/// engine runs sharded ingestion (`DATACELL_BASKET_SHARDS` > 1), receptor
-/// appends stage in per-receptor shards first and the scheduler seals
-/// them into this view before every readiness scan — factories never
-/// observe a partially-merged stream, so cursor arithmetic over
-/// `base_oid`/`end_oid` is unaffected by the shard count.
+/// Reads go through the handle's *sealed, oid-ordered* view of the
+/// stream. When the engine runs sharded ingestion
+/// (`DATACELL_BASKET_SHARDS` > 1), receptor appends stage in per-receptor
+/// shards first and the scheduler seals them into this view before every
+/// readiness scan — factories never observe a partially-merged stream,
+/// so cursor arithmetic over `base_oid`/`end_oid` is unaffected by the
+/// shard count.
 #[derive(Debug, Clone)]
 pub struct StreamInput {
     /// Stream name.
     pub name: String,
     /// The shared basket.
-    pub basket: SharedBasket,
+    pub basket: ShardedBasket,
     /// Next unconsumed oid.
     pub consumed: Oid,
 }
@@ -100,7 +96,7 @@ impl StreamInput {
     /// Wrap a basket starting at its first *resident* tuple (`base_oid`):
     /// a factory registered mid-stream sees the not-yet-expired backlog
     /// but never already-expired prefixes; on a fresh basket that is 0.
-    pub fn new(name: impl Into<String>, basket: SharedBasket) -> StreamInput {
+    pub fn new(name: impl Into<String>, basket: ShardedBasket) -> StreamInput {
         let consumed = basket.with(|b| b.base_oid());
         StreamInput { name: name.into(), basket, consumed }
     }
@@ -177,8 +173,8 @@ mod tests {
     use datacell_basket::Basket;
     use datacell_kernel::{Column, DataType};
 
-    fn shared() -> SharedBasket {
-        SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]))
+    fn shared() -> ShardedBasket {
+        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1)
     }
 
     #[test]

@@ -12,7 +12,7 @@ use super::{Factory, FireOutcome, SnapshotCtx, StreamInput};
 use crate::error::DataCellError;
 use crate::metrics::SlideMetrics;
 use datacell_basket::{BasicWindow, Timestamp};
-use datacell_kernel::{Oid, ParConfig, PlacementMode, Table};
+use datacell_kernel::{Oid, ParConfig, Table};
 use datacell_plan::{execute, MalPlan, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -171,26 +171,24 @@ impl Factory for ReevalFactory {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
 
-    fn set_partitions(&mut self, partitions: usize) {
-        self.par = ParConfig::new(partitions).with_placement(self.par.placement());
-    }
-
-    fn set_placement(&mut self, placement: PlacementMode) {
-        self.par = self.par.with_placement(placement);
+    fn set_par_config(&mut self, par: ParConfig) {
+        self.par = par;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datacell_basket::{Basket, SharedBasket};
+    use datacell_basket::{Basket, ShardedBasket};
     use datacell_kernel::algebra::{AggKind, Predicate};
     use datacell_kernel::{Column, DataType, Value};
     use datacell_plan::{compile, AggExpr, ColumnRef, LogicalPlan};
 
-    fn make(plan: LogicalPlan, window: WindowSpec) -> (ReevalFactory, SharedBasket) {
-        let basket =
-            SharedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]));
+    fn make(plan: LogicalPlan, window: WindowSpec) -> (ReevalFactory, ShardedBasket) {
+        let basket = ShardedBasket::new(
+            Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]),
+            1,
+        );
         let mal = compile(&plan).unwrap();
         let inputs = vec![StreamInput::new("s", basket.clone())];
         let f = ReevalFactory::new("q", mal, window, inputs, HashMap::new()).unwrap();

@@ -21,9 +21,12 @@
 //!   executor is the calling thread (one worker) or a worker pool firing
 //!   independent transitions concurrently;
 //! * [`engine`] — the facade tying baskets, catalog, factories, scheduler
-//!   and result delivery together (Fig. 1).
+//!   and result delivery together (Fig. 1);
+//! * [`config`] — [`EngineConfig`], the one reader of the engine's
+//!   `DATACELL_*` environment variables.
 
 pub mod adaptive;
+pub mod config;
 pub mod engine;
 pub mod error;
 pub mod factory;
@@ -33,6 +36,7 @@ pub mod rewrite;
 pub mod scheduler;
 
 pub use adaptive::AdaptiveChunker;
+pub use config::{parse_count, EngineConfig};
 pub use engine::{Engine, ExecMode, QueryId, RegisterOptions};
 pub use error::DataCellError;
 pub use factory::incremental::IncrementalFactory;
@@ -40,9 +44,7 @@ pub use factory::reeval::ReevalFactory;
 pub use factory::{Factory, FireOutcome, StreamInput};
 pub use metrics::{summarize, MetricsSummary, SlideMetrics};
 pub use rewrite::{rewrite, verify_incremental, Cluster, IncrementalPlan, Stage, VarKind};
-pub use scheduler::{
-    parse_workers, workers_from_env, ConsumerId, Emission, FactoryId, Scheduler, WorkerStats,
-};
+pub use scheduler::{ConsumerId, Emission, FactoryId, Scheduler, WorkerStats};
 
 // Re-export the window spec and result type from the plan layer so users
 // (and custom-factory authors) have one import.

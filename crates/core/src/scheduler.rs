@@ -82,18 +82,6 @@ pub struct Emission {
     pub metrics: SlideMetrics,
 }
 
-/// Parse a `DATACELL_WORKERS`-style override: a positive worker count.
-/// Returns `None` for unset, empty, non-numeric or zero values.
-pub fn parse_workers(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
-
-/// Worker count from the `DATACELL_WORKERS` environment variable, falling
-/// back to 1 (fire on the calling thread) when unset or invalid.
-pub fn workers_from_env() -> usize {
-    parse_workers(std::env::var("DATACELL_WORKERS").ok().as_deref()).unwrap_or(1)
-}
-
 /// Identifier of an externally-registered stream consumer — an egress-side
 /// reader (network subscriber, emitter process) that is not a factory but
 /// whose consumption cursor must still bound basket garbage collection.
@@ -472,6 +460,13 @@ impl Scheduler {
         self.workers = workers.max(1);
     }
 
+    /// The id the next [`Scheduler::register`] will return. Ids count
+    /// registrations and are never reused, so the engine derives query
+    /// labels from them.
+    pub fn next_id(&self) -> FactoryId {
+        self.factories.len()
+    }
+
     /// Register a factory, recording its Petri-net input edges.
     /// `basket_of` resolves each of the factory's input streams to its
     /// sharded write handle (the engine passes its basket registry).
@@ -831,11 +826,7 @@ mod tests {
 
     impl SumFactory {
         fn new(label: &str, basket: ShardedBasket, step: usize) -> SumFactory {
-            SumFactory {
-                label: label.into(),
-                input: StreamInput::new(label, basket.shared()),
-                step,
-            }
+            SumFactory { label: label.into(), input: StreamInput::new(label, basket), step }
         }
     }
 
@@ -880,7 +871,7 @@ mod tests {
     impl BrokenFactory {
         fn register(s: &mut Scheduler, basket: &ShardedBasket, failure: Failure) -> FactoryId {
             let b = basket.clone();
-            let input = StreamInput::new("x", basket.shared());
+            let input = StreamInput::new("x", basket.clone());
             s.register(Box::new(BrokenFactory { input, failure }), move |_| Some(b.clone()))
         }
     }
@@ -932,16 +923,6 @@ mod tests {
             .filter(|e| e.factory == id)
             .map(|e| e.result.rows()[0][0].as_i64().unwrap())
             .collect()
-    }
-
-    #[test]
-    fn parse_workers_accepts_positive_counts() {
-        assert_eq!(parse_workers(None), None);
-        assert_eq!(parse_workers(Some("")), None);
-        assert_eq!(parse_workers(Some("zero")), None);
-        assert_eq!(parse_workers(Some("0")), None);
-        assert_eq!(parse_workers(Some("1")), Some(1));
-        assert_eq!(parse_workers(Some(" 8 ")), Some(8));
     }
 
     #[test]

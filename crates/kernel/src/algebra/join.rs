@@ -17,6 +17,17 @@ use crate::{Bat, Oid, Result};
 /// the probe side's position (and build order within one probe match), which
 /// is deterministic for a given pair of inputs.
 pub fn hashjoin(l: &Bat, r: &Bat) -> Result<(Bat, Bat)> {
+    hashjoin_with(l, r, |build, probe| join_build_probe(build, probe, None))
+}
+
+/// The frame around every hash join: check the key types, hand `join` the
+/// smaller input as the build side and the larger as the probe side, and
+/// turn its `(build_oids, probe_oids)` back into `(left, right)` BATs.
+pub(crate) fn hashjoin_with(
+    l: &Bat,
+    r: &Bat,
+    join: impl FnOnce(&Bat, &Bat) -> Result<(Vec<Oid>, Vec<Oid>)>,
+) -> Result<(Bat, Bat)> {
     if l.data_type() != r.data_type() {
         return Err(KernelError::TypeMismatch {
             op: "hashjoin",
@@ -24,67 +35,91 @@ pub fn hashjoin(l: &Bat, r: &Bat) -> Result<(Bat, Bat)> {
             found: r.data_type(),
         });
     }
-    // Swap so that the build side is the smaller one, then restore order.
-    let (mut lo, mut ro) = if l.len() <= r.len() {
-        join_build_probe(l, r, true)?
+    let (lo, ro) = if l.len() <= r.len() {
+        join(l, r)?
     } else {
-        join_build_probe(r, l, false)?
+        let (ro, lo) = join(r, l)?;
+        (lo, ro)
     };
-    // `join_build_probe` returns (build_oids, probe_oids) tagged by which
-    // original argument was the build side; normalize to (left, right).
-    if l.len() > r.len() {
-        std::mem::swap(&mut lo, &mut ro);
-    }
     Ok((Bat::transient(Column::Oid(lo)), Bat::transient(Column::Oid(ro))))
 }
 
-/// Build a hash table on `build`, probe with `probe`.
-/// Returns (build_oids, probe_oids). The `_build_is_left` flag only
-/// documents intent; normalization happens in the caller.
-///
-/// The table uses MonetDB's chained-bucket layout: a head map from key to
-/// the *last* build position with that key, plus a `next` chain array —
-/// zero allocations per distinct key, which matters because the DataCell
-/// join matrix calls this once per basic-window pair.
-fn join_build_probe(
+/// Build a hash table on `build`, probe with `probe`; returns
+/// `(build_oids, probe_oids)`. `parts` restricts the join to one
+/// partition's `(build positions, probe positions)`, each ascending;
+/// `None` joins the whole inputs. This is the one per-type dispatch.
+pub(crate) fn join_build_probe(
     build: &Bat,
     probe: &Bat,
-    _build_is_left: bool,
+    parts: Option<(&[u32], &[u32])>,
 ) -> Result<(Vec<Oid>, Vec<Oid>)> {
+    let (bh, ph) = (build.hseq, probe.hseq);
     match (&build.tail, &probe.tail) {
-        (Column::Int(b), Column::Int(p)) => Ok(chained_join(b, p, build.hseq, probe.hseq, |&k| k)),
-        (Column::Oid(b), Column::Oid(p)) => Ok(chained_join(b, p, build.hseq, probe.hseq, |&k| k)),
-        (Column::Bool(b), Column::Bool(p)) => {
-            Ok(chained_join(b, p, build.hseq, probe.hseq, |&k| k))
-        }
+        (Column::Int(b), Column::Int(p)) => Ok(join_positions(b, p, bh, ph, parts, |&k| k)),
+        (Column::Oid(b), Column::Oid(p)) => Ok(join_positions(b, p, bh, ph, parts, |&k| k)),
+        (Column::Bool(b), Column::Bool(p)) => Ok(join_positions(b, p, bh, ph, parts, |&k| k)),
         (Column::Str(b), Column::Str(p)) => {
-            Ok(chained_join(b, p, build.hseq, probe.hseq, |k: &String| k.as_str()))
+            Ok(join_positions(b, p, bh, ph, parts, |k: &String| k.as_str()))
         }
         (Column::Float(_), _) => Err(KernelError::Unsupported("hashjoin on float keys".into())),
         _ => unreachable!("type equality checked by caller"),
     }
 }
 
-/// Chained-bucket equi-join core, generic over the key projection.
-fn chained_join<'a, T, K>(
+/// Instantiate the join core for a position sequence: the whole range
+/// (which compiles to plain slice loops) or one partition's lists.
+fn join_positions<'a, T, K>(
     build: &'a [T],
     probe: &'a [T],
     build_hseq: Oid,
     probe_hseq: Oid,
+    parts: Option<(&[u32], &[u32])>,
     key_of: impl Fn(&'a T) -> K,
 ) -> (Vec<Oid>, Vec<Oid>)
 where
     K: std::hash::Hash + Eq,
 {
+    match parts {
+        None => chained_join(build.iter().map(&key_of), probe.iter().map(&key_of), |i, j| {
+            (build_hseq + i as u64, probe_hseq + j as u64)
+        }),
+        Some((build_pos, probe_pos)) => chained_join(
+            build_pos.iter().map(|&i| key_of(&build[i as usize])),
+            probe_pos.iter().map(|&j| key_of(&probe[j as usize])),
+            |i, j| (build_hseq + u64::from(build_pos[i]), probe_hseq + u64::from(probe_pos[j])),
+        ),
+    }
+}
+
+/// Chained-bucket equi-join core, generic over how the build and probe
+/// tuples are enumerated: `build_keys` and `probe_keys` yield the keys in
+/// build and probe order, and `oids` maps a matching (build ordinal,
+/// probe ordinal) pair to its head oids.
+///
+/// The table uses MonetDB's chained-bucket layout: a head map from key to
+/// the *last* build ordinal with that key, plus a `next` chain array —
+/// zero allocations per distinct key, which matters because the DataCell
+/// join matrix calls this once per basic-window pair.
+fn chained_join<K>(
+    build_keys: impl ExactSizeIterator<Item = K>,
+    probe_keys: impl ExactSizeIterator<Item = K>,
+    oids: impl Fn(usize, usize) -> (Oid, Oid),
+) -> (Vec<Oid>, Vec<Oid>)
+where
+    K: std::hash::Hash + Eq,
+{
+    if build_keys.len() == 0 || probe_keys.len() == 0 {
+        return (Vec::new(), Vec::new());
+    }
     const NONE: u32 = u32::MAX;
     // Map capacity: one slot per build tuple is the worst case (all keys
     // distinct) and guarantees a rehash-free build phase; duplicate-heavy
     // builds over-allocate at most `build.len()` slots, which is already
     // the size of the `next` chain array allocated beside it.
-    let mut head: FastMap<K, u32> = fast_map_with_capacity(build.len());
-    let mut next: Vec<u32> = vec![NONE; build.len()];
-    for (i, v) in build.iter().enumerate() {
-        let slot = head.entry(key_of(v)).or_insert(NONE);
+    let mut head: FastMap<K, u32> = fast_map_with_capacity(build_keys.len());
+    let mut next: Vec<u32> = vec![NONE; build_keys.len()];
+    for (i, key) in build_keys.enumerate() {
+        let slot = head.entry(key).or_insert(NONE);
         next[i] = *slot;
         *slot = i as u32;
     }
@@ -93,14 +128,15 @@ where
     // tuple, and starting from `probe.len()` avoids the doubling cascade
     // (log₂(n) reallocations + copies) that growing from zero costs on
     // the 100k×100k hot path.
-    let mut bo = Vec::with_capacity(probe.len());
-    let mut po = Vec::with_capacity(probe.len());
-    for (j, v) in probe.iter().enumerate() {
-        if let Some(&first) = head.get(&key_of(v)) {
+    let mut bo = Vec::with_capacity(probe_keys.len());
+    let mut po = Vec::with_capacity(probe_keys.len());
+    for (j, key) in probe_keys.enumerate() {
+        if let Some(&first) = head.get(&key) {
             let mut i = first;
             while i != NONE {
-                bo.push(build_hseq + i as u64);
-                po.push(probe_hseq + j as u64);
+                let (build_oid, probe_oid) = oids(i as usize, j);
+                bo.push(build_oid);
+                po.push(probe_oid);
                 i = next[i as usize];
             }
         }

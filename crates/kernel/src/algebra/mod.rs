@@ -26,6 +26,7 @@ pub use concat::{concat, concat_columns};
 pub use fetch::{fetch, fetch_oids};
 pub use group::{group, group_derive, Groups};
 pub use join::hashjoin;
+pub(crate) use join::{hashjoin_with, join_build_probe};
 pub use map::{div_values, map_arith, map_arith_scalar, ArithOp};
 pub use select::{select, select_range, select_slice, CmpOp, Predicate};
 pub use sort::{apply_perm, distinct, row_cmp, sort, sort_perm, topn};

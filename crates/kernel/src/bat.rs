@@ -82,36 +82,10 @@ impl Bat {
     }
 
     /// View of tuples `[offset, offset+len)` as a BAT-like (hseq', slice)
-    /// pair. Used by the splitter to carve basic windows out of a window.
+    /// pair. Used by the splitter to carve basic windows out of a window,
+    /// and by [`crate::par`] to hand each morsel its zero-copy range.
     pub fn view(&self, offset: usize, len: usize) -> (Oid, ColumnSlice<'_>) {
         (self.hseq + offset as u64, self.tail.slice(offset, len))
-    }
-
-    /// Split the BAT into at most `n` contiguous zero-copy morsels, each a
-    /// `(first head oid, tail view)` pair in ascending oid order. Sizes are
-    /// balanced: the first `len % n` morsels carry one extra tuple. An
-    /// empty BAT yields a single empty view (so callers always have a
-    /// typed part to hand to `concat`); `n` is clamped to `[1, len]`.
-    ///
-    /// This is the unit of work for the [`crate::par`] runtime: each
-    /// morsel is joined/selected/aggregated independently and the partial
-    /// results are concatenated back in morsel order.
-    pub fn chunks(&self, n: usize) -> Vec<(Oid, ColumnSlice<'_>)> {
-        let len = self.len();
-        if len == 0 {
-            return vec![self.view(0, 0)];
-        }
-        let n = n.clamp(1, len);
-        let (base, extra) = (len / n, len % n);
-        let mut out = Vec::with_capacity(n);
-        let mut off = 0;
-        for i in 0..n {
-            let size = base + usize::from(i < extra);
-            out.push(self.view(off, size));
-            off += size;
-        }
-        debug_assert_eq!(off, len);
-        out
     }
 }
 
@@ -158,36 +132,5 @@ mod tests {
         let (hseq, slice) = b.view(2, 3);
         assert_eq!(hseq, 52);
         assert_eq!(slice.to_column(), Column::Int(vec![3, 4, 5]));
-    }
-
-    #[test]
-    fn chunks_cover_bat_in_order() {
-        let b = Bat::new(10, Column::Int((0..7).collect()));
-        let chunks = b.chunks(3);
-        assert_eq!(chunks.len(), 3);
-        // 7 = 3 + 2 + 2; heads are contiguous and ascending.
-        assert_eq!(chunks[0].0, 10);
-        assert_eq!(chunks[0].1.len(), 3);
-        assert_eq!(chunks[1].0, 13);
-        assert_eq!(chunks[1].1.len(), 2);
-        assert_eq!(chunks[2].0, 15);
-        assert_eq!(chunks[2].1.len(), 2);
-        let mut all = Column::empty(DataType::Int);
-        for (_, s) in &chunks {
-            all.append(&s.to_column()).unwrap();
-        }
-        assert_eq!(all, b.tail);
-    }
-
-    #[test]
-    fn chunks_clamp_to_len_and_one() {
-        let b = Bat::new(0, Column::Int(vec![1, 2]));
-        assert_eq!(b.chunks(8).len(), 2); // never more chunks than tuples
-        assert_eq!(b.chunks(0).len(), 1); // at least one chunk
-        let empty = Bat::empty(DataType::Str);
-        let chunks = empty.chunks(4);
-        assert_eq!(chunks.len(), 1);
-        assert!(chunks[0].1.is_empty());
-        assert_eq!(chunks[0].1.data_type(), DataType::Str);
     }
 }

@@ -15,8 +15,10 @@
 //!   action* (paper §3, Fig. 3d: `count` partials merge with `sum`,
 //!   `sum`/`min`/`max` re-apply themselves), then finalize `avg` slots by
 //!   dividing merged sums by merged counts;
-//! * [`grouped_agg_multi`] — the driver: one partial at `P = 1`, morsel
-//!   partials on scoped threads merged via [`merge_partials`] at `P > 1`;
+//! * [`grouped_agg_multi`] — the driver: one partial per morsel, merged
+//!   via [`merge_partials`] (or by concatenation under aligned placement);
+//!   at `P = 1` the one morsel is the input itself and its partial is the
+//!   result;
 //! * [`grouped_agg`] — the single-aggregate convenience wrapper the
 //!   PR 3 callers keep using.
 //!
@@ -35,7 +37,7 @@
 //! given `P`* — same input, same fan-out, same bytes — just not
 //! `P`-invariant.
 
-use super::{stats, ParConfig};
+use super::{carve, run, stats, ParConfig};
 use crate::algebra::{self, concat_columns, AggKind, ArithOp, Groups};
 use crate::column::Column;
 use crate::error::KernelError;
@@ -87,24 +89,26 @@ fn req(kind: AggKind, vals: Option<&Bat>) -> Result<&Bat> {
 /// piece's distinct keys plus one partial column per internal slot
 /// (`avg` expanded to sum + count).
 pub fn grouped_agg_partials(keys: &Bat, specs: &[AggSpec]) -> Result<GroupAggPartial> {
+    check_lengths(keys, specs)?;
     partial_with_groups(keys, specs).map(|(_, p)| p)
+}
+
+/// Every value column must be aligned with the keys.
+fn check_lengths(keys: &Bat, specs: &[AggSpec]) -> Result<()> {
+    match specs.iter().filter_map(|(_, vals)| *vals).find(|v| v.len() != keys.len()) {
+        None => Ok(()),
+        Some(v) => Err(KernelError::LengthMismatch {
+            op: "par::grouped_agg",
+            left: keys.len(),
+            right: v.len(),
+        }),
+    }
 }
 
 /// [`grouped_agg_partials`] plus the grouping itself — the aligned merge
 /// needs each piece's group extents to recover global first-occurrence
-/// positions.
+/// positions. Callers have checked the lengths.
 fn partial_with_groups(keys: &Bat, specs: &[AggSpec]) -> Result<(Groups, GroupAggPartial)> {
-    for (_, vals) in specs {
-        if let Some(v) = vals {
-            if v.len() != keys.len() {
-                return Err(KernelError::LengthMismatch {
-                    op: "par::grouped_agg",
-                    left: keys.len(),
-                    right: v.len(),
-                });
-            }
-        }
-    }
     let groups = algebra::group(keys)?;
     let out_keys = groups.keys(keys)?;
     let mut slots = Vec::with_capacity(specs.len() + 1);
@@ -165,103 +169,85 @@ pub fn merge_partials(
     Ok((out_keys, finalize(kinds, merged_slots)?))
 }
 
-/// Key-hash-aligned parallel grouped aggregation: scatter rows by the
-/// canonical [`Placement`] map (every occurrence of a key lands in one
-/// partition, in input order), aggregate each partition independently,
-/// then merge by pure concatenation — partials own disjoint key sets, so
-/// no re-group and no compensating pass. Emitting groups in ascending
-/// global first-occurrence position reproduces the sequential key order,
-/// and per-key folds run over the same rows in the same order as the
-/// sequential pass, so the output is byte-identical at every `P` — float
-/// sums included (the round-robin carve-out does not apply).
-/// When the caller vouched for the input's scatter order
-/// ([`ParConfig::input_is_aligned`]), the scatter phase is *elided*: the
-/// same single hash pass runs (the hash is the correctness check — the
-/// claim is never trusted), but per-row position lists collapse to
-/// run-length-compressed ranges ([`Placement::scatter_runs`]) and the
-/// per-partition gathers become bulk [`Column::gather_ranges`] copies.
-/// Both paths visit identical rows per partition in identical order, so
-/// the output is the same bytes either way; mismarked input merely
-/// degrades to per-row runs.
-fn grouped_agg_aligned(
+/// The rows one morsel aggregates, as a selection over the input.
+enum Rows {
+    /// A contiguous `(offset, size)` range — round-robin placement, and
+    /// the whole input at `P = 1`.
+    Range(usize, usize),
+    /// One partition's ascending positions ([`Placement::scatter`]).
+    Positions(Vec<u32>),
+    /// One partition's ascending `(start, len)` runs
+    /// ([`Placement::scatter_runs`]).
+    Runs(Vec<(u32, u32)>),
+}
+
+impl Rows {
+    fn gather(&self, col: &Column) -> Column {
+        match self {
+            Rows::Range(off, size) => col.slice_owned(*off, *size),
+            Rows::Positions(pos) => col.gather(pos),
+            Rows::Runs(runs) => col.gather_ranges(runs),
+        }
+    }
+
+    /// Map positions local to the gathered rows (ascending group extents)
+    /// back to input positions.
+    fn to_input_positions(&self, local: &[u32]) -> Vec<u32> {
+        match self {
+            Rows::Range(off, _) => local.iter().map(|&e| *off as u32 + e).collect(),
+            Rows::Positions(pos) => local.iter().map(|&e| pos[e as usize]).collect(),
+            Rows::Runs(runs) => {
+                // Prefix sums over run lengths: local offsets
+                // [cum[r], cum[r] + len_r) came from input run r.
+                let mut cum = Vec::with_capacity(runs.len());
+                let mut acc = 0u32;
+                for &(_, n) in runs {
+                    cum.push(acc);
+                    acc += n;
+                }
+                local
+                    .iter()
+                    .map(|&e| {
+                        let r = cum.partition_point(|&c| c <= e) - 1;
+                        runs[r].0 + (e - cum[r])
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// One morsel's partial plus the input position where each of its groups
+/// first occurs. A morsel covering the whole input aggregates it in
+/// place; any other gathers its rows first (the group/aggregate kernels
+/// take owned BATs, so each thread materializes only its own morsel).
+fn morsel_partial(
     keys: &Bat,
     specs: &[AggSpec],
-    kinds: &[AggKind],
-    cfg: &ParConfig,
-) -> Result<(Column, Vec<Column>)> {
-    let p = cfg.partitions();
-    let partials: Vec<Result<(GroupAggPartial, Vec<u32>)>> = if cfg.input_is_aligned() {
-        stats::record_scatter_elided();
-        let runs = Placement::new(p).scatter_runs(&keys.tail.as_slice());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = runs
-                .iter()
-                .map(|part_runs| {
-                    s.spawn(move || {
-                        let kb = Bat::transient(keys.tail.gather_ranges(part_runs));
-                        let vbats: Vec<Option<Bat>> = specs
-                            .iter()
-                            .map(|(_, vals)| {
-                                vals.map(|v| Bat::transient(v.tail.gather_ranges(part_runs)))
-                            })
-                            .collect();
-                        let part_specs: Vec<AggSpec> =
-                            kinds.iter().zip(&vbats).map(|(&k, v)| (k, v.as_ref())).collect();
-                        let (groups, partial) = partial_with_groups(&kb, &part_specs)?;
-                        // Prefix sums over run lengths map a group's local
-                        // extent back to its global first-occurrence
-                        // position: local offsets [cum[r], cum[r]+len_r)
-                        // came from global run r.
-                        let mut cum = Vec::with_capacity(part_runs.len());
-                        let mut acc = 0u32;
-                        for &(_, n) in part_runs {
-                            cum.push(acc);
-                            acc += n;
-                        }
-                        let first_pos: Vec<u32> = groups
-                            .extents
-                            .iter()
-                            .map(|&e| {
-                                let r = cum.partition_point(|&c| c <= e) - 1;
-                                part_runs[r].0 + (e - cum[r])
-                            })
-                            .collect();
-                        Ok((partial, first_pos))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("aligned morsel panicked")).collect()
-        })
-    } else {
-        let parts = Placement::new(p).scatter(&keys.tail.as_slice());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|pos| {
-                    s.spawn(move || {
-                        let kb = Bat::transient(keys.tail.gather(pos));
-                        let vbats: Vec<Option<Bat>> = specs
-                            .iter()
-                            .map(|(_, vals)| vals.map(|v| Bat::transient(v.tail.gather(pos))))
-                            .collect();
-                        let part_specs: Vec<AggSpec> =
-                            kinds.iter().zip(&vbats).map(|(&k, v)| (k, v.as_ref())).collect();
-                        let (groups, partial) = partial_with_groups(&kb, &part_specs)?;
-                        // Global input position where each group first occurs.
-                        let first_pos: Vec<u32> =
-                            groups.extents.iter().map(|&e| pos[e as usize]).collect();
-                        Ok((partial, first_pos))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("aligned morsel panicked")).collect()
-        })
-    };
-    let partials: Vec<(GroupAggPartial, Vec<u32>)> = partials.into_iter().collect::<Result<_>>()?;
+    rows: &Rows,
+) -> Result<(GroupAggPartial, Vec<u32>)> {
+    if matches!(rows, Rows::Range(0, size) if *size == keys.len()) {
+        let (groups, partial) = partial_with_groups(keys, specs)?;
+        return Ok((partial, groups.extents));
+    }
+    let kb = Bat::transient(rows.gather(&keys.tail));
+    let vbats: Vec<Option<Bat>> =
+        specs.iter().map(|(_, vals)| vals.map(|v| Bat::transient(rows.gather(&v.tail)))).collect();
+    let morsel_specs: Vec<AggSpec> =
+        specs.iter().zip(&vbats).map(|(&(kind, _), v)| (kind, v.as_ref())).collect();
+    let (groups, partial) = partial_with_groups(&kb, &morsel_specs)?;
+    Ok((partial, rows.to_input_positions(&groups.extents)))
+}
 
-    // Concat-merge: order all groups by global first occurrence. The
-    // positions are distinct (each is one input row), so the sort is a
-    // total order and matches sequential first-occurrence group order.
+/// Merge partials that own disjoint key sets — the aligned placement's
+/// pure concatenation: no re-group and no compensating pass. Emitting
+/// groups in ascending input first-occurrence position reproduces the
+/// sequential key order; the positions are distinct (each is one input
+/// row), so the sort is a total order.
+fn merge_disjoint(
+    kinds: &[AggKind],
+    partials: &[(GroupAggPartial, Vec<u32>)],
+) -> Result<(Column, Vec<Column>)> {
     let mut ord: Vec<(u32, u32, u32)> = Vec::new();
     for (pi, (_, first)) in partials.iter().enumerate() {
         for (g, &fp) in first.iter().enumerate() {
@@ -321,89 +307,65 @@ fn finalize(kinds: &[AggKind], slots: Vec<Column>) -> Result<Vec<Column>> {
 /// Fused grouped aggregation over `keys`: every aggregate in `specs` is
 /// evaluated over one shared grouping pass; returns `(group_keys,
 /// aggregates)` in first-occurrence key order with one output column per
-/// spec. `P = 1` computes a single partial and finalizes it directly —
-/// the literal sequential group-then-aggregate chain; `P > 1` computes
-/// per-morsel partials on scoped threads and merges them. Round-robin
-/// placement carves contiguous morsels and re-groups at the merge (float
-/// sums reassociate, see the module docs); aligned placement scatters by
-/// the canonical key-hash and concat-merges (byte-identical to
-/// sequential at every `P`, float sums included).
+/// spec. Each morsel computes a partial; one morsel (`P = 1`, or fewer
+/// rows than `P`) is the whole input on the caller's thread and its
+/// partial is finalized directly — the sequential group-then-aggregate
+/// chain. Round-robin placement carves contiguous morsels and re-groups
+/// at the merge (float sums reassociate, see the module docs). Aligned
+/// placement scatters rows by the canonical [`Placement`] key-hash, so
+/// every occurrence of a key lands in one partition in input order and
+/// the merge is a concatenation: byte-identical to sequential at every
+/// `P`, float sums included. When the caller also vouched for the input's
+/// scatter order ([`ParConfig::input_is_aligned`]) the same hash pass
+/// runs (the claim is never trusted) but yields run-compressed ranges
+/// ([`Placement::scatter_runs`]) gathered by bulk copies; both scatters
+/// visit identical rows per partition in identical order, and mismarked
+/// input merely degrades to per-row runs.
 pub fn grouped_agg_multi(
     keys: &Bat,
     specs: &[AggSpec],
     cfg: &ParConfig,
 ) -> Result<(Column, Vec<Column>)> {
+    let parallel = carve(keys.len(), cfg.partitions()).len() > 1;
+    stats::record_grouped_agg(parallel);
     // Call-granularity morsel timing: one clock pair per kernel call (not
     // per row, not per morsel), so the telemetry overhead stays in the
     // noise; `timer()` is `None` under the DATACELL_TELEMETRY kill switch.
-    let parallel = cfg.partitions() > 1 && keys.len() >= cfg.partitions();
     let start = datacell_telemetry::timer();
-    let out = grouped_agg_multi_inner(keys, specs, cfg);
+    let out = grouped_agg_morsels(keys, specs, cfg, parallel);
     stats::record_grouped_agg_time(parallel, start);
     out
 }
 
-fn grouped_agg_multi_inner(
+fn grouped_agg_morsels(
     keys: &Bat,
     specs: &[AggSpec],
     cfg: &ParConfig,
+    parallel: bool,
 ) -> Result<(Column, Vec<Column>)> {
+    // Up front, so a mismatch surfaces before any morsel gathers.
+    check_lengths(keys, specs)?;
     let kinds: Vec<AggKind> = specs.iter().map(|&(k, _)| k).collect();
-    let p = cfg.partitions();
-    if p <= 1 || keys.len() < p {
-        stats::record_grouped_agg(false);
-        let partial = grouped_agg_partials(keys, specs)?;
+    let aligned = parallel && cfg.is_aligned();
+    let partial = |rows: Rows| morsel_partial(keys, specs, &rows);
+    let mut partials = if !aligned {
+        run(carve(keys.len(), cfg.partitions()).map(|(off, size)| Rows::Range(off, size)), partial)
+    } else if cfg.input_is_aligned() {
+        stats::record_scatter_elided();
+        let runs = Placement::new(cfg.partitions()).scatter_runs(&keys.tail.as_slice());
+        run(runs.into_iter().map(Rows::Runs), partial)
+    } else {
+        let parts = Placement::new(cfg.partitions()).scatter(&keys.tail.as_slice());
+        run(parts.into_iter().map(Rows::Positions), partial)
+    }?;
+    if aligned {
+        return merge_disjoint(&kinds, &partials);
+    }
+    if partials.len() == 1 {
+        let (partial, _) = partials.pop().expect("one morsel");
         return Ok((partial.keys, finalize(&kinds, partial.slots)?));
     }
-    stats::record_grouped_agg(true);
-
-    // Validate lengths up front so mismatches surface before threads spawn.
-    for (_, vals) in specs {
-        if let Some(v) = vals {
-            if v.len() != keys.len() {
-                return Err(KernelError::LengthMismatch {
-                    op: "par::grouped_agg",
-                    left: keys.len(),
-                    right: v.len(),
-                });
-            }
-        }
-    }
-
-    if cfg.is_aligned() {
-        return grouped_agg_aligned(keys, specs, &kinds, cfg);
-    }
-
-    // Per-morsel partials on scoped threads. Morsel views are zero-copy;
-    // the per-morsel group/aggregate kernels take owned BATs, so each
-    // thread materializes only its own morsel.
-    let key_chunks = keys.chunks(p);
-    let partials: Vec<Result<GroupAggPartial>> = std::thread::scope(|s| {
-        let kinds = &kinds;
-        let handles: Vec<_> = key_chunks
-            .iter()
-            .map(|&(base, kslice)| {
-                let vslices: Vec<_> = specs
-                    .iter()
-                    .map(|(_, vals)| {
-                        vals.map(|v| v.tail.slice((base - keys.hseq) as usize, kslice.len()))
-                    })
-                    .collect();
-                s.spawn(move || {
-                    let kb = Bat::new(base, kslice.to_column());
-                    let vbats: Vec<Option<Bat>> = vslices
-                        .into_iter()
-                        .map(|vs| vs.map(|v| Bat::new(base, v.to_column())))
-                        .collect();
-                    let morsel_specs: Vec<AggSpec> =
-                        kinds.iter().zip(&vbats).map(|(&k, v)| (k, v.as_ref())).collect();
-                    grouped_agg_partials(&kb, &morsel_specs)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("aggregate morsel panicked")).collect()
-    });
-    let partials: Vec<GroupAggPartial> = partials.into_iter().collect::<Result<_>>()?;
+    let partials: Vec<GroupAggPartial> = partials.into_iter().map(|(partial, _)| partial).collect();
     merge_partials(&kinds, &partials)
 }
 

@@ -1,66 +1,45 @@
 //! Morsel-parallel tuple reconstruction (fetch / `leftfetchjoin`).
 //!
-//! The candidate list is carved into `P` contiguous balanced morsels (the
-//! same carve as [`crate::Bat::chunks`]); each morsel gathers tail values
-//! through the shared [`crate::algebra::fetch_oids`] loop on its own
-//! scoped thread, and the per-morsel columns are concatenated in morsel
-//! order. Because a fetch output is positionally aligned with its
-//! candidate list, morsel-order concatenation *is* the sequential output:
-//! `par::fetch` is byte-identical to [`algebra::fetch`] at every `P`, and
-//! at `P = 1` it dispatches to it outright.
+//! The candidate list is carved into `P` contiguous balanced morsels;
+//! each morsel gathers tail values through the shared
+//! [`crate::algebra::fetch_oids`] loop, and the per-morsel columns are
+//! concatenated in morsel order. Because a fetch output is positionally
+//! aligned with its candidate list, morsel-order concatenation *is* the
+//! sequential output: `par::fetch` is byte-identical to
+//! [`crate::algebra::fetch`] at every `P`.
 
-use super::{stats, ParConfig};
-use crate::algebra::{self, fetch_oids};
-use crate::column::Column;
+use super::{carve, run, stats, ParConfig};
+use crate::algebra::fetch_oids;
 use crate::{Bat, Result};
 
 /// Parallel fetch: materialize `values[oid]` for every oid in `cands`,
-/// over `P` candidate-list morsels. Inputs smaller than the partition
-/// count fall back to the sequential path; errors (non-oid candidates,
-/// out-of-range oids) propagate in morsel order, so the reported error is
-/// the same one the sequential loop would hit first.
+/// over `P` candidate-list morsels (one when the list is shorter than
+/// `P`). Errors (non-oid candidates, out-of-range oids) propagate in
+/// morsel order, so the reported error is the same one the sequential
+/// loop would hit first.
 pub fn fetch(cands: &Bat, values: &Bat, cfg: &ParConfig) -> Result<Bat> {
-    let p = cfg.partitions();
-    if p <= 1 || cands.len() < p {
-        stats::record_fetch(false);
-        let start = datacell_telemetry::timer();
-        let out = algebra::fetch(cands, values);
-        stats::record_fetch_time(false, start);
-        return out;
-    }
-    stats::record_fetch(true);
+    let morsels = carve(cands.len(), cfg.partitions());
+    let parallel = morsels.len() > 1;
+    stats::record_fetch(parallel);
     let start = datacell_telemetry::timer();
-    let oids = cands.tail.as_oid()?;
-    let len = oids.len();
-    // Same balanced carve as `Bat::chunks`: the first `len % p` morsels
-    // get one extra row, so morsel boundaries are P-independent given the
-    // same (len, p) pair.
-    let (base, extra) = (len / p, len % p);
-    let mut ranges = Vec::with_capacity(p);
-    let mut off = 0usize;
-    for i in 0..p {
-        let size = base + usize::from(i < extra);
-        ranges.push((off, size));
-        off += size;
-    }
-    let partials: Vec<Result<Column>> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(off, size)| s.spawn(move || fetch_oids(&oids[off..off + size], values)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("fetch morsel panicked")).collect()
+    let out = cands.tail.as_oid().and_then(|oids| {
+        let mut partials =
+            run(morsels, |(off, size)| fetch_oids(&oids[off..off + size], values))?.into_iter();
+        let mut out = partials.next().expect("carve yields at least one morsel");
+        for mut partial in partials {
+            out.append_owned(&mut partial)?;
+        }
+        Ok(out)
     });
-    let mut out = Column::with_capacity(values.data_type(), len);
-    for partial in partials {
-        out.append_owned(&mut partial?)?;
-    }
-    stats::record_fetch_time(true, start);
-    Ok(Bat::transient(out))
+    stats::record_fetch_time(parallel, start);
+    out.map(Bat::transient)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra;
+    use crate::column::Column;
     use crate::KernelError;
 
     #[test]

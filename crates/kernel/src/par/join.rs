@@ -1,236 +1,73 @@
 //! Radix-partitioned parallel hash join.
 //!
 //! Both inputs are hash-partitioned on the join key into `P` disjoint
-//! partitions (equal keys always land in the same partition, so the union
-//! of the per-partition joins is exactly the sequential join's pair set).
-//! Each partition pair is then joined independently on a scoped worker
-//! thread using the same chained-bucket core as the sequential
-//! [`crate::algebra::hashjoin`], and the aligned oid pairs are
-//! concatenated back in partition order.
+//! partitions by the canonical [`Placement`] map (equal keys always land
+//! in the same partition, so the union of the per-partition joins is
+//! exactly the sequential join's pair set; the same map picks basket
+//! staging shards and aligned aggregation morsels, so keyed ingest lands
+//! pre-partitioned for the join). Each partition pair is then joined
+//! independently by the one chained-bucket core
+//! [`crate::algebra::hashjoin`] runs, restricted to the partition's
+//! position lists, and the aligned oid pairs are concatenated back in
+//! partition order.
 //!
 //! **Canonical output order** (documented determinism contract): pairs are
 //! ordered by partition index first, then by probe position within the
 //! partition, then newest-build-first within one probe match — the last
 //! two being exactly the sequential core's order restricted to the
-//! partition. At `P = 1` the call dispatches to the sequential
-//! `algebra::hashjoin` code path and is byte-identical to it.
+//! partition. At `P = 1` there is one partition, the whole inputs: no
+//! scatter, no concat, byte-identical to `algebra::hashjoin`.
 
-use super::{stats, ParConfig};
-use crate::column::Column;
-use crate::error::KernelError;
-use crate::hash::{fast_map_with_capacity, FastBuild, FastMap, Placement};
-use crate::{Bat, Oid, Result};
-use std::hash::{BuildHasher, Hash};
+use super::{concat, run, stats, ParConfig};
+use crate::algebra::{hashjoin_with, join_build_probe};
+use crate::hash::Placement;
+use crate::{Bat, Result};
 
 /// Partitioned parallel hash join `l.tail == r.tail`; returns aligned
 /// `(left_oids, right_oids)` candidate BATs, like `algebra::hashjoin`.
 ///
 /// The smaller input builds, the larger probes (as in the sequential
-/// join). The fallback to the sequential path gates on the *larger*
-/// side: a tiny build against a huge probe still wins by splitting the
-/// probe scan across partitions (empty build partitions short-circuit),
-/// and only when even the probe side has fewer tuples than partitions is
-/// the fan-out pure overhead.
+/// join). Whether to partition at all gates on the *larger* side: a tiny
+/// build against a huge probe still wins by splitting the probe scan
+/// across partitions (empty build partitions short-circuit), and only
+/// when even the probe side has fewer tuples than partitions is the
+/// fan-out pure overhead.
 pub fn hashjoin(l: &Bat, r: &Bat, cfg: &ParConfig) -> Result<(Bat, Bat)> {
-    let p = cfg.partitions();
-    if p <= 1 || l.len().max(r.len()) < p {
-        return crate::algebra::hashjoin(l, r);
-    }
-    if l.data_type() != r.data_type() {
-        return Err(KernelError::TypeMismatch {
-            op: "par::hashjoin",
-            expected: l.data_type(),
-            found: r.data_type(),
-        });
-    }
-    // Swap so the build side is the smaller one, then restore order.
-    let elide = cfg.input_is_aligned();
-    let (mut lo, mut ro) =
-        if l.len() <= r.len() { dispatch(l, r, p, elide)? } else { dispatch(r, l, p, elide)? };
-    if l.len() > r.len() {
-        std::mem::swap(&mut lo, &mut ro);
-    }
-    Ok((Bat::transient(Column::Oid(lo)), Bat::transient(Column::Oid(ro))))
-}
-
-/// Type dispatch: one monomorphic radix join per hashable column pair.
-fn dispatch(build: &Bat, probe: &Bat, p: usize, elide: bool) -> Result<(Vec<Oid>, Vec<Oid>)> {
-    let (bh, ph) = (build.hseq, probe.hseq);
-    match (&build.tail, &probe.tail) {
-        (Column::Int(b), Column::Int(q)) => Ok(radix_join(b, q, bh, ph, p, elide, |&k| k)),
-        (Column::Oid(b), Column::Oid(q)) => Ok(radix_join(b, q, bh, ph, p, elide, |&k| k)),
-        (Column::Bool(b), Column::Bool(q)) => Ok(radix_join(b, q, bh, ph, p, elide, |&k| k)),
-        (Column::Str(b), Column::Str(q)) => {
-            Ok(radix_join(b, q, bh, ph, p, elide, |k: &String| k.as_str()))
+    hashjoin_with(l, r, |build, probe| {
+        let p = cfg.partitions();
+        if p <= 1 || probe.len() < p {
+            return join_build_probe(build, probe, None);
         }
-        (Column::Float(_), _) => {
-            Err(KernelError::Unsupported("par::hashjoin on float keys".into()))
+        // Input vouched scatter-ordered by keyed ingest: the same hash
+        // pass, but each partition arrives as a few runs to expand rather
+        // than one push per row.
+        let elide = cfg.input_is_aligned();
+        if elide {
+            stats::record_scatter_elided();
         }
-        _ => unreachable!("type equality checked by caller"),
-    }
-}
-
-/// Assign every value a partition in `[0, p)` by the canonical
-/// [`Placement`] key-hash map — the same map that picks basket staging
-/// shards and aligned aggregation morsels, so keyed ingest lands
-/// pre-partitioned for the join. Returns the positions of each
-/// partition's members, ascending within a partition (the scatter is
-/// stable). The placement uses the hash's upper half so it stays
-/// uncorrelated with the bucket index the in-partition hash table derives
-/// from the lower bits of the same hash function.
-fn partition_positions<'a, T, K>(
-    vals: &'a [T],
-    p: usize,
-    key_of: impl Fn(&'a T) -> K,
-) -> Vec<Vec<u32>>
-where
-    K: Hash,
-{
-    let placement = Placement::new(p);
-    let hasher = FastBuild::default();
-    let mut part_of = Vec::with_capacity(vals.len());
-    let mut counts = vec![0usize; p];
-    for v in vals {
-        let part = placement.of_hash(hasher.hash_one(key_of(v)));
-        part_of.push(part as u32);
-        counts[part] += 1;
-    }
-    let mut parts: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (i, &part) in part_of.iter().enumerate() {
-        parts[part as usize].push(i as u32);
-    }
-    parts
-}
-
-/// Run-compressed variant of [`partition_positions`] for inputs the
-/// caller vouched were scatter-ordered by keyed ingest: one pass that
-/// detects maximal same-partition runs and appends each as a bulk range
-/// extend, skipping the two-pass `part_of`/`counts` materialization. The
-/// per-position partition answer comes from the same hash, so the output
-/// is identical to [`partition_positions`] on *any* input — a mismarked
-/// (unclustered) input just degrades to per-row runs.
-fn partition_positions_elided<'a, T, K>(
-    vals: &'a [T],
-    p: usize,
-    key_of: impl Fn(&'a T) -> K,
-) -> Vec<Vec<u32>>
-where
-    K: Hash,
-{
-    let placement = Placement::new(p);
-    let hasher = FastBuild::default();
-    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); p];
-    let mut run_start = 0u32;
-    let mut run_part = 0usize;
-    for (i, v) in vals.iter().enumerate() {
-        let part = placement.of_hash(hasher.hash_one(key_of(v)));
-        if i == 0 {
-            run_part = part;
-        } else if part != run_part {
-            parts[run_part].extend(run_start..i as u32);
-            run_start = i as u32;
-            run_part = part;
-        }
-    }
-    if !vals.is_empty() {
-        parts[run_part].extend(run_start..vals.len() as u32);
-    }
-    parts
-}
-
-/// Radix-partition both sides, join partition pairs on scoped threads,
-/// concatenate in partition order. Returns `(build_oids, probe_oids)`.
-#[allow(clippy::too_many_arguments)]
-fn radix_join<'a, T, K>(
-    build: &'a [T],
-    probe: &'a [T],
-    build_hseq: Oid,
-    probe_hseq: Oid,
-    p: usize,
-    elide: bool,
-    key_of: impl Fn(&'a T) -> K + Copy + Send + Sync,
-) -> (Vec<Oid>, Vec<Oid>)
-where
-    T: Sync,
-    K: Hash + Eq,
-{
-    let (build_parts, probe_parts) = if elide {
-        stats::record_scatter_elided();
-        (partition_positions_elided(build, p, key_of), partition_positions_elided(probe, p, key_of))
-    } else {
-        (partition_positions(build, p, key_of), partition_positions(probe, p, key_of))
-    };
-
-    let partials: Vec<(Vec<Oid>, Vec<Oid>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = build_parts
-            .iter()
-            .zip(&probe_parts)
-            .map(|(bp, pp)| {
-                s.spawn(move || {
-                    chained_join_at(build, probe, bp, pp, build_hseq, probe_hseq, key_of)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("partition join panicked")).collect()
-    });
-
-    let total: usize = partials.iter().map(|(b, _)| b.len()).sum();
-    let mut bo = Vec::with_capacity(total);
-    let mut po = Vec::with_capacity(total);
-    for (b, q) in partials {
-        bo.extend(b);
-        po.extend(q);
-    }
-    (bo, po)
-}
-
-/// The chained-bucket join core of `algebra::hashjoin`, restricted to the
-/// position subsets of one partition: build a head map + `next` chain over
-/// `build_pos`, probe in `probe_pos` order, emit global head oids.
-#[allow(clippy::too_many_arguments)]
-fn chained_join_at<'a, T, K>(
-    build: &'a [T],
-    probe: &'a [T],
-    build_pos: &[u32],
-    probe_pos: &[u32],
-    build_hseq: Oid,
-    probe_hseq: Oid,
-    key_of: impl Fn(&'a T) -> K,
-) -> (Vec<Oid>, Vec<Oid>)
-where
-    K: Hash + Eq,
-{
-    if build_pos.is_empty() || probe_pos.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    const NONE: u32 = u32::MAX;
-    let mut head: FastMap<K, u32> = fast_map_with_capacity(build_pos.len());
-    let mut next: Vec<u32> = vec![NONE; build_pos.len()];
-    for (i, &pos) in build_pos.iter().enumerate() {
-        let slot = head.entry(key_of(&build[pos as usize])).or_insert(NONE);
-        next[i] = *slot;
-        *slot = i as u32;
-    }
-    // Probe-length output estimate, as in the sequential core.
-    let mut bo = Vec::with_capacity(probe_pos.len());
-    let mut po = Vec::with_capacity(probe_pos.len());
-    for &jpos in probe_pos {
-        if let Some(&first) = head.get(&key_of(&probe[jpos as usize])) {
-            let mut i = first;
-            while i != NONE {
-                bo.push(build_hseq + build_pos[i as usize] as u64);
-                po.push(probe_hseq + jpos as u64);
-                i = next[i as usize];
+        let [build_parts, probe_parts] = [build, probe].map(|side| {
+            let (placement, keys) = (Placement::new(p), side.tail.as_slice());
+            if !elide {
+                return placement.scatter(&keys);
             }
-        }
-    }
-    (bo, po)
+            let expand = |runs: Vec<(u32, u32)>| {
+                runs.into_iter().flat_map(|(start, n)| start..start + n).collect()
+            };
+            placement.scatter_runs(&keys).into_iter().map(expand).collect()
+        });
+        let pairs = build_parts.iter().zip(&probe_parts);
+        let partials = run(pairs, |(bp, pp)| join_build_probe(build, probe, Some((bp, pp))))?;
+        let (bo, po): (Vec<_>, Vec<_>) = partials.into_iter().unzip();
+        Ok((concat(bo), concat(po)))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra;
+    use crate::column::Column;
+    use crate::error::KernelError;
 
     fn pairs(lo: &Bat, ro: &Bat) -> Vec<(u64, u64)> {
         lo.tail
@@ -302,46 +139,6 @@ mod tests {
         let (plo, pro) = hashjoin(&l, &r, &ParConfig::new(4)).unwrap();
         assert_eq!(sorted_pairs(&plo, &pro), sorted_pairs(&slo, &sro));
         assert_eq!(plo.len(), 20);
-    }
-
-    #[test]
-    fn join_partitioning_agrees_with_placement_scatter() {
-        // Satellite: "same key ⇒ same partition" is one definition. The
-        // join's per-type scatter must place every value exactly where
-        // Placement::scatter places the equivalent column.
-        let ints: Vec<i64> = (0..64).map(|i| (i * 13) % 10 - 5).collect();
-        assert_eq!(
-            partition_positions(&ints, 4, |&k| k),
-            Placement::new(4).scatter(&Column::Int(ints.clone()).as_slice())
-        );
-        let strs: Vec<String> = (0..40).map(|i| format!("key-{}", i % 9)).collect();
-        assert_eq!(
-            partition_positions(&strs, 8, |k: &String| k.as_str()),
-            Placement::new(8).scatter(&Column::Str(strs.clone()).as_slice())
-        );
-    }
-
-    #[test]
-    fn elided_partitioning_is_identical_on_any_input() {
-        // The run-compressed scatter must agree with the two-pass scatter
-        // position-for-position, clustered or not.
-        let unclustered: Vec<i64> = (0..64).map(|i| (i * 13) % 10).collect();
-        assert_eq!(
-            partition_positions_elided(&unclustered, 4, |&k| k),
-            partition_positions(&unclustered, 4, |&k| k)
-        );
-        let pl = Placement::new(4);
-        let mut by_part: Vec<Vec<i64>> = vec![Vec::new(); 4];
-        for k in 0..64i64 {
-            by_part[pl.of_key(k)].push(k);
-        }
-        let clustered: Vec<i64> = by_part.concat();
-        assert_eq!(
-            partition_positions_elided(&clustered, 4, |&k| k),
-            partition_positions(&clustered, 4, |&k| k)
-        );
-        let empty: Vec<i64> = Vec::new();
-        assert_eq!(partition_positions_elided(&empty, 4, |&k| k), vec![Vec::new(); 4]);
     }
 
     #[test]

@@ -8,23 +8,28 @@
 //! morsel/partition recipe:
 //!
 //! * inputs are carved into disjoint pieces — hash **partitions** for the
-//!   radix join ([`hashjoin`]), contiguous **morsels** ([`crate::Bat::chunks`])
-//!   for [`select`], [`fetch`] and [`grouped_agg`], contiguous position
+//!   radix join ([`hashjoin`]), contiguous balanced **morsels** for
+//!   [`select`], [`fetch`] and [`grouped_agg`], contiguous position
 //!   **runs** for [`sort`]/[`sort_perm`] (sorted in parallel, then k-way
 //!   merged);
-//! * pieces are processed on scoped worker threads (one per partition; no
-//!   pool, no unsafe, no external deps — partition count should track
-//!   physical cores);
+//! * one private runner executes a closure per piece: a single piece runs
+//!   inline on the caller's thread, several run on scoped worker threads
+//!   (one per piece; no pool, no unsafe, no external deps — partition
+//!   count should track physical cores). The per-piece closure is the
+//!   sequential [`crate::algebra`] loop, so each operator has one body;
 //! * partial results are merged with the same machinery incremental plans
 //!   already rely on: concatenation in piece order, plus the compensating
 //!   re-group for grouped aggregates (paper §3, Fig. 3d).
 //!
 //! **Determinism contract:** every operator here produces a canonical,
-//! input-determined output. `P = 1` *dispatches to the literal sequential
-//! code path* (byte-identical results, mirroring the scheduler's "1 worker
-//! ≡ sequential" rule); `P > 1` orders join pairs by (partition, probe
-//! position) — the same pair *set* as the sequential join in a documented
-//! canonical order — while `select`, `fetch`, `sort`/`sort_perm` and
+//! input-determined output. `P = 1` (and any input shorter than `P`) *is
+//! one morsel on the caller's thread*: the same body runs the sequential
+//! `algebra` loop over the whole input, with no spawn, no scatter and no
+//! merge copy, so results are byte-identical to `algebra::*` (mirroring
+//! the scheduler's "1 worker ≡ sequential" rule); `P > 1` orders join
+//! pairs by (partition, probe position) — the same pair *set* as the
+//! sequential join in a documented canonical order — while `select`,
+//! `fetch`, `sort`/`sort_perm` and
 //! `grouped_agg` outputs are byte-identical to sequential at every `P`
 //! (morsels are ascending, the sort merge breaks ties toward the
 //! lowest-position run, and re-grouping preserves first-occurrence key
@@ -54,6 +59,47 @@ pub use fetch::fetch;
 pub use join::hashjoin;
 pub use select::select;
 pub use sort::{reverse_bat, sort, sort_perm};
+
+/// Carve `[0, len)` into `p` contiguous `(offset, size)` morsels, balanced
+/// so the first `len % p` carry one extra row: boundaries depend only on
+/// `(len, p)`. `p ≤ 1` and inputs shorter than `p` are one morsel (fan-out
+/// below one row per thread is pure overhead).
+fn carve(len: usize, p: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
+    let p = if len < p { 1 } else { p.max(1) };
+    let (base, extra) = (len / p, len % p);
+    (0..p).map(move |i| (i * base + i.min(extra), base + usize::from(i < extra)))
+}
+
+/// The morsel runner: apply `body` to every piece and return the results
+/// in piece order, or the first error in that order. One piece runs
+/// inline on the caller's thread; several run on one scoped thread each
+/// and are joined before returning.
+fn run<I: Send, T: Send>(
+    pieces: impl ExactSizeIterator<Item = I>,
+    body: impl Fn(I) -> crate::Result<T> + Sync,
+) -> crate::Result<Vec<T>> {
+    if pieces.len() <= 1 {
+        return pieces.map(body).collect();
+    }
+    let body = &body;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = pieces.map(|piece| s.spawn(move || body(piece))).collect();
+        handles.into_iter().map(|h| h.join().expect("morsel panicked")).collect()
+    })
+}
+
+/// Concatenate per-piece outputs in piece order; a single piece's output
+/// is returned as is, not copied.
+fn concat<T>(mut partials: Vec<Vec<T>>) -> Vec<T> {
+    if partials.len() == 1 {
+        return partials.pop().expect("one partial");
+    }
+    let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
+    for partial in partials {
+        out.extend(partial);
+    }
+    out
+}
 
 /// Lightweight observability for the parallel kernel entry points:
 /// process-wide monotone counters plus call-granularity latency
@@ -161,12 +207,12 @@ pub mod stats {
                 ),
                 sort_seconds_seq: r.histogram_with(
                     "datacell_kernel_sort_seconds",
-                    "Wall time of one sort/sort-perm kernel call, run fan-out included.",
+                    "Wall time of computing one sort permutation (sort or sort-perm call), run fan-out included.",
                     &[("path", "seq")],
                 ),
                 sort_seconds_par: r.histogram_with(
                     "datacell_kernel_sort_seconds",
-                    "Wall time of one sort/sort-perm kernel call, run fan-out included.",
+                    "Wall time of computing one sort permutation (sort or sort-perm call), run fan-out included.",
                     &[("path", "par")],
                 ),
                 sort_merge_seconds: r.histogram(
@@ -418,10 +464,10 @@ pub mod stats {
 ///
 /// `partitions` is the fan-out `P`: how many disjoint pieces an operator
 /// splits its input into, and (for `P > 1`) how many scoped worker threads
-/// process them. `P = 1` is the sequential code path. Plumbed end to end:
-/// `Engine::set_partitions` / the `DATACELL_PARTITIONS` environment
-/// variable feed the factories, whose execution contexts hand it to
-/// `plan::exec`, which switches join/select nodes to these entry points.
+/// process them. `P = 1` is one morsel on the caller's thread. Plumbed
+/// end to end: `EngineConfig` (`DATACELL_PARTITIONS`) /
+/// `Engine::set_partitions` feed the factories, whose execution contexts
+/// hand it to `plan::exec`, which calls these entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParConfig {
     partitions: usize,
@@ -481,13 +527,6 @@ impl ParConfig {
         ParConfig::new(1)
     }
 
-    /// Partition count from `DATACELL_PARTITIONS` (1 when unset/invalid)
-    /// and placement from `DATACELL_PLACEMENT` (round-robin when unset).
-    pub fn from_env() -> ParConfig {
-        ParConfig::new(partitions_from_env())
-            .with_placement(placement_from_env().unwrap_or_default())
-    }
-
     /// The partition fan-out `P` (≥ 1).
     pub fn partitions(&self) -> usize {
         self.partitions
@@ -528,35 +567,16 @@ impl Default for ParConfig {
     }
 }
 
-/// Parse a `DATACELL_PARTITIONS`-style override: a positive partition
-/// count. Returns `None` for unset, empty, non-numeric or zero values.
-pub fn parse_partitions(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
-
-/// Partition count from the `DATACELL_PARTITIONS` environment variable,
-/// falling back to 1 (sequential) when unset or invalid.
-pub fn partitions_from_env() -> usize {
-    parse_partitions(std::env::var("DATACELL_PARTITIONS").ok().as_deref()).unwrap_or(1)
-}
-
-/// Parse a `DATACELL_PLACEMENT`-style override. Accepts `aligned` and
-/// `roundrobin` (also `round-robin`/`rr`), case-insensitively. Returns
-/// `None` for unset, empty or unrecognized values — callers fall back to
-/// their own default (the engine auto-aligns when shard count equals
-/// partition count).
+/// Parse a placement name: `aligned` or `roundrobin` (also
+/// `round-robin`/`rr`), case-insensitively. `None` for unset, empty or
+/// unrecognized values — the engine then auto-aligns when shard count
+/// equals partition count.
 pub fn parse_placement(raw: Option<&str>) -> Option<PlacementMode> {
     match raw?.trim().to_ascii_lowercase().as_str() {
         "aligned" => Some(PlacementMode::Aligned),
         "roundrobin" | "round-robin" | "rr" => Some(PlacementMode::RoundRobin),
         _ => None,
     }
-}
-
-/// Placement mode from the `DATACELL_PLACEMENT` environment variable,
-/// `None` when unset or invalid.
-pub fn placement_from_env() -> Option<PlacementMode> {
-    parse_placement(std::env::var("DATACELL_PLACEMENT").ok().as_deref())
 }
 
 #[cfg(test)]
@@ -573,13 +593,31 @@ mod tests {
     }
 
     #[test]
-    fn parse_partitions_accepts_positive_counts() {
-        assert_eq!(parse_partitions(None), None);
-        assert_eq!(parse_partitions(Some("")), None);
-        assert_eq!(parse_partitions(Some("many")), None);
-        assert_eq!(parse_partitions(Some("0")), None);
-        assert_eq!(parse_partitions(Some("1")), Some(1));
-        assert_eq!(parse_partitions(Some(" 16 ")), Some(16));
+    fn carve_is_balanced_contiguous_and_one_piece_below_p() {
+        assert_eq!(carve(10, 3).collect::<Vec<_>>(), vec![(0, 4), (4, 3), (7, 3)]);
+        assert_eq!(carve(8, 4).collect::<Vec<_>>(), vec![(0, 2), (2, 2), (4, 2), (6, 2)]);
+        for (len, p) in [(10, 1), (10, 0), (3, 4), (0, 4), (0, 1)] {
+            assert_eq!(carve(len, p).collect::<Vec<_>>(), vec![(0, len)], "len={len} p={p}");
+        }
+    }
+
+    #[test]
+    fn one_piece_runs_on_the_calling_thread_and_several_do_not() {
+        let me = std::thread::current().id();
+        let ids = run(carve(10, 1), |_| Ok(std::thread::current().id())).unwrap();
+        assert_eq!(ids, vec![me]);
+        let ids = run(carve(10, 3), |(off, _)| Ok((off, std::thread::current().id()))).unwrap();
+        assert_eq!(ids.iter().map(|&(off, _)| off).collect::<Vec<_>>(), vec![0, 4, 7]);
+        assert!(ids.iter().all(|&(_, id)| id != me), "pieces in order, each on a worker");
+        assert!(run(std::iter::empty::<usize>(), Ok).unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_first_error_in_piece_order_wins() {
+        let unsupported = |off: usize| crate::KernelError::Unsupported(format!("piece {off}"));
+        let out =
+            run(carve(9, 3), |(off, _)| if off == 0 { Ok(off) } else { Err(unsupported(off)) });
+        assert_eq!(out, Err(unsupported(3)));
     }
 
     #[test]

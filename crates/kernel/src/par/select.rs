@@ -1,48 +1,34 @@
 //! Chunk-parallel selection.
 //!
-//! The input BAT is carved into `P` contiguous zero-copy morsels
-//! ([`crate::Bat::chunks`]); each morsel runs the sequential bulk loop
-//! ([`crate::algebra::select_slice`]) on its own scoped thread, and the
-//! per-morsel candidate lists are concatenated in morsel order. Because
-//! morsels are ascending head-oid ranges, the concatenation *is* the
-//! sequential output: `par::select` is byte-identical to
-//! `algebra::select` at every `P` (at `P = 1` it dispatches to it).
+//! The input BAT is carved into `P` contiguous zero-copy morsels; each
+//! morsel runs the sequential bulk loop
+//! ([`crate::algebra::select_slice`]), and the per-morsel candidate lists
+//! are concatenated in morsel order. Because morsels are ascending
+//! head-oid ranges, the concatenation *is* the sequential output:
+//! `par::select` is byte-identical to `algebra::select` at every `P`
+//! (at `P = 1` the one morsel is the whole BAT and its list is returned
+//! as is).
 
-use super::ParConfig;
-use crate::algebra::{self, select_slice, Predicate};
+use super::{carve, concat, run, ParConfig};
+use crate::algebra::{select_slice, Predicate};
 use crate::column::Column;
-use crate::{Bat, Oid, Result};
+use crate::{Bat, Result};
 
 /// Parallel selection over a whole BAT: returns the same candidate-list
-/// BAT (oid tail) as [`algebra::select`], computed over `P` morsels.
-/// Inputs smaller than the partition count fall back to the sequential
-/// path.
+/// BAT (oid tail) as [`crate::algebra::select`], computed over `P`
+/// morsels (one when the input is shorter than `P`).
 pub fn select(bat: &Bat, pred: &Predicate, cfg: &ParConfig) -> Result<Bat> {
-    let p = cfg.partitions();
-    if p <= 1 || bat.len() < p {
-        return algebra::select(bat, pred);
-    }
-    let chunks = bat.chunks(p);
-    let partials: Vec<Result<Vec<Oid>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(base, slice)| s.spawn(move || select_slice(slice, base, pred)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("select morsel panicked")).collect()
-    });
-    // Partial lengths are known once the threads join: pre-size the merge
-    // target like the join's partition concat, instead of growing from 0.
-    let total: usize = partials.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum();
-    let mut out: Vec<Oid> = Vec::with_capacity(total);
-    for partial in partials {
-        out.extend(partial?);
-    }
-    Ok(Bat::transient(Column::Oid(out)))
+    let partials = run(carve(bat.len(), cfg.partitions()), |(off, size)| {
+        let (base, slice) = bat.view(off, size);
+        select_slice(slice, base, pred)
+    })?;
+    Ok(Bat::transient(Column::Oid(concat(partials))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra;
     use crate::algebra::CmpOp;
     use crate::value::Value;
 

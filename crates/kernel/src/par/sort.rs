@@ -1,10 +1,9 @@
 //! Run-parallel stable sort with a k-way position merge.
 //!
 //! The position space `[0, len)` is carved into `P` contiguous balanced
-//! runs (the same carve as [`crate::Bat::chunks`]); each run is stably
-//! sorted on its own scoped thread with the same per-variant comparators
-//! the sequential [`algebra::sort_perm`] uses, then the sorted runs are
-//! merged with a k-way scan over the run heads.
+//! runs; each run is stably sorted with the same per-variant comparators
+//! the sequential [`crate::algebra::sort_perm`] uses, then the sorted
+//! runs are merged with a k-way scan over the run heads.
 //!
 //! **Byte-identity argument.** The merge replaces its current best head
 //! only on a strict `Less`, scanning runs in ascending index order, so
@@ -15,61 +14,44 @@
 //! the *exact* sequential stable permutation at every `P`; descending
 //! order is the final `.reverse()` of the ascending permutation on both
 //! paths, mirroring what `plan::exec` has always done for `desc`. At
-//! `P = 1` both entry points dispatch to the literal sequential
-//! [`algebra::sort`] / [`algebra::sort_perm`] code.
+//! `P = 1` the one run is the whole input: sorted on the caller's thread
+//! and returned with no merge.
 
-use super::{stats, ParConfig};
-use crate::algebra;
+use super::{carve, run, stats, ParConfig};
 use crate::column::Column;
 use crate::{Bat, Result};
 use std::cmp::Ordering;
 
-/// Stable sort of the tail over `P` parallel runs; `desc` reverses the
-/// ascending result (the same final-reverse semantics the executor's
-/// `Sort {desc}` node has always had). Returns a fresh transient BAT.
+/// Stable sort of the tail over `P` parallel runs — a gather over
+/// [`sort_perm`], so `desc` is the reverse of the ascending result (the
+/// same final-reverse semantics the executor's `Sort {desc}` node has
+/// always had). Returns a fresh transient BAT.
 pub fn sort(b: &Bat, desc: bool, cfg: &ParConfig) -> Result<Bat> {
-    let p = cfg.partitions();
-    if p <= 1 || b.len() < p {
-        stats::record_sort(false);
-        let start = datacell_telemetry::timer();
-        let sorted = algebra::sort(b)?;
-        let out = if desc { reverse_bat(&sorted) } else { sorted };
-        stats::record_sort_time(false, start);
-        return Ok(out);
-    }
-    stats::record_sort(true);
-    let start = datacell_telemetry::timer();
-    let mut perm = par_perm(&b.tail, p);
-    if desc {
-        perm.reverse();
-    }
-    let out = Bat::transient(b.tail.gather(&perm));
-    stats::record_sort_time(true, start);
-    Ok(out)
+    let perm = sort_perm(b, desc, cfg)?;
+    Ok(Bat::transient(b.tail.gather(&perm)))
 }
 
 /// The permutation (positions) that sorts the tail, computed over `P`
-/// parallel runs; stable, ascending unless `desc`. Byte-identical to
-/// `algebra::sort_perm` (+ `reverse()` for `desc`) at every `P`.
+/// parallel runs (one when the input is shorter than `P`); stable,
+/// ascending unless `desc`. Byte-identical to `algebra::sort_perm`
+/// (+ `reverse()` for `desc`) at every `P`.
 pub fn sort_perm(b: &Bat, desc: bool, cfg: &ParConfig) -> Result<Vec<u32>> {
-    let p = cfg.partitions();
-    if p <= 1 || b.len() < p {
-        stats::record_sort(false);
-        let start = datacell_telemetry::timer();
-        let mut perm = algebra::sort_perm(b)?;
-        if desc {
-            perm.reverse();
-        }
-        stats::record_sort_time(false, start);
-        return Ok(perm);
-    }
-    stats::record_sort(true);
+    let runs = carve(b.len(), cfg.partitions());
+    let parallel = runs.len() > 1;
+    stats::record_sort(parallel);
     let start = datacell_telemetry::timer();
-    let mut perm = par_perm(&b.tail, p);
+    // The same per-variant comparators `algebra::sort_perm` uses.
+    let mut perm = match &b.tail {
+        Column::Int(v) => perm_by(runs, &|i, j| v[i as usize].cmp(&v[j as usize])),
+        Column::Float(v) => perm_by(runs, &|i, j| v[i as usize].total_cmp(&v[j as usize])),
+        Column::Str(v) => perm_by(runs, &|i, j| v[i as usize].cmp(&v[j as usize])),
+        Column::Bool(v) => perm_by(runs, &|i, j| v[i as usize].cmp(&v[j as usize])),
+        Column::Oid(v) => perm_by(runs, &|i, j| v[i as usize].cmp(&v[j as usize])),
+    }?;
     if desc {
         perm.reverse();
     }
-    stats::record_sort_time(true, start);
+    stats::record_sort_time(parallel, start);
     Ok(perm)
 }
 
@@ -80,50 +62,24 @@ pub fn reverse_bat(b: &Bat) -> Bat {
     Bat::transient(b.tail.gather(&perm))
 }
 
-/// Dispatch the run-parallel permutation sort per column variant, with
-/// the same comparators `algebra::sort_perm` uses sequentially.
-fn par_perm(col: &Column, p: usize) -> Vec<u32> {
-    let len = col.len();
-    match col {
-        Column::Int(v) => par_perm_by(len, p, &|i, j| v[i as usize].cmp(&v[j as usize])),
-        Column::Float(v) => par_perm_by(len, p, &|i, j| v[i as usize].total_cmp(&v[j as usize])),
-        Column::Str(v) => par_perm_by(len, p, &|i, j| v[i as usize].cmp(&v[j as usize])),
-        Column::Bool(v) => par_perm_by(len, p, &|i, j| v[i as usize].cmp(&v[j as usize])),
-        Column::Oid(v) => par_perm_by(len, p, &|i, j| v[i as usize].cmp(&v[j as usize])),
-    }
-}
-
-/// Sort `P` contiguous position runs on scoped threads, then k-way merge.
-fn par_perm_by<F>(len: usize, p: usize, cmp: &F) -> Vec<u32>
+/// Stably sort each contiguous position run, then k-way merge; a single
+/// run is already the answer.
+fn perm_by<F>(runs: impl ExactSizeIterator<Item = (usize, usize)>, cmp: &F) -> Result<Vec<u32>>
 where
     F: Fn(u32, u32) -> Ordering + Sync,
 {
-    // Same balanced carve as `Bat::chunks`.
-    let (base, extra) = (len / p, len % p);
-    let mut bounds = Vec::with_capacity(p);
-    let mut off = 0usize;
-    for i in 0..p {
-        let size = base + usize::from(i < extra);
-        bounds.push((off, size));
-        off += size;
+    let mut sorted = run(runs, |(off, size)| {
+        let mut run: Vec<u32> = (off as u32..(off + size) as u32).collect();
+        run.sort_by(|&i, &j| cmp(i, j));
+        Ok(run)
+    })?;
+    if sorted.len() == 1 {
+        return Ok(sorted.pop().expect("one run"));
     }
-    let runs: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(off, size)| {
-                s.spawn(move || {
-                    let mut run: Vec<u32> = (off as u32..(off + size) as u32).collect();
-                    run.sort_by(|&i, &j| cmp(i, j));
-                    run
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sort run panicked")).collect()
-    });
     let mstart = datacell_telemetry::timer();
-    let merged = kway_merge(&runs, cmp);
+    let merged = kway_merge(&sorted, cmp);
     stats::record_sort_merge_time(mstart);
-    merged
+    Ok(merged)
 }
 
 /// Merge sorted runs by scanning run heads, replacing the best candidate
@@ -158,6 +114,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra;
 
     fn seq_perm(b: &Bat, desc: bool) -> Vec<u32> {
         let mut perm = algebra::sort_perm(b).unwrap();

@@ -710,6 +710,11 @@ mod tests {
                 }
             });
             start.wait();
+            // On a busy two-core host the recorder may not be scheduled
+            // before 20 000 snapshots are over; race it, not an idle cell.
+            while h.count() == 0 {
+                std::thread::yield_now();
+            }
             let torn = (0..20_000)
                 .map(|_| h.snapshot())
                 .filter(|snap| snap.buckets.last().map(|&(_, c)| c) != Some(snap.count))

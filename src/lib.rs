@@ -62,7 +62,7 @@ pub use sysx;
 
 /// Most commonly used items across the stack.
 pub mod prelude {
-    pub use datacell_basket::{BasicWindow, Basket, ShardedBasket, SharedBasket};
+    pub use datacell_basket::{BasicWindow, Basket, ShardedBasket};
     pub use datacell_core::{DataCellError, Engine, ExecMode, QueryId, WindowSpec};
     pub use datacell_kernel::{Bat, Column, DataType, Value};
     pub use datacell_plan::LogicalPlan;

@@ -126,9 +126,9 @@ fn csv_receptor_to_engine_pipeline() {
 
 #[test]
 fn emitters_drain_output_baskets() {
-    use datacell::basket::{Basket, CollectEmitter, Emitter, SharedBasket};
+    use datacell::basket::{Basket, CollectEmitter, Emitter, ShardedBasket};
     // Emitters work over output baskets; wire one manually.
-    let out = SharedBasket::new(Basket::new("out", &[("v", DataType::Int)]));
+    let out = ShardedBasket::new(Basket::new("out", &[("v", DataType::Int)]), 1);
     out.append(&[Column::Int(vec![42])], 7).unwrap();
     let mut em = CollectEmitter::new();
     em.drain(&out).unwrap();

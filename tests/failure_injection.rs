@@ -1,7 +1,7 @@
 //! Failure injection and edge behaviour: malformed input, starved and
 //! bursty streams, degenerate windows, misuse of the API.
 
-use datacell::basket::{Basket, BasketError, CsvReceptor, MalformedPolicy, SharedBasket};
+use datacell::basket::{Basket, BasketError, CsvReceptor, MalformedPolicy, ShardedBasket};
 use datacell::core::{ExecMode, Factory, FireOutcome, RegisterOptions, StreamInput};
 use datacell::net::{NetConfig, NetServer};
 use datacell::prelude::*;
@@ -145,7 +145,7 @@ fn empty_window_scalar_aggregates_drop_the_row() {
 
 #[test]
 fn time_regression_in_appends_is_rejected() {
-    let b = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+    let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
     b.append(&[Column::Int(vec![1])], 100).unwrap();
     let err = b.append(&[Column::Int(vec![2])], 50);
     assert!(err.is_err());
@@ -219,7 +219,7 @@ fn panicking_factory_does_not_take_the_server_down() {
     // the factory itself). The panic must come back from the drain as a
     // typed error the server counts — not unwind through its loop.
     let mut engine = engine();
-    let input = StreamInput::new("s", engine.basket("s").unwrap().shared());
+    let input = StreamInput::new("s", engine.basket("s").unwrap());
     engine.register_factory(Box::new(ExplodingFactory { input, takes_row: true })).unwrap();
     let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("bind");
 
@@ -251,7 +251,7 @@ fn factory_failing_every_drain_costs_its_neighbours_no_window() {
     // same stream; the windows it completes in an aborted drain are kept.
     let mut e = engine();
     let q = e.register_sql("SELECT sum(x2) FROM s WINDOW SIZE 2 SLIDE 2").unwrap();
-    let input = StreamInput::new("s", e.basket("s").unwrap().shared());
+    let input = StreamInput::new("s", e.basket("s").unwrap());
     e.register_factory(Box::new(ExplodingFactory { input, takes_row: false })).unwrap();
     for round in 0..3i64 {
         e.append("s", &[Column::Int(vec![0, 0]), Column::Int(vec![round, round])]).unwrap();

@@ -153,7 +153,7 @@ fn golden_time_landmark_query() {
 #[test]
 fn golden_time_windows_survive_sharded_ingestion() {
     // The RANGE golden, fed through the sharded path (ordered appends,
-    // shards = 4): byte-identical to the single-mutex run above — the
+    // shards = 4): byte-identical to the one-shard run above — the
     // allocator's clock handling must not disturb time-window slicing.
     let mut e = engine();
     e.set_basket_shards(4);

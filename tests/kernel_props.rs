@@ -2,10 +2,10 @@
 //! with a naive row-at-a-time reference implementation, and algebraic
 //! identities the incremental rewriter relies on actually hold — plus the
 //! basket layer's sharded-ingest law: any interleaved append schedule
-//! through a `ShardedBasket` drains to the same stream a sequential
-//! `SharedBasket` produces.
+//! through a `ShardedBasket` drains to the same stream sequential appends
+//! to a plain `Basket` produce.
 
-use datacell::basket::{Basket, ShardedBasket, SharedBasket};
+use datacell::basket::{Basket, ShardedBasket};
 use datacell::kernel::algebra::{self, AggKind, Predicate};
 use datacell::kernel::par::{self, ParConfig, PlacementMode};
 use datacell::kernel::{Bat, Column, DataType, Value};
@@ -356,14 +356,33 @@ proptest! {
         let expect = nested_loop(&l, &r, l_hseq, r_hseq);
         let (slo, sro) = algebra::hashjoin(&lb, &rb).unwrap();
         prop_assert_eq!(pair_set(&slo, &sro), expect.clone());
+        // The sequential pair *order*, from the nested loops too (the
+        // join core is shared with `par`, so it is no reference for
+        // itself): probe positions ascending over the larger side, and
+        // within one probe tuple the newest build tuple first.
+        let build_is_left = l.len() <= r.len();
+        let (build, probe) = if build_is_left { (&l, &r) } else { (&r, &l) };
+        let mut ordered = Vec::new();
+        for (j, y) in probe.iter().enumerate() {
+            for (i, x) in build.iter().enumerate().rev() {
+                if x == y {
+                    let (li, ri) = if build_is_left { (i, j) } else { (j, i) };
+                    ordered.push((l_hseq + li as u64, r_hseq + ri as u64));
+                }
+            }
+        }
+        let in_order = |lo: &Bat, ro: &Bat| -> Vec<(u64, u64)> {
+            let (lo, ro) = (lo.tail.as_oid().unwrap(), ro.tail.as_oid().unwrap());
+            lo.iter().copied().zip(ro.iter().copied()).collect()
+        };
+        prop_assert_eq!(in_order(&slo, &sro), ordered.clone());
         for p in [1usize, 2, 8] {
             let (plo, pro) = par::hashjoin(&lb, &rb, &ParConfig::new(p)).unwrap();
             prop_assert_eq!(pair_set(&plo, &pro), expect.clone(), "P={}", p);
             if p == 1 {
-                // P=1 dispatches to the sequential path: byte-identical,
-                // including pair order.
-                prop_assert_eq!(&plo, &slo);
-                prop_assert_eq!(&pro, &sro);
+                // P=1 is one partition, the whole inputs: byte-identical
+                // to sequential, pair order included.
+                prop_assert_eq!(in_order(&plo, &pro), ordered.clone());
             }
         }
     }
@@ -522,19 +541,13 @@ proptest! {
             0..40,
         ),
     ) {
-        let drained = |b: &SharedBasket| {
-            b.with(|bk| {
-                let w = bk.snapshot();
-                (
-                    w.base_oid(),
-                    w.col(0).unwrap().as_int().unwrap().to_vec(),
-                    w.timestamps().to_vec(),
-                )
-            })
+        let drained = |b: &Basket| {
+            let w = b.snapshot();
+            (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec(), w.timestamps().to_vec())
         };
         for shards in [1usize, 2, 8] {
             let sharded = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
-            let reference = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+            let mut reference = Basket::new("s", &[("x", DataType::Int)]);
             let mut ts = 0u64;
             for (shard, vals, dt, seal) in &schedule {
                 ts += dt;
@@ -550,7 +563,7 @@ proptest! {
             // oids, same values, same stamps (which implies the equal-
             // multiset law) — and staging is empty.
             prop_assert_eq!(sharded.staged_len(), 0, "shards={}", shards);
-            prop_assert_eq!(drained(&sharded.shared()), drained(&reference), "shards={}", shards);
+            prop_assert_eq!(sharded.with(|b| drained(b)), drained(&reference), "shards={}", shards);
             prop_assert_eq!(sharded.end_oid(), reference.end_oid(), "shards={}", shards);
         }
     }
@@ -568,7 +581,7 @@ proptest! {
         // suffix still matches.
         for shards in [1usize, 2, 8] {
             let sharded = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
-            let reference = SharedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+            let mut reference = Basket::new("s", &[("x", DataType::Int)]);
             for (i, (shard, vals, seal)) in schedule.iter().enumerate() {
                 let batch = [Column::Int(vals.clone())];
                 sharded.append_shard(*shard, &batch, i as u64).unwrap();
@@ -577,23 +590,21 @@ proptest! {
                     sharded.seal();
                     let upto = sharded.end_oid().saturating_sub(expire_each);
                     sharded.with(|b| b.expire_upto(upto));
-                    reference.with(|b| b.expire_upto(upto));
+                    reference.expire_upto(upto);
                 }
             }
             sharded.seal();
-            let suffix = |b: &SharedBasket| {
-                b.with(|bk| {
-                    let w = bk.snapshot();
-                    (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec())
-                })
+            let suffix = |b: &Basket| {
+                let w = b.snapshot();
+                (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec())
             };
             // Align both views at the same expiry front before comparing
             // (reference expiry used the sharded view's frontier, which
             // may trail the reference when data was staged).
             let front = sharded.base_oid().max(reference.base_oid());
             sharded.with(|b| b.expire_upto(front));
-            reference.with(|b| b.expire_upto(front));
-            prop_assert_eq!(suffix(&sharded.shared()), suffix(&reference), "shards={}", shards);
+            reference.expire_upto(front);
+            prop_assert_eq!(sharded.with(|b| suffix(b)), suffix(&reference), "shards={}", shards);
         }
     }
 

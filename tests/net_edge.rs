@@ -171,6 +171,39 @@ fn socket_results_match_in_process_byte_for_byte() {
 }
 
 #[test]
+fn subscribe_reaches_its_own_query_after_a_deregister() {
+    // Regression: labels were numbered by the count of live queries, so
+    // after a deregister the next query took a label already in use and
+    // `SUBSCRIBE` could not tell the two apart.
+    let mut engine = Engine::new();
+    engine.create_stream("s", &[("x", DataType::Int)]).expect("stream");
+    let dropped = engine.register_sql("SELECT sum(x) FROM s WINDOW SIZE 4 SLIDE 4").expect("q0");
+    engine.register_sql("SELECT count(x) FROM s WINDOW SIZE 4 SLIDE 4").expect("q1");
+    engine.deregister(dropped).expect("deregister");
+    engine.register_sql("SELECT max(x) FROM s WINDOW SIZE 4 SLIDE 4").expect("q2");
+    let server = NetServer::spawn(engine, "127.0.0.1:0", NetConfig::default()).expect("spawn");
+
+    let mut subscribers: Vec<_> = ["q1", "q2"]
+        .into_iter()
+        .map(|label| {
+            let mut reader = BufReader::new(connect(&server));
+            reader.get_mut().write_all(format!("SUBSCRIBE {label}\n").as_bytes()).expect("send");
+            assert_eq!(read_line(&mut reader), format!("OK subscribe {label}"));
+            reader
+        })
+        .collect();
+    let mut gone = BufReader::new(connect(&server));
+    gone.get_mut().write_all(b"SUBSCRIBE q0\n").expect("send");
+    assert_eq!(read_line(&mut gone), "ERR unknown query q0");
+
+    let mut sock = connect(&server);
+    sock.write_all(b"INGEST s\n10\n40\n20\n30\n").expect("rows");
+    assert_eq!(read_line(&mut subscribers[0]), "4", "q1 is the count");
+    assert_eq!(read_line(&mut subscribers[1]), "40", "q2 is the max");
+    server.shutdown();
+}
+
+#[test]
 fn stalled_subscriber_is_evicted_and_cannot_pin_gc() {
     let mut engine = Engine::new();
     engine.create_stream("t", &[("x", DataType::Int), ("tag", DataType::Str)]).expect("stream");

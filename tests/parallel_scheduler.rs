@@ -7,7 +7,7 @@
 //! selects, while the determinism checks pin their own counts explicitly.
 
 use datacell::basket::ReceptorHandle;
-use datacell::core::parse_workers;
+use datacell::core::{parse_count, EngineConfig};
 use datacell::prelude::*;
 
 /// Eight independent standing queries over eight streams: per-query
@@ -181,15 +181,14 @@ fn time_windows_under_worker_pool() {
 /// and falls back to sequential for anything else.
 #[test]
 fn workers_env_override_parsing() {
-    assert_eq!(parse_workers(None), None);
-    assert_eq!(parse_workers(Some("4")), Some(4));
-    assert_eq!(parse_workers(Some(" 2\n")), Some(2));
-    assert_eq!(parse_workers(Some("0")), None);
-    assert_eq!(parse_workers(Some("-3")), None);
-    assert_eq!(parse_workers(Some("many")), None);
+    assert_eq!(parse_count(None), None);
+    assert_eq!(parse_count(Some("4")), Some(4));
+    assert_eq!(parse_count(Some(" 2\n")), Some(2));
+    assert_eq!(parse_count(Some("0")), None);
+    assert_eq!(parse_count(Some("-3")), None);
+    assert_eq!(parse_count(Some("many")), None);
     // Engine::new respects whatever the harness environment selects.
-    let expected = parse_workers(std::env::var("DATACELL_WORKERS").ok().as_deref()).unwrap_or(1);
-    assert_eq!(Engine::new().workers(), expected);
+    assert_eq!(Engine::new().workers(), EngineConfig::from_env().workers);
     // Explicit API beats the environment.
     assert_eq!(Engine::with_workers(3).workers(), 3);
 }

@@ -4,14 +4,14 @@
 //!
 //! * no tuple is lost or duplicated, regardless of thread interleaving;
 //! * oids stay dense and monotone (the global allocator contract);
-//! * factory results are identical to the single-shard (single-mutex) run
+//! * factory results are identical to the single-shard (nothing staged) run
 //!   wherever determinism allows, and aggregate-equal where it does not;
 //! * `min_consumed`-bounded expiry never reclaims an undrained shard.
 //!
-//! This file runs under the CI shard matrix (`DATACELL_BASKET_SHARDS=1,4`,
-//! one leg crossed with workers=4 × partitions=4): `Engine::new()` picks
-//! all three knobs up from the environment, so the same assertions cover
-//! the single-mutex path and the sharded path.
+//! This file runs under the CI `config` matrix (shards 1 and 4, the
+//! latter also crossed with workers=4 × partitions=4): `Engine::new()`
+//! picks all three knobs up from the environment, so the same assertions cover
+//! one shard and the staged, sealed path.
 
 use datacell::basket::ReceptorHandle;
 use datacell::prelude::*;
@@ -53,9 +53,9 @@ fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
                     let base = (tid * 1_000_000 + b * ROWS_PER_BATCH) as i64;
                     let vals: Vec<i64> = (0..ROWS_PER_BATCH as i64).map(|r| base + r).collect();
                     // One shared stamp: across racing appenders there is
-                    // no meaningful per-thread arrival order, and the
-                    // single-mutex path (shards=1) rejects regressions
-                    // rather than clamping them.
+                    // no meaningful per-thread arrival order, and one
+                    // shard (straight into the basket) rejects
+                    // regressions rather than clamping them.
                     sb.append_shard(shard, &[Column::Int(vals)], 0).unwrap();
                 }
             })
