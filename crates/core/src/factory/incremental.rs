@@ -1,75 +1,49 @@
 //! The incremental factory — the DataCell runtime of Algorithm 2.
 //!
-//! The factory executes an [`IncrementalPlan`] against arriving data:
+//! The runtime is three ideas, and the factory holds exactly one of each:
 //!
-//! * each `fire` ingests one basic window (or chunk) per input stream and
-//!   runs the **per-basic-window segment** of the plan over just that data;
-//! * the resulting intermediates are cached in **rings** (one slot per
-//!   active basic window); two-stream joins keep an n×n **matrix** of
-//!   per-pair intermediates and compute only the new row/column per slide
-//!   (Fig. 3e);
-//! * once the window is complete, the **merge segment** runs: frontier
-//!   rings are merged (`concat` + compensating actions) and the remaining
-//!   merge-stage instructions produce the window result;
-//! * the **transition** (Algorithm 2 lines 20–21) is the ring rotation:
-//!   expired slots pop off the front, new slots push onto the back;
-//! * with chunking enabled, the newest basic window is itself processed
-//!   incrementally in `m` chunks whose partials fold into one ring slot —
-//!   the optimization of §3 (*Optimized Incremental Plans*) driven by the
-//!   [`AdaptiveChunker`].
+//! * **One segment walker.** Every piece of an [`IncrementalPlan`] — the
+//!   static segment at registration, the per-basic-window segment, the
+//!   per-cell segment of a two-stream join (Fig. 3e) and the merge segment
+//!   — runs through [`exec::run_segment`]. What differs is only which
+//!   instructions it walks and where it borrows the variables they do not
+//!   define: statics, ring slot `i`/`j`, or the merged frontier. Cached
+//!   values are lent by reference, never copied into the walk.
+//! * **One frontier merge.** Partials meet at three levels — ring slots
+//!   and matrix cells into the window, `[cumulative, new]` into a landmark
+//!   window, chunk partials into one basic window (the m-chunk
+//!   optimization of §3, driven by the [`AdaptiveChunker`]) — and all
+//!   three are [`merge_frontier`] over a different list of parts.
+//! * **One slide step.** [`Factory::fire`] takes one basic window (or one
+//!   chunk of it) per stream, by count or by deadline — the only place the
+//!   window flavours differ — runs the per-bw segment, and then does the
+//!   **transition** of Algorithm 2 lines 20–21: the oldest ring slot pops
+//!   off the front, the new one pushes onto the back (computing only the
+//!   new row and column of the join matrix), and once the window is
+//!   complete the frontier is merged and the merge segment produces the
+//!   result. A landmark window is the same step without expiry: its ring
+//!   collapses to the merged cumulative after every slide.
+//!
+//! Part order is fixed: rings oldest → newest, matrix cells row-major.
+//! `SlideMetrics::main_plan` covers ingest, per-bw/per-cell evaluation,
+//! the chunk fold and the transition; `merge` covers the frontier merge
+//! and the merge segment.
 
-use super::{Factory, FireOutcome, SnapshotCtx, StreamInput};
+use super::{Factory, FireOutcome, SegmentCtx, Step, StreamInput};
 use crate::adaptive::AdaptiveChunker;
 use crate::error::DataCellError;
-use crate::merge::{merge_cluster, merge_var};
+use crate::merge::merge_frontier;
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{IncrementalPlan, Stage};
 use datacell_basket::{BasicWindow, Timestamp};
 use datacell_kernel::{Oid, ParConfig, Table};
-use datacell_plan::exec::{eval_op, ExecCtx};
-use datacell_plan::{MalValue, PlanError, ResultSet, VarId, WindowSpec};
+use datacell_plan::exec::{self, ExecCtx};
+use datacell_plan::{MalValue, ResultSet, VarId, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Context exposing exactly one stream's basic window (per-bw evaluation).
-struct OneStreamCtx<'a> {
-    name: &'a str,
-    window: &'a BasicWindow,
-    par: ParConfig,
-}
-
-impl<'a> ExecCtx for OneStreamCtx<'a> {
-    fn stream_window(&self, stream: &str) -> Option<&BasicWindow> {
-        (stream == self.name).then_some(self.window)
-    }
-
-    fn table(&self, _name: &str) -> Option<&Table> {
-        None
-    }
-
-    fn par_config(&self) -> ParConfig {
-        self.par
-    }
-}
-
-/// Context with no streams (merge/matrix instructions never bind streams).
-struct NoStreamCtx {
-    par: ParConfig,
-}
-
-impl ExecCtx for NoStreamCtx {
-    fn stream_window(&self, _stream: &str) -> Option<&BasicWindow> {
-        None
-    }
-
-    fn table(&self, _name: &str) -> Option<&Table> {
-        None
-    }
-
-    fn par_config(&self) -> ParConfig {
-        self.par
-    }
-}
+/// The values one segment run caches: ring (or matrix) variable → value.
+type Slot = Vec<(VarId, MalValue)>;
 
 /// The incremental factory.
 pub struct IncrementalFactory {
@@ -80,28 +54,23 @@ pub struct IncrementalFactory {
     inputs: Vec<StreamInput>,
     /// Static variable values, computed at construction.
     statics: Vec<Option<MalValue>>,
-    /// Per-bw intermediate rings: `rings[var][slot]`, oldest slot first.
-    rings: HashMap<VarId, VecDeque<MalValue>>,
+    /// Per-bw intermediates: `rings[var][slot]`, oldest slot first (empty
+    /// for variables that are not cached). A landmark window keeps one
+    /// slot per frontier variable: the cumulative.
+    rings: Vec<VecDeque<MalValue>>,
     /// Matrix intermediates: `matrix[var][row][col]` (row = left bw slot).
-    matrix: HashMap<VarId, VecDeque<VecDeque<MalValue>>>,
-    /// Landmark cumulative frontier values (replaces rings).
-    cum: HashMap<VarId, MalValue>,
-    /// Ring variables (cached per slot), precomputed.
-    ring_vars: Vec<VarId>,
+    matrix: Vec<VecDeque<VecDeque<MalValue>>>,
+    /// Ring variables (cached per slot) by producing stream.
+    ring_vars: Vec<Vec<VarId>>,
     /// Matrix ring variables.
     matrix_vars: Vec<VarId>,
-    /// Variables that belong to a group cluster (merged via merge_cluster).
-    cluster_members: Vec<VarId>,
-    /// Sliding windows: number of basic windows per window.
-    n: Option<usize>,
     advances: usize,
     emitted: usize,
-    /// Chunking state (single-stream count-sliding only).
+    /// Chunking state (single-stream count-sliding only): the partials of
+    /// the chunks of the basic window being accumulated, by variable.
     chunker: Option<AdaptiveChunker>,
-    chunk_rings: HashMap<VarId, Vec<MalValue>>,
+    chunk_parts: Vec<Vec<MalValue>>,
     chunks_done: usize,
-    /// Chunk-size for the current basic window (frozen while mid-window).
-    current_m: usize,
     /// Work done before the first result (initial-window preface) — folded
     /// into the first slide's metric, matching the paper's Fig. 4 where
     /// window 1 covers processing the whole initial |W|. After the first
@@ -167,62 +136,42 @@ impl IncrementalFactory {
             }
         }
 
-        // Evaluate the static segment once.
-        let mut statics: Vec<Option<MalValue>> = vec![None; plan.mal.nvars];
-        let mut ctx = SnapshotCtx::new();
-        for t in tables.into_values() {
-            ctx.set_table(t);
-        }
-        for &i in &plan.static_instrs {
-            let ins = &plan.mal.instrs[i];
-            let args: Vec<&MalValue> = ins
-                .op
-                .args()
-                .iter()
-                .map(|&a| {
-                    statics[a]
-                        .as_ref()
-                        .ok_or_else(|| PlanError::Internal(format!("static X_{a} unset")))
-                })
-                .collect::<Result<_, _>>()
-                .map_err(DataCellError::Plan)?;
-            let outs = eval_op(&ins.op, &args, &ctx)?;
-            for (d, v) in ins.dests.iter().zip(outs) {
-                statics[*d] = Some(v);
-            }
-        }
+        // The static segment runs once, here; the table snapshot is not
+        // needed afterwards.
+        let nvars = plan.mal.nvars;
+        let mut statics: Vec<Option<MalValue>> = vec![None; nvars];
+        let ctx = SegmentCtx { windows: &[], tables: Some(&tables), par: ParConfig::sequential() };
+        let static_instrs = plan.static_instrs.iter().copied();
+        exec::run_segment(&plan.mal, static_instrs, &mut statics, |_| None, &ctx)?;
 
-        let ring_vars = plan.ring_vars();
-        let matrix_vars = plan.matrix_ring_vars();
-        let cluster_members: Vec<VarId> = plan
-            .clusters
-            .iter()
-            .flat_map(|c| std::iter::once(c.keys_var).chain(c.agg_vars.iter().map(|(v, _)| *v)))
+        let all_ring_vars = plan.ring_vars();
+        let ring_vars = (0..inputs.len())
+            .map(|k| {
+                all_ring_vars
+                    .iter()
+                    .copied()
+                    .filter(|&v| plan.stages[v] == Stage::PerBw(k))
+                    .collect()
+            })
             .collect();
-        let n = window.basic_windows();
-        let aligned_clusters = plan.clusters.iter().any(|c| c.placement_aligned);
         Ok(IncrementalFactory {
             label: label.into(),
-            plan,
             window,
             inputs,
             statics,
-            rings: ring_vars.iter().map(|&v| (v, VecDeque::new())).collect(),
-            matrix: matrix_vars.iter().map(|&v| (v, VecDeque::new())).collect(),
-            cum: HashMap::new(),
+            rings: vec![VecDeque::new(); nvars],
+            matrix: vec![VecDeque::new(); nvars],
             ring_vars,
-            matrix_vars,
-            cluster_members,
-            n,
+            matrix_vars: plan.matrix_ring_vars(),
             advances: 0,
             emitted: 0,
-            current_m: chunker.as_ref().map_or(1, super::super::adaptive::AdaptiveChunker::m),
             chunker,
-            chunk_rings: HashMap::new(),
+            chunk_parts: vec![Vec::new(); nvars],
             chunks_done: 0,
             preface_time: Duration::ZERO,
             par: ParConfig::sequential(),
-            aligned_clusters,
+            aligned_clusters: plan.clusters.iter().any(|c| c.placement_aligned),
+            plan,
         })
     }
 
@@ -236,213 +185,107 @@ impl IncrementalFactory {
         self.chunker.as_ref()
     }
 
-    fn step_count(&self) -> Option<usize> {
-        match self.window {
-            WindowSpec::CountSliding { step, .. } => Some(step),
-            WindowSpec::CountLandmark { step } => Some(step),
-            _ => None,
+    /// Chunks per basic window: the chunker's choice, capped at one chunk
+    /// per tuple of the step. Only `produce` lets the chunker move, so `m`
+    /// is frozen while a basic window is mid-accumulation.
+    fn m(&self) -> usize {
+        match (&self.chunker, self.window.step_count()) {
+            (Some(chunker), Some(step)) => chunker.m().clamp(1, step),
+            _ => 1,
         }
     }
 
-    fn step_ms(&self) -> Option<u64> {
-        match self.window {
-            WindowSpec::TimeSliding { step_ms, .. } => Some(step_ms),
-            WindowSpec::TimeLandmark { step_ms } => Some(step_ms),
-            _ => None,
+    /// What the next fire takes from every stream: a step, or one chunk
+    /// of it.
+    fn next_step(&self) -> Step {
+        match Step::of(&self.window, self.advances) {
+            Step::Tuples(step) => Step::Tuples(chunk_size(step, self.m(), self.chunks_done)),
+            until @ Step::Until(_) => until,
         }
     }
 
-    /// Tuples needed for the next fire (step, or one chunk of it).
-    fn needed(&self) -> Option<usize> {
-        let step = self.step_count()?;
-        Some(if self.current_m > 1 {
-            chunk_size(step, self.current_m, self.chunks_done)
-        } else {
-            step
-        })
-    }
+    // -- the three segment runs that cache or produce values ----------------
 
-    // -- evaluation helpers ------------------------------------------------
+    /// Run `instrs` over a fresh env, borrowing what they do not define
+    /// from `outer`, and take the values of `outs`.
+    fn eval_segment<'a>(
+        &'a self,
+        instrs: &[usize],
+        outs: &[VarId],
+        outer: impl Fn(VarId) -> Option<&'a MalValue>,
+        ctx: &dyn ExecCtx,
+    ) -> Result<Slot, DataCellError> {
+        let mal = &self.plan.mal;
+        let mut env: Vec<Option<MalValue>> = vec![None; mal.nvars];
+        exec::run_segment(mal, instrs.iter().copied(), &mut env, outer, ctx)?;
+        take_slot(&mut env, outs)
+    }
 
     /// Run the per-bw segment of stream `k` over one basic window; returns
     /// the ring-var values produced.
-    fn eval_perbw(
-        &self,
-        k: usize,
-        w: &BasicWindow,
-    ) -> Result<HashMap<VarId, MalValue>, DataCellError> {
-        let plan = &self.plan;
+    fn eval_perbw(&self, k: usize, w: &BasicWindow) -> Result<Slot, DataCellError> {
         // The aligned-input vouch is applied per call, never stored in
         // `self.par`, so a `set_par_config` cannot lose it.
         let par = self.par.with_aligned_input(self.aligned_clusters);
-        let ctx = OneStreamCtx { name: &plan.mal.streams[k], window: w, par };
-        let mut env: Vec<Option<MalValue>> = vec![None; plan.mal.nvars];
-        for &i in &plan.perbw_instrs[k] {
-            let ins = &plan.mal.instrs[i];
-            let arg_ids = ins.op.args();
-            let args: Vec<&MalValue> = arg_ids
-                .iter()
-                .map(|&a| {
-                    env[a]
-                        .as_ref()
-                        .or(self.statics[a].as_ref())
-                        .ok_or_else(|| PlanError::Internal(format!("per-bw X_{a} unset")))
-                })
-                .collect::<Result<_, _>>()
-                .map_err(DataCellError::Plan)?;
-            let outs = eval_op(&ins.op, &args, &ctx)?;
-            for (d, v) in ins.dests.iter().zip(outs) {
-                env[*d] = Some(v);
-            }
-        }
-        let mut out = HashMap::new();
-        for &v in &self.ring_vars {
-            if matches!(plan.stages[v], Stage::PerBw(kk) if kk == k) {
-                let val = env[v]
-                    .take()
-                    .ok_or_else(|| PlanError::Internal(format!("ring X_{v} not produced")))
-                    .map_err(DataCellError::Plan)?;
-                out.insert(v, val);
-            }
-        }
-        Ok(out)
+        let ctx = SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par };
+        let statics = |v: VarId| self.statics[v].as_ref();
+        self.eval_segment(&self.plan.perbw_instrs[k], &self.ring_vars[k], statics, &ctx)
     }
 
-    /// Evaluate the matrix segment for cell (row `i`, col `j`); pushes the
-    /// produced matrix ring values into `out`.
-    fn eval_cell(&self, i: usize, j: usize) -> Result<HashMap<VarId, MalValue>, DataCellError> {
-        let plan = &self.plan;
-        let (ls, rs) = plan.matrix_pair.expect("matrix segment implies a pair");
-        let mut env: Vec<Option<MalValue>> = vec![None; plan.mal.nvars];
-        for &idx in &plan.matrix_instrs {
-            let ins = &plan.mal.instrs[idx];
-            let arg_ids = ins.op.args();
-            let args: Vec<&MalValue> = arg_ids
-                .iter()
-                .map(|&a| -> Result<&MalValue, PlanError> {
-                    if let Some(v) = env[a].as_ref() {
-                        return Ok(v);
-                    }
-                    if let Some(v) = self.statics[a].as_ref() {
-                        return Ok(v);
-                    }
-                    match plan.stages[a] {
-                        Stage::PerBw(k) if k == ls => {
-                            self.rings.get(&a).and_then(|r| r.get(i)).ok_or_else(|| {
-                                PlanError::Internal(format!("ring X_{a}[{i}] missing"))
-                            })
-                        }
-                        Stage::PerBw(k) if k == rs => {
-                            self.rings.get(&a).and_then(|r| r.get(j)).ok_or_else(|| {
-                                PlanError::Internal(format!("ring X_{a}[{j}] missing"))
-                            })
-                        }
-                        _ => Err(PlanError::Internal(format!("cell arg X_{a} unresolvable"))),
-                    }
-                })
-                .collect::<Result<_, _>>()
-                .map_err(DataCellError::Plan)?;
-            let outs = eval_op(&ins.op, &args, &NoStreamCtx { par: self.par })?;
-            for (d, v) in ins.dests.iter().zip(outs) {
-                env[*d] = Some(v);
-            }
-        }
-        let mut out = HashMap::new();
-        for &v in &self.matrix_vars {
-            let val = env[v]
-                .take()
-                .ok_or_else(|| PlanError::Internal(format!("matrix X_{v} not produced")))
-                .map_err(DataCellError::Plan)?;
-            out.insert(v, val);
-        }
-        Ok(out)
+    /// Run the per-cell segment for matrix cell (row `i`, col `j`): the
+    /// left stream's ring variables resolve to slot `i`, the right
+    /// stream's to slot `j`.
+    fn eval_cell(&self, i: usize, j: usize) -> Result<Slot, DataCellError> {
+        let (ls, rs) = self.plan.matrix_pair.expect("matrix segment implies a pair");
+        let outer = |v: VarId| {
+            self.statics[v].as_ref().or_else(|| match self.plan.stages[v] {
+                Stage::PerBw(k) if k == ls => self.rings[v].get(i),
+                Stage::PerBw(k) if k == rs => self.rings[v].get(j),
+                _ => None,
+            })
+        };
+        let ctx = SegmentCtx { windows: &[], tables: None, par: self.par };
+        self.eval_segment(&self.plan.matrix_instrs, &self.matrix_vars, outer, &ctx)
     }
 
-    /// Merge the frontier and run the merge segment; assemble the result.
-    fn eval_merge(&mut self) -> Result<ResultSet, DataCellError> {
+    /// Merge the frontier over the rings and the matrix, run the merge
+    /// segment over the merged values and assemble the window result.
+    fn merge_window(&mut self) -> Result<ResultSet, DataCellError> {
         let plan = &self.plan;
-        let mut env: Vec<Option<MalValue>> = self.statics.clone();
-
-        // Merged frontier values.
+        // Held back on purpose: the window's parts are copied out of the
+        // rings before they are merged, as at the parent commit, although
+        // `merge_frontier` only borrows them. Lending them in place is
+        // 1.3–1.6× on wirebench's `small_slide_groupby`, more than its
+        // harness can measure (ROADMAP, "Benchmark-only fixes owed"); it
+        // lands with that fix as a claimed gain.
+        let mut held: Vec<Vec<MalValue>> = vec![Vec::new(); plan.mal.nvars];
+        for &v in &plan.frontier {
+            let cached = self.rings[v].iter().chain(self.matrix[v].iter().flatten());
+            held[v] = cached.cloned().collect();
+        }
+        let mut env = merge_frontier(plan, |v| held[v].iter().collect())?;
         if self.window.is_landmark() {
-            for (&v, val) in &self.cum {
-                env[v] = Some(val.clone());
-            }
-        } else {
-            // Non-cluster frontier vars.
+            // Nothing expires: the merged frontier is the cumulative the
+            // next basic window folds into, the one slot the rings keep.
             for &v in &plan.frontier {
-                if self.cluster_members.contains(&v) {
-                    continue;
-                }
-                let parts = self.collect_parts(v)?;
-                env[v] = Some(merge_var(plan.kinds[v], &parts)?);
-            }
-            // Clusters.
-            for c in &plan.clusters {
-                let keys_parts = self.collect_parts(c.keys_var)?;
-                let agg_parts: Vec<(datacell_kernel::algebra::AggKind, Vec<MalValue>)> = c
-                    .agg_vars
-                    .iter()
-                    .map(|&(v, kind)| Ok::<_, DataCellError>((kind, self.collect_parts(v)?)))
-                    .collect::<Result<_, _>>()?;
-                let (keys, aggs) = merge_cluster(&keys_parts, &agg_parts)?;
-                env[c.keys_var] = Some(keys);
-                for ((v, _), merged) in c.agg_vars.iter().zip(aggs) {
-                    env[*v] = Some(merged);
-                }
+                self.rings[v] = env[v].iter().cloned().collect();
             }
         }
-
-        // Merge-stage instructions.
-        for &i in &plan.merge_instrs {
-            let ins = &plan.mal.instrs[i];
-            let arg_ids = ins.op.args();
-            let args: Vec<&MalValue> = arg_ids
-                .iter()
-                .map(|&a| {
-                    env[a].as_ref().ok_or_else(|| PlanError::Internal(format!("merge X_{a} unset")))
-                })
-                .collect::<Result<_, _>>()
-                .map_err(DataCellError::Plan)?;
-            let outs = eval_op(&ins.op, &args, &NoStreamCtx { par: self.par })?;
-            for (d, v) in ins.dests.iter().zip(outs) {
-                env[*d] = Some(v);
-            }
-        }
-
-        let mut vals = Vec::with_capacity(plan.mal.result_vars.len());
-        for &v in &plan.mal.result_vars {
-            vals.push(
-                env[v]
-                    .take()
-                    .ok_or_else(|| PlanError::Internal(format!("result X_{v} unset")))
-                    .map_err(DataCellError::Plan)?,
-            );
-        }
+        let statics = |v: VarId| self.statics[v].as_ref();
+        let ctx = SegmentCtx { windows: &[], tables: None, par: self.par };
+        exec::run_segment(&plan.mal, plan.merge_instrs.iter().copied(), &mut env, statics, &ctx)?;
+        let vals = exec::take_vars(&mut env, &plan.mal.result_vars, statics)?;
         Ok(ResultSet::from_mal(plan.mal.result_names.clone(), vals)?)
     }
 
-    /// All cached parts of a frontier variable (ring slots or matrix cells).
-    fn collect_parts(&self, v: VarId) -> Result<Vec<MalValue>, DataCellError> {
-        match self.plan.stages[v] {
-            Stage::PerBw(_) => {
-                Ok(self.rings.get(&v).map(|r| r.iter().cloned().collect()).unwrap_or_default())
-            }
-            Stage::Matrix => Ok(self
-                .matrix
-                .get(&v)
-                .map(|m| m.iter().flat_map(|row| row.iter().cloned()).collect())
-                .unwrap_or_default()),
-            s => Err(DataCellError::Unsupported(format!("frontier X_{v} has stage {s:?}"))),
-        }
-    }
+    // -- the transition (Algorithm 2 lines 20–21) ---------------------------
 
-    /// Pop the oldest basic window (transition, Algorithm 2 line 20–21).
+    /// Pop the oldest basic window.
     fn expire_oldest(&mut self) {
-        for ring in self.rings.values_mut() {
+        for ring in &mut self.rings {
             ring.pop_front();
         }
-        for m in self.matrix.values_mut() {
+        for m in &mut self.matrix {
             m.pop_front(); // oldest left row
             for row in m.iter_mut() {
                 row.pop_front(); // oldest right column
@@ -450,258 +293,33 @@ impl IncrementalFactory {
         }
     }
 
-    /// Push per-bw values into rings and compute new matrix cells.
-    fn push_new_slots(
-        &mut self,
-        per_stream: Vec<HashMap<VarId, MalValue>>,
-    ) -> Result<(), DataCellError> {
-        for vals in per_stream {
-            for (v, val) in vals {
-                self.rings.get_mut(&v).expect("ring exists").push_back(val);
-            }
+    /// Push the new basic window's values onto the rings and compute the
+    /// matrix cells it adds.
+    fn push_new_slots(&mut self, new: Slot) -> Result<(), DataCellError> {
+        for (v, val) in new {
+            self.rings[v].push_back(val);
         }
-        if let Some((ls, rs)) = self.plan.matrix_pair {
-            // Ring lengths after pushing: rows = left slots, cols = right.
-            let rows = self.ring_len_for_stream(ls);
-            let cols = self.ring_len_for_stream(rs);
-            // Append an (empty) new row and extend all rows to `cols`.
-            let mut new_cells: Vec<(usize, usize)> = Vec::new();
-            for j in 0..cols {
-                new_cells.push((rows - 1, j)); // new left row × all right
-            }
-            for i in 0..rows.saturating_sub(1) {
-                new_cells.push((i, cols - 1)); // old left rows × new right col
-            }
-            for &(i, j) in &new_cells {
-                let cell = self.eval_cell(i, j)?;
-                for (v, val) in cell {
-                    let m = self.matrix.get_mut(&v).expect("matrix ring exists");
-                    while m.len() <= i {
+        if let Some((ls, _)) = self.plan.matrix_pair {
+            // Both streams push one slot per fire and expire together, so
+            // the matrix is square. The new left row meets every right
+            // slot, then every older left row meets the new right column:
+            // each row fills left to right.
+            let join_input = self.ring_vars[ls].first().expect("a joined stream caches its input");
+            let last = self.rings[*join_input].len() - 1;
+            let new_row = (0..=last).map(|j| (last, j));
+            let new_col = (0..last).map(|i| (i, last));
+            for (i, j) in new_row.chain(new_col) {
+                for (v, val) in self.eval_cell(i, j)? {
+                    let m = &mut self.matrix[v];
+                    if m.len() == i {
                         m.push_back(VecDeque::new());
                     }
-                    let row = &mut m[i];
-                    debug_assert_eq!(row.len(), j, "cells fill left-to-right");
-                    row.push_back(val);
+                    debug_assert_eq!(m[i].len(), j, "cells fill left-to-right");
+                    m[i].push_back(val);
                 }
             }
         }
         Ok(())
-    }
-
-    fn ring_len_for_stream(&self, k: usize) -> usize {
-        self.ring_vars
-            .iter()
-            .find(|&&v| matches!(self.plan.stages[v], Stage::PerBw(kk) if kk == k))
-            .and_then(|v| self.rings.get(v))
-            .map_or(self.advances + 1, std::collections::VecDeque::len)
-    }
-
-    /// Landmark fold: merge the new partials into the cumulative values.
-    fn fold_landmark(
-        &mut self,
-        per_stream: Vec<HashMap<VarId, MalValue>>,
-    ) -> Result<(), DataCellError> {
-        let mut new_vals: HashMap<VarId, MalValue> = HashMap::new();
-        for vals in per_stream {
-            new_vals.extend(vals);
-        }
-        // Non-cluster frontier vars fold pairwise.
-        let frontier = self.plan.frontier.clone();
-        for &v in &frontier {
-            if self.cluster_members.contains(&v) {
-                continue;
-            }
-            let newv = new_vals
-                .remove(&v)
-                .ok_or_else(|| PlanError::Internal(format!("landmark X_{v} not produced")))
-                .map_err(DataCellError::Plan)?;
-            let folded = match self.cum.remove(&v) {
-                None => newv,
-                Some(cum) => merge_var(self.plan.kinds[v], &[cum, newv])?,
-            };
-            self.cum.insert(v, folded);
-        }
-        // Clusters fold as a unit.
-        let clusters = self.plan.clusters.clone();
-        for c in &clusters {
-            let new_keys = new_vals
-                .remove(&c.keys_var)
-                .ok_or_else(|| PlanError::Internal("landmark cluster keys missing".into()))
-                .map_err(DataCellError::Plan)?;
-            let mut keys_parts = Vec::new();
-            if let Some(cum) = self.cum.remove(&c.keys_var) {
-                keys_parts.push(cum);
-            }
-            keys_parts.push(new_keys);
-            let agg_parts: Vec<(datacell_kernel::algebra::AggKind, Vec<MalValue>)> = c
-                .agg_vars
-                .iter()
-                .map(|&(v, kind)| {
-                    let newa = new_vals
-                        .remove(&v)
-                        .ok_or_else(|| PlanError::Internal("landmark cluster agg missing".into()))
-                        .map_err(DataCellError::Plan)?;
-                    let mut parts = Vec::new();
-                    if let Some(cum) = self.cum.remove(&v) {
-                        parts.push(cum);
-                    }
-                    parts.push(newa);
-                    Ok::<_, DataCellError>((kind, parts))
-                })
-                .collect::<Result<_, _>>()?;
-            let (keys, aggs) = merge_cluster(&keys_parts, &agg_parts)?;
-            self.cum.insert(c.keys_var, keys);
-            for ((v, _), merged) in c.agg_vars.iter().zip(aggs) {
-                self.cum.insert(*v, merged);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold the accumulated chunk partials into one basic window's worth of
-    /// ring values (the m-chunk merge).
-    fn fold_chunks(&mut self) -> Result<Vec<HashMap<VarId, MalValue>>, DataCellError> {
-        let chunk_rings = std::mem::take(&mut self.chunk_rings);
-        let mut out: HashMap<VarId, MalValue> = HashMap::new();
-        // Clusters fold via re-group.
-        for c in &self.plan.clusters {
-            if !self.ring_vars.contains(&c.keys_var) {
-                continue;
-            }
-            let keys_parts = chunk_rings
-                .get(&c.keys_var)
-                .cloned()
-                .ok_or_else(|| PlanError::Internal("chunk cluster keys missing".into()))
-                .map_err(DataCellError::Plan)?;
-            let agg_parts: Vec<(datacell_kernel::algebra::AggKind, Vec<MalValue>)> = c
-                .agg_vars
-                .iter()
-                .map(|&(v, kind)| {
-                    let parts = chunk_rings
-                        .get(&v)
-                        .cloned()
-                        .ok_or_else(|| PlanError::Internal("chunk cluster agg missing".into()))
-                        .map_err(DataCellError::Plan)?;
-                    Ok::<_, DataCellError>((kind, parts))
-                })
-                .collect::<Result<_, _>>()?;
-            let (keys, aggs) = merge_cluster(&keys_parts, &agg_parts)?;
-            out.insert(c.keys_var, keys);
-            for ((v, _), merged) in c.agg_vars.iter().zip(aggs) {
-                out.insert(*v, merged);
-            }
-        }
-        // Everything else folds by kind.
-        for (&v, parts) in &chunk_rings {
-            if out.contains_key(&v) {
-                continue;
-            }
-            out.insert(v, merge_var(self.plan.kinds[v], parts)?);
-        }
-        self.chunks_done = 0;
-        Ok(vec![out])
-    }
-
-    /// One count-based fire: ingest, evaluate, slide, merge.
-    fn fire_count(&mut self) -> Result<FireOutcome, DataCellError> {
-        let needed = self.needed().expect("count window");
-        let t0 = Instant::now();
-        // Ingest + per-bw (or per-chunk) evaluation.
-        let mut per_stream = Vec::with_capacity(self.inputs.len());
-        for k in 0..self.inputs.len() {
-            let w = self.inputs[k].take(needed)?;
-            per_stream.push(self.eval_perbw(k, &w)?);
-        }
-
-        // Chunked path: accumulate until the basic window completes.
-        if self.current_m > 1 {
-            let vals = per_stream.pop().expect("single stream with chunking");
-            for (v, val) in vals {
-                self.chunk_rings.entry(v).or_default().push(val);
-            }
-            self.chunks_done += 1;
-            if self.chunks_done < self.current_m {
-                if self.emitted == 0 {
-                    self.preface_time += t0.elapsed();
-                }
-                return Ok(FireOutcome::Progressed);
-            }
-            let fold_start = Instant::now();
-            per_stream = self.fold_chunks()?;
-            // fold counts as merge work below via merge timer adjustment
-            let _ = fold_start;
-        }
-
-        // Landmark: fold into cumulatives and emit every step.
-        if self.window.is_landmark() {
-            let main_plan = t0.elapsed();
-            let t1 = Instant::now();
-            self.fold_landmark(per_stream)?;
-            let result = self.eval_merge()?;
-            let merge = t1.elapsed();
-            self.advances += 1;
-            return Ok(self.produce(result, main_plan, merge));
-        }
-
-        // Sliding: transition, push, maybe merge.
-        let n = self.n.expect("sliding window");
-        if self.advances >= n {
-            self.expire_oldest();
-        }
-        self.push_new_slots(per_stream)?;
-        self.advances += 1;
-        let main_plan = t0.elapsed();
-        if self.advances < n {
-            self.preface_time += main_plan;
-            return Ok(FireOutcome::Progressed);
-        }
-        let t1 = Instant::now();
-        let result = self.eval_merge()?;
-        let merge = t1.elapsed();
-        Ok(self.produce(result, main_plan, merge))
-    }
-
-    /// One time-based fire: the basic window is an arrival-time slice
-    /// (possibly empty — "Empty basic windows are recognized and simply
-    /// skipped" in the sense that they flow through as empty BATs).
-    fn fire_time(&mut self, clock: Timestamp) -> Result<FireOutcome, DataCellError> {
-        let step_ms = self.step_ms().expect("time window");
-        let deadline = (self.advances as u64 + 1) * step_ms;
-        if clock < deadline {
-            return Ok(FireOutcome::NotReady);
-        }
-        let t0 = Instant::now();
-        let mut per_stream = Vec::with_capacity(self.inputs.len());
-        for k in 0..self.inputs.len() {
-            let w = self.inputs[k].take_until_ts(deadline)?;
-            per_stream.push(self.eval_perbw(k, &w)?);
-        }
-
-        if self.window.is_landmark() {
-            let main_plan = t0.elapsed();
-            let t1 = Instant::now();
-            self.fold_landmark(per_stream)?;
-            let result = self.eval_merge()?;
-            let merge = t1.elapsed();
-            self.advances += 1;
-            return Ok(self.produce(result, main_plan, merge));
-        }
-
-        let n = self.n.expect("sliding window");
-        if self.advances >= n {
-            self.expire_oldest();
-        }
-        self.push_new_slots(per_stream)?;
-        self.advances += 1;
-        let main_plan = t0.elapsed();
-        if self.advances < n {
-            self.preface_time += main_plan;
-            return Ok(FireOutcome::Progressed);
-        }
-        let t1 = Instant::now();
-        let result = self.eval_merge()?;
-        let merge = t1.elapsed();
-        Ok(self.produce(result, main_plan, merge))
     }
 
     fn produce(&mut self, result: ResultSet, main_plan: Duration, merge: Duration) -> FireOutcome {
@@ -717,24 +335,26 @@ impl IncrementalFactory {
         self.emitted += 1;
         // Adapt m for the next basic window.
         if let Some(chunker) = &mut self.chunker {
-            let next_m = chunker.observe(metrics.total);
-            let WindowSpec::CountSliding { step, .. } = self.window else {
-                unreachable!("chunking validated at construction")
-            };
-            self.current_m = next_m.min(step).max(1);
+            chunker.observe(metrics.total);
         }
         FireOutcome::Produced { result, metrics }
     }
 }
 
-/// Size of chunk `idx` out of `m` chunks over `step` tuples: all chunks are
-/// `step / m` except the last, which absorbs the remainder.
+/// Move the values of `vars` out of `env`, keyed by variable.
+fn take_slot(env: &mut [Option<MalValue>], vars: &[VarId]) -> Result<Slot, DataCellError> {
+    let vals = exec::take_vars(env, vars, |_| None)?;
+    Ok(vars.iter().copied().zip(vals).collect())
+}
+
+/// Size of chunk `idx` out of `m <= step` chunks over `step` tuples: all
+/// chunks are `step / m` except the last, which absorbs the remainder.
 fn chunk_size(step: usize, m: usize, idx: usize) -> usize {
     let base = step / m;
     if idx + 1 == m {
         step - base * (m - 1)
     } else {
-        base.max(1)
+        base
     }
 }
 
@@ -744,24 +364,62 @@ impl Factory for IncrementalFactory {
     }
 
     fn ready(&self, clock: Timestamp) -> bool {
-        match self.needed() {
-            Some(needed) => self.inputs.iter().all(|i| i.available() >= needed),
-            None => {
-                let step_ms = self.step_ms().expect("time window");
-                clock >= (self.advances as u64 + 1) * step_ms
-            }
-        }
+        self.next_step().ready(&self.inputs, clock)
     }
 
+    /// One slide step: ingest, evaluate, slide, merge.
     fn fire(&mut self, clock: Timestamp) -> Result<FireOutcome, DataCellError> {
-        if !self.ready(clock) {
+        let step = self.next_step();
+        if !step.ready(&self.inputs, clock) {
             return Ok(FireOutcome::NotReady);
         }
-        if self.needed().is_some() {
-            self.fire_count()
-        } else {
-            self.fire_time(clock)
+        let t0 = Instant::now();
+        // One basic window (or chunk) per stream through its per-bw
+        // segment. A time slice may be empty; it flows through as empty
+        // BATs.
+        let mut new = Slot::new();
+        for k in 0..self.inputs.len() {
+            let w = self.inputs[k].take_step(step)?;
+            new.extend(self.eval_perbw(k, &w)?);
         }
+
+        // Chunked: accumulate until the basic window completes, then merge
+        // the chunk partials into its one slot.
+        let m = self.m();
+        if m > 1 {
+            for (v, val) in new {
+                self.chunk_parts[v].push(val);
+            }
+            self.chunks_done += 1;
+            if self.chunks_done < m {
+                if self.emitted == 0 {
+                    self.preface_time += t0.elapsed();
+                }
+                return Ok(FireOutcome::Progressed);
+            }
+            let mut folded = merge_frontier(&self.plan, |v| self.chunk_parts[v].iter().collect())?;
+            new = take_slot(&mut folded, &self.ring_vars[0])?;
+            self.chunk_parts.iter_mut().for_each(Vec::clear);
+            self.chunks_done = 0;
+        }
+
+        // Transition; a landmark window (no `n`) never expires and emits
+        // from its first basic window on.
+        let n = self.window.basic_windows();
+        if n.is_some_and(|n| self.advances >= n) {
+            self.expire_oldest();
+        }
+        self.push_new_slots(new)?;
+        self.advances += 1;
+        let main_plan = t0.elapsed();
+        if n.is_some_and(|n| self.advances < n) {
+            self.preface_time += main_plan;
+            return Ok(FireOutcome::Progressed);
+        }
+        let t1 = Instant::now();
+        let result = self.merge_window()?;
+        let merge = t1.elapsed();
+        Ok(self.produce(result, main_plan, merge))
     }
 
     fn consumed_upto(&self, stream: &str) -> Option<Oid> {

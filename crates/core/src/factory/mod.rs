@@ -19,7 +19,7 @@ use crate::metrics::SlideMetrics;
 use datacell_basket::{BasicWindow, ShardedBasket, Timestamp};
 use datacell_kernel::{Oid, ParConfig, Table};
 use datacell_plan::exec::ExecCtx;
-use datacell_plan::ResultSet;
+use datacell_plan::{ResultSet, WindowSpec};
 use std::collections::HashMap;
 
 /// What one `fire` call produced.
@@ -113,6 +113,14 @@ impl StreamInput {
         Ok(w)
     }
 
+    /// Read and consume one step's worth of input.
+    pub(crate) fn take_step(&mut self, step: Step) -> Result<BasicWindow, DataCellError> {
+        match step {
+            Step::Tuples(count) => self.take(count),
+            Step::Until(deadline) => self.take_until_ts(deadline),
+        }
+    }
+
     /// Read and consume every tuple with arrival timestamp `< until`.
     pub fn take_until_ts(&mut self, until: Timestamp) -> Result<BasicWindow, DataCellError> {
         let w = self.basket.with(|b| b.read_until_ts(self.consumed, until))?;
@@ -121,45 +129,52 @@ impl StreamInput {
     }
 }
 
-/// Execution context exposing owned windows and a table snapshot — used by
-/// the re-evaluation factory (whole windows) and the incremental factory
-/// (one basic window at a time, plus statics at registration).
-#[derive(Debug, Default)]
-pub struct SnapshotCtx {
-    windows: HashMap<String, BasicWindow>,
-    tables: HashMap<String, Table>,
-    par: ParConfig,
+/// What one slide step takes from every input stream: a number of tuples
+/// or everything that arrived before a deadline. This is the only thing
+/// count-based and time-based windows differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    Tuples(usize),
+    Until(Timestamp),
 }
 
-impl SnapshotCtx {
-    /// Empty context.
-    pub fn new() -> SnapshotCtx {
-        SnapshotCtx::default()
+impl Step {
+    /// The step that closes basic window number `advances` of `window`.
+    pub fn of(window: &WindowSpec, advances: usize) -> Step {
+        match (window.step_count(), window.step_ms()) {
+            (Some(step), _) => Step::Tuples(step),
+            (None, Some(ms)) => Step::Until((advances as u64 + 1) * ms),
+            (None, None) => unreachable!("a window steps by count or by time"),
+        }
     }
 
-    /// Insert a stream window.
-    pub fn set_window(&mut self, stream: impl Into<String>, w: BasicWindow) {
-        self.windows.insert(stream.into(), w);
-    }
-
-    /// Insert a table snapshot.
-    pub fn set_table(&mut self, t: Table) {
-        self.tables.insert(t.name().to_owned(), t);
-    }
-
-    /// Set the intra-operator parallelism config plan execution sees.
-    pub fn set_par(&mut self, par: ParConfig) {
-        self.par = par;
+    /// Petri-net firing condition: every input holds the tuples, or the
+    /// clock has passed the deadline (an empty slice is a valid step).
+    pub fn ready(self, inputs: &[StreamInput], clock: Timestamp) -> bool {
+        match self {
+            Step::Tuples(count) => inputs.iter().all(|i| i.available() >= count),
+            Step::Until(deadline) => clock >= deadline,
+        }
     }
 }
 
-impl ExecCtx for SnapshotCtx {
+/// The execution context of both factories: it lends plan execution the
+/// stream windows of this call (a whole window for re-evaluation, one
+/// basic window for a per-bw segment, none for per-cell and merge
+/// segments) and the table snapshot, and owns nothing.
+pub(crate) struct SegmentCtx<'a> {
+    pub windows: &'a [(&'a str, &'a BasicWindow)],
+    pub tables: Option<&'a HashMap<String, Table>>,
+    pub par: ParConfig,
+}
+
+impl ExecCtx for SegmentCtx<'_> {
     fn stream_window(&self, stream: &str) -> Option<&BasicWindow> {
-        self.windows.get(stream)
+        self.windows.iter().find(|(name, _)| *name == stream).map(|&(_, w)| w)
     }
 
     fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables?.get(name)
     }
 
     fn par_config(&self) -> ParConfig {
@@ -213,15 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_ctx_lookup() {
-        let mut ctx = SnapshotCtx::new();
+    fn segment_ctx_lookup() {
         let w = BasicWindow::new(0, vec![Column::Int(vec![1])], vec![0], vec!["x".into()]);
-        ctx.set_window("s", w);
-        let t = Table::new("dim", &[("k", DataType::Int)]);
-        ctx.set_table(t);
+        let tables =
+            HashMap::from([("dim".to_owned(), Table::new("dim", &[("k", DataType::Int)]))]);
+        let ctx = SegmentCtx {
+            windows: &[("s", &w)],
+            tables: Some(&tables),
+            par: ParConfig::sequential(),
+        };
         assert!(ctx.stream_window("s").is_some());
         assert!(ctx.stream_window("zz").is_none());
         assert!(ctx.table("dim").is_some());
         assert!(ctx.table("zz").is_none());
+        let bare = SegmentCtx { windows: &[], tables: None, par: ParConfig::sequential() };
+        assert!(bare.stream_window("s").is_none() && bare.table("dim").is_none());
     }
 }

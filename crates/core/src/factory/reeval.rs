@@ -8,7 +8,7 @@
 //! window at every slide and executes the *unmodified* MAL plan over it.
 //! This is the baseline DataCell is compared against throughout §4.
 
-use super::{Factory, FireOutcome, SnapshotCtx, StreamInput};
+use super::{Factory, FireOutcome, SegmentCtx, Step, StreamInput};
 use crate::error::DataCellError;
 use crate::metrics::SlideMetrics;
 use datacell_basket::{BasicWindow, Timestamp};
@@ -65,40 +65,17 @@ impl ReevalFactory {
         })
     }
 
-    /// Basic windows per full window (`None` = landmark, unbounded).
-    fn n(&self) -> Option<usize> {
-        self.window.basic_windows()
-    }
-
-    fn step_count(&self) -> Option<usize> {
-        match self.window {
-            WindowSpec::CountSliding { step, .. } => Some(step),
-            WindowSpec::CountLandmark { step } => Some(step),
-            _ => None,
-        }
-    }
-
-    fn step_ms(&self) -> Option<u64> {
-        match self.window {
-            WindowSpec::TimeSliding { step_ms, .. } => Some(step_ms),
-            WindowSpec::TimeLandmark { step_ms } => Some(step_ms),
-            _ => None,
-        }
-    }
-
     /// Evaluate the plan over the currently buffered full window.
     fn evaluate(&mut self) -> Result<FireOutcome, DataCellError> {
         let t0 = Instant::now();
-        let mut ctx = SnapshotCtx::new();
-        ctx.set_par(self.par);
-        for t in self.tables.values() {
-            ctx.set_table(t.clone());
-        }
-        for (k, stream) in self.plan.streams.iter().enumerate() {
-            let parts: Vec<&BasicWindow> = self.buffered[k].iter().collect();
-            let w = BasicWindow::concat(&parts)?;
-            ctx.set_window(stream.clone(), w);
-        }
+        let whole: Vec<BasicWindow> = self
+            .buffered
+            .iter()
+            .map(|buf| BasicWindow::concat(&buf.iter().collect::<Vec<_>>()))
+            .collect::<Result<_, _>>()?;
+        let windows: Vec<(&str, &BasicWindow)> =
+            self.plan.streams.iter().map(String::as_str).zip(&whole).collect();
+        let ctx = SegmentCtx { windows: &windows, tables: Some(&self.tables), par: self.par };
         let result = execute(&self.plan, &ctx)?;
         let total = t0.elapsed();
         let metrics = SlideMetrics {
@@ -119,11 +96,7 @@ impl Factory for ReevalFactory {
     }
 
     fn ready(&self, clock: Timestamp) -> bool {
-        match (self.step_count(), self.step_ms()) {
-            (Some(step), _) => self.inputs.iter().all(|i| i.available() >= step),
-            (_, Some(step_ms)) => clock >= (self.advances as u64 + 1) * step_ms,
-            _ => false,
-        }
+        Step::of(&self.window, self.advances).ready(&self.inputs, clock)
     }
 
     fn fire(&mut self, clock: Timestamp) -> Result<FireOutcome, DataCellError> {
@@ -131,21 +104,13 @@ impl Factory for ReevalFactory {
             return Ok(FireOutcome::NotReady);
         }
         // Ingest one step per stream.
-        if let Some(step) = self.step_count() {
-            for k in 0..self.inputs.len() {
-                let w = self.inputs[k].take(step)?;
-                self.buffered[k].push_back(w);
-            }
-        } else if let Some(step_ms) = self.step_ms() {
-            let deadline = (self.advances as u64 + 1) * step_ms;
-            for k in 0..self.inputs.len() {
-                let w = self.inputs[k].take_until_ts(deadline)?;
-                self.buffered[k].push_back(w);
-            }
+        let step = Step::of(&self.window, self.advances);
+        for (input, buf) in self.inputs.iter_mut().zip(&mut self.buffered) {
+            buf.push_back(input.take_step(step)?);
         }
         self.advances += 1;
 
-        match self.n() {
+        match self.window.basic_windows() {
             // Sliding: wait for a full window, evaluate, expire the oldest
             // basic window.
             Some(n) => {

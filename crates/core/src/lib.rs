@@ -10,8 +10,8 @@
 //! * [`rewrite`](mod@rewrite) — the incremental plan rewriter (§3): splits the window
 //!   into basic windows, replicates plan fragments, inserts `concat` +
 //!   compensating actions, classifies join flows into n×n matrices;
-//! * [`merge`] — the compensation machinery shared by window merges, chunk
-//!   folds and landmark folds;
+//! * [`merge`] — [`merge::merge_frontier`], the one `concat` +
+//!   compensation step, called at the window, landmark and chunk level;
 //! * [`factory`] — continuous query plans as resumable state machines
 //!   (§2): [`factory::incremental::IncrementalFactory`] (Algorithm 2) and
 //!   [`factory::reeval::ReevalFactory`] (Algorithm 1, the DataCellR
@@ -43,7 +43,9 @@ pub use factory::incremental::IncrementalFactory;
 pub use factory::reeval::ReevalFactory;
 pub use factory::{Factory, FireOutcome, StreamInput};
 pub use metrics::{summarize, MetricsSummary, SlideMetrics};
-pub use rewrite::{rewrite, verify_incremental, Cluster, IncrementalPlan, Stage, VarKind};
+pub use rewrite::{
+    rewrite, verify_incremental, Cluster, IncrementalPlan, MergeUnit, Stage, VarKind,
+};
 pub use scheduler::{ConsumerId, Emission, FactoryId, Scheduler, WorkerStats};
 
 // Re-export the window spec and result type from the plan layer so users

@@ -1,4 +1,4 @@
-//! Merging partial results — the `concat` + compensation machinery.
+//! Merging partial results — one merge, three levels.
 //!
 //! "The simplest case are operators where a simple concatenation of the
 //! partial results forms the correct complete result. [...] The next
@@ -6,46 +6,69 @@
 //! require some compensation after the concatenation [...] For instance, a
 //! count is to be compensated by a sum of the partial results." (paper §3)
 //!
-//! These functions are used at *two* levels, which is exactly the paper's
-//! m-chunk optimization: merging per-basic-window partials into the window
-//! result, and merging per-chunk partials into a basic-window partial
-//! ("process the latest basic window incrementally just as we process the
-//! whole window incrementally").
+//! [`merge_frontier`] is that rule — `concat` plus one compensating action
+//! per frontier unit — and the only entry point. The incremental factory
+//! calls it at every level at which partials meet, changing nothing but
+//! where the parts come from:
+//!
+//! * ring slots / matrix cells → the window's merged frontier;
+//! * `[cumulative, new basic window]` → a landmark window's next cumulative;
+//! * chunk partials → one basic window's ring slot (the m-chunk
+//!   optimization: "process the latest basic window incrementally just as
+//!   we process the whole window incrementally").
+//!
+//! Every rule is associative over the part list, which is what makes the
+//! three levels interchangeable: merging `[merge([a, b]), c]` equals
+//! merging `[a, b, c]` (property-tested in `tests/kernel_props.rs`).
 
 use crate::error::DataCellError;
-use crate::rewrite::VarKind;
+use crate::rewrite::{Cluster, IncrementalPlan, MergeUnit, VarKind};
 use datacell_kernel::algebra::{self, AggKind};
+use datacell_kernel::par::{self, ParConfig};
 use datacell_kernel::{Bat, Value};
-use datacell_plan::MalValue;
+use datacell_plan::{MalValue, VarId};
 
-/// Merge per-part values of a frontier variable according to its kind.
-/// Not applicable to cluster members — use [`merge_cluster`] for those.
-pub fn merge_var(kind: VarKind, parts: &[MalValue]) -> Result<MalValue, DataCellError> {
-    match kind {
-        VarKind::Rows => merge_rows(parts),
-        VarKind::PartialScalar(agg) => merge_scalars(agg, parts),
-        VarKind::DistinctRows => {
-            let rows = merge_rows(parts)?;
-            let b = rows.as_bat("distinct merge").map_err(DataCellError::Plan)?;
-            Ok(MalValue::Bat(algebra::distinct(b)?))
+/// Merge every unit of `plan`'s frontier from its parts.
+///
+/// `parts(v)` lends the partial values of frontier variable `v` in part
+/// order; the parts of one cluster's members must be aligned (same part
+/// `i`, same per-group order). Nothing lent is copied before `concat`.
+/// Returns an `env`-shaped vector: slot `v` holds the merged value of
+/// every frontier variable `v`, all other slots are `None`. Cluster keys
+/// come out in first-occurrence order over the concatenated parts.
+pub fn merge_frontier<'a>(
+    plan: &IncrementalPlan,
+    parts: impl Fn(VarId) -> Vec<&'a MalValue>,
+) -> Result<Vec<Option<MalValue>>, DataCellError> {
+    let mut out = vec![None; plan.mal.nvars];
+    for unit in plan.merge_units() {
+        match unit {
+            MergeUnit::Var(v, kind) => out[v] = Some(merge_var(kind, &parts(v))?),
+            MergeUnit::Cluster(c) => merge_cluster(c, &parts, &mut out)?,
         }
-        VarKind::SortedRows { desc } => {
-            let rows = merge_rows(parts)?;
-            let b = rows.as_bat("sort merge").map_err(DataCellError::Plan)?;
-            let sorted = algebra::sort(b)?;
-            Ok(MalValue::Bat(if desc { reverse(&sorted) } else { sorted }))
-        }
-        VarKind::GroupedPartial(_) | VarKind::GroupKeysPartial => Err(DataCellError::Unsupported(
-            "cluster members must be merged via merge_cluster".into(),
-        )),
-        VarKind::Plain => Err(DataCellError::Unsupported(format!(
-            "variable kind {kind:?} cannot cross the merge frontier"
-        ))),
     }
+    Ok(out)
+}
+
+/// Merge the parts of a variable that crosses the frontier on its own.
+fn merge_var(kind: VarKind, parts: &[&MalValue]) -> Result<MalValue, DataCellError> {
+    Ok(MalValue::Bat(match kind {
+        VarKind::PartialScalar(agg) => return merge_scalars(agg, parts),
+        VarKind::Rows => concat(parts)?,
+        VarKind::DistinctRows => algebra::distinct(&concat(parts)?)?,
+        // "Applying the very operation on the concatenated result": the
+        // same kernel the replicated `Sort` instruction runs.
+        VarKind::SortedRows { desc } => par::sort(&concat(parts)?, desc, &ParConfig::sequential())?,
+        VarKind::GroupedPartial(_) | VarKind::GroupKeysPartial | VarKind::Plain => {
+            return Err(DataCellError::Unsupported(format!(
+                "variable kind {kind:?} cannot cross the merge frontier on its own"
+            )))
+        }
+    }))
 }
 
 /// Simple concatenation of row-faithful partial BATs.
-pub fn merge_rows(parts: &[MalValue]) -> Result<MalValue, DataCellError> {
+fn concat(parts: &[&MalValue]) -> Result<Bat, DataCellError> {
     let bats: Vec<&Bat> = parts
         .iter()
         .map(|p| p.as_bat("rows merge").map_err(DataCellError::Plan))
@@ -53,14 +76,14 @@ pub fn merge_rows(parts: &[MalValue]) -> Result<MalValue, DataCellError> {
     if bats.is_empty() {
         return Err(DataCellError::Unsupported("merge of zero parts".into()));
     }
-    Ok(MalValue::Bat(algebra::concat(&bats)?))
+    Ok(algebra::concat(&bats)?)
 }
 
 /// Compensate partial scalar aggregates: apply the merge aggregate over
 /// the partials (sum of sums, min of mins, sum of counts...). `Absent`
 /// partials (aggregates over empty basic windows) are skipped; if all
 /// partials are absent the merged value is absent.
-pub fn merge_scalars(kind: AggKind, parts: &[MalValue]) -> Result<MalValue, DataCellError> {
+fn merge_scalars(kind: AggKind, parts: &[&MalValue]) -> Result<MalValue, DataCellError> {
     let comp = kind.compensation().ok_or_else(|| {
         DataCellError::Unsupported(format!(
             "{} partials have no compensation (expand first)",
@@ -134,199 +157,250 @@ fn both_f64(a: &Value, b: &Value) -> Result<(f64, f64), DataCellError> {
 /// Merge a group-by cluster (Fig. 3d): concatenate the per-part distinct
 /// keys and per-group partials, re-group the concatenated keys, and apply
 /// the grouped compensating aggregate per member.
-///
-/// `keys_parts[i]` and `agg_parts[j][i]` must be aligned (same part `i`,
-/// same per-group order). Returns the merged keys and one merged column per
-/// aggregate member, in member order.
-pub fn merge_cluster(
-    keys_parts: &[MalValue],
-    agg_parts: &[(AggKind, Vec<MalValue>)],
-) -> Result<(MalValue, Vec<MalValue>), DataCellError> {
-    let all_keys = merge_rows(keys_parts)?;
-    let keys_bat = all_keys.as_bat("cluster keys").map_err(DataCellError::Plan)?;
-    let groups = algebra::group(keys_bat)?;
-    let merged_keys = MalValue::Bat(Bat::transient(groups.keys(keys_bat)?));
-    let mut merged_aggs = Vec::with_capacity(agg_parts.len());
-    for (kind, parts) in agg_parts {
+fn merge_cluster<'a>(
+    c: &Cluster,
+    parts: &impl Fn(VarId) -> Vec<&'a MalValue>,
+    out: &mut [Option<MalValue>],
+) -> Result<(), DataCellError> {
+    let keys = concat(&parts(c.keys_var))?;
+    let groups = algebra::group(&keys)?;
+    out[c.keys_var] = Some(MalValue::Bat(Bat::transient(groups.keys(&keys)?)));
+    for &(v, kind) in &c.agg_vars {
         let comp = kind.compensation().ok_or_else(|| {
             DataCellError::Unsupported(format!(
                 "{} grouped partials have no compensation (expand first)",
                 kind.sql()
             ))
         })?;
-        let all = merge_rows(parts)?;
-        let all_bat = all.as_bat("cluster partials").map_err(DataCellError::Plan)?;
-        if all_bat.len() != keys_bat.len() {
+        let all = concat(&parts(v))?;
+        if all.len() != keys.len() {
             return Err(DataCellError::Unsupported(format!(
                 "cluster misaligned: {} keys vs {} partials",
-                keys_bat.len(),
-                all_bat.len()
+                keys.len(),
+                all.len()
             )));
         }
         let col = match comp {
-            AggKind::Sum => algebra::sum_grouped(all_bat, &groups)?,
-            AggKind::Min => algebra::min_grouped(all_bat, &groups)?,
-            AggKind::Max => algebra::max_grouped(all_bat, &groups)?,
+            AggKind::Sum => algebra::sum_grouped(&all, &groups)?,
+            AggKind::Min => algebra::min_grouped(&all, &groups)?,
+            AggKind::Max => algebra::max_grouped(&all, &groups)?,
             AggKind::Count | AggKind::Avg => unreachable!("not a compensation"),
         };
-        merged_aggs.push(MalValue::Bat(Bat::transient(col)));
+        out[v] = Some(MalValue::Bat(Bat::transient(col)));
     }
-    Ok((merged_keys, merged_aggs))
-}
-
-fn reverse(b: &Bat) -> Bat {
-    let n = b.len();
-    let mut out = datacell_kernel::Column::with_capacity(b.data_type(), n);
-    for i in (0..n).rev() {
-        out.push(b.value_at(i).expect("in range")).expect("same type");
-    }
-    Bat::transient(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rewrite::Stage;
     use datacell_kernel::Column;
+    use datacell_plan::MalPlan;
 
     fn bat(vals: Vec<i64>) -> MalValue {
         MalValue::Bat(Bat::transient(Column::Int(vals)))
     }
 
+    fn int(v: i64) -> MalValue {
+        MalValue::Scalar(Value::Int(v))
+    }
+
+    fn col(v: &MalValue) -> &Column {
+        &v.as_bat("t").unwrap().tail
+    }
+
+    /// A plan that is nothing but a frontier: `X_i` has kind `kinds[i]`.
+    fn frontier_plan(kinds: Vec<VarKind>, clusters: Vec<Cluster>) -> IncrementalPlan {
+        let nvars = kinds.len();
+        IncrementalPlan {
+            mal: MalPlan {
+                instrs: vec![],
+                result_names: vec![],
+                result_vars: vec![],
+                nvars,
+                streams: vec!["s".into()],
+            },
+            stages: vec![Stage::PerBw(0); nvars],
+            kinds,
+            static_instrs: vec![],
+            perbw_instrs: vec![vec![]],
+            matrix_instrs: vec![],
+            merge_instrs: vec![],
+            frontier: (0..nvars).collect(),
+            ring_only: vec![],
+            clusters,
+            matrix_pair: None,
+        }
+    }
+
+    /// Merge the parts of one variable of kind `kind`.
+    fn merge_one(kind: VarKind, parts: &[MalValue]) -> Result<MalValue, DataCellError> {
+        let merged =
+            merge_frontier(&frontier_plan(vec![kind], vec![]), |_| parts.iter().collect())?;
+        Ok(merged.into_iter().next().flatten().expect("X_0 is on the frontier"))
+    }
+
+    /// Merge one cluster: `X_0` holds the keys, `X_{1+j}` the partials of
+    /// aggregate `aggs[j]`; `parts[v]` are the parts of `X_v`.
+    fn merge_group(
+        aggs: &[AggKind],
+        parts: &[Vec<MalValue>],
+    ) -> Result<Vec<MalValue>, DataCellError> {
+        let mut kinds = vec![VarKind::GroupKeysPartial];
+        kinds.extend(aggs.iter().map(|&k| VarKind::GroupedPartial(k)));
+        let cluster = Cluster {
+            keys_var: 0,
+            agg_vars: aggs.iter().enumerate().map(|(j, &k)| (1 + j, k)).collect(),
+            placement_aligned: true,
+        };
+        let merged =
+            merge_frontier(&frontier_plan(kinds, vec![cluster]), |v| parts[v].iter().collect())?;
+        Ok(merged.into_iter().map(|m| m.expect("every member merged")).collect())
+    }
+
     #[test]
     fn rows_merge_concatenates() {
-        let m = merge_var(VarKind::Rows, &[bat(vec![1, 2]), bat(vec![3])]).unwrap();
-        assert_eq!(m.as_bat("t").unwrap().tail, Column::Int(vec![1, 2, 3]));
+        let m = merge_one(VarKind::Rows, &[bat(vec![1, 2]), bat(vec![3])]).unwrap();
+        assert_eq!(col(&m), &Column::Int(vec![1, 2, 3]));
     }
 
     #[test]
     fn rows_merge_zero_parts_rejected() {
-        assert!(merge_rows(&[]).is_err());
+        assert!(merge_one(VarKind::Rows, &[]).is_err());
     }
 
     #[test]
     fn scalar_sum_compensation() {
-        let m = merge_scalars(
-            AggKind::Sum,
-            &[MalValue::Scalar(Value::Int(5)), MalValue::Scalar(Value::Int(7))],
-        )
-        .unwrap();
-        assert_eq!(m, MalValue::Scalar(Value::Int(12)));
+        let m = merge_one(VarKind::PartialScalar(AggKind::Sum), &[int(5), int(7)]).unwrap();
+        assert_eq!(m, int(12));
     }
 
     #[test]
     fn scalar_count_compensated_by_sum() {
         // "a count is to be compensated by a sum of the partial results"
-        let m = merge_scalars(
-            AggKind::Count,
-            &[MalValue::Scalar(Value::Int(3)), MalValue::Scalar(Value::Int(4))],
-        )
-        .unwrap();
-        assert_eq!(m, MalValue::Scalar(Value::Int(7)));
+        let m = merge_one(VarKind::PartialScalar(AggKind::Count), &[int(3), int(4)]).unwrap();
+        assert_eq!(m, int(7));
     }
 
     #[test]
     fn scalar_min_max_compensation() {
-        let parts = [MalValue::Scalar(Value::Int(5)), MalValue::Scalar(Value::Int(2))];
-        assert_eq!(merge_scalars(AggKind::Min, &parts).unwrap(), MalValue::Scalar(Value::Int(2)));
-        assert_eq!(merge_scalars(AggKind::Max, &parts).unwrap(), MalValue::Scalar(Value::Int(5)));
+        let parts = [int(5), int(2)];
+        assert_eq!(merge_one(VarKind::PartialScalar(AggKind::Min), &parts).unwrap(), int(2));
+        assert_eq!(merge_one(VarKind::PartialScalar(AggKind::Max), &parts).unwrap(), int(5));
     }
 
     #[test]
     fn scalar_merge_skips_absent_parts() {
-        let m = merge_scalars(
-            AggKind::Sum,
-            &[MalValue::Absent, MalValue::Scalar(Value::Int(9)), MalValue::Absent],
-        )
-        .unwrap();
-        assert_eq!(m, MalValue::Scalar(Value::Int(9)));
+        let parts = [MalValue::Absent, int(9), MalValue::Absent];
+        assert_eq!(merge_one(VarKind::PartialScalar(AggKind::Sum), &parts).unwrap(), int(9));
     }
 
     #[test]
     fn scalar_merge_all_absent() {
-        assert_eq!(merge_scalars(AggKind::Sum, &[MalValue::Absent]).unwrap(), MalValue::Absent);
+        let absent = [MalValue::Absent];
         assert_eq!(
-            merge_scalars(AggKind::Count, &[MalValue::Absent]).unwrap(),
-            MalValue::Scalar(Value::Int(0))
+            merge_one(VarKind::PartialScalar(AggKind::Sum), &absent).unwrap(),
+            MalValue::Absent
         );
+        assert_eq!(merge_one(VarKind::PartialScalar(AggKind::Count), &absent).unwrap(), int(0));
     }
 
     #[test]
     fn avg_partials_rejected() {
-        assert!(merge_scalars(AggKind::Avg, &[MalValue::Scalar(Value::Int(1))]).is_err());
+        assert!(merge_one(VarKind::PartialScalar(AggKind::Avg), &[int(1)]).is_err());
     }
 
     #[test]
     fn float_sum_compensation() {
-        let m = merge_scalars(
-            AggKind::Sum,
-            &[MalValue::Scalar(Value::Float(0.5)), MalValue::Scalar(Value::Int(2))],
-        )
-        .unwrap();
+        let parts = [MalValue::Scalar(Value::Float(0.5)), int(2)];
+        let m = merge_one(VarKind::PartialScalar(AggKind::Sum), &parts).unwrap();
         assert_eq!(m, MalValue::Scalar(Value::Float(2.5)));
     }
 
     #[test]
     fn distinct_merge_deduplicates_across_parts() {
-        let m = merge_var(VarKind::DistinctRows, &[bat(vec![1, 2]), bat(vec![2, 3])]).unwrap();
-        assert_eq!(m.as_bat("t").unwrap().tail, Column::Int(vec![1, 2, 3]));
+        let m = merge_one(VarKind::DistinctRows, &[bat(vec![1, 2]), bat(vec![2, 3])]).unwrap();
+        assert_eq!(col(&m), &Column::Int(vec![1, 2, 3]));
     }
 
     #[test]
     fn sorted_merge_resorts() {
-        let m = merge_var(VarKind::SortedRows { desc: false }, &[bat(vec![1, 5]), bat(vec![2, 4])])
-            .unwrap();
-        assert_eq!(m.as_bat("t").unwrap().tail, Column::Int(vec![1, 2, 4, 5]));
-        let m = merge_var(VarKind::SortedRows { desc: true }, &[bat(vec![1, 5]), bat(vec![2, 4])])
-            .unwrap();
-        assert_eq!(m.as_bat("t").unwrap().tail, Column::Int(vec![5, 4, 2, 1]));
+        let parts = [bat(vec![1, 5]), bat(vec![2, 4])];
+        let m = merge_one(VarKind::SortedRows { desc: false }, &parts).unwrap();
+        assert_eq!(col(&m), &Column::Int(vec![1, 2, 4, 5]));
+        let m = merge_one(VarKind::SortedRows { desc: true }, &parts).unwrap();
+        assert_eq!(col(&m), &Column::Int(vec![5, 4, 2, 1]));
+    }
+
+    #[test]
+    fn plain_kind_has_no_merge_rule() {
+        assert!(merge_one(VarKind::Plain, &[bat(vec![1])]).is_err());
     }
 
     #[test]
     fn cluster_merge_regroups() {
         // Part 1: keys [a:1, b:2] sums [10, 20]; part 2: keys [b:2, c:3] sums [5, 7].
-        let keys = [bat(vec![1, 2]), bat(vec![2, 3])];
-        let sums = (AggKind::Sum, vec![bat(vec![10, 20]), bat(vec![5, 7])]);
-        let (k, aggs) = merge_cluster(&keys, &[sums]).unwrap();
-        assert_eq!(k.as_bat("k").unwrap().tail, Column::Int(vec![1, 2, 3]));
-        assert_eq!(aggs[0].as_bat("s").unwrap().tail, Column::Int(vec![10, 25, 7]));
+        let keys = vec![bat(vec![1, 2]), bat(vec![2, 3])];
+        let sums = vec![bat(vec![10, 20]), bat(vec![5, 7])];
+        let m = merge_group(&[AggKind::Sum], &[keys, sums]).unwrap();
+        assert_eq!(col(&m[0]), &Column::Int(vec![1, 2, 3]));
+        assert_eq!(col(&m[1]), &Column::Int(vec![10, 25, 7]));
     }
 
     #[test]
     fn cluster_merge_counts_compensate_by_sum() {
-        let keys = [bat(vec![7]), bat(vec![7])];
-        let counts = (AggKind::Count, vec![bat(vec![4]), bat(vec![6])]);
-        let (_, aggs) = merge_cluster(&keys, &[counts]).unwrap();
-        assert_eq!(aggs[0].as_bat("c").unwrap().tail, Column::Int(vec![10]));
+        let keys = vec![bat(vec![7]), bat(vec![7])];
+        let counts = vec![bat(vec![4]), bat(vec![6])];
+        let m = merge_group(&[AggKind::Count], &[keys, counts]).unwrap();
+        assert_eq!(col(&m[1]), &Column::Int(vec![10]));
     }
 
     #[test]
     fn cluster_merge_min_max() {
-        let keys = [bat(vec![1, 2]), bat(vec![1])];
-        let mins = (AggKind::Min, vec![bat(vec![5, 9]), bat(vec![3])]);
-        let maxs = (AggKind::Max, vec![bat(vec![5, 9]), bat(vec![30])]);
-        let (_, aggs) = merge_cluster(&keys, &[mins, maxs]).unwrap();
-        assert_eq!(aggs[0].as_bat("mn").unwrap().tail, Column::Int(vec![3, 9]));
-        assert_eq!(aggs[1].as_bat("mx").unwrap().tail, Column::Int(vec![30, 9]));
+        let keys = vec![bat(vec![1, 2]), bat(vec![1])];
+        let mins = vec![bat(vec![5, 9]), bat(vec![3])];
+        let maxs = vec![bat(vec![5, 9]), bat(vec![30])];
+        let m = merge_group(&[AggKind::Min, AggKind::Max], &[keys, mins, maxs]).unwrap();
+        assert_eq!(col(&m[1]), &Column::Int(vec![3, 9]));
+        assert_eq!(col(&m[2]), &Column::Int(vec![30, 9]));
     }
 
     #[test]
     fn cluster_merge_with_empty_parts() {
-        let keys = [bat(vec![]), bat(vec![1])];
-        let sums = (AggKind::Sum, vec![bat(vec![]), bat(vec![42])]);
-        let (k, aggs) = merge_cluster(&keys, &[sums]).unwrap();
-        assert_eq!(k.as_bat("k").unwrap().tail, Column::Int(vec![1]));
-        assert_eq!(aggs[0].as_bat("s").unwrap().tail, Column::Int(vec![42]));
+        let keys = vec![bat(vec![]), bat(vec![1])];
+        let sums = vec![bat(vec![]), bat(vec![42])];
+        let m = merge_group(&[AggKind::Sum], &[keys, sums]).unwrap();
+        assert_eq!(col(&m[0]), &Column::Int(vec![1]));
+        assert_eq!(col(&m[1]), &Column::Int(vec![42]));
     }
 
     #[test]
     fn cluster_misalignment_detected() {
-        let keys = [bat(vec![1, 2])];
-        let sums = (AggKind::Sum, vec![bat(vec![10])]);
-        assert!(merge_cluster(&keys, &[sums]).is_err());
+        let keys = vec![bat(vec![1, 2])];
+        let sums = vec![bat(vec![10])];
+        assert!(merge_group(&[AggKind::Sum], &[keys, sums]).is_err());
     }
 
     #[test]
-    fn merge_var_rejects_cluster_kinds() {
-        assert!(merge_var(VarKind::GroupedPartial(AggKind::Sum), &[bat(vec![1])]).is_err());
+    fn frontier_merges_every_unit_into_its_own_slot() {
+        // One plan, both unit shapes: X_0 rows, X_1..X_2 a sum cluster.
+        let cluster =
+            Cluster { keys_var: 1, agg_vars: vec![(2, AggKind::Sum)], placement_aligned: true };
+        let kinds =
+            vec![VarKind::Rows, VarKind::GroupKeysPartial, VarKind::GroupedPartial(AggKind::Sum)];
+        let parts = [
+            vec![bat(vec![1]), bat(vec![2])],
+            vec![bat(vec![7]), bat(vec![7, 8])],
+            vec![bat(vec![1]), bat(vec![2, 3])],
+        ];
+        let merged =
+            merge_frontier(&frontier_plan(kinds, vec![cluster]), |v| parts[v].iter().collect())
+                .unwrap();
+        let cols: Vec<&Column> = merged.iter().map(|m| col(m.as_ref().unwrap())).collect();
+        assert_eq!(
+            cols,
+            [&Column::Int(vec![1, 2]), &Column::Int(vec![7, 8]), &Column::Int(vec![3, 3])]
+        );
     }
 }

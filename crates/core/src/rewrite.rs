@@ -73,6 +73,14 @@ pub enum VarKind {
     Plain,
 }
 
+impl VarKind {
+    /// Member of a `GroupAgg` node's [`Cluster`]: merged with its siblings
+    /// by re-grouping, never on its own.
+    pub fn is_cluster_member(self) -> bool {
+        matches!(self, VarKind::GroupedPartial(_) | VarKind::GroupKeysPartial)
+    }
+}
+
 /// One group-by cluster — the destinations of a `GroupAgg` node whose
 /// partials cross the merge frontier. Merged as a unit (Fig. 3d):
 /// concat the per-part distinct keys, re-group, compensate each
@@ -97,6 +105,53 @@ pub struct Cluster {
     /// pair order, not the grouping key's placement; the kernel then
     /// re-scatters internally.
     pub placement_aligned: bool,
+}
+
+/// One unit of the merge frontier: the variables merged together, and by
+/// which rule. [`IncrementalPlan::merge_units`] is the table that both
+/// [`crate::merge::merge_frontier`] dispatches on and
+/// [`IncrementalPlan::explain`] prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeUnit<'p> {
+    /// A variable merged on its own, by its kind.
+    Var(VarId, VarKind),
+    /// A group-by cluster, re-grouped as a unit.
+    Cluster(&'p Cluster),
+}
+
+impl std::fmt::Display for MergeUnit<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MergeUnit::Var(v, kind) => {
+                write!(f, "X_{v}: ")?;
+                match kind {
+                    VarKind::Rows => f.write_str("concat"),
+                    VarKind::PartialScalar(k) => {
+                        write!(
+                            f,
+                            "{} of partials",
+                            k.compensation().map_or("no merge", |c| c.sql())
+                        )
+                    }
+                    VarKind::DistinctRows => f.write_str("distinct(concat)"),
+                    VarKind::SortedRows { desc: false } => f.write_str("sort(concat)"),
+                    VarKind::SortedRows { desc: true } => f.write_str("sort desc(concat)"),
+                    _ => f.write_str("no merge rule"),
+                }
+            }
+            MergeUnit::Cluster(c) => {
+                write!(f, "X_{}", c.keys_var)?;
+                for (v, _) in &c.agg_vars {
+                    write!(f, ",X_{v}")?;
+                }
+                f.write_str(": regroup [keys")?;
+                for (_, k) in &c.agg_vars {
+                    write!(f, ", {}", k.sql())?;
+                }
+                f.write_str("]")
+            }
+        }
+    }
 }
 
 /// The rewritten plan: the original program plus the classification that
@@ -140,9 +195,7 @@ impl IncrementalPlan {
             .filter(|&v| matches!(self.stages[v], Stage::PerBw(_)))
             .collect();
         for &v in &self.ring_only {
-            if !out.contains(&v) {
-                out.push(v);
-            }
+            push_unique(&mut out, v);
         }
         out
     }
@@ -152,27 +205,33 @@ impl IncrementalPlan {
         self.frontier.iter().copied().filter(|&v| self.stages[v] == Stage::Matrix).collect()
     }
 
+    /// The frontier as merge units: every variable that merges on its own
+    /// (frontier order), then every cluster.
+    pub fn merge_units(&self) -> impl Iterator<Item = MergeUnit<'_>> {
+        let alone = self
+            .frontier
+            .iter()
+            .map(|&v| (v, self.kinds[v]))
+            .filter(|(_, kind)| !kind.is_cluster_member())
+            .map(|(v, kind)| MergeUnit::Var(v, kind));
+        alone.chain(self.clusters.iter().map(MergeUnit::Cluster))
+    }
+
     /// Render the incremental plan: the MAL program annotated with stages —
-    /// the textual analogue of the paper's Fig. 3 right-hand sides.
+    /// the textual analogue of the paper's Fig. 3 right-hand sides — then
+    /// one line per merge unit with its merge rule.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str("incremental plan (stage | instruction):\n");
         for ins in &self.mal.instrs {
-            let stage = self.stages[ins.dests[0]];
-            let tag = match stage {
-                Stage::Static => "static ",
-                Stage::PerBw(k) => {
-                    out.push_str(&format!("per-bw[{k}] | "));
-                    ""
-                }
-                Stage::Matrix => "per-cell",
-                Stage::Merge => "merge  ",
+            let tag = match self.stages[ins.dests[0]] {
+                Stage::Static => "static ".to_owned(),
+                Stage::PerBw(k) => format!("per-bw[{k}]"),
+                Stage::Matrix => "per-cell".to_owned(),
+                Stage::Merge => "merge  ".to_owned(),
             };
-            if !tag.is_empty() {
-                out.push_str(&format!("{tag} | "));
-            }
             let dests: Vec<String> = ins.dests.iter().map(|d| format!("X_{d}")).collect();
-            out.push_str(&format!("{} := {}\n", dests.join(", "), ins.op.name()));
+            out.push_str(&format!("{tag} | {} := {}\n", dests.join(", "), ins.op.name()));
         }
         let aligned = self.clusters.iter().filter(|c| c.placement_aligned).count();
         out.push_str(&format!(
@@ -180,7 +239,16 @@ impl IncrementalPlan {
             self.frontier,
             self.clusters.len()
         ));
+        for unit in self.merge_units() {
+            out.push_str(&format!("merge {unit}\n"));
+        }
         out
+    }
+}
+
+fn push_unique(vars: &mut Vec<VarId>, v: VarId) {
+    if !vars.contains(&v) {
+        vars.push(v);
     }
 }
 
@@ -317,21 +385,10 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
 
     // -- frontier: flow vars read by merge instrs, plus flow result vars.
     let mut frontier: Vec<VarId> = Vec::new();
-    let push_frontier = |v: VarId, frontier: &mut Vec<VarId>| {
-        if !frontier.contains(&v) {
-            frontier.push(v);
-        }
-    };
-    for &i in &merge_instrs {
-        for a in mal.instrs[i].op.args() {
-            if matches!(stages[a], Stage::PerBw(_) | Stage::Matrix) {
-                push_frontier(a, &mut frontier);
-            }
-        }
-    }
-    for &v in &mal.result_vars {
+    let merge_args = merge_instrs.iter().flat_map(|&i| mal.instrs[i].op.args());
+    for v in merge_args.chain(mal.result_vars.iter().copied()) {
         if matches!(stages[v], Stage::PerBw(_) | Stage::Matrix) {
-            push_frontier(v, &mut frontier);
+            push_unique(&mut frontier, v);
         }
     }
 
@@ -339,8 +396,8 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
     let mut ring_only = Vec::new();
     for &i in &matrix_instrs {
         for a in mal.instrs[i].op.args() {
-            if matches!(stages[a], Stage::PerBw(_)) && !ring_only.contains(&a) {
-                ring_only.push(a);
+            if matches!(stages[a], Stage::PerBw(_)) {
+                push_unique(&mut ring_only, a);
             }
         }
     }
@@ -365,9 +422,7 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
         }
         // All members must be cached to allow re-grouping.
         for v in std::iter::once(keys_var).chain(agg_vars.iter().map(|(v, _)| *v)) {
-            if !frontier.contains(&v) {
-                frontier.push(v);
-            }
+            push_unique(&mut frontier, v);
         }
         clusters.push(Cluster {
             keys_var,
@@ -405,8 +460,10 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
 /// segments partition the program and agree with the per-variable stages;
 /// every frontier variable is a flow variable with a mergeable kind;
 /// `ring_vars`/`matrix_ring_vars` are consistent with the stages; matrix
-/// instructions exist only alongside a joined stream pair; and every
-/// cluster member is a frontier variable whose kind matches its slot.
+/// instructions exist only alongside a joined stream pair; every cluster
+/// member is a frontier variable whose kind matches its slot; and,
+/// conversely, every grouped-partial frontier variable belongs to exactly
+/// one cluster.
 pub fn verify_incremental(inc: &IncrementalPlan) -> Result<(), DataCellError> {
     use datacell_plan::verify::{Rule, VerifyError};
     let fail =
@@ -485,6 +542,17 @@ pub fn verify_incremental(inc: &IncrementalPlan) -> Result<(), DataCellError> {
         }
         if inc.kinds[v] == VarKind::Plain {
             return ring_err("frontier variable has no merge rule".into(), Some(v));
+        }
+        // A grouped partial can only be re-grouped next to its keys.
+        if inc.kinds[v].is_cluster_member() {
+            let member = |c: &&Cluster| c.keys_var == v || c.agg_vars.iter().any(|&(a, _)| a == v);
+            let owners = inc.clusters.iter().filter(member).count();
+            if owners != 1 {
+                return ring_err(
+                    format!("grouped partial belongs to {owners} clusters (want exactly 1)"),
+                    Some(v),
+                );
+            }
         }
     }
 
@@ -594,14 +662,14 @@ fn classify(
     // be merged first (replicating would aggregate aggregates).
     if never_replicates || any_partial {
         if matches!(flow, Stage::PerBw(_) | Stage::Matrix | Stage::Merge) {
-            return Ok((Stage::Merge, merge_kind(op)));
+            return Ok((Stage::Merge, VarKind::Plain));
         }
         return Ok((Stage::Static, VarKind::Plain));
     }
 
     match flow {
         Stage::Static => Ok((Stage::Static, VarKind::Plain)),
-        Stage::Merge => Ok((Stage::Merge, merge_kind(op))),
+        Stage::Merge => Ok((Stage::Merge, VarKind::Plain)),
         stage @ (Stage::PerBw(_) | Stage::Matrix) => {
             let kind = match op {
                 MalOp::Select { .. }
@@ -680,11 +748,6 @@ fn combined_flow(
         }
     }
     Ok(flow)
-}
-
-/// Kind assigned to merge-stage destinations.
-fn merge_kind(_op: &MalOp) -> VarKind {
-    VarKind::Plain
 }
 
 #[cfg(test)]
@@ -949,6 +1012,11 @@ mod tests {
         inc.frontier.retain(|&v| v != keys);
         assert_ring_err(verify_incremental(&inc));
 
+        // A grouped partial left on the frontier without its cluster.
+        let mut inc = rewrite(&fig3d()).unwrap();
+        inc.clusters.clear();
+        assert_ring_err(verify_incremental(&inc));
+
         // An instruction moved into the wrong segment.
         let mut inc = rewrite(&fig3c()).unwrap();
         let i = inc.merge_instrs.pop().unwrap();
@@ -967,5 +1035,30 @@ mod tests {
         let e = inc.explain();
         assert!(e.contains("per-bw[0]"));
         assert!(e.contains("frontier"));
+    }
+
+    #[test]
+    fn explain_prints_one_merge_rule_per_frontier_unit() {
+        let rules = |mal: &MalPlan| -> Vec<String> {
+            let inc = rewrite(mal).unwrap();
+            let e = inc.explain();
+            let lines: Vec<String> =
+                e.lines().filter_map(|l| l.strip_prefix("merge X_")).map(str::to_owned).collect();
+            assert_eq!(lines.len(), inc.merge_units().count());
+            lines.iter().map(|l| l.split_once(": ").unwrap().1.to_owned()).collect()
+        };
+        assert_eq!(rules(&fig3a()), ["concat"]);
+        assert_eq!(rules(&fig3b()), ["sum of partials"]);
+        // avg = sum / count; partial counts are compensated by a sum.
+        assert_eq!(rules(&fig3c()), ["sum of partials", "sum of partials"]);
+        assert_eq!(rules(&fig3d()), ["regroup [keys, max]"]);
+        let distinct =
+            LogicalPlan::stream("s").project(vec![(col("s", "a"), "a".into())]).distinct();
+        assert_eq!(rules(&compile(&distinct).unwrap()), ["distinct(concat)"]);
+        // The cluster line names every member it re-groups.
+        let inc = rewrite(&fig3d()).unwrap();
+        let c = &inc.clusters[0];
+        let line = format!("merge X_{},X_{}: regroup [keys, max]", c.keys_var, c.agg_vars[0].0);
+        assert!(inc.explain().contains(&line), "{}", inc.explain());
     }
 }

@@ -1,15 +1,22 @@
-//! The MAL interpreter: one-shot plan execution.
+//! The MAL interpreter: one instruction walker for every plan segment.
 //!
-//! [`execute`] runs a [`MalPlan`] against a set of stream windows and the
-//! catalog. This is exactly how DataCellR (the re-evaluation baseline)
-//! evaluates a continuous query: "every time a window is complete ... we
-//! compute the result over all tuples in the window" (paper §3).
+//! [`run_segment`] is the only place a MAL instruction is evaluated:
+//! resolve the arguments, call the operator, write the destinations. It
+//! walks any list of instruction indices over an `env` and asks a
+//! caller-supplied resolver for the variables the segment does not define
+//! itself; [`take_vars`] moves a segment's outputs back out of the `env`.
 //!
-//! [`eval_op`] — the single-instruction evaluator — is shared with the
-//! incremental runtime in `datacell-core`, which feeds it *basic windows*
-//! instead of whole windows and caches the per-instruction intermediates.
+//! [`execute`] is the walker over the whole program with nothing outside
+//! it — exactly how DataCellR (the re-evaluation baseline) evaluates a
+//! continuous query: "every time a window is complete ... we compute the
+//! result over all tuples in the window" (paper §3). The incremental
+//! runtime in `datacell-core` calls the same walker once per segment of
+//! the rewritten plan: the static segment at registration, the per-bw
+//! segment over one *basic window*, the per-cell segment with ring slots
+//! `i`/`j` resolved by reference, and the merge segment over the merged
+//! frontier.
 
-use crate::mal::{MalOp, MalPlan, MalValue};
+use crate::mal::{MalOp, MalPlan, MalValue, VarId};
 use crate::result::ResultSet;
 use crate::PlanError;
 use datacell_basket::BasicWindow;
@@ -93,7 +100,7 @@ impl<'a> ExecCtx for WindowCtx<'a> {
 
 /// Evaluate one MAL operator given its argument values (in [`MalOp::args`]
 /// order). Returns one value per destination.
-pub fn eval_op(op: &MalOp, args: &[&MalValue], ctx: &dyn ExecCtx) -> crate::Result<Vec<MalValue>> {
+fn eval_op(op: &MalOp, args: &[&MalValue], ctx: &dyn ExecCtx) -> crate::Result<Vec<MalValue>> {
     let out = match op {
         MalOp::BindStream { stream, attr } => {
             let w = ctx
@@ -216,6 +223,57 @@ pub fn scalar_agg(kind: AggKind, b: &Bat) -> crate::Result<MalValue> {
     })
 }
 
+/// Walk the instructions `instrs` (indices into `plan.instrs`, in program
+/// order) over `env`. Each argument is read from `env`, or — for a variable
+/// the segment does not define — borrowed from `outer`; the destinations
+/// are written back into `env`. Nothing `outer` lends is copied.
+pub fn run_segment<'a>(
+    plan: &MalPlan,
+    instrs: impl IntoIterator<Item = usize>,
+    env: &mut [Option<MalValue>],
+    outer: impl Fn(VarId) -> Option<&'a MalValue>,
+    ctx: &dyn ExecCtx,
+) -> crate::Result<()> {
+    for i in instrs {
+        let ins = &plan.instrs[i];
+        let args: Vec<&MalValue> = ins
+            .op
+            .args()
+            .into_iter()
+            .map(|a| {
+                env[a]
+                    .as_ref()
+                    .or_else(|| outer(a))
+                    .ok_or_else(|| PlanError::Internal(format!("X_{a} read before write")))
+            })
+            .collect::<crate::Result<_>>()?;
+        let outs = eval_op(&ins.op, &args, ctx)?;
+        debug_assert_eq!(outs.len(), ins.dests.len());
+        for (&d, v) in ins.dests.iter().zip(outs) {
+            env[d] = Some(v);
+        }
+    }
+    Ok(())
+}
+
+/// Move the values of `vars` out of `env`, in `vars` order. A variable the
+/// segment did not define is cloned from `outer` (a result column that is
+/// itself a static, say).
+pub fn take_vars<'a>(
+    env: &mut [Option<MalValue>],
+    vars: &[VarId],
+    outer: impl Fn(VarId) -> Option<&'a MalValue>,
+) -> crate::Result<Vec<MalValue>> {
+    vars.iter()
+        .map(|&v| {
+            env[v]
+                .take()
+                .or_else(|| outer(v).cloned())
+                .ok_or_else(|| PlanError::Internal(format!("X_{v} never written")))
+        })
+        .collect()
+}
+
 /// Execute a whole MAL program against a context.
 pub fn execute(plan: &MalPlan, ctx: &dyn ExecCtx) -> crate::Result<ResultSet> {
     // Last line of defense: under `debug_assertions` or `DATACELL_VERIFY`,
@@ -225,30 +283,8 @@ pub fn execute(plan: &MalPlan, ctx: &dyn ExecCtx) -> crate::Result<ResultSet> {
         crate::verify::verify(plan)?;
     }
     let mut env: Vec<Option<MalValue>> = vec![None; plan.nvars];
-    for ins in &plan.instrs {
-        let arg_ids = ins.op.args();
-        let mut args = Vec::with_capacity(arg_ids.len());
-        for a in &arg_ids {
-            args.push(
-                env[*a]
-                    .as_ref()
-                    .ok_or_else(|| PlanError::Internal(format!("X_{a} read before write")))?,
-            );
-        }
-        let outs = eval_op(&ins.op, &args, ctx)?;
-        debug_assert_eq!(outs.len(), ins.dests.len());
-        for (d, v) in ins.dests.iter().zip(outs) {
-            env[*d] = Some(v);
-        }
-    }
-    let mut vals = Vec::with_capacity(plan.result_vars.len());
-    for v in &plan.result_vars {
-        vals.push(
-            env[*v]
-                .take()
-                .ok_or_else(|| PlanError::Internal(format!("result X_{v} never written")))?,
-        );
-    }
+    run_segment(plan, 0..plan.instrs.len(), &mut env, |_| None, ctx)?;
+    let vals = take_vars(&mut env, &plan.result_vars, |_| None)?;
     ResultSet::from_mal(plan.result_names.clone(), vals)
 }
 

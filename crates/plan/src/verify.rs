@@ -757,7 +757,7 @@ pub enum ParSafety {
 
 /// Classify every instruction of a plan by partition safety — which nodes
 /// the executor may fan out across `kernel::par` partitions. Mirrors the
-/// dispatch in [`crate::exec::eval_op`]; the lint binary reports it and
+/// dispatch in [`crate::exec::run_segment`]; the lint binary reports it and
 /// tests pin it so a new parallel entry point cannot be wired in silently
 /// without the verifier knowing.
 pub fn partition_safety(plan: &MalPlan) -> Vec<ParSafety> {

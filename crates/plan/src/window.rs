@@ -106,6 +106,26 @@ impl WindowSpec {
         }
     }
 
+    /// Slide step in tuples; `None` for time-based windows.
+    pub fn step_count(&self) -> Option<usize> {
+        match *self {
+            WindowSpec::CountSliding { step, .. } | WindowSpec::CountLandmark { step } => {
+                Some(step)
+            }
+            WindowSpec::TimeSliding { .. } | WindowSpec::TimeLandmark { .. } => None,
+        }
+    }
+
+    /// Slide step in milliseconds; `None` for count-based windows.
+    pub fn step_ms(&self) -> Option<u64> {
+        match *self {
+            WindowSpec::TimeSliding { step_ms, .. } | WindowSpec::TimeLandmark { step_ms } => {
+                Some(step_ms)
+            }
+            WindowSpec::CountSliding { .. } | WindowSpec::CountLandmark { .. } => None,
+        }
+    }
+
     /// Is this a landmark window?
     pub fn is_landmark(&self) -> bool {
         matches!(self, WindowSpec::CountLandmark { .. } | WindowSpec::TimeLandmark { .. })
@@ -152,6 +172,22 @@ mod tests {
         assert_eq!(WindowSpec::CountSliding { size: 100, step: 10 }.basic_windows(), Some(10));
         assert_eq!(WindowSpec::TimeSliding { size_ms: 60, step_ms: 10 }.basic_windows(), Some(6));
         assert_eq!(WindowSpec::CountLandmark { step: 10 }.basic_windows(), None);
+    }
+
+    #[test]
+    fn steps_by_count_or_by_time() {
+        let count =
+            [WindowSpec::CountSliding { size: 8, step: 2 }, WindowSpec::CountLandmark { step: 2 }];
+        let time = [
+            WindowSpec::TimeSliding { size_ms: 60, step_ms: 10 },
+            WindowSpec::TimeLandmark { step_ms: 10 },
+        ];
+        for w in count {
+            assert_eq!((w.step_count(), w.step_ms()), (Some(2), None));
+        }
+        for w in time {
+            assert_eq!((w.step_count(), w.step_ms()), (None, Some(10)));
+        }
     }
 
     #[test]

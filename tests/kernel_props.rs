@@ -134,6 +134,72 @@ fn nested_loop<T: PartialEq>(l: &[T], r: &[T], l_hseq: u64, r_hseq: u64) -> Vec<
     expect
 }
 
+/// What the per-bw segments of a plan with every mergeable frontier kind
+/// would cache for one part (a basic window, a chunk, a cumulative) over
+/// `rows` of `(key, value)`: `X_0` rows, `X_1..=X_4` sum/min/max/count
+/// partial scalars, `X_5` distinct rows, `X_6`/`X_7` sorted rows asc/desc,
+/// `X_8..=X_12` a cluster of keys + sum/min/max/count partials.
+fn frontier_part(rows: &[(i64, i64)]) -> Vec<datacell::plan::MalValue> {
+    use datacell::plan::{exec::scalar_agg, MalValue};
+    let keys = int_bat(&rows.iter().map(|r| r.0).collect::<Vec<_>>(), 0);
+    let vals = int_bat(&rows.iter().map(|r| r.1).collect::<Vec<_>>(), 0);
+    let seq = ParConfig::sequential();
+    let g = algebra::group(&keys).unwrap();
+    let col = |c: Column| MalValue::Bat(Bat::transient(c));
+    let mut part = vec![MalValue::Bat(vals.clone())];
+    for kind in [AggKind::Sum, AggKind::Min, AggKind::Max, AggKind::Count] {
+        part.push(scalar_agg(kind, &vals).unwrap());
+    }
+    part.push(MalValue::Bat(algebra::distinct(&keys).unwrap()));
+    part.push(MalValue::Bat(par::sort(&vals, false, &seq).unwrap()));
+    part.push(MalValue::Bat(par::sort(&vals, true, &seq).unwrap()));
+    part.push(col(g.keys(&keys).unwrap()));
+    part.push(col(algebra::sum_grouped(&vals, &g).unwrap()));
+    part.push(col(algebra::min_grouped(&vals, &g).unwrap()));
+    part.push(col(algebra::max_grouped(&vals, &g).unwrap()));
+    part.push(col(algebra::count_grouped(&g)));
+    part
+}
+
+/// The frontier-only incremental plan whose parts [`frontier_part`] builds.
+fn frontier_plan() -> datacell::core::IncrementalPlan {
+    use datacell::core::{Cluster, IncrementalPlan, Stage, VarKind};
+    let aggs = [AggKind::Sum, AggKind::Min, AggKind::Max, AggKind::Count];
+    let mut kinds = vec![VarKind::Rows];
+    kinds.extend(aggs.map(VarKind::PartialScalar));
+    kinds.extend([
+        VarKind::DistinctRows,
+        VarKind::SortedRows { desc: false },
+        VarKind::SortedRows { desc: true },
+        VarKind::GroupKeysPartial,
+    ]);
+    kinds.extend(aggs.map(VarKind::GroupedPartial));
+    let nvars = kinds.len();
+    IncrementalPlan {
+        mal: datacell::plan::MalPlan {
+            instrs: vec![],
+            result_names: vec![],
+            result_vars: vec![],
+            nvars,
+            streams: vec!["s".into()],
+        },
+        stages: vec![Stage::PerBw(0); nvars],
+        kinds,
+        static_instrs: vec![],
+        perbw_instrs: vec![vec![]],
+        matrix_instrs: vec![],
+        merge_instrs: vec![],
+        frontier: (0..nvars).collect(),
+        ring_only: vec![],
+        clusters: vec![Cluster {
+            keys_var: 8,
+            agg_vars: aggs.iter().enumerate().map(|(j, &k)| (9 + j, k)).collect(),
+            placement_aligned: true,
+        }],
+        matrix_pair: None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -815,6 +881,29 @@ proptest! {
             prop_assert_eq!(&mro, &aro, "right P={}", p);
             prop_assert_eq!(pair_set(&mlo, &mro), expect.clone(), "P={}", p);
         }
+    }
+
+    #[test]
+    fn frontier_merge_is_associative_over_parts(
+        a in prop::collection::vec((0i64..6, -50i64..50), 0..12),
+        b in prop::collection::vec((0i64..6, -50i64..50), 0..12),
+        c in prop::collection::vec((0i64..6, -50i64..50), 0..12),
+    ) {
+        // merge([merge([a, b]), c]) == merge([a, b, c]) for every frontier
+        // kind at once — why the ring merge (all slots), the landmark fold
+        // ([cumulative, new]) and the chunk fold (chunk partials) can be
+        // one function. Empty parts make the scalar partials `Absent`.
+        use datacell::core::merge::merge_frontier;
+        let plan = frontier_plan();
+        let (pa, pb, pc) = (frontier_part(&a), frontier_part(&b), frontier_part(&c));
+        let flat = merge_frontier(&plan, |v| vec![&pa[v], &pb[v], &pc[v]]).unwrap();
+        let ab: Vec<_> = merge_frontier(&plan, |v| vec![&pa[v], &pb[v]])
+            .unwrap()
+            .into_iter()
+            .map(|m| m.expect("every variable is on the frontier"))
+            .collect();
+        let nested = merge_frontier(&plan, |v| vec![&ab[v], &pc[v]]).unwrap();
+        prop_assert_eq!(nested, flat);
     }
 
     #[test]
