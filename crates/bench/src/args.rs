@@ -13,6 +13,8 @@
 //!   overlap is measurable even on a single core);
 //! * `--partitions n` — pin the kernel partition fan-out (`join_scale`
 //!   only: measure a single `P` instead of sweeping the default list);
+//! * `--sliding` — `join_scale` only: sweep the sliding-window join strip
+//!   over the basic-window count instead of the one-shot join over `P`;
 //! * `--shards n` — pin the basket shard count (`ingest_scale` only:
 //!   measure a single shard count instead of sweeping the default list);
 //! * `--placement m` — pin the morsel placement mode (`aligned` or
@@ -38,6 +40,8 @@ pub struct Args {
     pub fire_cost_us: Option<u64>,
     /// Override for the kernel partition fan-out.
     pub partitions: Option<usize>,
+    /// Measure the sliding-window join strip (`join_scale`).
+    pub sliding: bool,
     /// Override for the basket shard count.
     pub shards: Option<usize>,
     /// Override for the morsel placement mode.
@@ -53,6 +57,7 @@ impl Default for Args {
             seed: 42,
             fire_cost_us: None,
             partitions: None,
+            sliding: false,
             shards: None,
             placement: None,
         }
@@ -106,6 +111,7 @@ impl Args {
                             .unwrap_or_else(|| usage("--partitions needs a positive count")),
                     );
                 }
+                "--sliding" => args.sliding = true,
                 "--shards" => {
                     // As DATACELL_BASKET_SHARDS: minimum shard count is 1.
                     args.shards = Some(
@@ -140,7 +146,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: fig* [--scale f] [--paper] [--windows n] [--seed n] [--fire-cost-us n] \
-         [--partitions n] [--shards n] [--placement aligned|roundrobin]"
+         [--partitions n] [--sliding] [--shards n] [--placement aligned|roundrobin]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

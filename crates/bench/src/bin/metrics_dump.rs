@@ -59,12 +59,17 @@ fn main() {
     e.set_basket_shards(shards);
     e.set_partitions(partitions);
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
+    e.create_stream("t", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let queries = [
         e.register_sql("SELECT k, sum(v), avg(v) FROM s GROUP BY k WINDOW SIZE 1024 SLIDE 512")
             .unwrap(),
         e.register_sql("SELECT sum(v) FROM s WHERE k > 3 WINDOW SIZE 512 SLIDE 256").unwrap(),
         e.register_sql("SELECT k, v FROM s ORDER BY v DESC LIMIT 10 WINDOW SIZE 512 SLIDE 256")
             .unwrap(),
+        e.register_sql(
+            "SELECT max(s.v), count(t.v) FROM s, t WHERE s.k = t.k WINDOW SIZE 64 SLIDE 16",
+        )
+        .unwrap(),
     ];
 
     // One burst over the wire: the server owns the engine while it runs
@@ -95,6 +100,8 @@ fn main() {
         for shard in 0..shards {
             b.append_shard(shard, &batch(rows_per_shard, &mut seed), 0).unwrap();
         }
+        // The join's other side: every slide is two strip probes.
+        e.append("t", &batch(64, &mut seed)).unwrap();
         e.run_until_idle().unwrap();
     }
     let slides: usize = queries.iter().map(|&q| e.drain_results(q).unwrap().len()).sum();
@@ -175,6 +182,11 @@ fn main() {
     if partitions > 1 {
         assert!(par_sorts > 0.0, "partitioned run never took the parallel sort path");
     }
+    let joins = parsed.total("datacell_kernel_join_calls_total");
+    let probe_rows = parsed.total("datacell_kernel_join_probe_rows_total");
+    let pairs = parsed.total("datacell_kernel_join_pairs_total");
+    println!("# kernel joins: {joins} calls, {probe_rows} probe rows, {pairs} pairs");
+    assert!(joins > 0.0 && probe_rows > 0.0, "join workload recorded no join calls");
     let wire = parsed.total("datacell_net_ingest_rows_total");
     let parse_ticks = parsed.total("datacell_net_parse_seconds_count");
     let parse_s = parsed.total("datacell_net_parse_seconds_sum");

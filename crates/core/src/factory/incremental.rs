@@ -24,6 +24,18 @@
 //!   result. A landmark window is the same step without expiry: its ring
 //!   collapses to the merged cumulative after every slide.
 //!
+//! **The new row and column are one strip, probed once.** The join that
+//! enters the matrix ([`IncrementalPlan::is_entry_join`]) is not walked
+//! per cell. Each joined stream has a [`JoinIndex`] over the join keys of
+//! its whole window, one run per ring slot, pushed and expired with the
+//! rings. On a slide the new left keys probe the right stream's index —
+//! every cell of the new row at once — and the new right keys probe the
+//! left stream's index as it stood before this slide — the rest of the new
+//! column: `2 × step` probe rows instead of `(2n − 1) × step`. The index
+//! hands back one pair list per ring slot; each cell then runs what
+//! follows the join (fetches, aggregates) through the one walker, its
+//! `env` seeded with that cell's pairs.
+//!
 //! Part order is fixed: rings oldest → newest, matrix cells row-major.
 //! `SlideMetrics::main_plan` covers ingest, per-bw/per-cell evaluation,
 //! the chunk fold and the transition; `merge` covers the frontier merge
@@ -36,7 +48,8 @@ use crate::merge::merge_frontier;
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{IncrementalPlan, Stage};
 use datacell_basket::{BasicWindow, Timestamp};
-use datacell_kernel::{Oid, ParConfig, Table};
+use datacell_kernel::algebra::JoinIndex;
+use datacell_kernel::{Bat, Oid, ParConfig, Table};
 use datacell_plan::exec::{self, ExecCtx};
 use datacell_plan::{MalValue, ResultSet, VarId, WindowSpec};
 use std::collections::{HashMap, VecDeque};
@@ -44,6 +57,47 @@ use std::time::{Duration, Instant};
 
 /// The values one segment run caches: ring (or matrix) variable → value.
 type Slot = Vec<(VarId, MalValue)>;
+
+/// Most rows a join index is sized for at registration (24 MB of index).
+const PRESIZED_ROWS: usize = 1 << 20;
+
+/// One entry join of the matrix and the sliding state that evaluates it
+/// per strip.
+struct Strip {
+    /// The join's inputs: the ring variables holding the left and the
+    /// right stream's keys.
+    keys: (VarId, VarId),
+    /// The join's outputs: the aligned oid lists a cell's segment is
+    /// seeded with.
+    pairs: (VarId, VarId),
+    /// One index per joined stream over its ring of keys, one run per
+    /// slot. Between slides the two hold the same number of runs as the
+    /// rings hold slots.
+    left: JoinIndex,
+    right: JoinIndex,
+}
+
+impl Strip {
+    /// Index the new basic window of both streams and join it against the
+    /// window: the `(left oids, right oids)` of every new cell, the new
+    /// row left to right, then the new column top down. `rings` already
+    /// hold the new slots.
+    fn slide(&mut self, rings: &[VecDeque<MalValue>]) -> Result<Vec<(Bat, Bat)>, DataCellError> {
+        let slots = |v: VarId| {
+            rings[v].iter().map(|val| val.as_bat("join keys")).collect::<Result<Vec<&Bat>, _>>()
+        };
+        let (left, right) = (slots(self.keys.0)?, slots(self.keys.1)?);
+        let (new_left, older_left) = left.split_last().expect("the rings hold the new slot");
+        let new_right = right[left.len() - 1];
+        self.right.push(new_right)?;
+        let row = self.right.probe(&right, new_left)?;
+        let col = self.left.probe(older_left, new_right)?;
+        self.left.push(new_left)?;
+        // A probe answers `(run oids, probe oids)`: the row's runs are
+        // right slots, the column's are left slots.
+        Ok(row.into_iter().map(|(ro, lo)| (lo, ro)).chain(col).collect())
+    }
+}
 
 /// The incremental factory.
 pub struct IncrementalFactory {
@@ -64,6 +118,10 @@ pub struct IncrementalFactory {
     ring_vars: Vec<Vec<VarId>>,
     /// Matrix ring variables.
     matrix_vars: Vec<VarId>,
+    /// The matrix's entry joins, evaluated per strip.
+    strips: Vec<Strip>,
+    /// The matrix instructions evaluated per cell: all but the entry joins.
+    cell_instrs: Vec<usize>,
     advances: usize,
     emitted: usize,
     /// Chunking state (single-stream count-sliding only): the partials of
@@ -154,6 +212,29 @@ impl IncrementalFactory {
                     .collect()
             })
             .collect();
+        let (entry_joins, cell_instrs): (Vec<usize>, Vec<usize>) =
+            plan.matrix_instrs.iter().partition(|&&i| plan.is_entry_join(i));
+        // A count-based window retains at most its own size per stream, so
+        // its indexes are sized once, here; a time-based or very large one
+        // grows them as rows arrive.
+        let window_rows = window
+            .basic_windows()
+            .zip(window.step_count())
+            .map_or(0, |(n, step)| n * step)
+            .min(PRESIZED_ROWS);
+        let strips = entry_joins
+            .into_iter()
+            .map(|i| {
+                let ins = &plan.mal.instrs[i];
+                let args = ins.op.args();
+                Strip {
+                    keys: (args[0], args[1]),
+                    pairs: (ins.dests[0], ins.dests[1]),
+                    left: JoinIndex::with_capacity(window_rows),
+                    right: JoinIndex::with_capacity(window_rows),
+                }
+            })
+            .collect();
         Ok(IncrementalFactory {
             label: label.into(),
             window,
@@ -163,6 +244,8 @@ impl IncrementalFactory {
             matrix: vec![VecDeque::new(); nvars],
             ring_vars,
             matrix_vars: plan.matrix_ring_vars(),
+            strips,
+            cell_instrs,
             advances: 0,
             emitted: 0,
             chunker,
@@ -206,17 +289,21 @@ impl IncrementalFactory {
 
     // -- the three segment runs that cache or produce values ----------------
 
-    /// Run `instrs` over a fresh env, borrowing what they do not define
-    /// from `outer`, and take the values of `outs`.
+    /// Run `instrs` over an env holding only `seed`, borrowing what they do
+    /// not define from `outer`, and take the values of `outs`.
     fn eval_segment<'a>(
         &'a self,
         instrs: &[usize],
+        seed: Slot,
         outs: &[VarId],
         outer: impl Fn(VarId) -> Option<&'a MalValue>,
         ctx: &dyn ExecCtx,
     ) -> Result<Slot, DataCellError> {
         let mal = &self.plan.mal;
         let mut env: Vec<Option<MalValue>> = vec![None; mal.nvars];
+        for (v, val) in seed {
+            env[v] = Some(val);
+        }
         exec::run_segment(mal, instrs.iter().copied(), &mut env, outer, ctx)?;
         take_slot(&mut env, outs)
     }
@@ -229,13 +316,19 @@ impl IncrementalFactory {
         let par = self.par.with_aligned_input(self.aligned_clusters);
         let ctx = SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par };
         let statics = |v: VarId| self.statics[v].as_ref();
-        self.eval_segment(&self.plan.perbw_instrs[k], &self.ring_vars[k], statics, &ctx)
+        self.eval_segment(
+            &self.plan.perbw_instrs[k],
+            Slot::new(),
+            &self.ring_vars[k],
+            statics,
+            &ctx,
+        )
     }
 
-    /// Run the per-cell segment for matrix cell (row `i`, col `j`): the
-    /// left stream's ring variables resolve to slot `i`, the right
-    /// stream's to slot `j`.
-    fn eval_cell(&self, i: usize, j: usize) -> Result<Slot, DataCellError> {
+    /// Run the per-cell segment for matrix cell (row `i`, col `j`) over the
+    /// cell's entry-join `pairs`: the left stream's ring variables resolve
+    /// to slot `i`, the right stream's to slot `j`.
+    fn eval_cell(&self, i: usize, j: usize, pairs: Slot) -> Result<Slot, DataCellError> {
         let (ls, rs) = self.plan.matrix_pair.expect("matrix segment implies a pair");
         let outer = |v: VarId| {
             self.statics[v].as_ref().or_else(|| match self.plan.stages[v] {
@@ -245,7 +338,7 @@ impl IncrementalFactory {
             })
         };
         let ctx = SegmentCtx { windows: &[], tables: None, par: self.par };
-        self.eval_segment(&self.plan.matrix_instrs, &self.matrix_vars, outer, &ctx)
+        self.eval_segment(&self.cell_instrs, pairs, &self.matrix_vars, outer, &ctx)
     }
 
     /// Merge the frontier over the rings and the matrix, run the merge
@@ -285,6 +378,10 @@ impl IncrementalFactory {
         for ring in &mut self.rings {
             ring.pop_front();
         }
+        for strip in &mut self.strips {
+            strip.left.expire();
+            strip.right.expire();
+        }
         for m in &mut self.matrix {
             m.pop_front(); // oldest left row
             for row in m.iter_mut() {
@@ -303,13 +400,21 @@ impl IncrementalFactory {
             // Both streams push one slot per fire and expire together, so
             // the matrix is square. The new left row meets every right
             // slot, then every older left row meets the new right column:
-            // each row fills left to right.
+            // each row fills left to right. The entry joins are answered
+            // for all of these cells at once, in this order.
             let join_input = self.ring_vars[ls].first().expect("a joined stream caches its input");
             let last = self.rings[*join_input].len() - 1;
+            let mut seeds = vec![Slot::new(); 2 * last + 1];
+            for strip in &mut self.strips {
+                for (seed, (lo, ro)) in seeds.iter_mut().zip(strip.slide(&self.rings)?) {
+                    seed.push((strip.pairs.0, MalValue::Bat(lo)));
+                    seed.push((strip.pairs.1, MalValue::Bat(ro)));
+                }
+            }
             let new_row = (0..=last).map(|j| (last, j));
             let new_col = (0..last).map(|i| (i, last));
-            for (i, j) in new_row.chain(new_col) {
-                for (v, val) in self.eval_cell(i, j)? {
+            for ((i, j), pairs) in new_row.chain(new_col).zip(seeds) {
+                for (v, val) in self.eval_cell(i, j, pairs)? {
                     let m = &mut self.matrix[v];
                     if m.len() == i {
                         m.push_back(VecDeque::new());

@@ -21,7 +21,9 @@
 //!
 //! Multi-stream joins get the n×n replication of Fig. 3(e): the join (and
 //! everything downstream of it that is still replicable) is classified
-//! `Matrix` and evaluated per pair of basic windows.
+//! `Matrix` and yields one value per pair of basic windows. The join that
+//! enters the matrix ([`IncrementalPlan::is_entry_join`]) is evaluated per
+//! strip — the new row and column at once; what follows it runs per cell.
 //!
 //! `avg` is *expanded* (Fig. 3c) by a MAL→MAL pre-pass into `sum`+`count`
 //! flows merged by a division.
@@ -205,6 +207,19 @@ impl IncrementalPlan {
         self.frontier.iter().copied().filter(|&v| self.stages[v] == Stage::Matrix).collect()
     }
 
+    /// Is instruction `i` an *entry join* — the matrix join whose two
+    /// inputs are still per-basic-window values, the left stream's and the
+    /// right stream's? The runtime evaluates it once per slide for the
+    /// whole new row and column of the matrix (a strip) through a join
+    /// index per stream, not once per cell; every other matrix instruction
+    /// runs per cell.
+    pub fn is_entry_join(&self, i: usize) -> bool {
+        let ins = &self.mal.instrs[i];
+        matches!(ins.op, MalOp::Join { .. })
+            && self.stages[ins.dests[0]] == Stage::Matrix
+            && ins.op.args().iter().all(|&a| matches!(self.stages[a], Stage::PerBw(_)))
+    }
+
     /// The frontier as merge units: every variable that merges on its own
     /// (frontier order), then every cluster.
     pub fn merge_units(&self) -> impl Iterator<Item = MergeUnit<'_>> {
@@ -223,10 +238,11 @@ impl IncrementalPlan {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str("incremental plan (stage | instruction):\n");
-        for ins in &self.mal.instrs {
+        for (i, ins) in self.mal.instrs.iter().enumerate() {
             let tag = match self.stages[ins.dests[0]] {
                 Stage::Static => "static ".to_owned(),
                 Stage::PerBw(k) => format!("per-bw[{k}]"),
+                Stage::Matrix if self.is_entry_join(i) => "per-strip".to_owned(),
                 Stage::Matrix => "per-cell".to_owned(),
                 Stage::Merge => "merge  ".to_owned(),
             };
@@ -907,6 +923,16 @@ mod tests {
         for &v in &inc.ring_only {
             assert!(matches!(inc.stages[v], Stage::PerBw(_)));
         }
+        // The join itself enters the matrix per strip; what follows it in
+        // the matrix segment runs per cell. Same line shape for both.
+        let entry: Vec<usize> =
+            inc.matrix_instrs.iter().copied().filter(|&i| inc.is_entry_join(i)).collect();
+        assert_eq!(entry.len(), 1);
+        let dests = &inc.mal.instrs[entry[0]].dests;
+        let line = format!("per-strip | X_{}, X_{} := algebra.join\n", dests[0], dests[1]);
+        let text = inc.explain();
+        assert!(text.contains(&line), "{text}");
+        assert_eq!(text.matches("per-cell | X_").count(), inc.matrix_instrs.len() - 1);
     }
 
     #[test]
@@ -973,6 +999,7 @@ mod tests {
         let join_idx =
             inc.mal.instrs.iter().position(|i| matches!(i.op, MalOp::Join { .. })).unwrap();
         assert!(inc.perbw_instrs[0].contains(&join_idx));
+        assert!(!inc.is_entry_join(join_idx));
     }
 
     #[test]

@@ -59,11 +59,13 @@ impl AggKind {
     }
 }
 
-/// Sum of a numeric BAT. Integer sums stay integral; float sums are floats.
+/// Sum of a numeric BAT. Integer sums stay integral and wrap on overflow,
+/// in every build profile, like `map_arith` and the merge of partial sums:
+/// a standing query must not abort mid-flight. Float sums are floats.
 /// Empty input sums to the additive identity of the column type.
 pub fn sum(b: &Bat) -> Result<Value> {
     match &b.tail {
-        Column::Int(v) => Ok(Value::Int(v.iter().sum())),
+        Column::Int(v) => Ok(Value::Int(v.iter().fold(0, |acc, &x| acc.wrapping_add(x)))),
         Column::Float(v) => Ok(Value::Float(v.iter().sum())),
         c => Err(KernelError::TypeMismatch {
             op: "sum",
@@ -115,7 +117,8 @@ pub fn avg(b: &Bat) -> Result<Option<Value>> {
     Ok(Some(Value::Float(s / b.len() as f64)))
 }
 
-/// Per-group sum: `out[g] = Σ vals[i] where groups.ids[i] == g`.
+/// Per-group sum: `out[g] = Σ vals[i] where groups.ids[i] == g`; integer
+/// sums wrap like [`sum`].
 pub fn sum_grouped(vals: &Bat, groups: &Groups) -> Result<Column> {
     if vals.len() != groups.ids.len() {
         return Err(KernelError::LengthMismatch {
@@ -128,7 +131,8 @@ pub fn sum_grouped(vals: &Bat, groups: &Groups) -> Result<Column> {
         Column::Int(v) => {
             let mut out = vec![0i64; groups.ngroups()];
             for (i, &x) in v.iter().enumerate() {
-                out[groups.ids[i] as usize] += x;
+                let acc = &mut out[groups.ids[i] as usize];
+                *acc = acc.wrapping_add(x);
             }
             Ok(Column::Int(out))
         }
@@ -214,6 +218,16 @@ mod tests {
     fn scalar_sum_int_and_float() {
         assert_eq!(sum(&Bat::transient(Column::Int(vec![1, 2, 3]))).unwrap(), Value::Int(6));
         assert_eq!(sum(&Bat::transient(Column::Float(vec![0.5, 1.5]))).unwrap(), Value::Float(2.0));
+    }
+
+    #[test]
+    fn sum_wraps_like_map_arith() {
+        // Same contract as `map::tests::wrapping_semantics_documented`, in
+        // debug and release builds alike.
+        let vals = Bat::transient(Column::Int(vec![i64::MAX, 1]));
+        assert_eq!(sum(&vals).unwrap(), Value::Int(i64::MIN));
+        let one_group = group(&Bat::transient(Column::Int(vec![7, 7]))).unwrap();
+        assert_eq!(sum_grouped(&vals, &one_group).unwrap(), Column::Int(vec![i64::MIN]));
     }
 
     #[test]

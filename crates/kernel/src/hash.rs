@@ -19,7 +19,7 @@ pub struct FastHasher {
     state: u64,
 }
 
-const K: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Hasher for FastHasher {
     #[inline]

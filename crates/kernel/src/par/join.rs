@@ -6,10 +6,10 @@
 //! exactly the sequential join's pair set; the same map picks basket
 //! staging shards and aligned aggregation morsels, so keyed ingest lands
 //! pre-partitioned for the join). Each partition pair is then joined
-//! independently by the one chained-bucket core
-//! [`crate::algebra::hashjoin`] runs, restricted to the partition's
-//! position lists, and the aligned oid pairs are concatenated back in
-//! partition order.
+//! independently by the one hash table [`crate::algebra::hashjoin`] uses
+//! ([`crate::algebra::JoinIndex`], the partition's build positions pushed
+//! as its only run and probed with the partition's probe positions), and
+//! the aligned oid pairs are concatenated back in partition order.
 //!
 //! **Canonical output order** (documented determinism contract): pairs are
 //! ordered by partition index first, then by probe position within the
@@ -33,7 +33,8 @@ use crate::{Bat, Result};
 /// when even the probe side has fewer tuples than partitions is the
 /// fan-out pure overhead.
 pub fn hashjoin(l: &Bat, r: &Bat, cfg: &ParConfig) -> Result<(Bat, Bat)> {
-    hashjoin_with(l, r, |build, probe| {
+    let start = datacell_telemetry::timer();
+    let out = hashjoin_with(l, r, |build, probe| {
         let p = cfg.partitions();
         if p <= 1 || probe.len() < p {
             return join_build_probe(build, probe, None);
@@ -59,7 +60,10 @@ pub fn hashjoin(l: &Bat, r: &Bat, cfg: &ParConfig) -> Result<(Bat, Bat)> {
         let partials = run(pairs, |(bp, pp)| join_build_probe(build, probe, Some((bp, pp))))?;
         let (bo, po): (Vec<_>, Vec<_>) = partials.into_iter().unzip();
         Ok((concat(bo), concat(po)))
-    })
+    })?;
+    // The larger side probed.
+    stats::record_join(l.len().max(r.len()), out.0.len(), start);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -129,6 +129,10 @@ pub mod stats {
         sort_calls: Counter,
         sort_par_calls: Counter,
         scatter_elided: Counter,
+        join_calls: Counter,
+        join_probe_rows: Counter,
+        join_pairs: Counter,
+        join_seconds: Histogram,
         agg_seconds_seq: Histogram,
         agg_seconds_par: Histogram,
         fetch_seconds_seq: Histogram,
@@ -184,6 +188,23 @@ pub mod stats {
                     "datacell_kernel_scatter_elided_total",
                     "Aligned-input kernel calls that skipped per-row scatter in favor of \
                      run-compressed partition copies.",
+                ),
+                join_calls: r.counter(
+                    "datacell_kernel_join_calls_total",
+                    "Hash-join kernel calls: one-shot joins and join-index strip probes.",
+                ),
+                join_probe_rows: r.counter(
+                    "datacell_kernel_join_probe_rows_total",
+                    "Rows that probed a join hash table.",
+                ),
+                join_pairs: r.counter(
+                    "datacell_kernel_join_pairs_total",
+                    "Matching pairs emitted by hash joins.",
+                ),
+                join_seconds: r.histogram(
+                    "datacell_kernel_join_seconds",
+                    "Wall time of one hash-join kernel call (build, probe and partition \
+                     fan-out of a one-shot join; one strip probe of a join index).",
                 ),
                 agg_seconds_seq: r.histogram_with(
                     "datacell_kernel_grouped_agg_seconds",
@@ -313,6 +334,18 @@ pub mod stats {
         metrics().scatter_elided.inc();
     }
 
+    /// Record one hash-join kernel call — a one-shot `par::hashjoin` or one
+    /// strip probe of a `JoinIndex` — with the rows that probed, the pairs
+    /// that came out and its wall time (see [`record_grouped_agg_time`]
+    /// for the `start` contract).
+    pub(crate) fn record_join(probe_rows: usize, pairs: usize, start: Option<Instant>) {
+        let m = metrics();
+        m.join_calls.inc();
+        m.join_probe_rows.add(probe_rows as u64);
+        m.join_pairs.add(pairs as u64);
+        m.join_seconds.record_since(start);
+    }
+
     /// Record one multi-segment basket seal; `parallel` marks seals that
     /// fanned segment stitching out over scoped worker threads. Public
     /// because the basket crate (a kernel dependent) reports its seals
@@ -382,7 +415,7 @@ pub mod stats {
         metrics().scatter_elided.get()
     }
 
-    /// All eleven kernel counters read at one instant. The idiom for proving
+    /// All fourteen kernel counters read at one instant. The idiom for proving
     /// a code path was reached is `let before = stats::snapshot(); ...;
     /// let d = stats::snapshot().delta(&before);` followed by asserts on
     /// the fields of `d` — replacing hand-rolled read-before/read-after
@@ -411,6 +444,12 @@ pub mod stats {
         pub sort_par_calls: u64,
         /// Aligned-input calls that elided their scatter phase.
         pub scatter_elided: u64,
+        /// Hash-join kernel calls (one-shot joins and strip probes).
+        pub join_calls: u64,
+        /// Rows that probed a join hash table.
+        pub join_probe_rows: u64,
+        /// Matching pairs emitted by hash joins.
+        pub join_pairs: u64,
     }
 
     impl StatsSnapshot {
@@ -436,6 +475,9 @@ pub mod stats {
                 sort_calls: self.sort_calls.saturating_sub(earlier.sort_calls),
                 sort_par_calls: self.sort_par_calls.saturating_sub(earlier.sort_par_calls),
                 scatter_elided: self.scatter_elided.saturating_sub(earlier.scatter_elided),
+                join_calls: self.join_calls.saturating_sub(earlier.join_calls),
+                join_probe_rows: self.join_probe_rows.saturating_sub(earlier.join_probe_rows),
+                join_pairs: self.join_pairs.saturating_sub(earlier.join_pairs),
             }
         }
     }
@@ -456,6 +498,9 @@ pub mod stats {
             sort_calls: m.sort_calls.get(),
             sort_par_calls: m.sort_par_calls.get(),
             scatter_elided: m.scatter_elided.get(),
+            join_calls: m.join_calls.get(),
+            join_probe_rows: m.join_probe_rows.get(),
+            join_pairs: m.join_pairs.get(),
         }
     }
 }

@@ -13,8 +13,9 @@
 //! runtime in `datacell-core` calls the same walker once per segment of
 //! the rewritten plan: the static segment at registration, the per-bw
 //! segment over one *basic window*, the per-cell segment with ring slots
-//! `i`/`j` resolved by reference, and the merge segment over the merged
-//! frontier.
+//! `i`/`j` resolved by reference (and the cell's join pairs already in its
+//! `env`: the join that enters the matrix is answered per strip, not
+//! walked here), and the merge segment over the merged frontier.
 
 use crate::mal::{MalOp, MalPlan, MalValue, VarId};
 use crate::result::ResultSet;

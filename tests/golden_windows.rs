@@ -175,6 +175,50 @@ fn golden_time_windows_survive_sharded_ingestion() {
     );
 }
 
+#[test]
+fn golden_time_sliding_join_with_a_one_sided_empty_basic_window() {
+    // WINDOW RANGE 20 MS SLIDE 10 MS over two streams; `b` is silent in
+    // [10,20) while `a` is not, so one side of the join slides an empty
+    // basic window through its ring (and its join index) on its own.
+    //   basic windows   a (k,v)            b (k,v)
+    //   [ 0,10)         (1,10) (2,20)      (1,100) (2,200)
+    //   [10,20)         (1,30)             -
+    //   [20,30)         (2,40)             (1,300)
+    //   [30,40)         (1,50)             (2,400)
+    //   [ 0,20): a.k=b.k pairs 10-100, 20-200, 30-100 -> count 3, sum 400
+    //   [10,30): 30-300                               -> count 1, sum 300
+    //   [20,40): 40-400, 50-300                       -> count 2, sum 700
+    let sql = "SELECT count(a.v), sum(b.v) FROM a, b WHERE a.k = b.k \
+               WINDOW RANGE 20 MS SLIDE 10 MS";
+    let mut e = Engine::new();
+    for s in ["a", "b"] {
+        e.create_stream(s, &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
+    }
+    let qi = e.register_sql(sql).unwrap();
+    let qr = e
+        .register_sql_with(sql, RegisterOptions { mode: ExecMode::Reevaluation, chunker: None })
+        .unwrap();
+    let a: &[(u64, i64, i64)] = &[(2, 1, 10), (5, 2, 20), (13, 1, 30), (27, 2, 40), (33, 1, 50)];
+    let b: &[(u64, i64, i64)] = &[(3, 1, 100), (8, 2, 200), (24, 1, 300), (36, 2, 400)];
+    for (stream, trace) in [("a", a), ("b", b)] {
+        for &(ts, k, v) in trace {
+            e.append_at(stream, &[Column::Int(vec![k]), Column::Int(vec![v])], ts).unwrap();
+        }
+    }
+    e.advance_clock(40);
+    e.run_until_idle().unwrap();
+    let got = rows(&e.drain_results(qi).unwrap());
+    insta_eq(
+        &got,
+        &[
+            vec![vec![Value::Int(3), Value::Int(400)]],
+            vec![vec![Value::Int(1), Value::Int(300)]],
+            vec![vec![Value::Int(2), Value::Int(700)]],
+        ],
+    );
+    assert_eq!(got, rows(&e.drain_results(qr).unwrap()), "re-evaluation disagrees");
+}
+
 /// Pinned-comparison helper with a readable diff on mismatch.
 #[track_caller]
 fn insta_eq(got: &[Vec<Vec<Value>>], want: &[Vec<Vec<Value>>]) {

@@ -115,6 +115,15 @@ proptest! {
         right in prop::collection::vec((0i64..6, 0i64..100), 12..60),
         step in 1usize..4,
         n in 2usize..4,
+        // Scalar partials per cell; joined rows; a selection under the
+        // join (basic windows of varying size, empty ones included, whose
+        // keys are transient BATs); a group-by over the joined rows.
+        query in prop::sample::select(vec![
+            "SELECT max(a.v), sum(b.v) FROM a, b WHERE a.k = b.k",
+            "SELECT a.v, b.v FROM a, b WHERE a.k = b.k",
+            "SELECT max(a.v), sum(b.v) FROM a, b WHERE a.k = b.k AND a.v > 50",
+            "SELECT a.k, count(b.v) FROM a, b WHERE a.k = b.k GROUP BY a.k",
+        ]),
     ) {
         let size = step * n;
         let cap = left.len().min(right.len());
@@ -122,10 +131,7 @@ proptest! {
         let lv: Vec<i64> = left[..cap].iter().map(|d| d.1).collect();
         let rk: Vec<i64> = right[..cap].iter().map(|d| d.0).collect();
         let rv: Vec<i64> = right[..cap].iter().map(|d| d.1).collect();
-        let sql = format!(
-            "SELECT max(a.v), sum(b.v) FROM a, b WHERE a.k = b.k \
-             WINDOW SIZE {size} SLIDE {step}"
-        );
+        let sql = format!("{query} WINDOW SIZE {size} SLIDE {step}");
         assert_equivalent(
             &[("k", DataType::Int), ("v", DataType::Int)],
             &[("a", int_cols(lk, lv)), ("b", int_cols(rk, rv))],

@@ -920,3 +920,75 @@ proptest! {
         let _ = AggKind::Count; // rule documented in kernel::algebra
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn join_index_agrees_with_nested_loops_over_the_live_runs(
+        steps in prop::collection::vec(
+            (prop::collection::vec(0i64..6, 0..40), any::<bool>()),
+            8..40,
+        ),
+        probe in prop::collection::vec(0i64..6, 0..40),
+        window in 1usize..5,
+        strings in any::<bool>(),
+    ) {
+        // The sliding-window join index against a nested loop over the
+        // runs still in the window. Every step pushes a run (0..40 rows,
+        // six keys, so chains collide), expires down to `window` runs and
+        // sometimes one more, then probes. The fixed first two runs force
+        // the ring to grow and the fixed last eight to wrap around it.
+        use algebra::JoinIndex;
+        let key_bat = |keys: &[i64], hseq: u64| match strings {
+            true => Bat::new(hseq, Column::Str(keys.iter().map(|k| format!("key-{k}")).collect())),
+            false => int_bat(keys, hseq),
+        };
+        let fixed = |rows: i64| ((0..rows).map(|i| i % 6).collect::<Vec<i64>>(), false);
+        let schedule = [fixed(1), fixed(40)]
+            .into_iter()
+            .chain(steps)
+            .chain((0..8).map(|_| fixed(40)));
+        let probe = key_bat(&probe, 7_000);
+        let mut index = JoinIndex::default();
+        let mut live: std::collections::VecDeque<Bat> = Default::default();
+        let (mut pushed, mut max_live) = (0usize, 0usize);
+        for (step, (keys, expire_one_more)) in schedule.enumerate() {
+            // Transient (`hseq` 0) and stream-positioned runs both occur.
+            let hseq = if step % 3 == 0 { 0 } else { 100 * step as u64 };
+            index.push(&key_bat(&keys, hseq)).unwrap();
+            pushed += keys.len();
+            max_live = max_live.max(index.rows());
+            live.push_back(key_bat(&keys, hseq));
+            while live.len() > window + usize::from(!expire_one_more) {
+                index.expire();
+                live.pop_front();
+            }
+            prop_assert_eq!(index.rows(), live.iter().map(Bat::len).sum::<usize>());
+            let runs: Vec<&Bat> = live.iter().collect();
+            let got = index.probe(&runs, &probe).unwrap();
+            prop_assert_eq!(got.len(), live.len());
+            for (run, (run_oids, probe_oids)) in live.iter().zip(&got) {
+                // The order contract: by probe position, newest run row
+                // first within one probe row's matches.
+                let mut expect = Vec::new();
+                for j in 0..probe.len() {
+                    for i in (0..run.len()).rev() {
+                        if run.value_at(i) == probe.value_at(j) {
+                            expect.push((run.hseq + i as u64, probe.hseq + j as u64));
+                        }
+                    }
+                }
+                let oids = |b: &Bat| b.tail.as_oid().unwrap().to_vec();
+                let pairs: Vec<(u64, u64)> =
+                    oids(run_oids).into_iter().zip(oids(probe_oids)).collect();
+                prop_assert_eq!(pairs, expect);
+            }
+        }
+        // The ring is the live-row high-water mark rounded up to a power
+        // of two: it grew past its first size (one row), and more rows
+        // went through it than it has slots.
+        let capacity = max_live.next_power_of_two();
+        prop_assert!(capacity > 1 && pushed > capacity, "{pushed} rows through {capacity} slots");
+    }
+}
