@@ -376,7 +376,7 @@ impl Basket {
         self.schema.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// Snapshot the resident content as a BasicWindow (tests, emitters).
+    /// Snapshot the resident content as a BasicWindow (tests).
     pub fn snapshot(&self) -> BasicWindow {
         self.read_range(self.base_oid, self.len()).expect("full resident range")
     }

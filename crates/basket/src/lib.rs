@@ -20,17 +20,14 @@
 //!   bare [`Basket`].
 //! * [`receptor`] — CSV and synthetic-generator receptors, including the
 //!   full parse-and-load path measured by the paper's loading-cost breakdown.
-//! * [`emitter`] — the client-facing side: drain output baskets into rows.
 
 pub mod basket;
-pub mod emitter;
 pub mod receptor;
 pub mod sharded;
 pub mod threaded;
 pub mod window;
 
 pub use basket::{Basket, BasketError, Timestamp};
-pub use emitter::{CollectEmitter, Emitter, Row};
 pub use receptor::{CsvError, CsvReceptor, GeneratorReceptor, MalformedPolicy, ParseOutcome};
 pub use sharded::{Ingest, ShardStats, ShardedBasket};
 pub use threaded::ReceptorHandle;

@@ -7,8 +7,8 @@
 //! factory firing and kernel operators run in parallel. [`ShardedBasket`]
 //! splits that hand-off point:
 //!
-//! * **The merged view** — the one [`Basket`] factories, emitters and GC
-//!   read under [`ShardedBasket::with`] (Algorithms 1–2's bracket).
+//! * **The merged view** — the one [`Basket`] factories and GC read
+//!   under [`ShardedBasket::with`] (Algorithms 1–2's bracket).
 //! * **N independently-locked shards** stage incoming batches. A receptor
 //!   appends to its own shard ([`ShardedBasket::append_shard`], shard
 //!   chosen per receptor handle or by key hash), so concurrent appenders
@@ -54,8 +54,7 @@
 //! At `shards > 1` every write must go through the `append*` methods.
 //! Appending inside [`ShardedBasket::with`] would assign oids the
 //! allocator has already promised to a staged segment and corrupt the
-//! stream; the bracket is for *reading* and expiry (factories, emitters,
-//! GC).
+//! stream; the bracket is for *reading* and expiry (factories, GC).
 
 use crate::basket::{validate_batch, Basket, BasketError, Timestamp};
 use datacell_kernel::par::stats;
@@ -141,7 +140,7 @@ struct State {
 }
 
 /// A basket behind a mutex plus its staging shards — the shared handle
-/// receptors, factories and emitters use concurrently. Cloning shares the
+/// receptors and factories use concurrently. Cloning shares the
 /// basket, the shards and the allocator.
 #[derive(Clone)]
 pub struct ShardedBasket {

@@ -4,7 +4,8 @@
 //! via [`Engine::append`] (or receptors feeding the shared baskets
 //! directly), continuous queries register as factories with the Petri-net
 //! scheduler, the scheduler fires them as windows fill, and window results
-//! accumulate per query until drained (the emitter side).
+//! accumulate per query until drained — the output basket `datacell-net`
+//! emits to subscribers from.
 
 use crate::adaptive::AdaptiveChunker;
 use crate::config::EngineConfig;
@@ -14,9 +15,9 @@ use crate::factory::reeval::ReevalFactory;
 use crate::factory::{Factory, StreamInput};
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{rewrite, IncrementalPlan};
-use crate::scheduler::{ConsumerId, Scheduler};
+use crate::scheduler::Scheduler;
 use datacell_basket::{Basket, ShardedBasket, Timestamp};
-use datacell_kernel::{Catalog, Column, DataType, Oid, ParConfig, PlacementMode, Table};
+use datacell_kernel::{Catalog, Column, DataType, ParConfig, PlacementMode, Table};
 use datacell_plan::{
     compile, optimize, verify_all, LogicalPlan, MalOp, MalPlan, PlanError, ResultSet,
     SchemaOverlay, WindowSpec,
@@ -589,51 +590,6 @@ impl Engine {
         qs
     }
 
-    // -- external consumers --------------------------------------------------
-
-    /// Register an external consumer of `stream` — an egress-side reader
-    /// (network subscriber, emitter process) that is not a factory but
-    /// whose delivery cursor must bound the stream's garbage collection.
-    /// The cursor starts at the basket's current base, so everything still
-    /// resident is retained for delivery. Advance it with
-    /// [`Engine::advance_consumer`] as rows are delivered; evict it with
-    /// [`Engine::evict_consumer`] when the reader disconnects or stalls
-    /// past its queue bound, or its stake pins the basket forever.
-    pub fn register_consumer(&mut self, stream: &str) -> Result<ConsumerId, DataCellError> {
-        let base = self.basket(stream)?.base_oid();
-        Ok(self.scheduler.register_consumer(stream, base))
-    }
-
-    /// Register an external consumer starting at the stream's current
-    /// *end*: only rows appended after registration are retained for it
-    /// (late-subscriber semantics — no backlog replay).
-    pub fn register_consumer_at_end(&mut self, stream: &str) -> Result<ConsumerId, DataCellError> {
-        let end = self.basket(stream)?.end_oid();
-        Ok(self.scheduler.register_consumer(stream, end))
-    }
-
-    /// Move an external consumer's delivery cursor forward (monotone).
-    pub fn advance_consumer(&mut self, id: ConsumerId, upto: Oid) -> Result<(), DataCellError> {
-        self.scheduler.advance_consumer(id, upto)
-    }
-
-    /// Remove an external consumer's GC stake; returns the stream it was
-    /// reading. GC resumes from the surviving readers' cursors on the
-    /// next [`Engine::run_until_idle`].
-    pub fn evict_consumer(&mut self, id: ConsumerId) -> Result<String, DataCellError> {
-        self.scheduler.evict_consumer(id)
-    }
-
-    /// An external consumer's current cursor (`None` after eviction).
-    pub fn consumer_cursor(&self, id: ConsumerId) -> Option<Oid> {
-        self.scheduler.consumer_cursor(id)
-    }
-
-    /// External consumers currently holding a stake on `stream`.
-    pub fn consumers_of(&self, stream: &str) -> usize {
-        self.scheduler.consumers_of(stream)
-    }
-
     /// Take all window results produced by a query since the last drain.
     pub fn drain_results(&mut self, q: QueryId) -> Result<Vec<ResultSet>, DataCellError> {
         Ok(self.drain_with_metrics(q)?.into_iter().map(|(result, _)| result).collect())
@@ -961,34 +917,6 @@ mod tests {
         // (Streams without readers keep data until a reader registers.)
         assert_eq!(e.basket_len("s").unwrap(), 5);
         assert!(e.drain_results(q1).is_err());
-    }
-
-    #[test]
-    fn external_consumer_retains_and_releases_basket_rows() {
-        // An emitter basket: no factory reads it, only external consumers.
-        let mut e = Engine::new();
-        e.create_stream("out", &[("v", DataType::Int)]).unwrap();
-        // No stakes at all: GC has no bound, rows are retained.
-        e.append("out", &[Column::Int(vec![1, 2])]).unwrap();
-        e.run_until_idle().unwrap();
-        assert_eq!(e.basket_len("out").unwrap(), 2);
-        let slow = e.register_consumer("out").unwrap(); // stake from base: backlog retained
-        let fast = e.register_consumer("out").unwrap();
-        assert_eq!(e.consumers_of("out"), 2);
-        e.append("out", &[Column::Int(vec![3, 4])]).unwrap();
-        e.advance_consumer(fast, 4).unwrap();
-        e.run_until_idle().unwrap();
-        // The slow stake (cursor 0) pins everything.
-        assert_eq!(e.basket_len("out").unwrap(), 4);
-        // Eviction releases the pin; the fast reader's cursor now rules.
-        e.evict_consumer(slow).unwrap();
-        e.run_until_idle().unwrap();
-        assert_eq!(e.basket_len("out").unwrap(), 0);
-        assert_eq!(e.consumer_cursor(slow), None);
-        // A late subscriber starts at the end: old rows are not re-pinned.
-        let late = e.register_consumer_at_end("out").unwrap();
-        assert_eq!(e.consumer_cursor(late), Some(4));
-        assert!(e.register_consumer("ghost").is_err());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use metrics::{summarize, MetricsSummary, SlideMetrics};
 pub use rewrite::{
     rewrite, verify_incremental, Cluster, IncrementalPlan, MergeUnit, Stage, VarKind,
 };
-pub use scheduler::{ConsumerId, Emission, FactoryId, Scheduler, WorkerStats};
+pub use scheduler::{Emission, FactoryId, Scheduler, WorkerStats};
 
 // Re-export the window spec and result type from the plan layer so users
 // (and custom-factory authors) have one import.

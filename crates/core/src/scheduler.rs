@@ -19,8 +19,6 @@
 //!   per-stream **growth marks** it narrows each readiness scan to the
 //!   readers of baskets that grew, and it bounds the basket-expiry scan in
 //!   [`Scheduler::min_consumed`] to actual readers;
-//! * the **consumer cursors** of external (egress-side) readers, the other
-//!   half of that expiry bound;
 //! * the **executor** (`DATACELL_WORKERS` / engine API): a persistent pool
 //!   of worker threads fed by a work queue, or — with one worker, the
 //!   default — the calling thread itself, with no thread, queue or channel
@@ -80,25 +78,6 @@ pub struct Emission {
     /// per-query telemetry series at the one deterministic collection
     /// point.
     pub metrics: SlideMetrics,
-}
-
-/// Identifier of an externally-registered stream consumer — an egress-side
-/// reader (network subscriber, emitter process) that is not a factory but
-/// whose consumption cursor must still bound basket garbage collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ConsumerId(pub usize);
-
-impl std::fmt::Display for ConsumerId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "consumer#{}", self.0)
-    }
-}
-
-/// An external reader's GC stake in one stream: every oid below `cursor`
-/// has been delivered to (or abandoned by) this consumer.
-struct ExternalConsumer {
-    stream: String,
-    cursor: Oid,
 }
 
 /// A dispatched transition: the factory is moved out of its slot for the
@@ -381,14 +360,6 @@ pub struct Scheduler {
     /// Clock of the last scan; a clock change re-enables time-based
     /// transitions, so it forces a full readiness scan.
     last_clock: Option<Timestamp>,
-    /// External (non-factory) consumers holding GC stakes on streams —
-    /// the egress edge's registration hook. Keyed by [`ConsumerId`];
-    /// eviction removes the stake so one dead subscriber can never pin
-    /// [`Scheduler::min_consumed`] (and thus basket growth) forever.
-    consumers: HashMap<ConsumerId, ExternalConsumer>,
-    /// Next consumer id (never reused, so a stale handle can't alias a
-    /// later registration).
-    next_consumer: usize,
     workers: usize,
     /// The worker threads; `None` while one worker is configured (the
     /// calling thread fires) and before the first drain.
@@ -416,8 +387,6 @@ impl Scheduler {
             baskets: HashMap::new(),
             fresh: Vec::new(),
             last_clock: None,
-            consumers: HashMap::new(),
-            next_consumer: 0,
             workers: workers.max(1),
             pool: None,
             queue_depth: Gauge::new(),
@@ -537,9 +506,8 @@ impl Scheduler {
         self.deps.get(stream).map_or(&[], Vec::as_slice)
     }
 
-    /// Minimum consumed position across the factories and external
-    /// consumers that read `stream` (`None` when nothing reads it) — the
-    /// basket expiry bound.
+    /// Minimum consumed position across the factories that read `stream`
+    /// (`None` when nothing reads it) — the basket expiry bound.
     ///
     /// Race-free by construction: the borrow checker excludes calls while
     /// a drain (`&mut self`) has factories out on worker threads, so the
@@ -552,72 +520,12 @@ impl Scheduler {
     /// (undrained) shard segments — which sit at or past that frontier —
     /// are out of expiry's reach entirely.
     pub fn min_consumed(&self, stream: &str) -> Option<Oid> {
-        let factories = self
-            .deps
+        self.deps
             .get(stream)
             .into_iter()
             .flatten()
             .filter_map(|&id| self.factory(id).ok().and_then(|f| f.consumed_upto(stream)))
-            .min();
-        let consumers =
-            self.consumers.values().filter(|c| c.stream == stream).map(|c| c.cursor).min();
-        match (factories, consumers) {
-            (Some(f), Some(c)) => Some(f.min(c)),
-            (f, c) => f.or(c),
-        }
-    }
-
-    // -- external consumers (egress-side GC stakes) -------------------------
-
-    /// Register an external consumer of `stream` whose delivery cursor
-    /// starts at `from`: every oid at or past `from` is retained by basket
-    /// GC until [`Scheduler::advance_consumer`] moves the cursor over it.
-    /// The network edge registers one consumer per subscriber so
-    /// undelivered results survive in their emitter basket; factories are
-    /// unaffected (consumers never fire).
-    pub fn register_consumer(&mut self, stream: &str, from: Oid) -> ConsumerId {
-        let id = ConsumerId(self.next_consumer);
-        self.next_consumer += 1;
-        self.consumers.insert(id, ExternalConsumer { stream: stream.to_owned(), cursor: from });
-        id
-    }
-
-    /// Move a consumer's delivery cursor forward (monotone: a stale or
-    /// backwards `upto` is a no-op). Tuples below the new cursor become
-    /// eligible for expiry once every other stake agrees.
-    pub fn advance_consumer(&mut self, id: ConsumerId, upto: Oid) -> Result<(), DataCellError> {
-        let c = self
-            .consumers
-            .get_mut(&id)
-            .ok_or_else(|| DataCellError::Unsupported(format!("unknown {id}")))?;
-        if upto > c.cursor {
-            c.cursor = upto;
-        }
-        Ok(())
-    }
-
-    /// Remove a consumer's GC stake entirely — the expiry/eviction rule
-    /// for disconnected or overflowed subscribers. Returns the stream it
-    /// was reading. After eviction [`Scheduler::min_consumed`] is computed
-    /// from the surviving readers only, so GC resumes instead of staying
-    /// pinned at the dead consumer's last cursor forever.
-    pub fn evict_consumer(&mut self, id: ConsumerId) -> Result<String, DataCellError> {
-        self.consumers
-            .remove(&id)
-            .map(|c| c.stream)
-            .ok_or_else(|| DataCellError::Unsupported(format!("unknown {id}")))
-    }
-
-    /// A consumer's current cursor (`None` after eviction).
-    #[must_use]
-    pub fn consumer_cursor(&self, id: ConsumerId) -> Option<Oid> {
-        self.consumers.get(&id).map(|c| c.cursor)
-    }
-
-    /// How many external consumers hold a stake on `stream`.
-    #[must_use]
-    pub fn consumers_of(&self, stream: &str) -> usize {
-        self.consumers.values().filter(|c| c.stream == stream).count()
+            .min()
     }
 
     // -- the drain ----------------------------------------------------------
@@ -1059,52 +967,6 @@ mod tests {
             assert_eq!(s.ids(), vec![fast]);
             assert_eq!(s.readers("s"), &[fast]);
         }
-    }
-
-    #[test]
-    fn external_consumer_bounds_gc_until_evicted() {
-        // A stalled external consumer (a dead network subscriber) must
-        // pin the expiry bound only until it is evicted, never forever.
-        let mut s = Scheduler::new(2);
-        let b = shared("s");
-        let _f = register_sum(&mut s, "s", &b, 1);
-        let live = s.register_consumer("s", 0);
-        let dead = s.register_consumer("s", 0);
-        assert_eq!(s.consumers_of("s"), 2);
-        b.append(&ints(6, 1), 0).unwrap();
-        drain(&mut s);
-        // The factory consumed all 6; both consumers still sit at 0, so
-        // the bound is pinned at the slowest stake.
-        assert_eq!(s.min_consumed("s"), Some(0));
-        s.advance_consumer(live, 6).unwrap();
-        assert_eq!(s.consumer_cursor(live), Some(6));
-        // The dead consumer alone keeps the bound at 0 ...
-        assert_eq!(s.min_consumed("s"), Some(0));
-        // ... until eviction removes its stake and GC resumes.
-        assert_eq!(s.evict_consumer(dead).unwrap(), "s");
-        assert_eq!(s.min_consumed("s"), Some(6));
-        assert_eq!(s.consumers_of("s"), 1);
-        // Cursor moves are monotone; stale advances are no-ops.
-        s.advance_consumer(live, 3).unwrap();
-        assert_eq!(s.consumer_cursor(live), Some(6));
-        // Stale handles error out instead of silently re-pinning.
-        assert!(s.advance_consumer(dead, 9).is_err());
-        assert!(s.evict_consumer(dead).is_err());
-        assert_eq!(s.consumer_cursor(dead), None);
-    }
-
-    #[test]
-    fn consumer_only_stream_has_a_gc_bound() {
-        // Emitter baskets have no factory readers at all: the consumer
-        // stakes alone must produce a bound.
-        let mut s = Scheduler::new(1);
-        assert_eq!(s.min_consumed("out"), None);
-        let c = s.register_consumer("out", 0);
-        assert_eq!(s.min_consumed("out"), Some(0));
-        s.advance_consumer(c, 10).unwrap();
-        assert_eq!(s.min_consumed("out"), Some(10));
-        s.evict_consumer(c).unwrap();
-        assert_eq!(s.min_consumed("out"), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! machine (handshake → ingest / subscribe / drain-and-close).
 
 use datacell_basket::{CsvReceptor, ShardedBasket};
-use datacell_core::{ConsumerId, QueryId};
+use datacell_core::QueryId;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -21,16 +21,8 @@ pub(crate) enum Role {
     },
     /// `SUBSCRIBE <label>`: result rows out of one query.
     Subscribe {
-        /// The query's label (resolves the output stream).
-        label: String,
-        /// The query itself (kept for diagnostics; fan-out drains by label).
-        #[allow(dead_code)]
+        /// The query whose drained results fan-out delivers here.
         query: QueryId,
-        /// GC stake on the output basket. `None` until the output stream
-        /// exists (first result); registered at the basket *base* for
-        /// subscribers that attached before the stream was created and at
-        /// the basket *end* for late joiners.
-        consumer: Option<ConsumerId>,
     },
     /// Reply queued (metrics response or `ERR`); flush and close.
     Drain,
@@ -42,9 +34,9 @@ pub(crate) struct Conn {
     pub peer: String,
     pub role: Role,
     /// Bytes read but not yet consumed as complete lines.
-    pub inbuf: InBuf,
-    /// Bytes queued for the socket (partial writes leave a suffix here).
-    pub outbuf: Vec<u8>,
+    pub inbuf: ByteQueue,
+    /// Bytes queued for the socket and not yet taken by it.
+    pub outbuf: ByteQueue,
     /// Close once `outbuf` drains.
     pub close_after_flush: bool,
     /// Peer closed its write side; no more input will arrive.
@@ -59,8 +51,8 @@ impl Conn {
             sock,
             peer,
             role: Role::Handshake,
-            inbuf: InBuf::default(),
-            outbuf: Vec::new(),
+            inbuf: ByteQueue::default(),
+            outbuf: ByteQueue::default(),
             close_after_flush: false,
             eof: false,
             dead: false,
@@ -92,9 +84,10 @@ impl Conn {
     /// Returns bytes written; flags `dead` on hard errors or when a
     /// close-after-flush connection finishes draining.
     pub(crate) fn write_available(&mut self) -> usize {
+        let pending = self.outbuf.unconsumed();
         let mut written = 0;
-        while written < self.outbuf.len() {
-            match self.sock.write(&self.outbuf[written..]) {
+        while written < pending.len() {
+            match self.sock.write(&pending[written..]) {
                 Ok(0) => {
                     self.dead = true;
                     break;
@@ -108,45 +101,41 @@ impl Conn {
                 }
             }
         }
-        self.outbuf.drain(..written);
-        if self.close_after_flush && self.outbuf.is_empty() {
+        self.outbuf.consume(written);
+        if self.close_after_flush && self.outbuf.unconsumed().is_empty() {
             self.dead = true;
         }
         written
     }
 
-    /// Queue a reply.
-    pub(crate) fn push_out(&mut self, bytes: &[u8]) {
-        self.outbuf.extend_from_slice(bytes);
-    }
-
     /// Queue an `ERR` line and close once it flushes.
     pub(crate) fn fail(&mut self, msg: &str) {
-        self.push_out(format!("ERR {msg}\n").as_bytes());
+        self.outbuf.push(format!("ERR {msg}\n").as_bytes());
         self.role = Role::Drain;
         self.close_after_flush = true;
     }
 }
 
-/// A connection's input: socket reads append to `bytes`, consumers take
-/// from the front by advancing `start`. The consumed prefix is dropped
-/// only when that is free (nothing unconsumed) or pays for itself (it is
-/// more than half the buffer), never by a memmove per tick.
+/// One direction of a connection's bytes: producers (socket reads for
+/// input, replies and rendered results for output) append to `bytes`,
+/// consumers (the parser, socket writes) take from the front by advancing
+/// `start`. The consumed prefix is dropped only when that is free (nothing
+/// unconsumed) or pays for itself (it is more than half the buffer), never
+/// by a memmove per tick or per partial write.
 #[derive(Default)]
-pub(crate) struct InBuf {
+pub(crate) struct ByteQueue {
     bytes: Vec<u8>,
     start: usize,
 }
 
-impl InBuf {
-    /// Bytes read and not yet consumed.
+impl ByteQueue {
+    /// Bytes appended and not yet consumed.
     pub(crate) fn unconsumed(&self) -> &[u8] {
         &self.bytes[self.start..]
     }
 
-    /// What a socket read does, for tests that feed fragments by hand.
-    #[cfg(test)]
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+    /// Append to the back.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);
     }
 
@@ -167,7 +156,7 @@ impl InBuf {
     /// the tail is returned as a final line too. The line is lossy-decoded
     /// and a stray `\r` (telnet-style `\r\n`) is trimmed. Only the
     /// handshake / `GET` line of a connection comes through here; ingest
-    /// rows are parsed from [`InBuf::unconsumed`] in place.
+    /// rows are parsed from [`ByteQueue::unconsumed`] in place.
     pub(crate) fn take_line(&mut self, take_tail: bool) -> Option<String> {
         let rest = self.unconsumed();
         let (line, used) = match rest.iter().position(|&b| b == b'\n') {
@@ -185,8 +174,8 @@ impl InBuf {
 mod tests {
     use super::*;
 
-    fn inbuf(bytes: &[u8]) -> InBuf {
-        InBuf { bytes: bytes.to_vec(), start: 0 }
+    fn inbuf(bytes: &[u8]) -> ByteQueue {
+        ByteQueue { bytes: bytes.to_vec(), start: 0 }
     }
 
     #[test]
@@ -197,7 +186,7 @@ mod tests {
         assert_eq!(buf.take_line(false), None);
         assert_eq!(buf.unconsumed(), b"c,");
         // More bytes arrive, completing the line.
-        buf.extend(b"3\n");
+        buf.push(b"3\n");
         assert_eq!(buf.take_line(false).as_deref(), Some("c,3"));
         assert!(buf.unconsumed().is_empty());
     }

@@ -54,6 +54,20 @@
 //! the parser is exposed as `datacell_net_parse_seconds`, one observation
 //! per ingest connection per tick.
 //!
+//! ## The egress byte path
+//!
+//! `Engine::drain_results` is the output basket of the paper's Fig. 1 and
+//! this loop is its emitter: nothing is buffered in between. Each tick the
+//! loop drains every query; for a query with at least one live subscriber
+//! it renders the drained `ResultSet`s **once**, straight from their
+//! columns, into one buffer of CSV lines and appends that buffer to each
+//! subscriber's queue. The socket takes what it will without blocking and
+//! the queue drops it by advancing a read offset — the same
+//! offset-consumed buffer the input side uses, compacted only when empty
+//! or more than half consumed, so a partial write never shifts the rest.
+//! A subscriber receives exactly the results drained while it is
+//! attached: a late joiner sees results from its `OK` on, never history.
+//!
 //! ## Backpressure and slow consumers
 //!
 //! Two explicit safety valves, both observable in `/metrics`:
@@ -65,30 +79,27 @@
 //!   senders block: flow control reaches the producer without any
 //!   unbounded queue inside the engine.
 //! * **Subscriber overflow** — each subscriber has a bounded outbound
-//!   byte queue ([`NetConfig::subscriber_queue`]). A subscriber that stops
-//!   reading is disconnected (and logged) the moment a delivery would
-//!   overflow its queue, and its GC stake on the output basket is evicted —
-//!   a stalled client can never pin `min_consumed` and freeze basket
-//!   expiry for everyone else.
+//!   byte queue ([`NetConfig::subscriber_queue`]), the only egress state
+//!   that outlives a tick. A subscriber that stops reading is disconnected
+//!   (and logged) the moment a delivery would overflow its queue. It holds
+//!   nothing inside the engine — no cursor, no stake on any basket — so a
+//!   stalled client cannot hold back basket expiry or another subscriber.
 //!
 //! Results of a query with **no** live subscribers are drained and
-//! discarded (and its output basket, if any, is expired in full), so an
-//! unwatched server stays bounded no matter how many queries it runs.
-//!
-//! Output baskets are engine streams named `<label>.out`; the suffix is
-//! reserved — do not create input streams ending in `.out`.
+//! discarded, so an unwatched server stays bounded no matter how many
+//! queries it runs.
 
 mod conn;
 mod server;
 mod stats;
 
-pub use server::{out_stream_name, NetServer};
+pub use server::NetServer;
 pub use stats::NetStats;
 
 use std::time::Duration;
 
 /// Tuning knobs for [`NetServer::spawn`]. `Default` is sized for tests and
-/// small deployments; the `serve_scale` bench sweeps the interesting axes.
+/// small deployments.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Flush a connection's parsed-but-unflushed CSV rows into its basket

@@ -10,26 +10,17 @@
 
 use crate::conn::{Conn, Role};
 use crate::{NetConfig, NetStats};
-use datacell_basket::{BasicWindow, CsvReceptor, Timestamp};
-use datacell_core::Engine;
-use datacell_kernel::{Column, DataType};
+use datacell_basket::{CsvReceptor, Timestamp};
+use datacell_core::{Engine, ResultSet};
+use datacell_kernel::DataType;
 use datacell_telemetry::render_text;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// Name of the engine stream buffering results of the query `label` for
-/// network subscribers (`q0` → `q0.out`). The suffix is reserved: input
-/// streams must not end in `.out`.
-#[must_use]
-pub fn out_stream_name(label: &str) -> String {
-    format!("{label}.out")
-}
 
 /// Handle to a running network edge. Spawned with an [`Engine`] it owns
 /// until [`NetServer::shutdown`] hands it back; dropping the handle stops
@@ -58,7 +49,6 @@ impl NetServer {
             listener,
             stop: Arc::clone(&stop),
             conns: Vec::new(),
-            outs: HashMap::new(),
         };
         let thread = thread::Builder::new().name("datacell-net".into()).spawn(move || ev.run())?;
         Ok(NetServer { local, stop, stats, thread: Some(thread) })
@@ -108,8 +98,6 @@ struct EventLoop {
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     conns: Vec<Conn>,
-    /// Output streams created so far: query label → stream name.
-    outs: HashMap<String, String>,
 }
 
 impl EventLoop {
@@ -205,7 +193,7 @@ impl EventLoop {
                     // their final batch lands.
                     Role::Ingest { .. } => {}
                     Role::Drain => {
-                        if conn.outbuf.is_empty() {
+                        if conn.outbuf.unconsumed().is_empty() {
                             conn.dead = true;
                         }
                     }
@@ -257,20 +245,16 @@ impl EventLoop {
         }
     }
 
-    /// Drain every query's results; buffer subscribed queries' rows in
-    /// their output basket and deliver to each subscriber from its own
-    /// cursor. Unwatched results are discarded and unwatched output
-    /// baskets expired, so the server stays bounded without subscribers.
+    /// Drain every query's results and deliver them: a query with at
+    /// least one live subscriber has the tick's results rendered once and
+    /// the bytes appended to each subscriber's bounded queue — or that
+    /// subscriber disconnected when they would overflow it. A subscriber
+    /// receives exactly what is drained while it is attached; unwatched
+    /// results are discarded, so the server stays bounded without
+    /// subscribers.
     fn fan_out(&mut self) -> bool {
-        let mut interest: HashMap<String, usize> = HashMap::new();
-        for conn in &self.conns {
-            if conn.dead {
-                continue;
-            }
-            if let Role::Subscribe { label, .. } = &conn.role {
-                *interest.entry(label.clone()).or_insert(0) += 1;
-            }
-        }
+        let stats = &self.stats;
+        let queue = self.cfg.subscriber_queue;
         let mut busy = false;
         for (qid, label) in self.engine.queries() {
             let Ok(results) = self.engine.drain_results(qid) else { continue };
@@ -278,119 +262,32 @@ impl EventLoop {
                 continue;
             }
             busy = true;
-            if !interest.contains_key(&label) {
+            let mut subscribers = self
+                .conns
+                .iter_mut()
+                .filter(|c| !c.dead && matches!(c.role, Role::Subscribe { query } if query == qid))
+                .peekable();
+            if subscribers.peek().is_none() {
                 continue; // no live subscriber: results dropped on the floor
             }
-            let out = out_stream_name(&label);
-            if self.engine.basket(&out).is_err() {
-                let first = &results[0];
-                let schema: Vec<(&str, DataType)> = first
-                    .names()
-                    .iter()
-                    .map(String::as_str)
-                    .zip(first.columns().iter().map(Column::data_type))
-                    .collect();
-                if let Err(e) = self.engine.create_stream(&out, &schema) {
-                    self.stats.errors.inc();
-                    eprintln!("datacell-net: creating output stream `{out}`: {e}");
-                    continue;
-                }
-                self.outs.insert(label.clone(), out.clone());
-            }
+            let mut bytes = Vec::new();
             for rs in &results {
-                if rs.is_empty() {
+                render_csv(rs, &mut bytes);
+            }
+            let rows: usize = results.iter().map(ResultSet::len).sum();
+            for conn in subscribers {
+                if conn.outbuf.unconsumed().len() + bytes.len() > queue {
+                    stats.subscriber_overflows.inc();
+                    eprintln!(
+                        "datacell-net: subscriber {} on `{label}` overflowed its {queue}-byte queue; disconnecting",
+                        conn.peer
+                    );
+                    conn.dead = true;
                     continue;
                 }
-                if let Err(e) = self.engine.append(&out, rs.columns()) {
-                    self.stats.errors.inc();
-                    eprintln!("datacell-net: buffering results for `{label}`: {e}");
-                }
+                conn.outbuf.push(&bytes);
+                stats.fanout_rows.add(rows as u64);
             }
-        }
-        busy |= self.deliver();
-        for (label, out) in &self.outs {
-            if interest.contains_key(label) {
-                continue;
-            }
-            if let Ok(b) = self.engine.basket(out) {
-                b.with(|bk| {
-                    let end = bk.end_oid();
-                    bk.expire_upto(end);
-                });
-            }
-        }
-        busy
-    }
-
-    /// Move new output-basket rows into each subscriber's outbound queue,
-    /// advancing its GC stake — or disconnect it when the delivery would
-    /// overflow the bounded queue.
-    fn deliver(&mut self) -> bool {
-        let mut busy = false;
-        let engine = &mut self.engine;
-        let stats = &self.stats;
-        let cfg = &self.cfg;
-        for conn in &mut self.conns {
-            if conn.dead {
-                continue;
-            }
-            let (label, consumer) = match &conn.role {
-                Role::Subscribe { label, consumer, .. } => (label.clone(), *consumer),
-                _ => continue,
-            };
-            let out = out_stream_name(&label);
-            let Ok(basket) = engine.basket(&out) else { continue }; // no results yet
-            let id = match consumer {
-                Some(id) => id,
-                // The output stream appeared after this subscriber
-                // attached: everything in it was emitted on their watch,
-                // so stake from the basket base. (Late joiners staked at
-                // the basket end during their handshake instead.)
-                None => match engine.register_consumer(&out) {
-                    Ok(id) => {
-                        if let Role::Subscribe { consumer, .. } = &mut conn.role {
-                            *consumer = Some(id);
-                        }
-                        id
-                    }
-                    Err(e) => {
-                        stats.errors.inc();
-                        eprintln!("datacell-net: staking `{out}` for {}: {e}", conn.peer);
-                        conn.dead = true;
-                        continue;
-                    }
-                },
-            };
-            let Some(cursor) = engine.consumer_cursor(id) else { continue };
-            let end = basket.end_oid();
-            if end <= cursor {
-                continue;
-            }
-            let win = match basket.with(|b| b.read_range(cursor, (end - cursor) as usize)) {
-                Ok(w) => w,
-                Err(e) => {
-                    stats.errors.inc();
-                    eprintln!("datacell-net: reading `{out}` at {cursor}: {e}");
-                    continue;
-                }
-            };
-            let bytes = render_csv(&win);
-            if conn.outbuf.len() + bytes.len() > cfg.subscriber_queue {
-                stats.subscriber_overflows.inc();
-                eprintln!(
-                    "datacell-net: subscriber {} on `{label}` overflowed its {}-byte queue; disconnecting",
-                    conn.peer, cfg.subscriber_queue
-                );
-                conn.dead = true; // reap evicts the consumer, freeing GC
-                continue;
-            }
-            conn.push_out(&bytes);
-            stats.fanout_rows.add(win.len() as u64);
-            if let Err(e) = engine.advance_consumer(id, end) {
-                stats.errors.inc();
-                eprintln!("datacell-net: advancing {id}: {e}");
-            }
-            busy = true;
         }
         busy
     }
@@ -400,7 +297,7 @@ impl EventLoop {
         let stats = &self.stats;
         let mut busy = false;
         for conn in &mut self.conns {
-            if conn.dead || conn.outbuf.is_empty() {
+            if conn.dead || conn.outbuf.unconsumed().is_empty() {
                 continue;
             }
             let n = conn.write_available();
@@ -412,21 +309,14 @@ impl EventLoop {
         busy
     }
 
-    /// Remove dead connections, releasing any GC stake they held.
+    /// Remove dead connections.
     fn reap(&mut self) {
-        let engine = &mut self.engine;
         let stats = &self.stats;
-        self.conns.retain_mut(|conn| {
-            if !conn.dead {
-                return true;
+        self.conns.retain(|conn| {
+            if conn.dead {
+                stats.connection_closed();
             }
-            if let Role::Subscribe { consumer: Some(id), label, .. } = &conn.role {
-                if let Err(e) = engine.evict_consumer(*id) {
-                    eprintln!("datacell-net: evicting {id} from `{label}`: {e}");
-                }
-            }
-            stats.connection_closed();
-            false
+            !conn.dead
         });
     }
 
@@ -438,7 +328,7 @@ impl EventLoop {
         self.fan_out();
         for _ in 0..64 {
             self.write_all();
-            if self.conns.iter().all(|c| c.dead || c.outbuf.is_empty()) {
+            if self.conns.iter().all(|c| c.dead || c.outbuf.unconsumed().is_empty()) {
                 break;
             }
             thread::sleep(self.cfg.tick);
@@ -498,13 +388,9 @@ fn handshake(engine: &mut Engine, stats: &NetStats, conn: &mut Conn, line: &str)
                 return;
             };
             match engine.queries().into_iter().find(|(_, l)| l == label) {
-                Some((qid, _)) => {
-                    // A late joiner (the output stream already exists)
-                    // stakes at the stream end: it sees results from now
-                    // on, not history another subscriber already consumed.
-                    let consumer = engine.register_consumer_at_end(&out_stream_name(label)).ok();
-                    conn.push_out(format!("OK subscribe {label}\n").as_bytes());
-                    conn.role = Role::Subscribe { label: label.to_owned(), query: qid, consumer };
+                Some((query, _)) => {
+                    conn.outbuf.push(format!("OK subscribe {label}\n").as_bytes());
+                    conn.role = Role::Subscribe { query };
                 }
                 None => {
                     stats.errors.inc();
@@ -604,34 +490,31 @@ fn http_response(conn: &mut Conn, status: &str, body: &str) {
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    conn.push_out(head.as_bytes());
-    conn.push_out(body.as_bytes());
+    conn.outbuf.push(head.as_bytes());
+    conn.outbuf.push(body.as_bytes());
 }
 
-/// Render a window of output-basket rows as CSV lines, one row per line,
-/// values in [`datacell_kernel::Value`] display form.
-fn render_csv(win: &BasicWindow) -> Vec<u8> {
-    let mut s = String::new();
-    let ncols = win.names().len();
-    for i in 0..win.len() {
-        for j in 0..ncols {
+/// Append a result's rows to `out` as CSV lines, one row per line, values
+/// in [`datacell_kernel::Value`] display form. An empty result appends
+/// nothing.
+fn render_csv(rs: &ResultSet, out: &mut Vec<u8>) {
+    for i in 0..rs.len() {
+        for (j, col) in rs.columns().iter().enumerate() {
             if j > 0 {
-                s.push(',');
+                out.push(b',');
             }
-            if let Ok(col) = win.col(j) {
-                if let Some(v) = col.get(i) {
-                    let _ = write!(s, "{v}");
-                }
+            if let Some(v) = col.get(i) {
+                let _ = write!(out, "{v}");
             }
         }
-        s.push('\n');
+        out.push(b'\n');
     }
-    s.into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacell_kernel::Column;
     use datacell_telemetry::parse_text;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
@@ -686,7 +569,7 @@ mod tests {
         let cfg = NetConfig { batch_rows: 2, ..NetConfig::default() };
         let mut from = 0;
         for &to in cuts.iter().chain([&stream.len()]) {
-            conn.inbuf.extend(&stream[from..to]);
+            conn.inbuf.push(&stream[from..to]);
             conn.eof = to == stream.len();
             ingest_available(engine.clock(), &stats, &cfg, &mut conn);
             from = to;
@@ -723,6 +606,29 @@ mod tests {
         }
         let every_byte: Vec<usize> = (1..stream.len()).collect();
         assert_eq!(ingest_fragmented(stream, &every_byte), whole);
+    }
+
+    #[test]
+    fn render_csv_writes_every_value_kind_in_display_form() {
+        let rs = ResultSet::new(
+            ["i", "f", "s", "b", "o"].map(String::from).to_vec(),
+            vec![
+                Column::Int(vec![-7, 8]),
+                Column::Float(vec![0.5, 3.0]),
+                Column::Str(vec!["ab".into(), String::new()]),
+                Column::Bool(vec![true, false]),
+                Column::Oid(vec![0, 42]),
+            ],
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        render_csv(&rs, &mut out);
+        assert_eq!(out, b"-7,0.5,ab,true,0@oid\n8,3,,false,42@oid\n");
+        // Empty results (zero columns, or columns without rows) append nothing.
+        out.clear();
+        render_csv(&ResultSet::empty(), &mut out);
+        render_csv(&ResultSet::new(vec!["i".into()], vec![Column::Int(vec![])]).unwrap(), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`kernel`] — the MonetDB-like column-store substrate (BATs + bulk
 //!   columnar algebra);
-//! * [`basket`] — stream ingress/egress: baskets, receptors, emitters;
+//! * [`basket`] — stream ingress: baskets and receptors;
 //! * [`plan`] — logical plans, MAL-like physical plans, one-shot execution;
 //! * [`core`] — the paper's contribution: the incremental plan rewriter,
 //!   factories, the Petri-net scheduler and the `DataCell` engine itself;

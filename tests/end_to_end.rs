@@ -125,17 +125,6 @@ fn csv_receptor_to_engine_pipeline() {
 }
 
 #[test]
-fn emitters_drain_output_baskets() {
-    use datacell::basket::{Basket, CollectEmitter, Emitter, ShardedBasket};
-    // Emitters work over output baskets; wire one manually.
-    let out = ShardedBasket::new(Basket::new("out", &[("v", DataType::Int)]), 1);
-    out.append(&[Column::Int(vec![42])], 7).unwrap();
-    let mut em = CollectEmitter::new();
-    em.drain(&out).unwrap();
-    assert_eq!(em.rows()[0].1, vec![Value::Int(42)]);
-}
-
-#[test]
 fn tumbling_window_is_slide_equals_size() {
     let mut e = engine_q1();
     let q = e.register_sql("SELECT count(x1) FROM s WINDOW SIZE 3 SLIDE 3").unwrap();

@@ -171,6 +171,46 @@ fn socket_results_match_in_process_byte_for_byte() {
 }
 
 #[test]
+fn late_subscriber_sees_a_suffix_and_nothing_earlier() {
+    let want = reference_lines().swap_remove(0).join("\n") + "\n";
+    let server = NetServer::spawn(build_engine(), "127.0.0.1:0", NetConfig::default())
+        .expect("spawn server");
+    let subscribe = || {
+        let mut reader = BufReader::new(connect(&server));
+        reader.get_mut().write_all(b"SUBSCRIBE q0\n").expect("send");
+        assert_eq!(read_line(&mut reader), "OK subscribe q0");
+        reader
+    };
+    let (xs, ys) = rows_for(0);
+    let rows: Vec<String> = xs.iter().zip(&ys).map(|(x, y)| format!("{x},{y}\n")).collect();
+    let (first, rest) = rows.split_at(ROWS_PER_STREAM / 2);
+
+    // A attaches before any row and has results in hand before B attaches.
+    let mut a = subscribe();
+    let mut writer = connect(&server);
+    writer.write_all(format!("INGEST s0\n{}", first.concat()).as_bytes()).expect("first half");
+    let mut got_a = String::new();
+    for _ in 0..2 {
+        a.read_line(&mut got_a).expect("early result");
+    }
+    let mut b = subscribe();
+    writer.write_all(rest.concat().as_bytes()).expect("second half");
+    drop(writer);
+    while got_a.len() < want.len() {
+        assert_ne!(a.read_line(&mut got_a).expect("read"), 0, "A was cut short: {got_a:?}");
+    }
+    assert_eq!(got_a, want, "A attached first and sees every result");
+
+    // Shutdown flushes and closes, so B reads everything it was sent.
+    server.shutdown();
+    let mut got_b = String::new();
+    b.read_to_string(&mut got_b).expect("B to EOF");
+    assert!(!got_b.is_empty() && got_b.len() < want.len(), "not a proper suffix: {got_b:?}");
+    let earlier = want.strip_suffix(&got_b).expect("B's bytes are a suffix of A's");
+    assert!(earlier.ends_with('\n'), "B starts on a result line");
+}
+
+#[test]
 fn subscribe_reaches_its_own_query_after_a_deregister() {
     // Regression: labels were numbered by the count of live queries, so
     // after a deregister the next query took a label already in use and
@@ -248,9 +288,9 @@ fn stalled_subscriber_is_evicted_and_cannot_pin_gc() {
     std::thread::sleep(Duration::from_millis(20)); // a few ticks of GC
 
     let engine = server.shutdown();
-    // With the subscriber gone, the output basket was expired in full —
-    // bounded growth, not a permanent pin at the dead consumer's cursor.
-    assert_eq!(engine.basket_len("q0.out").expect("out basket"), 0);
+    // Results go from the query straight to subscriber queues: the engine
+    // holds no result-side stream a dead subscriber could have pinned.
+    assert!(engine.basket("q0.out").is_err());
     // And the input basket's prefix was consumed and expired as usual.
     let retained = engine.basket_len("t").expect("input basket");
     assert!(retained < total / 2, "input basket retained {retained} of {total} rows");
