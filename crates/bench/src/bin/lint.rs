@@ -1,6 +1,6 @@
 //! Repo-wide static-analysis harness: `cargo run -p datacell-bench --bin lint`.
 //!
-//! Four passes, all of which must come back clean for the binary to exit 0:
+//! Five passes, all of which must come back clean for the binary to exit 0:
 //!
 //! 1. **Plan corpus verification** — every query in
 //!    [`datacell_sql::corpus`] is parsed, optimized, compiled, verified with
@@ -35,6 +35,11 @@
 //!    family must carry help text (a counter registered without help is
 //!    a finding, not a style nit: the help line is the only
 //!    documentation an operator's scrape ever sees).
+//! 5. **Unsafe audit** — first-party Rust (every crate, the facade's
+//!    tests and examples, the wirebench package) may write `unsafe` only in
+//!    [`UNSAFE_HOME`], the `poll(2)` declaration of the network edge, and
+//!    every `unsafe` there sits under a comment block holding a
+//!    `// SAFETY:` line. Comments and string literals do not count.
 
 use datacell_core::{rewrite, verify_incremental, Engine};
 use datacell_kernel::{Column, DataType};
@@ -74,10 +79,12 @@ fn main() {
     let n_files = lint_unwraps(&mut findings);
     let n_audited = lint_locks(&mut findings);
     let n_families = lint_exposition(&mut findings);
+    let n_sources = lint_unsafe(&mut findings);
 
     println!(
         "lint: {n_queries} corpus queries verified, {n_files} library files scanned for unwrap, \
-         {n_audited} concurrency files audited, {n_families} telemetry families checked"
+         {n_audited} concurrency files audited, {n_families} telemetry families checked, \
+         {n_sources} source files audited for unsafe"
     );
     if findings.is_empty() {
         println!("lint: clean");
@@ -401,4 +408,190 @@ fn lint_exposition(findings: &mut Vec<Finding>) -> usize {
         ));
     }
     parsed.families.len()
+}
+
+// ---------------------------------------------------------------------------
+// Pass 5: unsafe audit.
+// ---------------------------------------------------------------------------
+
+/// The one first-party file allowed to write `unsafe`.
+const UNSAFE_HOME: &str = "crates/net/src/poll.rs";
+
+/// First-party source roots, relative to the repo root (the vendor shims
+/// mirror external crates and are not first-party).
+const FIRST_PARTY: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
+
+fn lint_unsafe(findings: &mut Vec<Finding>) -> usize {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in FIRST_PARTY {
+        collect_rs(&root.join(dir), &mut files);
+    }
+    files.sort();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source file");
+        let rel = path.strip_prefix(&root).unwrap_or(path).display().to_string();
+        audit_unsafe(&rel, &text, findings);
+    }
+    files.len()
+}
+
+fn audit_unsafe(rel: &str, text: &str, findings: &mut Vec<Finding>) {
+    let lines: Vec<&str> = text.lines().collect();
+    for (lineno, code) in code_only(text).lines().enumerate() {
+        if !contains_word(code, "unsafe") {
+            continue;
+        }
+        let site = format!("{rel}:{}", lineno + 1);
+        if rel != UNSAFE_HOME {
+            findings.push(Finding::new(
+                "unsafe",
+                site,
+                format!(
+                    "first-party unsafe outside {UNSAFE_HOME}; keep FFI behind that one module"
+                ),
+            ));
+            continue;
+        }
+        let comment = lines[..lineno].iter().rev().take_while(|l| l.trim_start().starts_with("//"));
+        if !comment.into_iter().any(|l| l.trim_start().starts_with("// SAFETY:")) {
+            findings.push(Finding::new(
+                "unsafe",
+                site,
+                "unsafe without a `// SAFETY:` comment directly above it stating why it is sound",
+            ));
+        }
+    }
+}
+
+/// Whether `word` occurs in `line` delimited by non-identifier characters.
+fn contains_word(line: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices(word).any(|(at, _)| {
+        !ident(line[..at].chars().next_back()) && !ident(line[at + word.len()..].chars().next())
+    })
+}
+
+/// `text` with comments and string / char literals blanked to spaces
+/// (newlines kept, so line numbers still match), leaving only code.
+fn code_only(text: &str) -> String {
+    let mut out = text.as_bytes().to_vec();
+    let mut i = 0;
+    while i < out.len() {
+        let end = (i + skipped_len(text, i)).min(out.len());
+        if end == i {
+            i += 1;
+            continue;
+        }
+        for c in &mut out[i..end] {
+            if *c != b'\n' {
+                *c = b' ';
+            }
+        }
+        i = end;
+    }
+    String::from_utf8(out).expect("blanked spans start and end on ASCII bytes")
+}
+
+/// Length of the comment or string / char literal starting at byte `i` of
+/// `text`; 0 where code starts (a lifetime `'a`, a raw identifier `r#x`).
+fn skipped_len(text: &str, i: usize) -> usize {
+    let b = text.as_bytes();
+    let rest = &b[i..];
+    let find = |from: usize, pat: &[u8]| {
+        rest[from.min(rest.len())..]
+            .windows(pat.len())
+            .position(|w| w == pat)
+            .map_or(rest.len(), |p| from + p + pat.len())
+    };
+    let ident = |j: usize| b[j].is_ascii_alphanumeric() || b[j] == b'_';
+    match rest {
+        [b'/', b'/', ..] => find(2, b"\n"),
+        [b'/', b'*', ..] => {
+            let (mut depth, mut j) = (0, 0);
+            while j < rest.len() {
+                match &rest[j..] {
+                    [b'/', b'*', ..] => depth += 1,
+                    [b'*', b'/', ..] => depth -= 1,
+                    _ => {
+                        j += 1;
+                        continue;
+                    }
+                }
+                j += 2;
+                if depth == 0 {
+                    break;
+                }
+            }
+            j
+        }
+        [b'"', ..] => {
+            let mut j = 1;
+            while j < rest.len() && rest[j] != b'"' {
+                j += if rest[j] == b'\\' { 2 } else { 1 };
+            }
+            j + 1
+        }
+        // `r"…"`, `r#"…"#`, also after `b`.
+        [b'r', ..] if i == 0 || !ident(i - 1) || (b[i - 1] == b'b' && (i < 2 || !ident(i - 2))) => {
+            let hashes = rest[1..].iter().take_while(|&&c| c == b'#').count();
+            if rest.get(1 + hashes) == Some(&b'"') {
+                find(2 + hashes, &[b"\"".as_slice(), &rest[1..=hashes]].concat())
+            } else {
+                0
+            }
+        }
+        [b'\'', b'\\', ..] => find(3, b"'"),
+        [b'\'', ..] => {
+            let c = text[i + 1..].chars().next().map_or(0, char::len_utf8);
+            if rest.get(1 + c) == Some(&b'\'') {
+                c + 2
+            } else {
+                0
+            }
+        }
+        _ => 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn audit(rel: &str, text: &str) -> Vec<String> {
+        let mut findings = Vec::new();
+        audit_unsafe(rel, text, &mut findings);
+        findings.iter().map(|f| f.site.clone()).collect()
+    }
+
+    #[test]
+    fn unsafe_in_comments_strings_and_chars_is_not_code() {
+        // Every line hides the keyword in a comment or literal; the last
+        // line's code after all of them is still seen.
+        let text = r##"// unsafe here
+/* nested /* unsafe */ still unsafe */ let a = 1;
+let s = "unsafe \" unsafe"; let t = 'u';
+let r = r#"unsafe " unsafe"#; let b = br"unsafe";
+let c = '\''; fn f<'a>(x: &'a str) -> &'a str { x }
+let not_unsafe = unsafe_fn; let d = '"'; let n = unsafe { g() };
+"##;
+        assert_eq!(audit("crates/kernel/src/x.rs", text), ["crates/kernel/src/x.rs:6"]);
+        assert_eq!(code_only(text).lines().count(), text.lines().count());
+    }
+
+    #[test]
+    fn unsafe_is_confined_to_its_home_and_needs_a_safety_comment() {
+        let block = "let n = unsafe { f() };\n";
+        assert_eq!(audit("crates/kernel/src/x.rs", block), ["crates/kernel/src/x.rs:1"]);
+        assert_eq!(
+            audit(UNSAFE_HOME, &format!("let a = 1;\n{block}")),
+            [format!("{UNSAFE_HOME}:2")]
+        );
+        let documented =
+            format!("// SAFETY: `f` has no preconditions\n// and keeps no pointer.\n{block}");
+        assert!(audit(UNSAFE_HOME, &documented).is_empty());
+        // A SAFETY line separated from the block by code does not cover it.
+        let detached = format!("// SAFETY: stale\nlet a = 1;\n{block}");
+        assert_eq!(audit(UNSAFE_HOME, &detached), [format!("{UNSAFE_HOME}:3")]);
+    }
 }

@@ -91,7 +91,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let net = server.stats().clone();
-    let mut e = server.shutdown();
+    let mut e = server.shutdown().unwrap();
 
     // N rounds of "one batch per staging shard, then drain" — the
     // steady-state loop of `shards` receptors feeding standing queries.
@@ -188,12 +188,12 @@ fn main() {
     println!("# kernel joins: {joins} calls, {probe_rows} probe rows, {pairs} pairs");
     assert!(joins > 0.0 && probe_rows > 0.0, "join workload recorded no join calls");
     let wire = parsed.total("datacell_net_ingest_rows_total");
-    let parse_ticks = parsed.total("datacell_net_parse_seconds_count");
+    let parse_passes = parsed.total("datacell_net_parse_seconds_count");
     let parse_s = parsed.total("datacell_net_parse_seconds_sum");
-    println!("# net edge: {wire} rows ingested, parsed in {parse_ticks} ticks, {parse_s:.6}s in the parser");
+    println!("# net edge: {wire} rows ingested, parsed in {parse_passes} loop passes, {parse_s:.6}s in the parser");
     assert!(wire > 0.0, "wire burst not visible in the dump");
     if datacell_telemetry::enabled() {
-        assert!(parse_ticks > 0.0, "wire burst recorded no parse time");
+        assert!(parse_passes > 0.0, "wire burst recorded no parse time");
     }
     println!("# metrics_dump: exposition parsed clean ({} families)", parsed.families.len());
 }

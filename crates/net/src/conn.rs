@@ -10,7 +10,7 @@ use std::net::TcpStream;
 pub(crate) enum Role {
     /// First line not yet seen.
     Handshake,
-    /// `INGEST <stream>`: CSV rows into one basket, batched per tick.
+    /// `INGEST <stream>`: CSV rows into one basket, batched per loop pass.
     Ingest {
         /// The target stream's name (for backlog accounting and logs).
         stream: String,
@@ -121,7 +121,7 @@ impl Conn {
 /// consumers (the parser, socket writes) take from the front by advancing
 /// `start`. The consumed prefix is dropped only when that is free (nothing
 /// unconsumed) or pays for itself (it is more than half the buffer), never
-/// by a memmove per tick or per partial write.
+/// by a memmove per pass or per partial write.
 #[derive(Default)]
 pub(crate) struct ByteQueue {
     bytes: Vec<u8>,

@@ -8,8 +8,10 @@
 //! connections onto the engine's sharded ingest edge and draining query
 //! results back out to subscribers.
 //!
-//! The crate is deliberately **std-only**: a poll loop over nonblocking
-//! `std::net` sockets, no async runtime, no vendored reactor. One thread
+//! The crate is deliberately **std-only**: a `poll(2)` loop over
+//! nonblocking `std::net` sockets, no async runtime, no vendored reactor —
+//! `poll` itself is one `extern "C"` declaration against the libc std
+//! already links (unix; elsewhere the loop sleeps out its tick). One thread
 //! owns the [`datacell_core::Engine`] outright (no mutex around the engine)
 //! and interleaves socket work with scheduler work, which keeps per-query
 //! result order byte-identical to an in-process run.
@@ -23,7 +25,7 @@
 //!   the in-process loading path (malformed rows are counted and skipped,
 //!   never fatal; the grammar is on the receptor). Rows are batched per
 //!   connection and flushed into the stream's
-//!   [`datacell_basket::ShardedBasket`] once per poll tick or every
+//!   [`datacell_basket::ShardedBasket`] once per loop pass or every
 //!   [`NetConfig::batch_rows`] rows, whichever comes first. The
 //!   server accepts **silently** (an ingest connection is write-only — a
 //!   reply would arm TCP's reset-on-close-with-unread-data against writers
@@ -52,12 +54,12 @@
 //! consumed. Because the receptor only ever sees whole lines, how TCP cut
 //! the stream into reads cannot change what lands in the basket. Time in
 //! the parser is exposed as `datacell_net_parse_seconds`, one observation
-//! per ingest connection per tick.
+//! per ingest connection per loop pass.
 //!
 //! ## The egress byte path
 //!
 //! `Engine::drain_results` is the output basket of the paper's Fig. 1 and
-//! this loop is its emitter: nothing is buffered in between. Each tick the
+//! this loop is its emitter: nothing is buffered in between. Each pass the
 //! loop drains every query; for a query with at least one live subscriber
 //! it renders the drained `ResultSet`s **once**, straight from their
 //! columns, into one buffer of CSV lines and appends that buffer to each
@@ -80,7 +82,7 @@
 //!   unbounded queue inside the engine.
 //! * **Subscriber overflow** — each subscriber has a bounded outbound
 //!   byte queue ([`NetConfig::subscriber_queue`]), the only egress state
-//!   that outlives a tick. A subscriber that stops reading is disconnected
+//!   that outlives a pass. A subscriber that stops reading is disconnected
 //!   (and logged) the moment a delivery would overflow its queue. It holds
 //!   nothing inside the engine — no cursor, no stake on any basket — so a
 //!   stalled client cannot hold back basket expiry or another subscriber.
@@ -90,6 +92,8 @@
 //! queries it runs.
 
 mod conn;
+#[cfg(unix)]
+mod poll;
 mod server;
 mod stats;
 
@@ -103,8 +107,8 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Flush a connection's parsed-but-unflushed CSV rows into its basket
-    /// once this many are pending, even mid-tick. Batching amortizes the
-    /// shard lock; every tick ends with a flush regardless, so this bounds
+    /// once this many are pending, even mid-pass. Batching amortizes the
+    /// shard lock; every pass ends with a flush regardless, so this bounds
     /// per-connection memory, not latency.
     pub batch_rows: usize,
     /// Total unconsumed rows (basket + staged) across actively-ingesting
@@ -118,8 +122,8 @@ pub struct NetConfig {
     /// malformed (guards the input buffer against a client that never
     /// sends a newline).
     pub max_line: usize,
-    /// Sleep between poll iterations when no socket or scheduler progress
-    /// was made.
+    /// Longest the loop blocks when no socket is ready; also how often it
+    /// checks the stop flag.
     pub tick: Duration,
 }
 

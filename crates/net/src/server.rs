@@ -1,8 +1,11 @@
-//! The poll loop: one thread, one [`Engine`], many sockets.
+//! The event loop: one thread, one [`Engine`], many sockets.
 //!
-//! The loop interleaves five passes per tick — accept, read/parse, flush
-//! ingest batches, run the scheduler, fan results out — then writes
-//! whatever the sockets will take without blocking. Owning the engine on
+//! Each pass runs accept, read/parse, flush ingest batches, run the
+//! scheduler and fan results out, then writes whatever the sockets will
+//! take without blocking. A pass that made no progress ends in one
+//! `poll(2)` over the sockets the next pass could act on, bounded by
+//! [`NetConfig::tick`], so a row that lands while the loop is idle is read
+//! the moment it arrives, not at the end of a sleep. Owning the engine on
 //! the loop thread (instead of sharing it behind a mutex) keeps per-query
 //! result order identical to an in-process run: the scheduler only ever
 //! runs between socket passes, exactly like a driver program alternating
@@ -14,6 +17,7 @@ use datacell_basket::{CsvReceptor, Timestamp};
 use datacell_core::{Engine, ResultSet};
 use datacell_kernel::DataType;
 use datacell_telemetry::render_text;
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener};
@@ -67,19 +71,31 @@ impl NetServer {
     }
 
     /// Stop the loop, flush what can be flushed, and hand the engine back
-    /// for inspection.
-    pub fn shutdown(mut self) -> Engine {
+    /// for inspection. Takes up to one [`NetConfig::tick`] to be noticed.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::Other`] carrying the panic message if the loop
+    /// thread panicked; the engine went down with it.
+    pub fn shutdown(mut self) -> io::Result<Engine> {
         self.stop.store(true, Ordering::Release);
         match self.thread.take() {
-            Some(t) => match t.join() {
-                Ok(engine) => engine,
-                Err(panic) => std::panic::resume_unwind(panic),
-            },
+            Some(t) => t.join().map_err(loop_panic),
             // `thread` is only vacated by this method or by `Drop`, both of
             // which consume the handle; keep the signature total anyway.
-            None => Engine::new(),
+            None => Err(io::Error::other("event loop already stopped")),
         }
     }
+}
+
+/// A panic that unwound out of the loop thread, as the error `shutdown`
+/// returns: its message when the payload is the usual `&str` or `String`.
+fn loop_panic(payload: Box<dyn Any + Send>) -> io::Error {
+    let msg = match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("event loop panicked", |m| *m).into(),
+    };
+    io::Error::other(msg)
 }
 
 impl Drop for NetServer {
@@ -111,10 +127,55 @@ impl EventLoop {
             busy |= self.write_all();
             self.reap();
             if !busy {
-                thread::sleep(self.cfg.tick);
+                self.wait(true);
             }
         }
         self.finish()
+    }
+
+    /// Block until a socket the next pass can act on is ready, or for at
+    /// most one tick: the listener and each connection still reading (not
+    /// at EOF, not an ingest connection held by the staging valve) for
+    /// input, each connection with queued bytes for output. A connection
+    /// with neither is left out: `poll` reports hang-ups on every fd it is
+    /// given, and one the loop will not touch would wake it forever. The
+    /// shutdown path only writes (`reading == false`).
+    #[cfg(unix)]
+    fn wait(&self, reading: bool) {
+        use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+        use std::os::unix::io::AsRawFd;
+        let paused = reading && self.ingest_backlog() > self.cfg.staging_budget;
+        let mut fds = Vec::with_capacity(self.conns.len() + 1);
+        if reading {
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        }
+        for conn in self.conns.iter().filter(|c| !c.dead) {
+            let mut events = 0;
+            if reading && !conn.eof && !(paused && conn.is_ingest()) {
+                events |= POLLIN;
+            }
+            if !conn.outbuf.unconsumed().is_empty() {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                fds.push(PollFd::new(conn.sock.as_raw_fd(), events));
+            }
+        }
+        match poll::wait(&mut fds, self.cfg.tick) {
+            Ok(0) => self.stats.wakeups_timeout.inc(),
+            Ok(_) => self.stats.wakeups_ready.inc(),
+            // A signal: straight back round the loop.
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Anything else would fail again at once; fall back to a tick.
+            Err(_) => thread::sleep(self.cfg.tick),
+        }
+    }
+
+    /// Without `poll(2)` the loop sleeps out the tick.
+    #[cfg(not(unix))]
+    fn wait(&self, _reading: bool) {
+        thread::sleep(self.cfg.tick);
+        self.stats.wakeups_timeout.inc();
     }
 
     /// Accept every connection waiting on the listener.
@@ -246,7 +307,7 @@ impl EventLoop {
     }
 
     /// Drain every query's results and deliver them: a query with at
-    /// least one live subscriber has the tick's results rendered once and
+    /// least one live subscriber has the pass's results rendered once and
     /// the bytes appended to each subscriber's bounded queue — or that
     /// subscriber disconnected when they would overflow it. A subscriber
     /// receives exactly what is drained while it is attached; unwatched
@@ -321,7 +382,7 @@ impl EventLoop {
     }
 
     /// Shutdown path: land pending batches, run the scheduler once more,
-    /// fan out, and give sockets a short grace period to drain.
+    /// fan out, and give sockets a grace period of up to 64 ticks to drain.
     fn finish(mut self) -> Engine {
         self.flush_ingest();
         self.run_engine();
@@ -331,7 +392,7 @@ impl EventLoop {
             if self.conns.iter().all(|c| c.dead || c.outbuf.unconsumed().is_empty()) {
                 break;
             }
-            thread::sleep(self.cfg.tick);
+            self.wait(false);
         }
         self.engine
     }
@@ -545,7 +606,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "rows never arrived");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let engine = server.shutdown();
+        let engine = server.shutdown().unwrap();
         assert_eq!(engine.basket_len("s").unwrap(), 3);
     }
 
@@ -632,6 +693,20 @@ mod tests {
     }
 
     #[test]
+    fn a_loop_panic_becomes_an_other_error_with_its_message() {
+        let payloads: [(Box<dyn Any + Send>, &str); 3] = [
+            (Box::new("static message"), "static message"),
+            (Box::new(format!("formatted {}", 7)), "formatted 7"),
+            (Box::new(7_u32), "event loop panicked"),
+        ];
+        for (payload, want) in payloads {
+            let err = loop_panic(payload);
+            assert_eq!(err.kind(), io::ErrorKind::Other);
+            assert_eq!(err.to_string(), want);
+        }
+    }
+
+    #[test]
     fn unknown_stream_and_command_get_err_lines() {
         let server =
             NetServer::spawn(engine_with_stream(), "127.0.0.1:0", NetConfig::default()).unwrap();
@@ -667,7 +742,7 @@ mod tests {
 
     #[test]
     fn unwatched_queries_do_not_accumulate_results() {
-        // No subscriber: the server drains every query each tick and
+        // No subscriber: the server drains every query each pass and
         // discards the results, so outputs stay bounded.
         let mut engine = engine_with_stream();
         let q = engine
@@ -681,8 +756,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline);
             std::thread::sleep(Duration::from_millis(1));
         }
-        std::thread::sleep(Duration::from_millis(20)); // a few ticks to drain
-        let mut engine = server.shutdown();
+        std::thread::sleep(Duration::from_millis(20)); // a few passes to drain
+        let mut engine = server.shutdown().unwrap();
         // The two emitted windows were discarded, not queued.
         assert_eq!(engine.drain_results(q).unwrap().len(), 0);
     }

@@ -27,15 +27,19 @@ pub struct NetStats {
     /// Subscribers disconnected because a delivery would overflow their
     /// bounded queue.
     pub subscriber_overflows: Counter,
-    /// Poll ticks that skipped reading ingest sockets because the staging
+    /// Loop passes that skipped reading ingest sockets because the staging
     /// backlog exceeded the budget.
     pub backpressure_ticks: Counter,
+    /// Idle waits that ended because a socket became ready.
+    pub wakeups_ready: Counter,
+    /// Idle waits that ended because the tick ran out.
+    pub wakeups_timeout: Counter,
     /// `GET /metrics` requests served.
     pub metrics_requests: Counter,
     /// Protocol or engine errors answered with `ERR` / logged.
     pub errors: Counter,
     /// Time inside `CsvReceptor::parse_bytes`, one observation per ingest
-    /// connection per poll tick that had complete lines to parse.
+    /// connection per loop pass that had complete lines to parse.
     pub parse_seconds: Histogram,
 }
 
@@ -74,7 +78,7 @@ impl NetStats {
             ),
             (
                 "datacell_net_backpressure_ticks_total",
-                "Poll ticks that paused ingest reads because the staging backlog exceeded the budget.",
+                "Loop passes that paused ingest reads because the staging backlog exceeded the budget.",
                 &self.backpressure_ticks,
             ),
             (
@@ -89,6 +93,16 @@ impl NetStats {
             f.push_value(&[], c.get() as f64);
             snap.push(f);
         }
+        let mut f = Family::new(
+            "datacell_net_wakeups_total",
+            "Idle waits of the event loop, by what ended them: a ready socket or the tick.",
+            MetricKind::Counter,
+        );
+        for (cause, c) in [("ready", &self.wakeups_ready), ("timeout", &self.wakeups_timeout)] {
+            #[allow(clippy::cast_precision_loss)]
+            f.push_value(&[("cause", cause)], c.get() as f64);
+        }
+        snap.push(f);
         let gauges: [(&str, &str, &Gauge); 2] = [
             (
                 "datacell_net_connections_open",
@@ -109,7 +123,7 @@ impl NetStats {
         }
         let mut f = Family::new(
             "datacell_net_parse_seconds",
-            "Time one ingest connection's bytes spent in the CSV parser per poll tick.",
+            "Time one ingest connection's bytes spent in the CSV parser per loop pass.",
             MetricKind::Histogram,
         );
         f.push_histogram(&[], self.parse_seconds.snapshot());
@@ -141,6 +155,8 @@ mod tests {
         s.connection_opened();
         s.connection_closed();
         s.ingest_rows.add(7);
+        s.wakeups_ready.add(3);
+        s.wakeups_timeout.inc();
         s.parse_seconds.record(std::time::Duration::from_micros(3));
         let mut snap = Snapshot::default();
         s.extend_snapshot(&mut snap);
@@ -150,6 +166,8 @@ mod tests {
         assert_eq!(parsed.get("datacell_net_connections_open", &[]), Some(1.0));
         assert_eq!(parsed.get("datacell_net_connections_peak", &[]), Some(2.0));
         assert_eq!(parsed.get("datacell_net_ingest_rows_total", &[]), Some(7.0));
+        assert_eq!(parsed.get("datacell_net_wakeups_total", &[("cause", "ready")]), Some(3.0));
+        assert_eq!(parsed.get("datacell_net_wakeups_total", &[("cause", "timeout")]), Some(1.0));
         assert_eq!(parsed.get("datacell_net_parse_seconds_count", &[]), Some(1.0));
         assert!(parsed.families_without_help().is_empty());
     }

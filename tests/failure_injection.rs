@@ -240,7 +240,7 @@ fn panicking_factory_does_not_take_the_server_down() {
     assert!(parsed.get("datacell_net_errors_total", &[]).expect("errors family") >= 1.0);
 
     // The loop thread is alive to hand the engine back.
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     assert_eq!(engine.basket("s").unwrap().end_oid(), 1);
 }
 

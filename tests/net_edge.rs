@@ -13,7 +13,7 @@ use datacell::plan::ResultSet;
 use datacell::telemetry::parse_text;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 const STREAMS: usize = 3;
@@ -162,7 +162,7 @@ fn socket_results_match_in_process_byte_for_byte() {
     assert!(parsed.get("datacell_net_fanout_rows_total", &[]).expect("fanout family") > 0.0);
     assert!(parsed.get("datacell_net_connections_total", &[]).expect("conn family") >= 10.0);
 
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     // Everything arrived: every stream saw all its rows.
     for i in 0..STREAMS {
         let b = engine.basket(&format!("s{i}")).expect("basket");
@@ -202,7 +202,7 @@ fn late_subscriber_sees_a_suffix_and_nothing_earlier() {
     assert_eq!(got_a, want, "A attached first and sees every result");
 
     // Shutdown flushes and closes, so B reads everything it was sent.
-    server.shutdown();
+    server.shutdown().expect("shutdown");
     let mut got_b = String::new();
     b.read_to_string(&mut got_b).expect("B to EOF");
     assert!(!got_b.is_empty() && got_b.len() < want.len(), "not a proper suffix: {got_b:?}");
@@ -240,7 +240,7 @@ fn subscribe_reaches_its_own_query_after_a_deregister() {
     sock.write_all(b"INGEST s\n10\n40\n20\n30\n").expect("rows");
     assert_eq!(read_line(&mut subscribers[0]), "4", "q1 is the count");
     assert_eq!(read_line(&mut subscribers[1]), "40", "q2 is the max");
-    server.shutdown();
+    server.shutdown().expect("shutdown");
 }
 
 #[test]
@@ -287,7 +287,7 @@ fn stalled_subscriber_is_evicted_and_cannot_pin_gc() {
     }
     std::thread::sleep(Duration::from_millis(20)); // a few ticks of GC
 
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     // Results go from the query straight to subscriber queues: the engine
     // holds no result-side stream a dead subscriber could have pinned.
     assert!(engine.basket("q0.out").is_err());
@@ -325,10 +325,77 @@ fn backpressure_pauses_ingest_reads_when_nothing_consumes() {
     m.read_to_string(&mut response).expect("response");
     assert!(response.starts_with("HTTP/1.0 200 OK\r\n"));
 
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     let landed = engine.basket_len("u").expect("basket");
     assert!(landed >= 64, "budget tripped before any rows landed ({landed})");
     drop(sock);
+}
+
+#[test]
+fn a_slide_reaches_the_subscriber_without_waiting_out_the_tick() {
+    let mut engine = Engine::new();
+    engine.create_stream("s", &[("x", DataType::Int)]).expect("stream");
+    engine.register_sql("SELECT sum(x) FROM s WINDOW SIZE 4 SLIDE 4").expect("q0");
+    // A tick four times the bound: a loop that sleeps it out whenever a
+    // pass made no progress cannot deliver in time.
+    let cfg = NetConfig { tick: Duration::from_secs(2), ..NetConfig::default() };
+    let server = NetServer::spawn(engine, "127.0.0.1:0", cfg).expect("spawn");
+    let mut subscriber = BufReader::new(connect(&server));
+    subscriber.get_mut().write_all(b"SUBSCRIBE q0\n").expect("send");
+    assert_eq!(read_line(&mut subscriber), "OK subscribe q0");
+
+    let mut writer = connect(&server);
+    let sent = Instant::now();
+    writer.write_all(b"INGEST s\n1\n2\n3\n4\n").expect("one window of rows");
+    assert_eq!(read_line(&mut subscriber), "10");
+    let waited = sent.elapsed();
+    assert!(waited < Duration::from_millis(500), "the result waited {waited:?} for the tick");
+    drop(writer);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_idle_server_blocks_instead_of_spinning() {
+    let mut engine = Engine::new();
+    engine.create_stream("s", &[("x", DataType::Int)]).expect("stream");
+    engine.register_sql("SELECT sum(x) FROM s WINDOW SIZE 4 SLIDE 4").expect("q0");
+    // Nothing reads `u`, so its backlog closes the staging valve for good.
+    engine.create_stream("u", &[("x", DataType::Int)]).expect("stream");
+    let tick = Duration::from_millis(50);
+    let cfg = NetConfig { tick, staging_budget: 64, ..NetConfig::default() };
+    let server = NetServer::spawn(engine, "127.0.0.1:0", cfg).expect("spawn");
+    let stats = server.stats();
+
+    // An idle subscriber: attached, then silent.
+    let mut subscriber = BufReader::new(connect(&server));
+    subscriber.get_mut().write_all(b"SUBSCRIBE q0\n").expect("send");
+    assert_eq!(read_line(&mut subscriber), "OK subscribe q0");
+
+    // An ingest connection that has sent its rows and half-closed while
+    // the valve holds it: its socket stays readable (rows, then EOF) and
+    // the loop must not be woken by it.
+    let mut writer = connect(&server);
+    writer.write_all(format!("INGEST u\n{}", "7\n".repeat(1000)).as_bytes()).expect("rows");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.backpressure_ticks.get() == 0 {
+        assert!(Instant::now() < deadline, "staging valve never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    writer.write_all("7\n".repeat(4096).as_bytes()).expect("rows left unread");
+    writer.shutdown(Shutdown::Write).expect("half-close");
+
+    // Let the loop settle into its idle state, then count its wakes.
+    std::thread::sleep(4 * tick);
+    let (ready, timeout) = (stats.wakeups_ready.get(), stats.wakeups_timeout.get());
+    std::thread::sleep(Duration::from_millis(500));
+    let ready = stats.wakeups_ready.get() - ready;
+    let timeout = stats.wakeups_timeout.get() - timeout;
+    assert_eq!(ready, 0, "an idle socket woke the loop {ready} times in 500 ms");
+    assert!(ready + timeout <= 500 / 50 + 2, "{timeout} wakes in 500 ms at a 50 ms tick");
+    assert!(timeout > 0, "the loop never waited");
+
+    drop((writer, subscriber));
+    server.shutdown().expect("shutdown");
 }
 
 #[test]
@@ -346,7 +413,7 @@ fn overlong_line_without_newline_gets_a_typed_error() {
     assert_eq!(read_line(&mut reader), "ERR line too long");
     assert_eq!(server.stats().errors.get(), errors_before + 1);
 
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     assert_eq!(engine.basket_len("u").expect("basket"), 2, "the rows before it landed");
 }
 
@@ -375,7 +442,7 @@ fn malformed_row_inside_a_burst_rejects_exactly_that_row() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let counted = server.stats().ingest_rows.clone();
-    let engine = server.shutdown();
+    let engine = server.shutdown().expect("shutdown");
     assert_eq!(counted.get(), (ROWS - 1) as u64, "ingest_rows counts accepted rows exactly");
     assert_eq!(engine.basket_len("u").expect("basket"), ROWS - 1);
     let xs: i64 = engine
