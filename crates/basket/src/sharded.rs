@@ -40,14 +40,14 @@
 //!
 //! ## Lock order
 //!
-//! `shards` RwLock (read) → allocator → one shard; the merged-view mutex
-//! is only ever taken with no shard or allocator lock held (the seal
-//! drops the shard lock before each merge append, so receptors pinned to
-//! a shard never wait behind the merge's column copy). Every path
-//! acquires locks in this order, shards one at a time, so the sharded
-//! paths cannot deadlock against each other, against readers of the
-//! merged view, or against the engine's GC (which takes the merged-view
-//! mutex only).
+//! Allocator → one shard; the merged-view mutex is only ever taken with
+//! no shard or allocator lock held (the seal drops the shard lock before
+//! each merge append, so receptors pinned to a shard never wait behind
+//! the merge's column copy). The shard array itself is fixed at
+//! [`ShardedBasket::new`] and takes no lock. Every path acquires locks in
+//! this order, shards one at a time, so the sharded paths cannot deadlock
+//! against each other, against readers of the merged view, or against the
+//! engine's GC (which takes the merged-view mutex only).
 //!
 //! ## What stays out of bounds
 //!
@@ -59,7 +59,7 @@
 use crate::basket::{validate_batch, Basket, BasketError, Timestamp};
 use datacell_kernel::par::stats;
 use datacell_kernel::{Column, DataType, Oid, Placement};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,7 +119,7 @@ enum Route {
     /// Round-robin shard, stamp checked against the high-water mark,
     /// sealed before returning — the engine's single-writer path.
     Ordered,
-    /// This shard (modulo the live count), stamp clamped.
+    /// This shard (modulo the shard count), stamp clamped.
     Shard(usize),
     /// Every row at the shard its key-hash owns (the key column's
     /// index), stamp clamped.
@@ -131,9 +131,8 @@ struct State {
     schema: Vec<(String, DataType)>,
     /// The sealed, oid-ordered view.
     merged: Mutex<Basket>,
-    /// Write-locked only by [`ShardedBasket::set_shards`]; appends and
-    /// seals hold read locks, so resharding waits out in-flight writers.
-    shards: RwLock<Vec<Mutex<Shard>>>,
+    /// The staging shards, fixed at [`ShardedBasket::new`].
+    shards: Box<[Mutex<Shard>]>,
     alloc: Mutex<Alloc>,
     /// Round-robin cursor for [`ShardedBasket::assign_shard`].
     next_writer: AtomicUsize,
@@ -158,19 +157,16 @@ impl fmt::Debug for ShardedBasket {
     }
 }
 
-fn new_shards(n: usize) -> Vec<Mutex<Shard>> {
-    (0..n).map(|_| Mutex::new(Shard::default())).collect()
-}
-
 impl ShardedBasket {
-    /// Share a basket behind `shards` staging shards (clamped to ≥ 1).
-    /// The allocator starts at the basket's current end.
+    /// Share a basket behind `shards` staging shards (clamped to ≥ 1),
+    /// fixed for the handle's lifetime. The allocator starts at the
+    /// basket's current end.
     pub fn new(basket: Basket, shards: usize) -> ShardedBasket {
         ShardedBasket {
             state: Arc::new(State {
                 name: basket.name().to_owned(),
                 schema: basket.schema().to_vec(),
-                shards: RwLock::new(new_shards(shards.max(1))),
+                shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
                 alloc: Mutex::new(Alloc {
                     next: basket.end_oid(),
                     last_ts: basket.ts_high_water().unwrap_or(0),
@@ -186,9 +182,9 @@ impl ShardedBasket {
         &self.state.name
     }
 
-    /// Current shard count.
+    /// The shard count.
     pub fn shards(&self) -> usize {
-        self.state.shards.read().len()
+        self.state.shards.len()
     }
 
     /// Run `f` with the merged view locked — the paper's lock/unlock
@@ -226,19 +222,17 @@ impl ShardedBasket {
 
     /// Tuples staged in shards but not yet sealed into the merged view.
     pub fn staged_len(&self) -> usize {
-        let shards = self.state.shards.read();
+        let shards = &self.state.shards;
         shards.iter().map(|s| s.lock().segs.values().map(|g| g.rows).sum::<usize>()).sum()
     }
 
     /// Point-in-time staging telemetry, one entry per shard in shard
-    /// order: current staged depth plus the cumulative staged-row counter
-    /// (which [`ShardedBasket::set_shards`] resets along with the staging
-    /// array). `Engine::telemetry_snapshot` turns these into per-shard
+    /// order: current staged depth plus the cumulative staged-row
+    /// counter. `Engine::telemetry_snapshot` turns these into per-shard
     /// gauges and the shard-imbalance ratio.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.state
             .shards
-            .read()
             .iter()
             .map(|s| {
                 let g = s.lock();
@@ -254,7 +248,7 @@ impl ShardedBasket {
     /// Pick a shard for a new writer (round-robin) — the "shard per
     /// receptor handle" policy. Key-hash placement is just
     /// `append_shard(hash as usize, ..)`; the index is taken modulo the
-    /// live shard count.
+    /// shard count.
     pub fn assign_shard(&self) -> usize {
         self.state.next_writer.fetch_add(1, Ordering::Relaxed) % self.shards()
     }
@@ -283,7 +277,7 @@ impl ShardedBasket {
 
     /// Key-hash placement append — the aligned-dataflow receptor path.
     /// The batch is split by the canonical [`Placement`] map over the
-    /// live shard count (column `key_col` carries the keys): every row
+    /// shard count (column `key_col` carries the keys): every row
     /// stages at the shard its key-hash owns, so sealed per-shard
     /// segments feed key-partitioned kernel operators without
     /// re-partitioning. One allocator critical section covers the whole
@@ -305,7 +299,19 @@ impl ShardedBasket {
     /// permanent gap in the oid sequence (the seal frontier would never
     /// pass it).
     fn append_routed(&self, route: Route, batch: &[Column], now: Timestamp) -> crate::Result<Oid> {
-        let shards = self.state.shards.read();
+        // Checked at every shard count, so a bad key column fails alike
+        // with one shard and with many.
+        if let Route::Keyed(key_col) = route {
+            if key_col >= batch.len() {
+                return Err(BasketError::Malformed(format!(
+                    "{}: key column {} out of range for {} columns",
+                    self.state.name,
+                    key_col,
+                    batch.len()
+                )));
+            }
+        }
+        let shards = &self.state.shards;
         if shards.len() == 1 {
             // Nothing to stay out of the way of: write the merged view
             // directly; the basket's own end oid and stamp check are the
@@ -327,15 +333,7 @@ impl ShardedBasket {
             }
             Route::Shard(shard) => vec![(shard % shards.len(), batch.to_vec())],
             Route::Keyed(key_col) => {
-                let keys = batch.get(key_col).ok_or_else(|| {
-                    BasketError::Malformed(format!(
-                        "{}: key column {} out of range for {} columns",
-                        self.state.name,
-                        key_col,
-                        batch.len()
-                    ))
-                })?;
-                let parts = Placement::new(shards.len()).scatter(&keys.as_slice());
+                let parts = Placement::new(shards.len()).scatter(&batch[key_col].as_slice());
                 let piece = |pos: &Vec<u32>| batch.iter().map(|c| c.gather(pos)).collect();
                 parts
                     .iter()
@@ -371,7 +369,7 @@ impl ShardedBasket {
             at += rows as u64;
         }
         if ordered {
-            self.seal_locked(&shards);
+            self.seal();
         }
         Ok(start)
     }
@@ -381,11 +379,6 @@ impl ShardedBasket {
     /// oid range some appender has allocated but not yet staged — and
     /// returns the new sealed end.
     pub fn seal(&self) -> Oid {
-        let shards = self.state.shards.read();
-        self.seal_locked(&shards)
-    }
-
-    fn seal_locked(&self, shards: &[Mutex<Shard>]) -> Oid {
         // Phase 1 — collect the contiguous run of staged segments from
         // the frontier. Each segment is taken under its shard lock, but
         // only for a BTreeMap remove: a receptor pinned to a shard never
@@ -399,7 +392,7 @@ impl ShardedBasket {
         let mut run: Vec<Segment> = Vec::new();
         loop {
             let mut progressed = false;
-            for shard in shards {
+            for shard in &self.state.shards {
                 loop {
                     let seg = {
                         let mut g = shard.lock();
@@ -422,7 +415,7 @@ impl ShardedBasket {
         // nothing staged (every seal at one shard) pays for no clock.
         let start = datacell_telemetry::timer();
         let total: usize = run.iter().map(|s| s.rows).sum();
-        let workers = shards.len().min(run.len());
+        let workers = self.shards().min(run.len());
         if workers < 2 || total < PAR_SEAL_MIN_ROWS {
             // Short run: serial per-segment appends (the historic path —
             // fan-out would cost more than the copies it spreads).
@@ -469,36 +462,6 @@ impl ShardedBasket {
         seal_metrics().parallel.record_since(start);
         frontier
     }
-
-    /// Change the shard count (clamped to ≥ 1). Waits out in-flight
-    /// appenders, seals everything staged and rebuilds the staging
-    /// array. Any segment a *panicked* appender orphaned behind a gap is
-    /// carried over untouched. Receptor clones keep working across the
-    /// switch (the shard index is taken modulo the live count).
-    pub fn set_shards(&self, shards: usize) {
-        let shards = shards.max(1);
-        let mut guard = self.state.shards.write();
-        self.seal_locked(&guard);
-        let mut leftover: Vec<(Oid, Segment)> = Vec::new();
-        for shard in guard.iter() {
-            let mut g = shard.lock();
-            leftover.extend(std::mem::take(&mut g.segs));
-        }
-        // Single-shard appends never consult the allocator, so it may be
-        // behind the merged view; it is ahead of it only by what
-        // `leftover` holds.
-        let (end, last_ts) = self.with(|b| (b.end_oid(), b.ts_high_water().unwrap_or(0)));
-        {
-            let mut alloc = self.state.alloc.lock();
-            alloc.next = alloc.next.max(end);
-            alloc.last_ts = alloc.last_ts.max(last_ts);
-        }
-        let new = new_shards(shards);
-        for (i, (start, seg)) in leftover.into_iter().enumerate() {
-            new[i % shards].lock().segs.insert(start, seg);
-        }
-        *guard = new;
-    }
 }
 
 /// Seals shorter than this stay serial: below a few thousand rows the
@@ -512,8 +475,7 @@ pub struct ShardStats {
     pub staged_rows: usize,
     /// Segments currently staged.
     pub staged_segments: usize,
-    /// Cumulative rows ever staged in this shard (monotone until a
-    /// reshard rebuilds the staging array).
+    /// Cumulative rows ever staged in this shard (monotone).
     pub total_rows: u64,
 }
 
@@ -674,17 +636,13 @@ mod tests {
                                                      // Simulate an in-flight appender: allocate oid 1 by staging to a
                                                      // shard, then remove it temporarily to create a gap.
         sb.append_shard(1, &ints(&[2]), 0).unwrap(); // oid 1
-        let stolen = {
-            let shards = sb.state.shards.read();
-            let seg = shards[1].lock().segs.remove(&1).unwrap();
-            seg
-        };
+        let stolen = sb.state.shards[1].lock().segs.remove(&1).unwrap();
         sb.append_shard(2, &ints(&[3]), 0).unwrap(); // oid 2
         assert_eq!(sb.seal(), 1); // oid 0 sealed; 2 stranded behind the gap
         assert_eq!(sb.len(), 1);
         assert_eq!(sb.staged_len(), 1);
         // The in-flight appender lands; the next seal drains everything.
-        sb.state.shards.read()[1].lock().segs.insert(1, stolen);
+        sb.state.shards[1].lock().segs.insert(1, stolen);
         assert_eq!(sb.seal(), 3);
         let (_, vals, _) = snapshot_ints(&sb);
         assert_eq!(vals, vec![1, 2, 3]);
@@ -705,26 +663,6 @@ mod tests {
         let (base, vals, _) = snapshot_ints(&sb);
         assert_eq!(base, 2);
         assert_eq!(vals, vec![3, 4]);
-    }
-
-    #[test]
-    fn set_shards_reshards_mid_stream() {
-        let sb = ShardedBasket::new(basket(), 1);
-        sb.append(&ints(&[1, 2]), 0).unwrap();
-        sb.set_shards(4); // allocator resyncs from the merged view
-        assert_eq!(sb.shards(), 4);
-        assert_eq!(sb.append_shard(2, &ints(&[3]), 1).unwrap(), 2);
-        sb.append_shard(0, &ints(&[4]), 2).unwrap();
-        sb.set_shards(2); // seals staged data on the way
-        assert_eq!(sb.shards(), 2);
-        assert_eq!(sb.len(), 4);
-        sb.append_shard(7, &ints(&[5]), 3).unwrap(); // index taken mod 2
-        sb.set_shards(1);
-        assert_eq!(sb.len(), 5);
-        let (_, vals, _) = snapshot_ints(&sb);
-        assert_eq!(vals, vec![1, 2, 3, 4, 5]);
-        // Back on one shard: straight into the merged view, basket oids.
-        assert_eq!(sb.append(&ints(&[6]), 3).unwrap(), 5);
     }
 
     #[test]
@@ -765,12 +703,9 @@ mod tests {
         sb.append_keyed(0, &ints(&keys), 5).unwrap();
         // Staged rows sit exactly where the canonical placement puts them.
         let parts = Placement::new(4).scatter(&Column::Int(keys.clone()).as_slice());
-        {
-            let shards = sb.state.shards.read();
-            for (shard, pos) in shards.iter().zip(&parts) {
-                let staged: usize = shard.lock().segs.values().map(|s| s.rows).sum();
-                assert_eq!(staged, pos.len());
-            }
+        for (shard, pos) in sb.state.shards.iter().zip(&parts) {
+            let staged: usize = shard.lock().segs.values().map(|s| s.rows).sum();
+            assert_eq!(staged, pos.len());
         }
         assert_eq!(sb.seal(), 32);
         // The merged view is the documented stable scatter order.
@@ -787,7 +722,7 @@ mod tests {
         for round in 0..3 {
             sb.append_keyed(0, &ints(&[42, 42, 42]), round).unwrap();
         }
-        let shards = sb.state.shards.read();
+        let shards = &sb.state.shards;
         let occupied: Vec<usize> = (0..4)
             .filter(|&i| shards[i].lock().segs.values().map(|s| s.rows).sum::<usize>() > 0)
             .collect();
@@ -803,6 +738,23 @@ mod tests {
             assert_eq!(plain.append(&ints(vals), ts), sb.append_keyed(0, &ints(vals), ts));
         }
         assert_eq!(basket_ints(&plain), snapshot_ints(&sb));
+    }
+
+    #[test]
+    fn append_keyed_rejects_a_bad_key_column_at_every_shard_count() {
+        // Regression: one shard wrote the batch straight into the merged
+        // view before the key column was looked at, so key column 7 of a
+        // two-column batch was accepted there and rejected at 4 shards.
+        let two = [Column::Int(vec![1, 2]), Column::Int(vec![3, 4])];
+        for shards in [1, 4] {
+            let schema = [("k", DataType::Int), ("v", DataType::Int)];
+            let sb = ShardedBasket::new(Basket::new("s", &schema), shards);
+            let err = sb.append_keyed(7, &two, 0).unwrap_err();
+            assert!(matches!(err, BasketError::Malformed(_)), "shards={shards}: {err:?}");
+            assert_eq!((sb.seal(), sb.staged_len()), (0, 0), "shards={shards}: nothing landed");
+            assert_eq!(sb.append_keyed(1, &two, 0).unwrap(), 0, "shards={shards}");
+            assert_eq!(sb.seal(), 2, "shards={shards}");
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   of sweeping both).
 
 use datacell_core::parse_count;
-use datacell_kernel::par::parse_placement;
 use datacell_kernel::PlacementMode;
 
 /// Parsed harness arguments.
@@ -120,8 +119,6 @@ impl Args {
                     );
                 }
                 "--placement" => {
-                    // Same spellings DATACELL_PLACEMENT accepts
-                    // (kernel::par::parse_placement) — one config surface.
                     args.placement = Some(
                         parse_placement(it.next().as_deref())
                             .unwrap_or_else(|| usage("--placement needs aligned or roundrobin")),
@@ -137,6 +134,17 @@ impl Args {
     /// Scale a size, keeping it at least `min`.
     pub fn sized(&self, base: usize, min: usize) -> usize {
         ((base as f64 * self.scale) as usize).max(min)
+    }
+}
+
+/// Parse a placement name: `aligned` or `roundrobin` (also
+/// `round-robin`/`rr`), case-insensitively. `None` for unset, empty or
+/// unrecognized values.
+fn parse_placement(raw: Option<&str>) -> Option<PlacementMode> {
+    match raw?.trim().to_ascii_lowercase().as_str() {
+        "aligned" => Some(PlacementMode::Aligned),
+        "roundrobin" | "round-robin" | "rr" => Some(PlacementMode::RoundRobin),
+        _ => None,
     }
 }
 
@@ -205,6 +213,18 @@ mod tests {
             Some(PlacementMode::RoundRobin)
         );
         assert_eq!(parse(&[]).placement, None);
+    }
+
+    #[test]
+    fn parse_placement_accepts_both_modes() {
+        assert_eq!(parse_placement(None), None);
+        assert_eq!(parse_placement(Some("")), None);
+        assert_eq!(parse_placement(Some("diagonal")), None);
+        assert_eq!(parse_placement(Some("aligned")), Some(PlacementMode::Aligned));
+        assert_eq!(parse_placement(Some(" Aligned ")), Some(PlacementMode::Aligned));
+        assert_eq!(parse_placement(Some("roundrobin")), Some(PlacementMode::RoundRobin));
+        assert_eq!(parse_placement(Some("round-robin")), Some(PlacementMode::RoundRobin));
+        assert_eq!(parse_placement(Some("rr")), Some(PlacementMode::RoundRobin));
     }
 
     #[test]

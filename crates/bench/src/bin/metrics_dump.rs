@@ -55,9 +55,12 @@ fn main() {
     let rounds = args.windows.unwrap_or(8).max(1);
     let rows_per_shard = args.sized(256, 32);
 
-    let mut e = Engine::with_workers(workers);
-    e.set_basket_shards(shards);
-    e.set_partitions(partitions);
+    let mut e = Engine::with_config(EngineConfig {
+        workers,
+        partitions,
+        basket_shards: shards,
+        ..EngineConfig::from_env()
+    });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     e.create_stream("t", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let queries = [

@@ -4,7 +4,7 @@
 use crate::workload::{gen_join_stream, gen_q1_stream, selectivity_threshold};
 use datacell_basket::Timestamp;
 use datacell_core::{
-    AdaptiveChunker, DataCellError, Engine, ExecMode, Factory, FireOutcome, QueryId,
+    AdaptiveChunker, DataCellError, Engine, EngineConfig, ExecMode, Factory, FireOutcome, QueryId,
     RegisterOptions, ResultSet, SlideMetrics, StreamInput,
 };
 use datacell_kernel::{Column, DataType, Oid, Value};
@@ -310,7 +310,7 @@ impl Factory for ThrottledSumFactory {
 /// the standing queries, pre-fill every stream's backlog, then time one
 /// `run_until_idle` drain — maximum available parallelism.
 pub fn run_scheduler_scale(workers: usize, cfg: &ScaleConfig) -> ScaleOutcome {
-    let mut engine = Engine::with_workers(workers);
+    let mut engine = Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() });
     let thr = selectivity_threshold(0.2);
     let mut queries = Vec::with_capacity(cfg.queries);
     for i in 0..cfg.queries {

@@ -1,10 +1,10 @@
 //! The engine's configuration, read from the environment in one place.
 
-use datacell_kernel::par::parse_placement;
-use datacell_kernel::PlacementMode;
-
-/// The five settings an [`crate::Engine`] stores. Each has an
-/// `Engine::set_*` that wins over whatever the engine was built with.
+/// The four settings an [`crate::Engine`] is built with, fixed for the
+/// engine's lifetime: `Engine::with_config` reads them once and nothing
+/// changes them afterwards. The morsel placement mode is not a setting:
+/// the engine resolves it from the two counts (`Aligned` iff
+/// `basket_shards == partitions`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Scheduler workers (`DATACELL_WORKERS`): 1 fires factories on the
@@ -16,9 +16,6 @@ pub struct EngineConfig {
     /// Staging shards per basket (`DATACELL_BASKET_SHARDS`): 1 stages
     /// nothing, appends write the merged view directly.
     pub basket_shards: usize,
-    /// Morsel placement (`DATACELL_PLACEMENT`). `None` resolves to
-    /// `Aligned` when `basket_shards == partitions`, else `RoundRobin`.
-    pub placement: Option<PlacementMode>,
     /// Run the typed plan analyzer at registration. Seeded from
     /// `datacell_plan::verify::enabled()` (`DATACELL_VERIFY` or a debug
     /// build), which the plan crate's own passes read below this crate.
@@ -26,13 +23,12 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// One worker, one partition, one shard, auto placement.
+    /// One worker, one partition, one shard.
     fn default() -> EngineConfig {
         EngineConfig {
             workers: 1,
             partitions: 1,
             basket_shards: 1,
-            placement: None,
             verify: datacell_plan::verify::enabled(),
         }
     }
@@ -40,8 +36,8 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The defaults, overridden by `DATACELL_WORKERS`,
-    /// `DATACELL_PARTITIONS`, `DATACELL_BASKET_SHARDS` and
-    /// `DATACELL_PLACEMENT` where those hold a valid value.
+    /// `DATACELL_PARTITIONS` and `DATACELL_BASKET_SHARDS` where those hold
+    /// a valid value.
     pub fn from_env() -> EngineConfig {
         use std::env;
         let count = |raw: Result<String, env::VarError>| parse_count(raw.ok().as_deref());
@@ -50,7 +46,6 @@ impl EngineConfig {
             workers: count(env::var("DATACELL_WORKERS")).unwrap_or(d.workers),
             partitions: count(env::var("DATACELL_PARTITIONS")).unwrap_or(d.partitions),
             basket_shards: count(env::var("DATACELL_BASKET_SHARDS")).unwrap_or(d.basket_shards),
-            placement: parse_placement(env::var("DATACELL_PLACEMENT").ok().as_deref()),
             verify: d.verify,
         }
     }

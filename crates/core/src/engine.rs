@@ -116,21 +116,16 @@ pub struct Engine {
     /// Telemetry series per registered query, keyed like `outputs`.
     series: HashMap<usize, QuerySeries>,
     clock: Timestamp,
-    /// Intra-operator partition fan-out (`kernel::par`) applied to every
-    /// registered factory. Orthogonal to the scheduler's worker count:
-    /// workers parallelize *across* factories, partitions parallelize
-    /// *inside* one factory's kernel operators.
-    partitions: usize,
+    /// The `kernel::par` configuration every SQL-registered factory
+    /// executes under: the intra-operator partition fan-out plus the
+    /// placement mode resolved from it. Orthogonal to the scheduler's
+    /// worker count: workers parallelize *across* factories, partitions
+    /// parallelize *inside* one factory's kernel operators.
+    par: ParConfig,
     /// Staging shards per basket — the third parallelism axis: workers
     /// scale across factories, partitions inside operators, shards across
     /// *receptors* appending to one stream. 1 stages nothing.
     basket_shards: usize,
-    /// Explicit placement-mode override (`DATACELL_PLACEMENT` or
-    /// [`Engine::set_placement`]). `None` auto-resolves: `Aligned` when
-    /// the basket shard count equals the partition fan-out (morsels then
-    /// inherit the shard key-hash so partial merges are pure concat),
-    /// `RoundRobin` otherwise.
-    placement_override: Option<PlacementMode>,
     /// Run the typed static analyzer (`plan::verify`) over every compiled
     /// plan at registration, with the real stream/table schemas. Defaults
     /// to on under `debug_assertions` or `DATACELL_VERIFY=1`.
@@ -145,25 +140,29 @@ impl Default for Engine {
 
 impl Engine {
     /// A fresh engine configured from the environment
-    /// ([`EngineConfig::from_env`]): one worker, one partition, one basket
-    /// shard and auto-resolved placement unless a `DATACELL_*` variable
-    /// says otherwise. Every `set_*` below wins over the environment.
+    /// ([`EngineConfig::from_env`]): one worker, one partition and one
+    /// basket shard unless a `DATACELL_*` variable says otherwise.
     pub fn new() -> Engine {
         Engine::with_config(EngineConfig::from_env())
     }
 
-    /// A fresh engine with an explicit scheduler worker count (min 1);
-    /// everything else as in [`Engine::new`]. One worker fires factories
-    /// on the thread that calls [`Engine::run_until_idle`]; more workers
-    /// fire independent factories concurrently on a pool. The axes
-    /// compose: factories × partitions threads can run during a drain.
-    pub fn with_workers(workers: usize) -> Engine {
-        Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() })
-    }
-
     /// A fresh engine with exactly this configuration (counts clamped to
-    /// at least 1); the environment is not consulted.
+    /// at least 1); the environment is not consulted. The configuration
+    /// is fixed for the engine's lifetime.
+    ///
+    /// The morsel placement mode is resolved here, once: `Aligned` iff
+    /// `basket_shards == partitions` — the one configuration where
+    /// staging shards and kernel morsels can share the canonical key-hash
+    /// map, making grouped-aggregation partial merges pure concatenation
+    /// — and `RoundRobin` otherwise. Both modes are byte-identical to the
+    /// sequential result.
     pub fn with_config(config: EngineConfig) -> Engine {
+        let (partitions, basket_shards) = (config.partitions.max(1), config.basket_shards.max(1));
+        let placement = if basket_shards == partitions {
+            PlacementMode::Aligned
+        } else {
+            PlacementMode::RoundRobin
+        };
         Engine {
             baskets: HashMap::new(),
             catalog: Catalog::default(),
@@ -171,9 +170,8 @@ impl Engine {
             outputs: HashMap::new(),
             series: HashMap::new(),
             clock: 0,
-            partitions: config.partitions.max(1),
-            basket_shards: config.basket_shards.max(1),
-            placement_override: config.placement,
+            par: ParConfig::new(partitions).with_placement(placement),
+            basket_shards,
             verify: config.verify,
         }
     }
@@ -183,104 +181,32 @@ impl Engine {
         self.verify
     }
 
-    /// Toggle registration-time plan verification
-    /// ([`Engine::new`] seeds it from `debug_assertions` /
-    /// `DATACELL_VERIFY`; this setter always wins).
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
-    }
-
-    /// Scheduler worker threads currently configured.
+    /// Scheduler worker threads: one fires factories on the thread that
+    /// calls [`Engine::run_until_idle`]; more fire independent factories
+    /// concurrently on a pool.
     pub fn workers(&self) -> usize {
         self.scheduler.workers()
     }
 
-    /// Change the scheduler worker count (min 1); takes effect on the
-    /// next [`Engine::run_until_idle`]. Per-query results do not depend
-    /// on it.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.scheduler.set_workers(workers);
-    }
-
-    /// The kernel partition fan-out currently configured.
+    /// The kernel partition fan-out: `kernel::par` splits heavy operators
+    /// of every SQL-registered query across this many scoped threads per
+    /// call. Join *pair order* at partitions > 1 follows `kernel::par`'s
+    /// canonical (partition, probe) order rather than the sequential
+    /// probe order; aggregate and select results are byte-identical.
     pub fn partitions(&self) -> usize {
-        self.partitions
+        self.par.partitions()
     }
 
-    /// Change the intra-operator partition fan-out (min 1): `kernel::par`
-    /// splits heavy join/select nodes of every registered query — current
-    /// and future — across this many scoped threads per operator call.
-    /// 1 runs the sequential kernel code paths. Join *pair order* at
-    /// partitions > 1 follows `kernel::par`'s canonical (partition,
-    /// probe) order rather than the sequential probe order; aggregate and
-    /// select results are byte-identical either way.
-    pub fn set_partitions(&mut self, partitions: usize) {
-        self.partitions = partitions.max(1);
-        self.push_par_config();
-    }
-
-    /// Staging shards per basket currently configured.
+    /// Staging shards per basket: how many receptors can append to one
+    /// stream without contending on its mutex.
     pub fn basket_shards(&self) -> usize {
         self.basket_shards
     }
 
-    /// Change the basket shard count (min 1) — how many receptors can
-    /// append to one stream without contending on its mutex. Applies to
-    /// every registered stream (existing staged data is sealed across the
-    /// switch) and to streams created later. 1 stages nothing: appends
-    /// write the ordered view directly, byte-identical to a bare basket. Quiesce receptor
-    /// threads before resharding live streams: the switch waits out
-    /// in-flight appends, but a receptor that keeps appending mid-switch
-    /// simply lands in the rebuilt shard set.
-    pub fn set_basket_shards(&mut self, shards: usize) {
-        self.basket_shards = shards.max(1);
-        for b in self.baskets.values() {
-            b.set_shards(self.basket_shards);
-        }
-        // Resharding can flip the auto-resolved placement mode.
-        self.push_par_config();
-    }
-
-    /// The morsel placement mode in effect: the explicit override
-    /// (`DATACELL_PLACEMENT` / [`Engine::set_placement`]) when present,
-    /// otherwise `Aligned` iff `basket_shards == partitions` — the one
-    /// configuration where staging shards and kernel morsels can share
-    /// the canonical key-hash map, making grouped-aggregation partial
-    /// merges pure concatenation. Both modes are byte-identical to the
-    /// sequential result.
+    /// The morsel placement mode resolved at construction (see
+    /// [`Engine::with_config`]).
     pub fn placement(&self) -> PlacementMode {
-        self.placement_override.unwrap_or({
-            if self.basket_shards == self.partitions {
-                PlacementMode::Aligned
-            } else {
-                PlacementMode::RoundRobin
-            }
-        })
-    }
-
-    /// Pin the placement mode explicitly, disabling auto-resolution
-    /// (this setter and `DATACELL_PLACEMENT` always win over the
-    /// shards == partitions heuristic). Applies to every registered
-    /// factory — current and future.
-    pub fn set_placement(&mut self, placement: PlacementMode) {
-        self.placement_override = Some(placement);
-        self.push_par_config();
-    }
-
-    /// The `kernel::par` configuration factories execute under: the
-    /// partition fan-out plus the resolved placement mode.
-    fn par_config(&self) -> ParConfig {
-        ParConfig::new(self.partitions).with_placement(self.placement())
-    }
-
-    /// Re-plumb [`Engine::par_config`] into every registered factory.
-    fn push_par_config(&mut self) {
-        let par = self.par_config();
-        for id in self.scheduler.ids() {
-            if let Ok(f) = self.scheduler.factory_mut(id) {
-                f.set_par_config(par);
-            }
-        }
+        self.par.placement()
     }
 
     // -- streams and tables ------------------------------------------------
@@ -439,10 +365,18 @@ impl Engine {
         let factory: Box<dyn Factory> = match opts.mode {
             ExecMode::Incremental => {
                 let inc: IncrementalPlan = rewrite(&mal)?;
-                Box::new(IncrementalFactory::new(label, inc, window, inputs, tables, opts.chunker)?)
+                Box::new(IncrementalFactory::new(
+                    label,
+                    inc,
+                    window,
+                    inputs,
+                    tables,
+                    opts.chunker,
+                    self.par,
+                )?)
             }
             ExecMode::Reevaluation => {
-                Box::new(ReevalFactory::new(label, mal, window, inputs, tables)?)
+                Box::new(ReevalFactory::new(label, mal, window, inputs, tables, self.par)?)
             }
         };
         self.register_factory(factory)
@@ -453,13 +387,12 @@ impl Engine {
     /// transitions). Every input stream it names must be registered; the
     /// factory joins the Petri net like any SQL-derived query and its
     /// results are drained through [`Engine::drain_results`].
-    pub fn register_factory(&mut self, mut f: Box<dyn Factory>) -> Result<QueryId, DataCellError> {
+    pub fn register_factory(&mut self, f: Box<dyn Factory>) -> Result<QueryId, DataCellError> {
         for s in f.input_streams() {
             if !self.baskets.contains_key(&s) {
                 return Err(DataCellError::UnknownStream(s));
             }
         }
-        f.set_par_config(self.par_config());
         let label = f.label().to_owned();
         let baskets = &self.baskets;
         let id = self.scheduler.register(f, |s| baskets.get(s).cloned());
@@ -552,7 +485,7 @@ impl Engine {
     /// drain, when every factory's consumption cursor is settled.
     ///
     /// With one worker (the default) factories fire on the calling
-    /// thread; with more ([`Engine::set_workers`] / `DATACELL_WORKERS`)
+    /// thread; with more ([`EngineConfig::workers`] / `DATACELL_WORKERS`)
     /// independent factories fire concurrently on the scheduler's worker
     /// pool. Per-query result order is identical either way; cross-query
     /// interleaving is unspecified at every worker count (and invisible
@@ -739,7 +672,7 @@ impl Engine {
     /// Basket ingest-edge series: per-shard staged depth, cumulative rows
     /// and a per-stream shard-imbalance ratio (max over mean of
     /// cumulative rows; 1.0 is perfectly balanced, 0 when nothing has
-    /// been staged since the last reshard).
+    /// been staged yet).
     fn basket_families(&self, snap: &mut Snapshot) {
         let mut names: Vec<&String> = self.baskets.keys().collect();
         names.sort();
@@ -755,7 +688,7 @@ impl Engine {
         );
         let mut shard_rows = Family::new(
             "datacell_basket_shard_rows_total",
-            "Rows ever staged into a basket shard (resets on reshard).",
+            "Rows ever staged into a basket shard.",
             MetricKind::Counter,
         );
         let mut imbalance = Family::new(
@@ -815,7 +748,12 @@ mod tests {
     use datacell_kernel::Value;
 
     fn engine_with_stream() -> Engine {
-        let mut e = Engine::new();
+        stream_engine(EngineConfig::from_env())
+    }
+
+    /// An engine built with `config`, with stream `s(x1, x2)` registered.
+    fn stream_engine(config: EngineConfig) -> Engine {
+        let mut e = Engine::with_config(config);
         e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
         e
     }
@@ -980,9 +918,8 @@ mod tests {
     #[test]
     fn worker_count_api_and_parallel_results_match_sequential() {
         let run = |workers: usize| {
-            let mut e = Engine::with_workers(workers);
+            let mut e = stream_engine(EngineConfig { workers, ..EngineConfig::from_env() });
             assert_eq!(e.workers(), workers.max(1));
-            e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
             let qs: Vec<QueryId> = (1..=4)
                 .map(|k| {
                     e.register_sql(&format!(
@@ -1018,10 +955,8 @@ mod tests {
         // sequential kernel (rows sorted — join pair order is canonical
         // but differs from sequential probe order at partitions > 1).
         let run = |partitions: usize| {
-            let mut e = Engine::new();
-            e.set_partitions(partitions);
+            let mut e = stream_engine(EngineConfig { partitions, ..EngineConfig::from_env() });
             assert_eq!(e.partitions(), partitions.max(1));
-            e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
             e.create_stream("t", &[("k", DataType::Int)]).unwrap();
             let q1 = e
                 .register_sql(
@@ -1053,30 +988,13 @@ mod tests {
     }
 
     #[test]
-    fn set_partitions_reaches_registered_factories() {
-        let mut e = engine_with_stream();
-        let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 8 SLIDE 8").unwrap();
-        // Raise the fan-out *after* registration: the already-registered
-        // factory must pick it up and still produce correct results.
-        e.set_partitions(4);
-        e.append("s", &[Column::Int(vec![1; 16]), Column::Int(vec![2; 16])]).unwrap();
-        e.run_until_idle().unwrap();
-        let out = e.drain_results(q).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].rows(), vec![vec![Value::Int(16)]]);
-        e.set_partitions(0); // clamps to sequential
-        assert_eq!(e.partitions(), 1);
-    }
-
-    #[test]
     fn basket_shards_api_and_sharded_results_match_single_shard() {
         // The same workload at shards ∈ {1, 4}: single-threaded feeding
         // is deterministic, so window results must be byte-identical.
         let run = |shards: usize| {
-            let mut e = Engine::new();
-            e.set_basket_shards(shards);
+            let mut e =
+                stream_engine(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
             assert_eq!(e.basket_shards(), shards.max(1));
-            e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
             assert_eq!(e.basket("s").unwrap().shards(), shards.max(1));
             let q =
                 e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 4 SLIDE 2").unwrap();
@@ -1101,22 +1019,26 @@ mod tests {
     }
 
     #[test]
-    fn placement_auto_resolves_and_override_wins() {
-        // An explicit config, so no DATACELL_* variable of the harness
-        // environment pins the placement or either count.
-        let mut e = Engine::with_config(EngineConfig::default());
-        // shards == partitions (1 == 1) -> auto-aligned (inert at 1
-        // partition: one morsel regardless).
-        assert_eq!(e.placement(), PlacementMode::Aligned);
-        e.set_partitions(4);
-        assert_eq!(e.placement(), PlacementMode::RoundRobin); // 1 shard != 4 parts
-        e.set_basket_shards(4);
-        assert_eq!(e.placement(), PlacementMode::Aligned); // 4 == 4
-        e.set_placement(PlacementMode::RoundRobin);
-        assert_eq!(e.placement(), PlacementMode::RoundRobin);
-        e.set_basket_shards(8);
-        e.set_basket_shards(4); // shards == partitions again...
-        assert_eq!(e.placement(), PlacementMode::RoundRobin); // ...but the override is pinned
+    fn placement_auto_resolves_from_configured_counts() {
+        // Explicit configs, so no DATACELL_* variable of the harness
+        // environment moves either count.
+        let placement = |partitions: usize, basket_shards: usize| {
+            let config = EngineConfig { partitions, basket_shards, ..EngineConfig::default() };
+            let e = Engine::with_config(config);
+            (e.partitions(), e.basket_shards(), e.placement())
+        };
+        // shards == partitions -> aligned (inert at 1 partition: one
+        // morsel regardless); otherwise round-robin.
+        assert_eq!(placement(1, 1), (1, 1, PlacementMode::Aligned));
+        assert_eq!(placement(4, 1), (4, 1, PlacementMode::RoundRobin));
+        assert_eq!(placement(1, 4), (1, 4, PlacementMode::RoundRobin));
+        assert_eq!(placement(4, 4), (4, 4, PlacementMode::Aligned));
+        // Zero counts clamp to 1 before the comparison.
+        assert_eq!(placement(0, 0), (1, 1, PlacementMode::Aligned));
+        assert_eq!(placement(0, 1), (1, 1, PlacementMode::Aligned));
+        assert_eq!(placement(4, 0), (4, 1, PlacementMode::RoundRobin));
+        let clamped = Engine::with_config(EngineConfig { workers: 0, ..EngineConfig::default() });
+        assert_eq!(clamped.workers(), 1);
     }
 
     #[test]
@@ -1124,10 +1046,11 @@ mod tests {
         use datacell_kernel::par::stats;
         let sql = "SELECT x1, sum(x2) FROM s GROUP BY x1 WINDOW SIZE 16 SLIDE 16";
         let mut per_mode = Vec::new();
-        for mode in [PlacementMode::RoundRobin, PlacementMode::Aligned] {
-            let mut e = engine_with_stream();
-            e.set_partitions(4);
-            e.set_placement(mode);
+        // 1 shard x 4 partitions resolves to round-robin, 4 x 4 to aligned.
+        for (basket_shards, mode) in [(1, PlacementMode::RoundRobin), (4, PlacementMode::Aligned)] {
+            let config = EngineConfig { partitions: 4, basket_shards, ..EngineConfig::from_env() };
+            let mut e = stream_engine(config);
+            assert_eq!(e.placement(), mode);
             let q = e.register_sql(sql).unwrap();
             let xs: Vec<i64> = (0..32).map(|i| i % 7).collect();
             let ys: Vec<i64> = (0..32).collect();
@@ -1153,27 +1076,10 @@ mod tests {
     }
 
     #[test]
-    fn set_basket_shards_reshards_registered_streams() {
-        let mut e = engine_with_stream();
-        let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 2").unwrap();
-        e.append("s", &[Column::Int(vec![1; 2]), Column::Int(vec![1; 2])]).unwrap();
-        // Reshard mid-stream: existing data and new appends both flow.
-        e.set_basket_shards(4);
-        assert_eq!(e.basket("s").unwrap().shards(), 4);
-        e.append("s", &[Column::Int(vec![1; 2]), Column::Int(vec![1; 2])]).unwrap();
-        e.run_until_idle().unwrap();
-        assert_eq!(e.drain_results(q).unwrap().len(), 2);
-        e.set_basket_shards(0); // clamps to one shard
-        assert_eq!(e.basket_shards(), 1);
-        assert_eq!(e.basket("s").unwrap().shards(), 1);
-    }
-
-    #[test]
     fn sharded_receptor_appends_visible_after_drain() {
         // Staged (unsealed) receptor appends must be published by the
         // engine's drain — including the GC path never touching them.
-        let mut e = engine_with_stream();
-        e.set_basket_shards(4);
+        let mut e = stream_engine(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
         let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 2").unwrap();
         let b = e.basket("s").unwrap();
         b.append_shard(0, &[Column::Int(vec![1]), Column::Int(vec![10])], 0).unwrap();
@@ -1186,22 +1092,6 @@ mod tests {
         // Fully consumed -> GC expired the sealed prefix, staging empty.
         assert_eq!(e.basket_len("s").unwrap(), 0);
         assert_eq!(b.staged_len(), 0);
-    }
-
-    #[test]
-    fn set_workers_switches_between_drains() {
-        let mut e = engine_with_stream();
-        let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 2").unwrap();
-        e.append("s", &[Column::Int(vec![1; 4]), Column::Int(vec![1; 4])]).unwrap();
-        e.run_until_idle().unwrap();
-        assert_eq!(e.drain_results(q).unwrap().len(), 2);
-        e.set_workers(3);
-        assert_eq!(e.workers(), 3);
-        e.append("s", &[Column::Int(vec![1; 4]), Column::Int(vec![1; 4])]).unwrap();
-        e.run_until_idle().unwrap();
-        assert_eq!(e.drain_results(q).unwrap().len(), 2);
-        e.set_workers(0); // clamps to sequential
-        assert_eq!(e.workers(), 1);
     }
 
     #[test]
@@ -1326,9 +1216,13 @@ mod tests {
     #[test]
     fn registration_verifies_against_real_schemas() {
         use datacell_plan::Rule;
-        let mut e = Engine::new();
-        e.set_verify(true);
-        e.create_stream("logs", &[("level", DataType::Str), ("ms", DataType::Int)]).unwrap();
+        let engine = |verify: bool| {
+            let mut e = Engine::with_config(EngineConfig { verify, ..EngineConfig::from_env() });
+            e.create_stream("logs", &[("level", DataType::Str), ("ms", DataType::Int)]).unwrap();
+            e
+        };
+        let mut e = engine(true);
+        assert!(e.verify());
 
         // sum over a string column: rejected at registration with a typed
         // diagnostic naming the op and rule.
@@ -1348,12 +1242,11 @@ mod tests {
             .expect_err("int predicate over a str column must not register");
         assert!(matches!(err, DataCellError::Plan(datacell_plan::PlanError::Verify(_))), "{err}");
 
-        // The same queries with verification off register fine (and the
-        // well-typed variant registers either way).
-        e.set_verify(false);
-        assert!(!e.verify());
-        e.register_sql("SELECT sum(level) FROM logs WINDOW SIZE 2 SLIDE 2").unwrap();
-        e.set_verify(true);
+        // The same queries on an engine built with verification off
+        // register fine (and the well-typed variant registers either way).
+        let mut off = engine(false);
+        assert!(!off.verify());
+        off.register_sql("SELECT sum(level) FROM logs WINDOW SIZE 2 SLIDE 2").unwrap();
         e.register_sql("SELECT sum(ms) FROM logs WHERE level = 'err' WINDOW SIZE 2 SLIDE 2")
             .unwrap();
     }

@@ -151,7 +151,9 @@ impl IncrementalFactory {
     ///
     /// `inputs` must be aligned with `plan.mal.streams`; `tables` is the
     /// persistent-table snapshot for static binds; `chunker` enables the
-    /// m-chunk optimization (single-stream count-sliding windows only).
+    /// m-chunk optimization (single-stream count-sliding windows only);
+    /// `par` is the `kernel::par` configuration every slide's plan
+    /// segments run under.
     pub fn new(
         label: impl Into<String>,
         plan: IncrementalPlan,
@@ -159,6 +161,7 @@ impl IncrementalFactory {
         inputs: Vec<StreamInput>,
         tables: HashMap<String, Table>,
         chunker: Option<AdaptiveChunker>,
+        par: ParConfig,
     ) -> Result<IncrementalFactory, DataCellError> {
         window.validate().map_err(DataCellError::Plan)?;
         if inputs.len() != plan.mal.streams.len() {
@@ -252,7 +255,7 @@ impl IncrementalFactory {
             chunk_parts: vec![Vec::new(); nvars],
             chunks_done: 0,
             preface_time: Duration::ZERO,
-            par: ParConfig::sequential(),
+            par,
             aligned_clusters: plan.clusters.iter().any(|c| c.placement_aligned),
             plan,
         })
@@ -312,7 +315,7 @@ impl IncrementalFactory {
     /// the ring-var values produced.
     fn eval_perbw(&self, k: usize, w: &BasicWindow) -> Result<Slot, DataCellError> {
         // The aligned-input vouch is applied per call, never stored in
-        // `self.par`, so a `set_par_config` cannot lose it.
+        // `self.par`: matrix and merge segments must not inherit it.
         let par = self.par.with_aligned_input(self.aligned_clusters);
         let ctx = SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par };
         let statics = |v: VarId| self.statics[v].as_ref();
@@ -534,10 +537,6 @@ impl Factory for IncrementalFactory {
     fn input_streams(&self) -> Vec<String> {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
-
-    fn set_par_config(&mut self, par: ParConfig) {
-        self.par = par;
-    }
 }
 
 #[cfg(test)]
@@ -566,7 +565,8 @@ mod tests {
         let mal = compile(&plan).unwrap();
         let inc = rewrite(&mal).unwrap();
         let inputs = vec![StreamInput::new("s", basket.clone())];
-        IncrementalFactory::new("q", inc, window, inputs, HashMap::new(), chunker).unwrap()
+        let par = ParConfig::sequential();
+        IncrementalFactory::new("q", inc, window, inputs, HashMap::new(), chunker, par).unwrap()
     }
 
     fn fire_all(f: &mut IncrementalFactory) -> Vec<ResultSet> {
@@ -709,6 +709,7 @@ mod tests {
             inputs,
             HashMap::new(),
             None,
+            ParConfig::sequential(),
         )
         .unwrap();
         let results = fire_all(&mut f);
@@ -764,6 +765,7 @@ mod tests {
             inputs,
             HashMap::new(),
             Some(AdaptiveChunker::fixed(2)),
+            ParConfig::sequential(),
         );
         assert!(err.is_err());
     }
@@ -813,6 +815,7 @@ mod tests {
             inputs,
             HashMap::new(),
             None,
+            ParConfig::sequential(),
         );
         assert!(err.is_err());
     }

@@ -60,15 +60,6 @@ pub trait Factory: Send {
     fn consumed_upto(&self, stream: &str) -> Option<Oid>;
     /// The input streams.
     fn input_streams(&self) -> Vec<String>;
-    /// Set the `kernel::par` configuration plan executions use from now
-    /// on: the partition fan-out (heavy nodes split across that many
-    /// scoped threads) and the morsel placement mode (`Aligned` carves
-    /// grouped-aggregation morsels by the canonical key-hash so partial
-    /// merges are pure concatenation; `RoundRobin` is the contiguous
-    /// split). The engine plumbs its `partitions` and resolved
-    /// `placement` through here; the default is a no-op so custom
-    /// factories that never execute MAL plans are unaffected.
-    fn set_par_config(&mut self, _par: ParConfig) {}
 }
 
 /// One input stream endpoint: the shared basket plus the factory's private

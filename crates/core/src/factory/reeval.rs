@@ -35,13 +35,15 @@ pub struct ReevalFactory {
 impl ReevalFactory {
     /// Build a re-evaluation factory. `inputs` must be aligned with
     /// `plan.streams`. `tables` is a snapshot of the persistent tables the
-    /// plan binds.
+    /// plan binds; `par` is the `kernel::par` configuration every plan
+    /// execution runs under.
     pub fn new(
         label: impl Into<String>,
         plan: MalPlan,
         window: WindowSpec,
         inputs: Vec<StreamInput>,
         tables: HashMap<String, Table>,
+        par: ParConfig,
     ) -> Result<ReevalFactory, DataCellError> {
         window.validate().map_err(DataCellError::Plan)?;
         if inputs.len() != plan.streams.len() {
@@ -59,7 +61,7 @@ impl ReevalFactory {
             inputs,
             tables,
             buffered: vec![VecDeque::new(); nstreams],
-            par: ParConfig::sequential(),
+            par,
             advances: 0,
             emitted: 0,
         })
@@ -135,10 +137,6 @@ impl Factory for ReevalFactory {
     fn input_streams(&self) -> Vec<String> {
         self.inputs.iter().map(|i| i.name.clone()).collect()
     }
-
-    fn set_par_config(&mut self, par: ParConfig) {
-        self.par = par;
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +154,9 @@ mod tests {
         );
         let mal = compile(&plan).unwrap();
         let inputs = vec![StreamInput::new("s", basket.clone())];
-        let f = ReevalFactory::new("q", mal, window, inputs, HashMap::new()).unwrap();
+        let f =
+            ReevalFactory::new("q", mal, window, inputs, HashMap::new(), ParConfig::sequential())
+                .unwrap();
         (f, basket)
     }
 
@@ -257,6 +257,7 @@ mod tests {
             WindowSpec::CountSliding { size: 2, step: 1 },
             vec![],
             HashMap::new(),
+            ParConfig::sequential(),
         );
         assert!(err.is_err());
     }

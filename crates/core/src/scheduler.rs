@@ -19,8 +19,9 @@
 //!   per-stream **growth marks** it narrows each readiness scan to the
 //!   readers of baskets that grew, and it bounds the basket-expiry scan in
 //!   [`Scheduler::min_consumed`] to actual readers;
-//! * the **executor** (`DATACELL_WORKERS` / engine API): a persistent pool
-//!   of worker threads fed by a work queue, or — with one worker, the
+//! * the **executor**, fixed by the worker count the scheduler is built
+//!   with (`EngineConfig::workers` / `DATACELL_WORKERS`): a persistent
+//!   pool of worker threads fed by a work queue, or — with one worker, the
 //!   default — the calling thread itself, with no thread, queue or channel
 //!   in between. Either way a dispatched factory runs the same
 //!   `fire_to_quiescence`: it fires until its firing condition fails and
@@ -116,11 +117,11 @@ enum Reply {
 struct WorkQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
-    /// Jobs pushed but not yet popped. The gauge handle is the
-    /// scheduler's persistent one, so the reading always survives pool
-    /// rebuilds; it is kept outside the mutex (atomics only), so the
-    /// reading is monotone-consistent but momentarily ahead of/behind
-    /// the queue by at most one in-flight push/pop.
+    /// Jobs pushed but not yet popped. The gauge handle is shared with
+    /// the scheduler, which reads it; it is kept outside the mutex
+    /// (atomics only), so the reading is monotone-consistent but
+    /// momentarily ahead of/behind the queue by at most one in-flight
+    /// push/pop.
     depth: Gauge,
 }
 
@@ -224,10 +225,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { queue, reply_rx, handles, stats }
-    }
-
-    fn size(&self) -> usize {
-        self.handles.len()
     }
 }
 
@@ -361,14 +358,15 @@ pub struct Scheduler {
     /// transitions, so it forces a full readiness scan.
     last_clock: Option<Timestamp>,
     workers: usize,
-    /// The worker threads; `None` while one worker is configured (the
+    /// The worker threads, spawned at the first drain when `workers > 1`
+    /// and kept until the scheduler drops; `None` with one worker (the
     /// calling thread fires) and before the first drain.
     pool: Option<WorkerPool>,
-    /// Work-queue depth (jobs dispatched, not yet popped). Persistent
-    /// across pool rebuilds; always 0 when the scheduler is quiesced.
+    /// Work-queue depth (jobs dispatched, not yet popped); always 0 when
+    /// the scheduler is quiesced.
     queue_depth: Gauge,
     /// Wake-to-fire latency: time a dispatched job spent in the queue
-    /// before a worker picked it up. Persistent across pool rebuilds.
+    /// before a worker picked it up.
     wake_to_fire: Histogram,
 }
 
@@ -418,15 +416,9 @@ impl Scheduler {
         self.pool.as_ref().map(|p| p.stats.clone()).unwrap_or_default()
     }
 
-    /// Current worker count.
+    /// The worker count the scheduler was built with.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Change the worker count; takes effect on the next drain (the pool
-    /// is rebuilt lazily).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// The id the next [`Scheduler::register`] will return. Ids count
@@ -486,11 +478,6 @@ impl Scheduler {
         self.factories.get(id).and_then(|f| f.as_deref()).ok_or(DataCellError::UnknownQuery(id))
     }
 
-    /// Mutable access to a factory.
-    pub fn factory_mut(&mut self, id: FactoryId) -> Result<&mut Box<dyn Factory>, DataCellError> {
-        self.factories.get_mut(id).and_then(|f| f.as_mut()).ok_or(DataCellError::UnknownQuery(id))
-    }
-
     /// Ids of all live factories.
     pub fn ids(&self) -> Vec<FactoryId> {
         self.factories.iter().enumerate().filter_map(|(i, f)| f.as_ref().map(|_| i)).collect()
@@ -538,7 +525,11 @@ impl Scheduler {
         &mut self,
         clock: Timestamp,
     ) -> (Vec<Emission>, Result<(), DataCellError>) {
-        self.size_pool();
+        if self.workers > 1 {
+            self.pool.get_or_insert_with(|| {
+                WorkerPool::new(self.workers, self.queue_depth.clone(), self.wake_to_fire.clone())
+            });
+        }
         let mut emissions = Vec::new();
         let mut first_err: Option<DataCellError> = None;
         // Factories out of their slot whose `Done` has not been handled.
@@ -597,24 +588,6 @@ impl Scheduler {
                 (emissions, Err(e))
             }
             None => (emissions, Ok(())),
-        }
-    }
-
-    /// Match the executor to the configured worker count: a pool of
-    /// `workers` threads, or none when the calling thread is the one
-    /// worker (a pool left over from a wider phase would otherwise park
-    /// its threads for the scheduler's lifetime).
-    fn size_pool(&mut self) {
-        let want = if self.workers > 1 { self.workers } else { 0 };
-        if self.pool.as_ref().map_or(0, WorkerPool::size) != want {
-            self.pool = None; // drop (joins old threads) before respawning
-            if want > 0 {
-                self.pool = Some(WorkerPool::new(
-                    want,
-                    self.queue_depth.clone(),
-                    self.wake_to_fire.clone(),
-                ));
-            }
         }
     }
 
@@ -839,7 +812,6 @@ mod tests {
         let a = register_sum(&mut s, "alpha", &shared("alpha"), 1);
         assert_eq!(s.factory(a).unwrap().label(), "alpha");
         assert!(s.factory(99).is_err());
-        assert!(s.factory_mut(99).is_err());
     }
 
     #[test]
@@ -918,6 +890,12 @@ mod tests {
 
             // Nothing new: immediate quiescence.
             assert!(drain(&mut s).is_empty());
+            // One pool, built at the first drain and kept across the
+            // others: its per-worker fire counts cover all three.
+            let stats = s.worker_stats();
+            let fires: u64 = stats.iter().map(|w| w.fires()).sum();
+            let expect = if workers > 1 { (workers, 6) } else { (0, 0) };
+            assert_eq!((stats.len(), fires), expect, "workers={workers}");
         }
     }
 
@@ -1032,40 +1010,17 @@ mod tests {
         // A factory whose fire errored is still enabled, but its stream
         // sits exactly at its growth mark and the clock has not moved:
         // only the error-path reset of the scan bookkeeping lets the next
-        // drain find it again — also across a worker-count switch.
-        for (first, second) in [(1, 1), (1, 2), (2, 1), (4, 4)] {
-            let mut s = Scheduler::new(first);
+        // drain find it again.
+        for workers in WORKERS {
+            let mut s = Scheduler::new(workers);
             let bad = shared("x");
             let fx = BrokenFactory::register(&mut s, &bad, Failure::Error);
             bad.append(&ints(1, 1), 0).unwrap();
             assert!(s.run_until_idle(0).1.is_err());
-            s.set_workers(second);
-            assert!(s.run_until_idle(0).1.is_err(), "{first}->{second}: stranded");
+            assert!(s.run_until_idle(0).1.is_err(), "workers={workers}: stranded");
             s.deregister(fx).unwrap();
             assert!(drain(&mut s).is_empty());
         }
-    }
-
-    #[test]
-    fn worker_count_is_switchable_between_drains() {
-        let mut s = Scheduler::new(1);
-        let b = shared("s");
-        let id = register_sum(&mut s, "s", &b, 1);
-        b.append(&ints(3, 1), 0).unwrap();
-        assert_eq!(drain(&mut s).len(), 3);
-        assert!(s.worker_stats().is_empty());
-        s.set_workers(3);
-        assert_eq!(s.workers(), 3);
-        b.append(&ints(5, 1), 0).unwrap();
-        let e = drain(&mut s);
-        assert_eq!(e.len(), 5);
-        assert!(e.iter().all(|e| e.factory == id));
-        assert_eq!(s.worker_stats().iter().map(|w| w.fires()).sum::<u64>(), 5);
-        s.set_workers(0); // clamped
-        assert_eq!(s.workers(), 1);
-        b.append(&ints(1, 1), 0).unwrap();
-        assert_eq!(drain(&mut s).len(), 1);
-        assert!(s.worker_stats().is_empty(), "the pool is dropped with one worker");
     }
 
     #[test]

@@ -510,9 +510,9 @@ pub mod stats {
 /// `partitions` is the fan-out `P`: how many disjoint pieces an operator
 /// splits its input into, and (for `P > 1`) how many scoped worker threads
 /// process them. `P = 1` is one morsel on the caller's thread. Plumbed
-/// end to end: `EngineConfig` (`DATACELL_PARTITIONS`) /
-/// `Engine::set_partitions` feed the factories, whose execution contexts
-/// hand it to `plan::exec`, which calls these entry points.
+/// end to end: `EngineConfig::partitions` (`DATACELL_PARTITIONS`) is
+/// handed to every factory the engine builds, whose execution contexts
+/// pass it to `plan::exec`, which calls these entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParConfig {
     partitions: usize,
@@ -612,18 +612,6 @@ impl Default for ParConfig {
     }
 }
 
-/// Parse a placement name: `aligned` or `roundrobin` (also
-/// `round-robin`/`rr`), case-insensitively. `None` for unset, empty or
-/// unrecognized values — the engine then auto-aligns when shard count
-/// equals partition count.
-pub fn parse_placement(raw: Option<&str>) -> Option<PlacementMode> {
-    match raw?.trim().to_ascii_lowercase().as_str() {
-        "aligned" => Some(PlacementMode::Aligned),
-        "roundrobin" | "round-robin" | "rr" => Some(PlacementMode::RoundRobin),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,17 +672,5 @@ mod tests {
         assert!(!unmarked.input_is_aligned(), "alignment alone is not a vouched input");
         // The mark survives a placement change but not a from-scratch rebuild.
         assert!(!ParConfig::new(4).input_is_aligned());
-    }
-
-    #[test]
-    fn parse_placement_accepts_both_modes() {
-        assert_eq!(parse_placement(None), None);
-        assert_eq!(parse_placement(Some("")), None);
-        assert_eq!(parse_placement(Some("diagonal")), None);
-        assert_eq!(parse_placement(Some("aligned")), Some(PlacementMode::Aligned));
-        assert_eq!(parse_placement(Some(" Aligned ")), Some(PlacementMode::Aligned));
-        assert_eq!(parse_placement(Some("roundrobin")), Some(PlacementMode::RoundRobin));
-        assert_eq!(parse_placement(Some("round-robin")), Some(PlacementMode::RoundRobin));
-        assert_eq!(parse_placement(Some("rr")), Some(PlacementMode::RoundRobin));
     }
 }

@@ -7,6 +7,7 @@
 //! same assertions exercise the sequential scheduler and the worker pool.
 
 use datacell::basket::ReceptorHandle;
+use datacell::core::EngineConfig;
 use datacell::prelude::*;
 
 #[test]
@@ -94,7 +95,7 @@ fn two_threaded_receptors_feed_a_join() {
 fn receptor_fleet_feeds_worker_pool() {
     // Fig. 1 at full fan-out: four receptor threads feed four streams
     // while the worker pool fires four independent standing queries.
-    let mut engine = Engine::with_workers(4);
+    let mut engine = Engine::with_config(EngineConfig { workers: 4, ..EngineConfig::from_env() });
     let mut queries = Vec::new();
     for i in 0..4 {
         let s = format!("s{i}");

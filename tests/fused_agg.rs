@@ -7,6 +7,7 @@
 //! grouped-aggregate path at partitions > 1, and the optimizer's
 //! same-column filter-conjunction merge at the SQL level.
 
+use datacell::core::EngineConfig;
 use datacell::kernel::algebra::{self, AggKind, ArithOp};
 use datacell::kernel::par;
 use datacell::plan::exec::{execute, WindowCtx};
@@ -110,10 +111,10 @@ fn group_agg_matches_kernel_chain_on_string_keys_and_empty_input() {
 /// sequential engine produces, in the same (first-occurrence) order.
 #[test]
 fn golden_fused_aggregation_through_sharded_parallel_path() {
-    let run = |shards: usize, workers: usize, partitions: usize| {
-        let mut e = Engine::with_workers(workers);
-        e.set_basket_shards(shards);
-        e.set_partitions(partitions);
+    let run = |basket_shards: usize, workers: usize, partitions: usize| {
+        let config =
+            EngineConfig { workers, partitions, basket_shards, ..EngineConfig::from_env() };
+        let mut e = Engine::with_config(config);
         e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
         let q = e
             .register_sql(
@@ -160,9 +161,8 @@ fn golden_fused_aggregation_through_sharded_parallel_path() {
 /// the kernel falls back to the sequential single-partial path.
 #[test]
 fn sql_aggregation_reaches_parallel_grouped_agg_kernel() {
-    let mut e = Engine::new();
-    e.set_workers(1);
-    e.set_partitions(4);
+    let mut e =
+        Engine::with_config(EngineConfig { workers: 1, partitions: 4, ..EngineConfig::from_env() });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let q = e
         .register_sql("SELECT k, sum(v), avg(v) FROM s GROUP BY k WINDOW SIZE 512 SLIDE 256")

@@ -4,11 +4,15 @@
 //! pins the *exact* per-window rows, so any drift in window-boundary
 //! arithmetic, empty-window handling or landmark accumulation fails loudly.
 
-use datacell::core::RegisterOptions;
+use datacell::core::{EngineConfig, RegisterOptions};
 use datacell::prelude::*;
 
 fn engine() -> Engine {
-    let mut e = Engine::new();
+    engine_with(EngineConfig::from_env())
+}
+
+fn engine_with(config: EngineConfig) -> Engine {
+    let mut e = Engine::with_config(config);
     e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
     e
 }
@@ -155,8 +159,7 @@ fn golden_time_windows_survive_sharded_ingestion() {
     // The RANGE golden, fed through the sharded path (ordered appends,
     // shards = 4): byte-identical to the one-shard run above — the
     // allocator's clock handling must not disturb time-window slicing.
-    let mut e = engine();
-    e.set_basket_shards(4);
+    let mut e = engine_with(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
     let q =
         e.register_sql("SELECT count(x1), sum(x2) FROM s WINDOW RANGE 20 MS SLIDE 10 MS").unwrap();
     feed_trace(&mut e);

@@ -1,6 +1,7 @@
 //! The parallel Petri-net scheduler, end to end: worker-pool drains must
 //! be invisible in per-query results, safe for factories sharing a basket
-//! at different speeds, and selectable via API and `DATACELL_WORKERS`.
+//! at different speeds, and selectable via `EngineConfig` and
+//! `DATACELL_WORKERS`.
 //!
 //! These tests run under the CI worker matrix (`DATACELL_WORKERS=1,2,4`),
 //! so `Engine::new()` paths exercise whichever pool size the environment
@@ -17,7 +18,7 @@ use datacell::prelude::*;
 #[test]
 fn multi_query_results_identical_across_worker_counts() {
     let run = |workers: usize| -> Vec<Vec<Vec<Vec<Value>>>> {
-        let mut engine = Engine::with_workers(workers);
+        let mut engine = Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() });
         let mut queries = Vec::new();
         for i in 0..8 {
             let s = format!("s{i}");
@@ -67,7 +68,7 @@ fn shared_basket_two_speeds_concurrent_consumers_never_lose_tuples() {
     const BATCHES: u64 = 60;
     const PER_BATCH: usize = 8; // 480 tuples total
 
-    let mut engine = Engine::with_workers(4);
+    let mut engine = Engine::with_config(EngineConfig { workers: 4, ..EngineConfig::from_env() });
     engine.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
     // Fast reader: window 4 -> fires 120 times; slow reader: window 96.
     let fast =
@@ -128,7 +129,7 @@ fn shared_basket_two_speeds_concurrent_consumers_never_lose_tuples() {
 /// without disturbing the surviving parallel consumers.
 #[test]
 fn deregister_under_parallel_drain_releases_gc_bound() {
-    let mut engine = Engine::with_workers(4);
+    let mut engine = Engine::with_config(EngineConfig { workers: 4, ..EngineConfig::from_env() });
     engine.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
     let fast =
         engine.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 2").unwrap();
@@ -153,7 +154,7 @@ fn deregister_under_parallel_drain_releases_gc_bound() {
 #[test]
 fn time_windows_under_worker_pool() {
     let run = |workers: usize| {
-        let mut engine = Engine::with_workers(workers);
+        let mut engine = Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() });
         engine.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
         let q =
             engine.register_sql("SELECT count(x1) FROM s WINDOW RANGE 20 MS SLIDE 10 MS").unwrap();
@@ -189,6 +190,7 @@ fn workers_env_override_parsing() {
     assert_eq!(parse_count(Some("many")), None);
     // Engine::new respects whatever the harness environment selects.
     assert_eq!(Engine::new().workers(), EngineConfig::from_env().workers);
-    // Explicit API beats the environment.
-    assert_eq!(Engine::with_workers(3).workers(), 3);
+    // An explicit config beats the environment.
+    let config = EngineConfig { workers: 3, ..EngineConfig::from_env() };
+    assert_eq!(Engine::with_config(config).workers(), 3);
 }

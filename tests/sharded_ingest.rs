@@ -14,6 +14,7 @@
 //! one shard and the staged, sealed path.
 
 use datacell::basket::ReceptorHandle;
+use datacell::core::EngineConfig;
 use datacell::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -116,8 +117,8 @@ fn factory_results_identical_to_single_shard_run() {
     // produce byte-identical window results to the 1-shard engine, for
     // both execution modes, across drains and GC cycles.
     let run = |shards: usize| {
-        let mut e = Engine::new();
-        e.set_basket_shards(shards);
+        let mut e =
+            Engine::with_config(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
         e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
         let qi = e
             .register_sql(
@@ -163,8 +164,8 @@ fn concurrent_receptor_fleet_aggregates_match_single_shard() {
     // cardinality and the grand total are interleave-invariant — and
     // must match the single-shard run.
     let run = |shards: usize| {
-        let mut e = Engine::new();
-        e.set_basket_shards(shards);
+        let mut e =
+            Engine::with_config(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         let q = e.register_sql("SELECT sum(x) FROM s WINDOW SIZE 40 SLIDE 40").unwrap();
         let handles: Vec<_> = (0..APPENDERS)
@@ -205,8 +206,7 @@ fn gc_never_reclaims_an_undrained_shard() {
     // A slow factory (window 100) keeps `min_consumed` low while staged
     // segments pile up unsealed; GC runs on every drain. Nothing staged
     // may ever be lost — the final window must see every tuple.
-    let mut e = Engine::new();
-    e.set_basket_shards(4);
+    let mut e = Engine::with_config(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
     e.create_stream("s", &[("x", DataType::Int)]).unwrap();
     let slow = e.register_sql("SELECT sum(x) FROM s WINDOW SIZE 100 SLIDE 100").unwrap();
     let fast = e.register_sql("SELECT count(x) FROM s WINDOW SIZE 5 SLIDE 5").unwrap();
@@ -259,8 +259,8 @@ fn receptor_fleet_with_gc_loop_under_live_engine() {
     // the engine draining (seal + fire + GC in a loop). Every window of
     // the standing query must come out exactly once.
     let engine = Arc::new(std::sync::Mutex::new({
-        let mut e = Engine::new();
-        e.set_basket_shards(4);
+        let mut e =
+            Engine::with_config(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         e
     }));

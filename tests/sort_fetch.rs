@@ -6,6 +6,7 @@
 //! aggregate re-scatter, and the new telemetry families surfacing in
 //! `Engine::telemetry_snapshot()`.
 
+use datacell::core::EngineConfig;
 use datacell::kernel::{par, PlacementMode};
 use datacell::plan::exec::{execute, WindowCtx};
 use datacell::plan::mal::{MalBuilder, MalOp, MalPlan};
@@ -67,10 +68,10 @@ fn sort_perm_head_oids_compose_with_fetch_at_every_p() {
 /// the fully sequential engine produces, in the same order.
 #[test]
 fn golden_order_by_top_k_through_sharded_parallel_path() {
-    let run = |shards: usize, workers: usize, partitions: usize| {
-        let mut e = Engine::with_workers(workers);
-        e.set_basket_shards(shards);
-        e.set_partitions(partitions);
+    let run = |basket_shards: usize, workers: usize, partitions: usize| {
+        let config =
+            EngineConfig { workers, partitions, basket_shards, ..EngineConfig::from_env() };
+        let mut e = Engine::with_config(config);
         e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
         let q = e
             .register_sql("SELECT k, v FROM s ORDER BY v DESC LIMIT 3 WINDOW SIZE 6 SLIDE 3")
@@ -108,20 +109,19 @@ fn golden_order_by_top_k_through_sharded_parallel_path() {
     assert_eq!(parallel, golden, "sharded+parallel run drifted from the golden pin");
 }
 
-/// Acceptance proof for the re-scatter elision: an aligned 4×4×4 engine
-/// running a grouped aggregation demonstrably takes the elided path —
-/// the rewriter marks the per-bw cluster `placement_aligned`, the
-/// incremental factory vouches its input, and the kernel skips the
-/// per-row scatter. Results must still match the sequential engine.
+/// Acceptance proof for the re-scatter elision: a 4×4×4 engine (which
+/// auto-resolves to aligned placement) running a grouped aggregation
+/// demonstrably takes the elided path — the rewriter marks the per-bw
+/// cluster `placement_aligned`, the incremental factory vouches its
+/// input, and the kernel skips the per-row scatter. Results must still
+/// match the sequential engine.
 #[test]
 fn aligned_engine_elides_aggregate_scatter() {
-    let run = |aligned: bool| {
-        let mut e = Engine::with_workers(4);
-        e.set_basket_shards(4);
-        e.set_partitions(4);
-        if aligned {
-            e.set_placement(PlacementMode::Aligned);
-        }
+    let run = |basket_shards: usize, placement: PlacementMode| {
+        let config =
+            EngineConfig { workers: 4, partitions: 4, basket_shards, ..EngineConfig::from_env() };
+        let mut e = Engine::with_config(config);
+        assert_eq!(e.placement(), placement, "{basket_shards} shards x 4 partitions");
         e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
         let q = e
             .register_sql("SELECT k, sum(v), avg(v) FROM s GROUP BY k WINDOW SIZE 512 SLIDE 256")
@@ -149,7 +149,7 @@ fn aligned_engine_elides_aggregate_scatter() {
     };
 
     let before = par::stats::snapshot();
-    let aligned = run(true);
+    let aligned = run(4, PlacementMode::Aligned);
     let delta = par::stats::snapshot().delta(&before);
     assert_eq!(aligned, sequential, "aligned elided run diverged from sequential");
     assert!(
@@ -157,8 +157,10 @@ fn aligned_engine_elides_aggregate_scatter() {
         "aligned 4x4x4 aggregation never took the elided scatter path"
     );
 
-    // Round-robin placement never honours the mark; results still agree.
-    assert_eq!(run(false), sequential, "round-robin run diverged from sequential");
+    // One shard under four partitions resolves to round-robin placement,
+    // which never honours the mark; results still agree.
+    let round_robin = run(1, PlacementMode::RoundRobin);
+    assert_eq!(round_robin, sequential, "round-robin run diverged from sequential");
 }
 
 /// The new kernel fetch/sort telemetry families surface in the engine's
@@ -166,9 +168,12 @@ fn aligned_engine_elides_aggregate_scatter() {
 /// rendered exposition stays parse-clean.
 #[test]
 fn fetch_sort_families_render_in_engine_snapshot() {
-    let mut e = Engine::with_workers(2);
-    e.set_basket_shards(2);
-    e.set_partitions(4);
+    let mut e = Engine::with_config(EngineConfig {
+        workers: 2,
+        partitions: 4,
+        basket_shards: 2,
+        ..EngineConfig::from_env()
+    });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let q = e
         .register_sql("SELECT k, v FROM s ORDER BY v DESC LIMIT 5 WINDOW SIZE 256 SLIDE 128")

@@ -8,6 +8,7 @@
 //! this binary, so its kernel counters may move between two snapshots
 //! through no fault of the engine under test.
 
+use datacell::core::EngineConfig;
 use datacell::prelude::*;
 use datacell::telemetry::{parse_text, render_text, Snapshot};
 
@@ -28,9 +29,12 @@ fn local_only(mut snap: Snapshot) -> Snapshot {
 /// An engine with all three parallelism axes at 4 and one standing
 /// grouped aggregation.
 fn engine_4x4x4() -> (Engine, QueryId) {
-    let mut e = Engine::with_workers(4);
-    e.set_basket_shards(4);
-    e.set_partitions(4);
+    let mut e = Engine::with_config(EngineConfig {
+        workers: 4,
+        partitions: 4,
+        basket_shards: 4,
+        ..EngineConfig::from_env()
+    });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let q = e.register_sql("SELECT k, sum(v) FROM s GROUP BY k WINDOW SIZE 64 SLIDE 32").unwrap();
     (e, q)
