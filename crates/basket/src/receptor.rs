@@ -106,6 +106,24 @@ pub struct ParseOutcome {
 /// "Whitespace" is `char::is_whitespace` restricted to ASCII (`\t`, `\n`,
 /// VT, FF, `\r`, space): non-ASCII whitespace is field content, so a
 /// numeric field padded with it is a counted reject.
+///
+/// # How the bytes are walked
+///
+/// One cursor walks each line once and parses every field in place into
+/// its typed column; nothing splits the line first. A number spelled
+/// canonically and followed straight by the delimiter (or, in the last
+/// column, the line's end) takes a typed walk: an `Int`/`Oid` of an
+/// optional sign and 1–18 digits is accumulated as it is read, and a
+/// `Float` of an optional `-` and `digits[.digits]` with at most 15 digits
+/// is `m / 10^frac`, which is exact because both operands are exact `f64`s
+/// and one IEEE division rounds once (Clinger's fast path, *How to Read
+/// Floating Point Numbers Accurately*, 1990). A `Bool` is compared against
+/// its two literals and a `Str` copied from the field's bytes. Any other
+/// field is first cut at its delimiter and trimmed: a number that is then
+/// canonical (it was padded, say, or the delimiter is a digit, a sign or
+/// `.`) takes the same typed walk over the trimmed field, and every other
+/// spelling (exponents, `inf`/`nan`, a `+` float, `.5`, `5.`, more digits)
+/// goes to `str::parse`, so it parses exactly as the grammar above says.
 #[derive(Debug)]
 pub struct CsvReceptor {
     delimiter: u8,
@@ -141,44 +159,9 @@ fn trim(mut s: &[u8]) -> &[u8] {
     s
 }
 
-/// Up to 18 decimal digits, which fit both `i64` and `u64` without an
-/// overflow check; `None` for anything else (the caller falls back to
-/// `str::parse`, which also owns the error cases).
-fn short_decimal(digits: &[u8]) -> Option<u64> {
-    if digits.is_empty() || digits.len() > 18 {
-        return None;
-    }
-    let mut v = 0u64;
-    for &b in digits {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        v = v * 10 + u64::from(d);
-    }
-    Some(v)
-}
-
+/// `str::parse` on a trimmed field's bytes.
 fn std_parse<T: std::str::FromStr>(field: &[u8]) -> Option<T> {
     std::str::from_utf8(field).ok()?.parse().ok()
-}
-
-fn parse_int(field: &[u8]) -> Option<i64> {
-    let (negative, digits) = match field {
-        [b'-', rest @ ..] => (true, rest),
-        [b'+', rest @ ..] => (false, rest),
-        _ => (false, field),
-    };
-    match short_decimal(digits) {
-        #[allow(clippy::cast_possible_wrap)] // < 10^18
-        Some(v) => Some(if negative { -(v as i64) } else { v as i64 }),
-        None => std_parse(field),
-    }
-}
-
-fn parse_oid(field: &[u8]) -> Option<Oid> {
-    let digits = field.strip_prefix(b"+").unwrap_or(field);
-    short_decimal(digits).or_else(|| std_parse(field))
 }
 
 fn parse_bool(field: &[u8]) -> Option<bool> {
@@ -189,9 +172,224 @@ fn parse_bool(field: &[u8]) -> Option<bool> {
     }
 }
 
+/// A `Str` field's text: the bytes as they are when they are UTF-8,
+/// decoded lossily only when they are not.
+fn parse_str(field: &[u8]) -> Option<String> {
+    Some(
+        std::str::from_utf8(field)
+            .map_or_else(|_| String::from_utf8_lossy(field).into_owned(), str::to_owned),
+    )
+}
+
+/// The powers of ten a float of at most 15 digits is divided by, every
+/// one exact in `f64` (10^22 is the last that is).
+const POW10: [f64; 16] =
+    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
+
+/// The index of the byte that ends the field `from` lies in: the
+/// delimiter, `\n`, or the end of the bytes.
+fn field_end(bytes: &[u8], from: usize, delimiter: u8) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| b == delimiter || b == b'\n')
+        .map_or(bytes.len(), |n| from + n)
+}
+
+/// Where the line `at` lies in ends: past its `\n`, or at the end of the
+/// bytes.
+fn line_end(bytes: &[u8], at: usize) -> usize {
+    match bytes.get(at) {
+        Some(b'\n') => at + 1,
+        _ => bytes[at..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| at + n + 1),
+    }
+}
+
+/// Whether the field that ended at `at` has a successor on its line: `at`
+/// holds the delimiter and, when the delimiter is whitespace, something
+/// other than whitespace follows it before the `\n` (the grammar trims a
+/// line before splitting it, so trailing whitespace delimits nothing).
+fn another_field(bytes: &[u8], at: usize, delimiter: u8) -> bool {
+    bytes.get(at) == Some(&delimiter)
+        && (!is_space(delimiter)
+            || bytes[at..]
+                .iter()
+                .find(|&&b| b == b'\n' || !is_space(b))
+                .is_some_and(|&b| b != b'\n'))
+}
+
+/// Whether the delimiter could be read as part of a number (a digit, a
+/// sign or `.`). The typed walk then takes no number in place, since it
+/// reads a number's bytes without comparing each to the delimiter; the
+/// fallback walks the field once the delimiter has cut it.
+fn numeric_delimiter(delimiter: u8) -> bool {
+    matches!(delimiter, b'0'..=b'9' | b'+' | b'-' | b'.')
+}
+
+/// Accumulate the decimal digits from `at` onto `acc`. Returns the value
+/// (wrapped past 19 digits), the digit count and where the digits stop.
+#[inline]
+fn digits(bytes: &[u8], at: usize, mut acc: u64) -> (u64, usize, usize) {
+    let mut n = 0;
+    for &b in &bytes[at..] {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        acc = acc.wrapping_mul(10).wrapping_add(u64::from(d));
+        n += 1;
+    }
+    (acc, n, at + n)
+}
+
+/// The typed walk's decimal from `at`: an optional `-` or `+`, then 1–18
+/// digits, which fit `i64` and `u64` with no overflow check. Returns the
+/// sign, the magnitude and where the digits stop; `Err` is where the walk
+/// left the spelling.
+#[inline]
+fn short_decimal(bytes: &[u8], at: usize) -> Result<(bool, u64, usize), usize> {
+    let (negative, from) = match bytes.get(at) {
+        Some(b'-') => (true, at + 1),
+        Some(b'+') => (false, at + 1),
+        _ => (false, at),
+    };
+    let (m, n, end) = digits(bytes, from, 0);
+    if (1..=18).contains(&n) {
+        Ok((negative, m, end))
+    } else {
+        Err(end)
+    }
+}
+
+#[inline]
+fn short_int(bytes: &[u8], at: usize) -> Result<(i64, usize), usize> {
+    let (negative, m, end) = short_decimal(bytes, at)?;
+    #[allow(clippy::cast_possible_wrap)] // < 10^18
+    let m = m as i64;
+    Ok((if negative { -m } else { m }, end))
+}
+
+#[inline]
+fn short_oid(bytes: &[u8], at: usize) -> Result<(Oid, usize), usize> {
+    match short_decimal(bytes, at)? {
+        (false, m, end) => Ok((m, end)),
+        // `-0` included: a negative oid is `str::parse`'s to reject.
+        (true, _, end) => Err(end),
+    }
+}
+
+/// The typed walk's float from `at`: an optional `-`, digits, and
+/// optionally `.` and more digits, at most 15 digits in all. `m / 10^frac`
+/// is exact: the mantissa (< 10^15) and the power of ten are both exact
+/// `f64`s, and one IEEE division rounds the exact quotient once, so it is
+/// the correctly rounded value `str::parse` returns (Clinger's fast path).
+/// The sign is applied after, exactly.
+#[inline]
+fn short_float(bytes: &[u8], at: usize) -> Result<(f64, usize), usize> {
+    let negative = bytes.get(at) == Some(&b'-');
+    let (mut m, whole, mut end) = digits(bytes, at + usize::from(negative), 0);
+    let dot = bytes.get(end) == Some(&b'.');
+    let mut frac = 0;
+    if dot {
+        (m, frac, end) = digits(bytes, end + 1, m);
+    }
+    if whole == 0 || (dot && frac == 0) || whole + frac > 15 {
+        return Err(end);
+    }
+    #[allow(clippy::cast_precision_loss)] // < 10^15 < 2^53: exact
+    let value = m as f64 / POW10[frac];
+    Ok((if negative { -value } else { value }, end))
+}
+
+/// Land the typed walk's number when the field ends where `next` says it
+/// may, returning where the walk goes on; `Err` is where it stopped.
+fn land<T>(
+    column: &mut Vec<T>,
+    walked: Result<(T, usize), usize>,
+    next: impl FnOnce(usize) -> Option<usize>,
+) -> Result<usize, usize> {
+    let (value, end) = walked?;
+    let next = next(end).ok_or(end)?;
+    column.push(value);
+    Ok(next)
+}
+
 /// Append a field that parsed; `false` for one that did not.
 fn push<T>(column: &mut Vec<T>, parsed: Option<T>) -> bool {
     parsed.map(|value| column.push(value)).is_some()
+}
+
+/// Parse the field at `at` into its typed column, `last` for the row's
+/// last. Returns where the walk goes on: past the field's delimiter, or
+/// past the line for the last field. `None` when the field does not parse
+/// or the line's field count is off the schema's.
+///
+/// A number takes the typed walk in place when `typed` and its spelling
+/// is canonical and runs right up to the byte that must end the field.
+/// Every other field goes to [`fallback`].
+fn walk_field(
+    column: &mut Column,
+    bytes: &[u8],
+    at: usize,
+    delimiter: u8,
+    typed: bool,
+    last: bool,
+) -> Option<usize> {
+    let next = |end: usize| match (last, bytes.get(end)) {
+        (true, Some(b'\n')) => Some(end + 1),
+        (true, None) => Some(end),
+        (true, Some(_)) => None,
+        (false, _) => another_field(bytes, end, delimiter).then_some(end + 1),
+    };
+    let walked = match column {
+        Column::Int(v) if typed => land(v, short_int(bytes, at), next),
+        Column::Oid(v) if typed => land(v, short_oid(bytes, at), next),
+        Column::Float(v) if typed => land(v, short_float(bytes, at), next),
+        _ => Err(at),
+    };
+    match walked {
+        Ok(next) => Some(next),
+        Err(stop) => fallback(column, bytes, at, stop, delimiter, last),
+    }
+}
+
+/// A trimmed numeric field: the typed walk's value when it spans the whole
+/// field, else `str::parse`, which also owns every error case.
+fn number<T: std::str::FromStr>(
+    field: &[u8],
+    short: impl FnOnce(&[u8], usize) -> Result<(T, usize), usize>,
+) -> Option<T> {
+    match short(field, 0) {
+        Ok((value, end)) if end == field.len() => Some(value),
+        _ => std_parse(field),
+    }
+}
+
+/// The rest of [`walk_field`]: the field from `at`, whose walk reached
+/// `from`, trimmed and parsed by the grammar's rule, then the field count.
+/// Never inlined, so the typed walk's loop stays small.
+#[inline(never)]
+fn fallback(
+    column: &mut Column,
+    bytes: &[u8],
+    at: usize,
+    from: usize,
+    delimiter: u8,
+    last: bool,
+) -> Option<usize> {
+    let end = field_end(bytes, from, delimiter);
+    let field = trim(&bytes[at..end]);
+    let landed = match column {
+        Column::Int(v) => push(v, number(field, short_int)),
+        Column::Oid(v) => push(v, number(field, short_oid)),
+        Column::Float(v) => push(v, number(field, short_float)),
+        Column::Bool(v) => push(v, parse_bool(field)),
+        Column::Str(v) => push(v, parse_str(field)),
+    };
+    match (landed, another_field(bytes, end, delimiter)) {
+        (true, false) if last => Some(line_end(bytes, end)),
+        (true, true) if !last => Some(end + 1),
+        _ => None,
+    }
 }
 
 impl CsvReceptor {
@@ -270,63 +468,53 @@ impl CsvReceptor {
         let mut out = ParseOutcome::default();
         let mut at = 0;
         while at < bytes.len() && self.pending_rows() < max_pending {
-            let rest = &bytes[at..];
-            let line = match rest.iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    at += nl + 1;
-                    &rest[..nl]
-                }
-                None => {
-                    at = bytes.len();
-                    rest
-                }
-            };
+            let start = at;
             self.lines_seen += 1;
-            let line = trim(line);
-            if line.is_empty() {
+            while bytes.get(at).is_some_and(|&b| b != b'\n' && is_space(b)) {
+                at += 1;
+            }
+            if bytes.get(at).is_none_or(|&b| b == b'\n') {
+                at = line_end(bytes, at);
                 continue;
             }
-            match self.push_row(line) {
-                None => {
-                    self.rows_ok += 1;
-                    out.rows += 1;
-                }
-                Some(column) => {
-                    self.rows_skipped += 1;
-                    out.rejected += 1;
-                    rejected_counter().inc();
-                    if self.policy == MalformedPolicy::Fail {
-                        let message = self.why_rejected(line, column);
-                        return Err(CsvError { line: self.lines_seen, message });
-                    }
-                }
+            let Some(column) = self.walk_row(bytes, &mut at) else {
+                self.rows_ok += 1;
+                out.rows += 1;
+                continue;
+            };
+            at = line_end(bytes, at);
+            self.rows_skipped += 1;
+            out.rejected += 1;
+            rejected_counter().inc();
+            if self.policy == MalformedPolicy::Fail {
+                let message = self.why_rejected(trim(&bytes[start..at]), column);
+                return Err(CsvError { line: self.lines_seen, message });
             }
         }
         Ok((out, at))
     }
 
-    /// Append one trimmed, non-blank line to the pending columns. A field
-    /// that does not parse, or a field count off the schema's, rolls the
-    /// columns back to where the row started and returns the index of the
-    /// column the row failed at (the column count for a surplus field).
-    fn push_row(&mut self, line: &[u8]) -> Option<usize> {
+    /// Walk the fields of the non-blank line at `at` once, parsing each in
+    /// place into its pending column. A row that lands leaves `at` at the
+    /// next line. A field that does not parse, or a field count off the
+    /// schema's, rolls the columns back to where the row started, leaves
+    /// `at` inside the line and returns the column the row failed at.
+    fn walk_row(&mut self, bytes: &[u8], at: &mut usize) -> Option<usize> {
         let row_base = self.pending_rows();
         let delimiter = self.delimiter;
-        let mut fields = line.split(|&b| b == delimiter);
-        let failed = self
-            .pending
-            .iter_mut()
-            .position(|col| {
-                let Some(field) = fields.next().map(trim) else { return true };
-                !match col {
-                    Column::Int(v) => push(v, parse_int(field)),
-                    Column::Oid(v) => push(v, parse_oid(field)),
-                    Column::Float(v) => push(v, std_parse(field)),
-                    Column::Bool(v) => push(v, parse_bool(field)),
-                    Column::Str(v) => push(v, Some(String::from_utf8_lossy(field).into_owned())),
+        let typed = !numeric_delimiter(delimiter);
+        let last = self.pending.len().wrapping_sub(1);
+        let failed = self.pending.iter_mut().enumerate().position(|(i, col)| {
+            match walk_field(col, bytes, *at, delimiter, typed, i == last) {
+                Some(next) => {
+                    *at = next;
+                    false
                 }
-            })
-            .or_else(|| fields.next().map(|_| self.pending.len()));
+                None => true,
+            }
+        });
+        // With no columns, the line's one field is a surplus one.
+        let failed = failed.or(self.pending.is_empty().then_some(0));
         if failed.is_some() {
             for col in &mut self.pending {
                 col.truncate(row_base);
@@ -335,8 +523,8 @@ impl CsvReceptor {
         failed
     }
 
-    /// The [`CsvError::message`] for a line `push_row` rejected at
-    /// `column`: the field count when it is off, else the offending field.
+    /// The [`CsvError::message`] for a line rejected at `column`: the
+    /// field count when it is off, else the offending field.
     fn why_rejected(&self, line: &[u8], column: usize) -> String {
         let mut fields = line.split(|&b| b == self.delimiter);
         let found = fields.clone().count();
@@ -473,6 +661,13 @@ mod tests {
         let mut r = CsvReceptor::new(&[DataType::Int]);
         r.parse("\n1\n\n2\n\n").unwrap();
         assert_eq!(r.rows_ok(), 2);
+    }
+
+    #[test]
+    fn csv_empty_schema_rejects_every_non_blank_line() {
+        let mut r = CsvReceptor::new(&[]).with_policy(MalformedPolicy::Fail);
+        let err = r.parse("\n \nx\n").unwrap_err();
+        assert_eq!(err, CsvError { line: 3, message: "expected 0 fields, found 1".into() });
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! `CsvReceptor::parse_bytes` against a reference written with `str`
 //! methods: generated rows over all five column types mixed with noise
 //! must produce the same columns, the same `ParseOutcome`, and under
-//! `MalformedPolicy::Fail` the same line number.
+//! `MalformedPolicy::Fail` the same line number — with the usual
+//! delimiters, and with ones that can be read as field content. A third
+//! property holds the typed float walk to `str::parse::<f64>` bit for bit.
 
 use datacell_basket::{Basket, CsvReceptor, MalformedPolicy, ParseOutcome, ShardedBasket};
 use datacell_kernel::{Column, DataType, Value};
@@ -105,6 +107,15 @@ fn tokens(t: DataType) -> &'static [&'static [u8]] {
             b"abc",
             b"0x10",
             b" 2.5\r",
+            // The edges of the typed walk's exact float path.
+            b"0.1",
+            b"9007199254740993",
+            b"123456789012345.6",
+            b"999999999999999",
+            b"00.5",
+            b"-0.0",
+            b"1.7976931348623157e308",
+            b"4.9e-324",
         ],
         DataType::Bool => &[b"true", b"false", b"TRUE", b"True", b" true ", b"1", b"", b"t"],
         DataType::Str => &[
@@ -185,6 +196,66 @@ fn render(dice: &mut Dice, schema: &[DataType], delimiter: u8, rows: usize) -> V
     bytes
 }
 
+/// Feed `bytes` to a receptor the way the network edge does, flushing every
+/// `cap` rows: the landed columns, and the outcome or the failing line.
+fn ingest(
+    schema: &[DataType],
+    delimiter: u8,
+    policy: MalformedPolicy,
+    bytes: &[u8],
+    cap: usize,
+) -> (Vec<Column>, Result<ParseOutcome, usize>) {
+    let names: Vec<String> = (0..schema.len()).map(|i| format!("c{i}")).collect();
+    let named: Vec<(&str, DataType)> =
+        names.iter().map(String::as_str).zip(schema.iter().copied()).collect();
+    let basket = ShardedBasket::new(Basket::new("s", &named), 1);
+    let mut receptor =
+        CsvReceptor::new(schema).with_delimiter(delimiter as char).with_policy(policy);
+    let mut got = Ok(ParseOutcome::default());
+    let mut at = 0;
+    while at < bytes.len() {
+        match receptor.parse_bytes(&bytes[at..], cap) {
+            Ok((out, used)) => {
+                assert!(used > 0, "no progress at byte {at}");
+                at += used;
+                if let Ok(total) = &mut got {
+                    total.rows += out.rows;
+                    total.rejected += out.rejected;
+                }
+            }
+            Err(e) => {
+                got = Err(e.line);
+                break;
+            }
+        }
+        receptor.flush_into(&basket, 0).expect("flush");
+    }
+    receptor.flush_into(&basket, 0).expect("flush");
+    let landed = basket.with(|b| {
+        let w = b.snapshot();
+        (0..schema.len()).map(|i| w.col(i).expect("column").clone()).collect()
+    });
+    (landed, got)
+}
+
+/// One `Float` spelling: no sign, `-` or `+`, then 1–19 digits (often
+/// with leading zeros) and a `.` at any position or none; now and then a
+/// second `.`, which `str::parse` refuses.
+fn float_spelling(dice: &mut Dice) -> String {
+    let mut s: String = ["", "", "-", "+"][dice.below(4)].to_owned();
+    let signed = s.len();
+    let n = 1 + dice.below(19);
+    let zeros = if dice.below(3) == 0 { dice.below(n + 1) } else { 0 };
+    for i in 0..n {
+        s.push(if i < zeros { '0' } else { char::from(b"0123456789"[dice.below(10)]) });
+    }
+    let dots = usize::from(dice.below(4) != 0) + usize::from(dice.below(16) == 0);
+    for _ in 0..dots {
+        s.insert(signed + dice.below(s.len() - signed + 1), '.');
+    }
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -240,5 +311,48 @@ proptest! {
         if let Ok(out) = want {
             prop_assert_eq!((receptor.rows_ok(), receptor.rows_skipped()), (out.rows, out.rejected));
         }
+    }
+
+    /// Delimiters the walk must not read as field content: digits, signs,
+    /// `.`, letters of `true`/`1e5`, and whitespace, which the grammar
+    /// trims off a line's ends before splitting it.
+    #[test]
+    fn odd_delimiters_match_the_str_reference(seed in any::<u64>()) {
+        let mut dice = Dice(seed | 1);
+        let schema: Vec<DataType> =
+            (0..=dice.below(4)).map(|_| TYPES[dice.below(TYPES.len())]).collect();
+        let odd = b" \r\x0b.-+05et";
+        let delimiter = odd[dice.below(odd.len())];
+        let policy =
+            if dice.below(4) == 0 { MalformedPolicy::Fail } else { MalformedPolicy::Skip };
+        let rows = dice.below(24);
+        let bytes = render(&mut dice, &schema, delimiter, rows);
+        let cap = [1, 2, 5, usize::MAX][dice.below(4)];
+
+        let (landed, got) = ingest(&schema, delimiter, policy, &bytes, cap);
+        let text = String::from_utf8_lossy(&bytes);
+        let (want_cols, want) = reference(&schema, delimiter as char, policy, &text);
+        prop_assert_eq!(format!("{landed:?}"), format!("{want_cols:?}"), "input {:?}", text);
+        prop_assert_eq!(got, want, "input {:?}", text);
+    }
+
+    /// The typed walk's float path against `str::parse::<f64>`, bit for bit,
+    /// on both sides of its 15-digit bound; a refused spelling is a counted
+    /// reject.
+    #[test]
+    fn float_fields_are_bit_identical_to_str_parse(seed in any::<u64>()) {
+        let mut dice = Dice(seed | 1);
+        let spellings: Vec<String> = (0..64).map(|_| float_spelling(&mut dice)).collect();
+        let bytes = spellings.join("\n");
+        let (landed, got) =
+            ingest(&[DataType::Float], b',', MalformedPolicy::Skip, bytes.as_bytes(), usize::MAX);
+
+        let want: Vec<Option<f64>> = spellings.iter().map(|s| s.parse().ok()).collect();
+        let Column::Float(landed) = &landed[0] else { panic!("float column") };
+        let landed_bits: Vec<u64> = landed.iter().map(|f| f.to_bits()).collect();
+        let want_bits: Vec<u64> = want.iter().flatten().map(|f| f.to_bits()).collect();
+        prop_assert_eq!(landed_bits, want_bits, "spellings {:?}", spellings);
+        let rejected = want.iter().filter(|f| f.is_none()).count();
+        prop_assert_eq!(got, Ok(ParseOutcome { rows: want.len() - rejected, rejected }));
     }
 }

@@ -29,7 +29,10 @@
 //! front of the append: ns/row of `CsvReceptor::parse_bytes` over a
 //! pre-rendered CSV ring per schema (`int,float` / `int,int` /
 //! `str,int`), flushed every 256 rows the way the network edge does,
-//! asserting zero rejects and an exact row count.
+//! asserting zero rejects and an exact row count. A fourth ring,
+//! `padded`, is the `int,float` rows with a space on each side of every
+//! field and `\r\n` line ends: it prices the parser's `str::parse`
+//! fallback, and must land the same columns as `int,float`.
 //!
 //! Flags: `--scale f` resizes the per-receptor batch count, `--shards n`
 //! measures one shard count instead of the default sweep, `--placement m`
@@ -156,33 +159,65 @@ impl Ingest for Discard {
 
 const WIRE_RING_ROWS: usize = 4096;
 const WIRE_FLUSH_ROWS: usize = 256;
+const INT_FLOAT: [DataType; 2] = [DataType::Int, DataType::Float];
 
-/// The `wire-bytes` leg: one table row per schema.
-fn wire_bytes(passes: usize, seed: u64) {
-    let schemas: [(&str, [DataType; 2]); 3] = [
-        ("int,float", [DataType::Int, DataType::Float]),
-        ("int,int", [DataType::Int, DataType::Int]),
-        ("str,int", [DataType::Str, DataType::Int]),
-    ];
-    let mut rows = Vec::new();
-    for (name, schema) in schemas {
-        let mut ring = String::new();
-        for i in 0..WIRE_RING_ROWS as u64 {
-            let x = (seed.wrapping_add(i)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            for (j, t) in schema.iter().enumerate() {
-                if j > 0 {
-                    ring.push(',');
-                }
-                match t {
-                    DataType::Float => write!(ring, "{:.3}", x as f64 / 1000.0),
-                    DataType::Str => write!(ring, "k{}", x % 4096),
-                    _ => write!(ring, "{}", x + j as u64),
-                }
-                .expect("write to String");
+/// A `wire-bytes` ring: `WIRE_RING_ROWS` rows over `schema`, one `\n` line
+/// each; `padded` puts a space on each side of every field and ends lines
+/// with `\r\n`, which sends every field to the parser's fallback.
+fn wire_ring(schema: &[DataType], padded: bool, seed: u64) -> Vec<u8> {
+    let pad = if padded { " " } else { "" };
+    let mut ring = String::new();
+    for i in 0..WIRE_RING_ROWS as u64 {
+        let x = (seed.wrapping_add(i)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        for (j, t) in schema.iter().enumerate() {
+            if j > 0 {
+                ring.push(',');
             }
-            ring.push('\n');
+            ring.push_str(pad);
+            match t {
+                DataType::Float => write!(ring, "{:.3}", x as f64 / 1000.0),
+                DataType::Str => write!(ring, "k{}", x % 4096),
+                _ => write!(ring, "{}", x + j as u64),
+            }
+            .expect("write to String");
+            ring.push_str(pad);
         }
-        let ring = ring.as_bytes();
+        ring.push_str(if padded { "\r\n" } else { "\n" });
+    }
+    ring.into_bytes()
+}
+
+/// The columns `ring` lands in a basket, parsed in one untimed call.
+fn landed(schema: &[DataType], ring: &[u8]) -> Vec<Column> {
+    let named: Vec<(&str, DataType)> = ["a", "b"].into_iter().zip(schema.iter().copied()).collect();
+    let basket = ShardedBasket::new(Basket::new("ring", &named), 1);
+    let mut receptor = CsvReceptor::new(schema);
+    receptor.parse_bytes(ring, usize::MAX).expect("skip policy");
+    receptor.flush_into(&basket, 0).expect("flush");
+    basket.with(|b| {
+        let w = b.snapshot();
+        (0..schema.len()).map(|i| w.col(i).expect("ring column").clone()).collect()
+    })
+}
+
+/// The `wire-bytes` leg: one table row per ring.
+fn wire_bytes(passes: usize, seed: u64) {
+    let rings: [(&str, [DataType; 2], bool); 4] = [
+        ("int,float", INT_FLOAT, false),
+        ("int,int", [DataType::Int, DataType::Int], false),
+        ("str,int", [DataType::Str, DataType::Int], false),
+        ("padded", INT_FLOAT, true),
+    ];
+    // The padded ring respells the `int,float` rows: the fallback must
+    // land exactly what the typed walk does.
+    assert_eq!(
+        landed(&INT_FLOAT, &wire_ring(&INT_FLOAT, false, seed)),
+        landed(&INT_FLOAT, &wire_ring(&INT_FLOAT, true, seed)),
+        "the padded ring landed other columns than the int,float ring"
+    );
+    let mut rows = Vec::new();
+    for (name, schema, padded) in rings {
+        let ring = &wire_ring(&schema, padded, seed);
         let mut receptor = CsvReceptor::new(&schema);
         let mut parsed = 0;
         let start = Instant::now();
@@ -212,7 +247,7 @@ fn wire_bytes(passes: usize, seed: u64) {
         "wire-bytes: CsvReceptor::parse_bytes over a {WIRE_RING_ROWS}-row ring × {passes} passes, \
          flushed every {WIRE_FLUSH_ROWS} rows"
     );
-    print_table(&["schema", "bytes/row", "wall", "ns/row", "Mrows/s"], &rows);
+    print_table(&["ring", "bytes/row", "wall", "ns/row", "Mrows/s"], &rows);
     println!();
 }
 
