@@ -1,28 +1,14 @@
-//! Minimal command-line argument handling shared by the figure harnesses.
+//! Minimal command-line argument handling shared by the harnesses.
 //!
 //! Every harness accepts:
 //!
 //! * `--scale f`  — multiply all data sizes by `f` (default keeps runs in
 //!   seconds; the paper's exact sizes are minutes-per-point);
 //! * `--paper`    — shorthand for the paper's full sizes (`--scale 1` on
-//!   the paper's parameters; default harness parameters are pre-reduced);
+//!   the paper's parameters; default harness parameters are pre-reduced;
+//!   the `fig*` bins only);
 //! * `--windows n` — override the number of measured windows;
-//! * `--seed n`   — RNG seed;
-//! * `--fire-cost-us n` — simulated per-fire blocking latency in µs
-//!   (`scheduler_scale` only: models receptor/emitter hops so scheduler
-//!   overlap is measurable even on a single core);
-//! * `--partitions n` — pin the kernel partition fan-out (`join_scale`
-//!   only: measure a single `P` instead of sweeping the default list);
-//! * `--sliding` — `join_scale` only: sweep the sliding-window join strip
-//!   over the basic-window count instead of the one-shot join over `P`;
-//! * `--shards n` — pin the basket shard count (`ingest_scale` only:
-//!   measure a single shard count instead of sweeping the default list);
-//! * `--placement m` — pin the morsel placement mode (`aligned` or
-//!   `roundrobin`; `agg_scale`/`ingest_scale`: measure one mode instead
-//!   of sweeping both).
-
-use datacell_core::parse_count;
-use datacell_kernel::PlacementMode;
+//! * `--seed n`   — RNG seed.
 
 /// Parsed harness arguments.
 #[derive(Debug, Clone)]
@@ -35,31 +21,11 @@ pub struct Args {
     pub windows: Option<usize>,
     /// RNG seed.
     pub seed: u64,
-    /// Override for the simulated per-fire latency (µs).
-    pub fire_cost_us: Option<u64>,
-    /// Override for the kernel partition fan-out.
-    pub partitions: Option<usize>,
-    /// Measure the sliding-window join strip (`join_scale`).
-    pub sliding: bool,
-    /// Override for the basket shard count.
-    pub shards: Option<usize>,
-    /// Override for the morsel placement mode.
-    pub placement: Option<PlacementMode>,
 }
 
 impl Default for Args {
     fn default() -> Self {
-        Args {
-            scale: 1.0,
-            paper: false,
-            windows: None,
-            seed: 42,
-            fire_cost_us: None,
-            partitions: None,
-            sliding: false,
-            shards: None,
-            placement: None,
-        }
+        Args { scale: 1.0, paper: false, windows: None, seed: 42 }
     }
 }
 
@@ -95,35 +61,6 @@ impl Args {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--seed needs a number"));
                 }
-                "--fire-cost-us" => {
-                    args.fire_cost_us = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--fire-cost-us needs microseconds")),
-                    );
-                }
-                "--partitions" => {
-                    // The parser DATACELL_PARTITIONS goes through: zero is
-                    // rejected, the minimum fan-out is 1.
-                    args.partitions = Some(
-                        parse_count(it.next().as_deref())
-                            .unwrap_or_else(|| usage("--partitions needs a positive count")),
-                    );
-                }
-                "--sliding" => args.sliding = true,
-                "--shards" => {
-                    // As DATACELL_BASKET_SHARDS: minimum shard count is 1.
-                    args.shards = Some(
-                        parse_count(it.next().as_deref())
-                            .unwrap_or_else(|| usage("--shards needs a positive count")),
-                    );
-                }
-                "--placement" => {
-                    args.placement = Some(
-                        parse_placement(it.next().as_deref())
-                            .unwrap_or_else(|| usage("--placement needs aligned or roundrobin")),
-                    );
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -137,25 +74,12 @@ impl Args {
     }
 }
 
-/// Parse a placement name: `aligned` or `roundrobin` (also
-/// `round-robin`/`rr`), case-insensitively. `None` for unset, empty or
-/// unrecognized values.
-fn parse_placement(raw: Option<&str>) -> Option<PlacementMode> {
-    match raw?.trim().to_ascii_lowercase().as_str() {
-        "aligned" => Some(PlacementMode::Aligned),
-        "roundrobin" | "round-robin" | "rr" => Some(PlacementMode::RoundRobin),
-        _ => None,
-    }
-}
-
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!(
-        "usage: fig* [--scale f] [--paper] [--windows n] [--seed n] [--fire-cost-us n] \
-         [--partitions n] [--sliding] [--shards n] [--placement aligned|roundrobin]"
-    );
+    eprintln!("usage: fig* [--scale f] [--paper] [--windows n] [--seed n]");
+    eprintln!("       scale [sweep ...] [--scale f] [--windows n] [--seed n]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
@@ -178,53 +102,11 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = parse(&[
-            "--scale",
-            "0.5",
-            "--paper",
-            "--windows",
-            "7",
-            "--seed",
-            "9",
-            "--fire-cost-us",
-            "150",
-            "--partitions",
-            "4",
-            "--shards",
-            "8",
-            "--placement",
-            "aligned",
-        ]);
+        let a = parse(&["--scale", "0.5", "--paper", "--windows", "7", "--seed", "9"]);
         assert_eq!(a.scale, 0.5);
         assert!(a.paper);
         assert_eq!(a.windows, Some(7));
         assert_eq!(a.seed, 9);
-        assert_eq!(a.fire_cost_us, Some(150));
-        assert_eq!(a.partitions, Some(4));
-        assert_eq!(a.shards, Some(8));
-        assert_eq!(a.placement, Some(PlacementMode::Aligned));
-    }
-
-    #[test]
-    fn placement_accepts_both_spellings() {
-        assert_eq!(parse(&["--placement", "rr"]).placement, Some(PlacementMode::RoundRobin));
-        assert_eq!(
-            parse(&["--placement", "round-robin"]).placement,
-            Some(PlacementMode::RoundRobin)
-        );
-        assert_eq!(parse(&[]).placement, None);
-    }
-
-    #[test]
-    fn parse_placement_accepts_both_modes() {
-        assert_eq!(parse_placement(None), None);
-        assert_eq!(parse_placement(Some("")), None);
-        assert_eq!(parse_placement(Some("diagonal")), None);
-        assert_eq!(parse_placement(Some("aligned")), Some(PlacementMode::Aligned));
-        assert_eq!(parse_placement(Some(" Aligned ")), Some(PlacementMode::Aligned));
-        assert_eq!(parse_placement(Some("roundrobin")), Some(PlacementMode::RoundRobin));
-        assert_eq!(parse_placement(Some("round-robin")), Some(PlacementMode::RoundRobin));
-        assert_eq!(parse_placement(Some("rr")), Some(PlacementMode::RoundRobin));
     }
 
     #[test]

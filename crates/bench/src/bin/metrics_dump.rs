@@ -15,10 +15,9 @@
 //! conformance check — CI runs this bin and fails on a parse error or
 //! on a zero where the workload must have left a signal.
 //!
-//! Flags: `--scale f` resizes the per-round batch, `--shards n` /
-//! `--partitions n` / `--windows n` (rounds) override the axes;
-//! `DATACELL_WORKERS` above 1 overrides the worker count (default 4
-//! here, not the engine's usual 1). `DATACELL_TELEMETRY=0` kills the timed
+//! Flags: `--scale f` resizes the per-round batch, `--windows n` sets the
+//! rounds; shards and partitions are 4. `DATACELL_WORKERS` above 1
+//! overrides the worker count (default 4 here, not the engine's usual 1). `DATACELL_TELEMETRY=0` kills the timed
 //! signals; counters and gauges stay on.
 
 use datacell_bench::Args;
@@ -53,8 +52,7 @@ fn main() {
         1 => 4,
         n => n,
     };
-    let shards = args.shards.unwrap_or(4);
-    let partitions = args.partitions.unwrap_or(4);
+    let (shards, partitions) = (4, 4);
     let rounds = args.windows.unwrap_or(8).max(1);
     let rows_per_shard = args.sized(256, 32);
 
@@ -182,13 +180,11 @@ fn main() {
     let concat = parsed.total("datacell_kernel_merge_concat_total");
     let regroup = parsed.total("datacell_kernel_merge_regroup_total");
     println!("# kernel merges: concat fast path {concat}, re-group fallback {regroup}");
-    if partitions > 1 {
-        assert!(concat + regroup > 0.0, "partitioned run never merged aggregation partials");
-    }
+    assert!(concat + regroup > 0.0, "partitioned run never merged aggregation partials");
 
     // The ORDER BY query exercises SortPerm + Fetch every slide, so the
-    // morsel fetch/sort families must carry a signal (and the parallel
-    // legs must fire whenever the axis asks for more than one partition).
+    // morsel fetch/sort families must carry a signal, the parallel legs
+    // included.
     let fetches = parsed.total("datacell_kernel_fetch_calls_total");
     let sorts = parsed.total("datacell_kernel_sort_calls_total");
     let par_fetches = parsed.total("datacell_kernel_fetch_par_calls_total");
@@ -200,9 +196,7 @@ fn main() {
     );
     assert!(fetches > 0.0, "ORDER BY workload recorded no fetch calls");
     assert!(sorts > 0.0, "ORDER BY workload recorded no sort calls");
-    if partitions > 1 {
-        assert!(par_sorts > 0.0, "partitioned run never took the parallel sort path");
-    }
+    assert!(par_sorts > 0.0, "partitioned run never took the parallel sort path");
     let joins = parsed.total("datacell_kernel_join_calls_total");
     let probe_rows = parsed.total("datacell_kernel_join_probe_rows_total");
     let pairs = parsed.total("datacell_kernel_join_pairs_total");

@@ -2,13 +2,13 @@
 //!
 //! Workload generators and per-figure harnesses reproducing the paper's
 //! evaluation (§4). Binaries `fig4` … `fig10` each regenerate one figure's
-//! series; `scheduler_scale` measures the parallel Petri-net scheduler
-//! (throughput vs. worker count on a multi-query workload, CPU-bound and
-//! blocking-fire variants — see [`run_scheduler_scale`]); `join_scale`
-//! the partitioned kernel join (throughput vs. fan-out); `ingest_scale`
-//! the sharded basket ingest edge (appends/s vs. shard count × receptor
-//! threads); the Criterion benches in `benches/` cover the same
-//! workloads at reduced sizes for regression tracking.
+//! series. `scale` runs the declared scaling sweeps (`scale [sweep …]`):
+//! the partitioned kernel operators over fan-out and placement, the
+//! sliding join strip, the sharded ingest edge, the CSV parser, the
+//! parallel Petri-net scheduler over worker counts, and the sequential
+//! kernel operators with their P = 1 vs P = 2 crossover — every point a
+//! wirebench-style `name value unit` line. `lint` and `metrics_dump` are
+//! CI gates.
 //!
 //! Absolute numbers differ from the paper (different hardware, different
 //! substrate); the targets are the *shapes*: who wins, by what factor, and
@@ -21,8 +21,7 @@ pub mod workload;
 
 pub use args::Args;
 pub use runner::{
-    run_q1, run_q2, run_q3_landmark, run_scheduler_scale, run_sysx_q2, Mode, Q1Config, Q2Config,
-    Q3Config, RunOutcome, ScaleConfig, ScaleOutcome,
+    run_q1, run_q2, run_q3_landmark, run_sysx_q2, Mode, Q1Config, Q2Config, Q3Config, RunOutcome,
 };
 pub use table::{fmt_duration, print_table};
 pub use workload::{

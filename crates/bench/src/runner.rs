@@ -2,12 +2,8 @@
 //! metrics — the shared machinery behind every figure harness.
 
 use crate::workload::{gen_join_stream, gen_q1_stream, selectivity_threshold};
-use datacell_basket::Timestamp;
-use datacell_core::{
-    AdaptiveChunker, DataCellError, Engine, EngineConfig, ExecMode, Factory, FireOutcome, QueryId,
-    RegisterOptions, ResultSet, SlideMetrics, StreamInput,
-};
-use datacell_kernel::{Column, DataType, Oid, Value};
+use datacell_core::{AdaptiveChunker, Engine, ExecMode, QueryId, RegisterOptions, SlideMetrics};
+use datacell_kernel::DataType;
 use std::time::{Duration, Instant};
 use sysx::{QuerySpec, SysxEngine};
 
@@ -211,152 +207,6 @@ pub fn run_q3_landmark(mode: &Mode, cfg: &Q3Config) -> RunOutcome {
     let wall = t0.elapsed();
     let (per_window, rows) = drain_metrics(&mut engine, q);
     RunOutcome { per_window, wall, rows }
-}
-
-/// Configuration of the multi-query scheduler-scaling workload: `queries`
-/// independent standing Q1-shape queries, each on its own stream —
-/// independent Petri-net transitions the worker pool can fire
-/// concurrently (the fig7 workload fanned out across queries).
-#[derive(Debug, Clone)]
-pub struct ScaleConfig {
-    /// Number of independent standing queries (each gets its own stream).
-    pub queries: usize,
-    /// Window size per query (`|W|`, tuples).
-    pub window: usize,
-    /// Step per query (`|w|`, tuples).
-    pub step: usize,
-    /// Produced windows per query.
-    pub windows: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Simulated per-fire blocking latency (receptor/emitter hops, remote
-    /// operators). `ZERO` measures pure CPU scaling; a non-zero cost
-    /// measures the scheduler's ability to overlap blocked transitions,
-    /// which parallelizes even on a single core.
-    pub fire_cost: Duration,
-}
-
-impl ScaleConfig {
-    /// Tuples fed per stream: `|W| + (windows-1)·|w|`.
-    pub fn total_tuples(&self) -> usize {
-        self.window + self.windows.saturating_sub(1) * self.step
-    }
-}
-
-/// Outcome of one scheduler-scaling run.
-#[derive(Debug, Clone)]
-pub struct ScaleOutcome {
-    /// Wall time of the single drain that processed the whole backlog.
-    pub wall: Duration,
-    /// Total windows emitted across all queries.
-    pub emissions: usize,
-    /// Every produced row, per query then per window — compared across
-    /// worker counts to prove the parallel drain changes nothing.
-    pub results: Vec<Vec<Vec<Vec<Value>>>>,
-}
-
-impl ScaleOutcome {
-    /// Emissions per second over the drain.
-    pub fn throughput(&self) -> f64 {
-        self.emissions as f64 / self.wall.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// A Q1-shaped factory with a simulated blocking cost per fire: consumes
-/// one step, sleeps `cost` (the receptor/emitter hop the paper's separate
-/// processes pay), then emits `sum(x2) where x1 > thr` over the step.
-struct ThrottledSumFactory {
-    label: String,
-    input: StreamInput,
-    step: usize,
-    threshold: i64,
-    cost: Duration,
-}
-
-impl Factory for ThrottledSumFactory {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn ready(&self, _clock: Timestamp) -> bool {
-        self.input.available() >= self.step
-    }
-
-    fn fire(&mut self, _clock: Timestamp) -> Result<FireOutcome, DataCellError> {
-        let w = self.input.take(self.step)?;
-        if !self.cost.is_zero() {
-            std::thread::sleep(self.cost);
-        }
-        let xs = w.col(0).unwrap().as_int().unwrap();
-        let ys = w.col(1).unwrap().as_int().unwrap();
-        let sum: i64 =
-            xs.iter().zip(ys).filter(|(x, _)| **x > self.threshold).map(|(_, y)| *y).sum();
-        let result = ResultSet::new(vec!["sum".into()], vec![Column::Int(vec![sum])])
-            .map_err(|e| DataCellError::Unsupported(format!("result shape: {e}")))?;
-        let metrics = SlideMetrics { rows: 1, ..SlideMetrics::default() };
-        Ok(FireOutcome::Produced { result, metrics })
-    }
-
-    fn consumed_upto(&self, stream: &str) -> Option<Oid> {
-        (stream == self.input.name).then_some(self.input.consumed)
-    }
-
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.name.clone()]
-    }
-}
-
-/// Run the multi-query workload on `workers` scheduler threads: register
-/// the standing queries, pre-fill every stream's backlog, then time one
-/// `run_until_idle` drain — maximum available parallelism.
-pub fn run_scheduler_scale(workers: usize, cfg: &ScaleConfig) -> ScaleOutcome {
-    let mut engine = Engine::with_config(EngineConfig { workers, ..EngineConfig::from_env() });
-    let thr = selectivity_threshold(0.2);
-    let mut queries = Vec::with_capacity(cfg.queries);
-    for i in 0..cfg.queries {
-        let stream = format!("s{i}");
-        engine.create_stream(&stream, &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
-        let q = if cfg.fire_cost.is_zero() {
-            // The fig7 shape: incremental group-by over n basic windows.
-            engine
-                .register_sql(&format!(
-                    "SELECT x1, sum(x2) FROM {stream} WHERE x1 > {thr} GROUP BY x1 \
-                     WINDOW SIZE {} SLIDE {}",
-                    cfg.window, cfg.step
-                ))
-                .unwrap()
-        } else {
-            engine
-                .register_factory(Box::new(ThrottledSumFactory {
-                    label: stream.clone(),
-                    input: StreamInput::new(stream.clone(), engine.basket(&stream).unwrap()),
-                    step: cfg.step,
-                    threshold: thr,
-                    cost: cfg.fire_cost,
-                }))
-                .unwrap()
-        };
-        queries.push((stream, q));
-    }
-    // Pre-fill the backlog so the drain sees every transition enabled.
-    let total = cfg.total_tuples();
-    for (i, (stream, _)) in queries.iter().enumerate() {
-        let data = gen_q1_stream(total, cfg.seed.wrapping_add(i as u64));
-        engine.append(stream, &data).unwrap();
-    }
-
-    let t0 = Instant::now();
-    engine.run_until_idle().unwrap();
-    let wall = t0.elapsed();
-
-    let mut emissions = 0;
-    let mut results = Vec::with_capacity(cfg.queries);
-    for (_, q) in &queries {
-        let out = engine.drain_results(*q).unwrap();
-        emissions += out.len();
-        results.push(out.iter().map(ResultSet::rows).collect());
-    }
-    ScaleOutcome { wall, emissions, results }
 }
 
 /// Run Q2 on the SystemX simulator (tuple-at-a-time): returns the wall

@@ -50,7 +50,7 @@ pub fn gen_join_stream(n: usize, key_domain: i64, seed: u64) -> Vec<Column> {
 
 /// An `n`-tuple int BAT with keys uniform in `[0, domain)`, deterministic
 /// in `seed` via a bare LCG — the kernel-level join/select benchmark
-/// input shared by the `kernel_ops` bench and the `join_scale` binary
+/// input of the `scale` bin's kernel, join and aggregation sweeps
 /// (no engine, no streams, so it bypasses the `rand` shim on purpose:
 /// the same bytes regenerate regardless of shim evolution).
 pub fn lcg_int_bat(n: usize, domain: i64, seed: u64) -> Bat {

@@ -25,7 +25,7 @@ use crate::error::DataCellError;
 use crate::rewrite::{Cluster, IncrementalPlan, MergeUnit, VarKind};
 use datacell_kernel::algebra::{self, AggKind};
 use datacell_kernel::par::{self, ParConfig};
-use datacell_kernel::{Bat, Value};
+use datacell_kernel::{Bat, Column, Value};
 use datacell_plan::{MalValue, VarId};
 
 /// Merge every unit of `plan`'s frontier from its parts.
@@ -69,14 +69,18 @@ fn merge_var(kind: VarKind, parts: &[&MalValue]) -> Result<MalValue, DataCellErr
 
 /// Simple concatenation of row-faithful partial BATs.
 fn concat(parts: &[&MalValue]) -> Result<Bat, DataCellError> {
-    let bats: Vec<&Bat> = parts
-        .iter()
-        .map(|p| p.as_bat("rows merge").map_err(DataCellError::Plan))
-        .collect::<Result<_, _>>()?;
-    if bats.is_empty() {
+    Ok(Bat::transient(algebra::concat_columns(&columns(parts)?)?))
+}
+
+/// The tail columns of BAT parts, borrowed; zero parts are rejected.
+fn columns<'a>(parts: &[&'a MalValue]) -> Result<Vec<&'a Column>, DataCellError> {
+    if parts.is_empty() {
         return Err(DataCellError::Unsupported("merge of zero parts".into()));
     }
-    Ok(algebra::concat(&bats)?)
+    parts
+        .iter()
+        .map(|p| p.as_bat("rows merge").map(|b| &b.tail).map_err(DataCellError::Plan))
+        .collect()
 }
 
 /// Compensate partial scalar aggregates: apply the merge aggregate over
@@ -156,36 +160,22 @@ fn both_f64(a: &Value, b: &Value) -> Result<(f64, f64), DataCellError> {
 
 /// Merge a group-by cluster (Fig. 3d): concatenate the per-part distinct
 /// keys and per-group partials, re-group the concatenated keys, and apply
-/// the grouped compensating aggregate per member.
+/// the grouped compensating aggregate per member — the kernel's
+/// [`par::regroup_partials`], the same merge a fanned-out `GroupAgg` runs.
 fn merge_cluster<'a>(
     c: &Cluster,
     parts: &impl Fn(VarId) -> Vec<&'a MalValue>,
     out: &mut [Option<MalValue>],
 ) -> Result<(), DataCellError> {
-    let keys = concat(&parts(c.keys_var))?;
-    let groups = algebra::group(&keys)?;
-    out[c.keys_var] = Some(MalValue::Bat(Bat::transient(groups.keys(&keys)?)));
-    for &(v, kind) in &c.agg_vars {
-        let comp = kind.compensation().ok_or_else(|| {
-            DataCellError::Unsupported(format!(
-                "{} grouped partials have no compensation (expand first)",
-                kind.sql()
-            ))
-        })?;
-        let all = concat(&parts(v))?;
-        if all.len() != keys.len() {
-            return Err(DataCellError::Unsupported(format!(
-                "cluster misaligned: {} keys vs {} partials",
-                keys.len(),
-                all.len()
-            )));
-        }
-        let col = match comp {
-            AggKind::Sum => algebra::sum_grouped(&all, &groups)?,
-            AggKind::Min => algebra::min_grouped(&all, &groups)?,
-            AggKind::Max => algebra::max_grouped(&all, &groups)?,
-            AggKind::Count | AggKind::Avg => unreachable!("not a compensation"),
-        };
+    let key_parts = columns(&parts(c.keys_var))?;
+    let slots = c
+        .agg_vars
+        .iter()
+        .map(|&(v, kind)| Ok((kind, columns(&parts(v))?)))
+        .collect::<Result<Vec<_>, DataCellError>>()?;
+    let (keys, cols) = par::regroup_partials(&key_parts, &slots)?;
+    out[c.keys_var] = Some(MalValue::Bat(Bat::transient(keys)));
+    for (&(v, _), col) in c.agg_vars.iter().zip(cols) {
         out[v] = Some(MalValue::Bat(Bat::transient(col)));
     }
     Ok(())

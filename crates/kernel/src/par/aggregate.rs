@@ -149,24 +149,54 @@ pub fn merge_partials(
         }
     }
     let key_parts: Vec<&Column> = partials.iter().map(|p| &p.keys).collect();
-    let merged_keys = Bat::transient(concat_columns(&key_parts)?);
-    let regroup = algebra::group(&merged_keys)?;
-    let out_keys = regroup.keys(&merged_keys)?;
-    let mut merged_slots = Vec::with_capacity(slots.len());
-    for (i, slot_kind) in slots.iter().enumerate() {
-        let slot_parts: Vec<&Column> = partials.iter().map(|p| &p.slots[i]).collect();
-        let all = Bat::transient(concat_columns(&slot_parts)?);
-        let comp = slot_kind.compensation().expect("no avg slots after expansion");
-        let merged = match comp {
-            AggKind::Sum => algebra::sum_grouped(&all, &regroup)?,
-            AggKind::Min => algebra::min_grouped(&all, &regroup)?,
-            AggKind::Max => algebra::max_grouped(&all, &regroup)?,
-            other => unreachable!("no grouped compensation dispatch for {other:?}"),
-        };
-        merged_slots.push(merged);
-    }
+    let slot_parts: Vec<(AggKind, Vec<&Column>)> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| (kind, partials.iter().map(|p| &p.slots[i]).collect()))
+        .collect();
+    let (out_keys, merged_slots) = regroup_partials(&key_parts, &slot_parts)?;
     stats::record_merge(false);
     Ok((out_keys, finalize(kinds, merged_slots)?))
+}
+
+/// The grouped re-group merge (paper §3, Fig. 3d), shared by
+/// [`merge_partials`] and the incremental factory's cluster merge:
+/// concatenate the per-part keys, re-group them, and fold each slot's
+/// concatenated parts with the compensating aggregate of its partial kind
+/// (`count` partials merge by `sum`). `slots` pairs each partial kind with
+/// its parts, aligned part for part with `key_parts`. Returns the distinct
+/// keys (first-occurrence order across parts) and one column per slot.
+pub fn regroup_partials(
+    key_parts: &[&Column],
+    slots: &[(AggKind, Vec<&Column>)],
+) -> Result<(Column, Vec<Column>)> {
+    let keys = Bat::transient(concat_columns(key_parts)?);
+    let groups = algebra::group(&keys)?;
+    let out_keys = groups.keys(&keys)?;
+    let mut merged = Vec::with_capacity(slots.len());
+    for (kind, parts) in slots {
+        let comp = kind.compensation().ok_or_else(|| {
+            KernelError::Unsupported(format!(
+                "{} grouped partials have no compensation (expand first)",
+                kind.sql()
+            ))
+        })?;
+        let all = Bat::transient(concat_columns(parts)?);
+        if all.len() != keys.len() {
+            return Err(KernelError::Unsupported(format!(
+                "partials misaligned: {} keys vs {} partials",
+                keys.len(),
+                all.len()
+            )));
+        }
+        merged.push(match comp {
+            AggKind::Sum => algebra::sum_grouped(&all, &groups)?,
+            AggKind::Min => algebra::min_grouped(&all, &groups)?,
+            AggKind::Max => algebra::max_grouped(&all, &groups)?,
+            AggKind::Count | AggKind::Avg => unreachable!("not a compensation"),
+        });
+    }
+    Ok((out_keys, merged))
 }
 
 /// The rows one morsel aggregates, as a selection over the input.

@@ -53,7 +53,8 @@ mod select;
 mod sort;
 
 pub use aggregate::{
-    grouped_agg, grouped_agg_multi, grouped_agg_partials, merge_partials, AggSpec, GroupAggPartial,
+    grouped_agg, grouped_agg_multi, grouped_agg_partials, merge_partials, regroup_partials,
+    AggSpec, GroupAggPartial,
 };
 pub use fetch::fetch;
 pub use join::hashjoin;
