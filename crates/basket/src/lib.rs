@@ -11,7 +11,7 @@
 //!   ([`Basket::expire_upto`]) and `split` into basic windows
 //!   ([`BasicWindow::split`]).
 //! * [`ShardedBasket`] — the one shared stream handle: a basket behind a
-//!   `parking_lot` mutex ([`ShardedBasket::with`] is the `basket.lock()` /
+//!   `std::sync::Mutex` ([`ShardedBasket::with`] is the `basket.lock()` /
 //!   `basket.unlock()` bracket of the paper's Algorithms 1–2), fronted by N
 //!   independently-locked staging shards plus a global oid/clock allocator
 //!   so many receptors append without contending on that mutex; a seal
@@ -24,13 +24,11 @@
 pub mod basket;
 pub mod receptor;
 pub mod sharded;
-pub mod threaded;
 pub mod window;
 
 pub use basket::{Basket, BasketError, Timestamp};
 pub use receptor::{CsvError, CsvReceptor, GeneratorReceptor, MalformedPolicy, ParseOutcome};
 pub use sharded::{Ingest, ShardStats, ShardedBasket};
-pub use threaded::ReceptorHandle;
 pub use window::BasicWindow;
 
 /// Result alias for basket operations.

@@ -9,11 +9,11 @@
 //!
 //! * **The merged view** — the one [`Basket`] factories and GC read
 //!   under [`ShardedBasket::with`] (Algorithms 1–2's bracket).
-//! * **N independently-locked shards** stage incoming batches. A receptor
-//!   appends to its own shard ([`ShardedBasket::append_shard`], shard
-//!   chosen per receptor handle or by key hash), so concurrent appenders
-//!   only contend on the tiny oid/clock allocator, never on each other's
-//!   column copies.
+//! * **N independently-locked shards** stage incoming batches. A writer
+//!   appends to its own shard ([`ShardedBasket::append_shard`], the shard
+//!   chosen by the writer, e.g. thread `i` at `i % shards`, or by key
+//!   hash), so concurrent appenders only contend on the tiny oid/clock
+//!   allocator, never on each other's column copies.
 //! * A **global allocator** (one short critical section) hands each batch
 //!   a contiguous oid range and a monotone arrival stamp, so oids stay
 //!   **dense and monotone** across shards and timestamps never regress in
@@ -49,6 +49,16 @@
 //! against each other, against readers of the merged view, or against the
 //! engine's GC (which takes the merged-view mutex only).
 //!
+//! Every lock is a `std::sync::Mutex`, and a poisoned one is recovered
+//! with [`PoisonError::into_inner`] at each acquisition, never unwrapped.
+//! That is the workspace's one poison policy (the scheduler's work queue
+//! and the telemetry registry follow it too), and it is sound here:
+//! the only caller code that runs under a basket lock is a
+//! [`ShardedBasket::with`] closure, whose panic the scheduler already
+//! turns into a typed error; the basket's own critical sections are
+//! integer updates and map inserts/removes, which a panic cannot leave
+//! half-written. So a panicking reader costs that reader, not the stream.
+//!
 //! ## What stays out of bounds
 //!
 //! At `shards > 1` every write must go through the `append*` methods.
@@ -59,11 +69,10 @@
 use crate::basket::{validate_batch, Basket, BasketError, Timestamp};
 use datacell_kernel::par::stats;
 use datacell_kernel::{Column, DataType, Oid, Placement};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Anything a receptor can deliver batches into. Receptor front-ends
 /// (`CsvReceptor::flush_into`, `GeneratorReceptor::pump`) are generic
@@ -134,7 +143,7 @@ struct State {
     /// The staging shards, fixed at [`ShardedBasket::new`].
     shards: Box<[Mutex<Shard>]>,
     alloc: Mutex<Alloc>,
-    /// Round-robin cursor for [`ShardedBasket::assign_shard`].
+    /// Round-robin shard cursor of [`ShardedBasket::append`].
     next_writer: AtomicUsize,
 }
 
@@ -191,7 +200,7 @@ impl ShardedBasket {
     /// bracket (reads, expiry). At `shards > 1` the view is **read-only
     /// by contract**: appending through it bypasses the oid allocator.
     pub fn with<R>(&self, f: impl FnOnce(&mut Basket) -> R) -> R {
-        let mut guard = self.state.merged.lock();
+        let mut guard = self.state.merged.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
     }
 
@@ -222,8 +231,11 @@ impl ShardedBasket {
 
     /// Tuples staged in shards but not yet sealed into the merged view.
     pub fn staged_len(&self) -> usize {
-        let shards = &self.state.shards;
-        shards.iter().map(|s| s.lock().segs.values().map(|g| g.rows).sum::<usize>()).sum()
+        let staged = |s: &Mutex<Shard>| {
+            let g = s.lock().unwrap_or_else(PoisonError::into_inner);
+            g.segs.values().map(|seg| seg.rows).sum::<usize>()
+        };
+        self.state.shards.iter().map(staged).sum()
     }
 
     /// Point-in-time staging telemetry, one entry per shard in shard
@@ -235,7 +247,7 @@ impl ShardedBasket {
             .shards
             .iter()
             .map(|s| {
-                let g = s.lock();
+                let g = s.lock().unwrap_or_else(PoisonError::into_inner);
                 ShardStats {
                     staged_rows: g.segs.values().map(|seg| seg.rows).sum(),
                     staged_segments: g.segs.len(),
@@ -243,14 +255,6 @@ impl ShardedBasket {
                 }
             })
             .collect()
-    }
-
-    /// Pick a shard for a new writer (round-robin) — the "shard per
-    /// receptor handle" policy. Key-hash placement is just
-    /// `append_shard(hash as usize, ..)`; the index is taken modulo the
-    /// shard count.
-    pub fn assign_shard(&self) -> usize {
-        self.state.next_writer.fetch_add(1, Ordering::Relaxed) % self.shards()
     }
 
     /// Ordered append — the engine's single-writer path. Rejects a stamp
@@ -323,7 +327,7 @@ impl ShardedBasket {
             // Mirror `Basket::append`: an empty batch is a no-op that
             // reports the current end of the stream (allocator frontier
             // here — staged tuples included), with no timestamp check.
-            return Ok(self.state.alloc.lock().next);
+            return Ok(self.state.alloc.lock().unwrap_or_else(PoisonError::into_inner).next);
         }
         // (shard, columns) pieces in oid order.
         let pieces: Vec<(usize, Vec<Column>)> = match route {
@@ -345,7 +349,7 @@ impl ShardedBasket {
         };
         let ordered = matches!(route, Route::Ordered);
         let (start, ts) = {
-            let mut alloc = self.state.alloc.lock();
+            let mut alloc = self.state.alloc.lock().unwrap_or_else(PoisonError::into_inner);
             if ordered && now < alloc.last_ts {
                 return Err(BasketError::Malformed(format!(
                     "{}: timestamps must be non-decreasing ({} < {})",
@@ -362,7 +366,7 @@ impl ShardedBasket {
         for (shard, cols) in pieces {
             let rows = cols[0].len();
             {
-                let mut g = shards[shard].lock();
+                let mut g = shards[shard].lock().unwrap_or_else(PoisonError::into_inner);
                 g.total_rows += rows as u64;
                 g.segs.insert(at, Segment { cols, rows, ts });
             }
@@ -395,7 +399,7 @@ impl ShardedBasket {
             for shard in &self.state.shards {
                 loop {
                     let seg = {
-                        let mut g = shard.lock();
+                        let mut g = shard.lock().unwrap_or_else(PoisonError::into_inner);
                         g.segs.remove(&frontier)
                     };
                     let Some(seg) = seg else { break };
@@ -636,13 +640,13 @@ mod tests {
                                                      // Simulate an in-flight appender: allocate oid 1 by staging to a
                                                      // shard, then remove it temporarily to create a gap.
         sb.append_shard(1, &ints(&[2]), 0).unwrap(); // oid 1
-        let stolen = sb.state.shards[1].lock().segs.remove(&1).unwrap();
+        let stolen = sb.state.shards[1].lock().unwrap().segs.remove(&1).unwrap();
         sb.append_shard(2, &ints(&[3]), 0).unwrap(); // oid 2
         assert_eq!(sb.seal(), 1); // oid 0 sealed; 2 stranded behind the gap
         assert_eq!(sb.len(), 1);
         assert_eq!(sb.staged_len(), 1);
         // The in-flight appender lands; the next seal drains everything.
-        sb.state.shards[1].lock().segs.insert(1, stolen);
+        sb.state.shards[1].lock().unwrap().segs.insert(1, stolen);
         assert_eq!(sb.seal(), 3);
         let (_, vals, _) = snapshot_ints(&sb);
         assert_eq!(vals, vec![1, 2, 3]);
@@ -663,13 +667,6 @@ mod tests {
         let (base, vals, _) = snapshot_ints(&sb);
         assert_eq!(base, 2);
         assert_eq!(vals, vec![3, 4]);
-    }
-
-    #[test]
-    fn assign_shard_round_robins() {
-        let sb = ShardedBasket::new(basket(), 3);
-        let picks: Vec<usize> = (0..6).map(|_| sb.assign_shard()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -702,18 +699,66 @@ mod tests {
         let keys: Vec<i64> = (0..32).map(|i| i % 7).collect();
         sb.append_keyed(0, &ints(&keys), 5).unwrap();
         // Staged rows sit exactly where the canonical placement puts them.
-        let parts = Placement::new(4).scatter(&Column::Int(keys.clone()).as_slice());
-        for (shard, pos) in sb.state.shards.iter().zip(&parts) {
-            let staged: usize = shard.lock().segs.values().map(|s| s.rows).sum();
+        let scatter =
+            |vals: &[i64]| Placement::new(4).scatter(&Column::Int(vals.to_vec()).as_slice());
+        for (shard, pos) in sb.state.shards.iter().zip(&scatter(&keys)) {
+            let staged: usize = shard.lock().unwrap().segs.values().map(|s| s.rows).sum();
             assert_eq!(staged, pos.len());
         }
         assert_eq!(sb.seal(), 32);
         // The merged view is the documented stable scatter order.
-        let expect: Vec<i64> =
-            parts.iter().flat_map(|pos| pos.iter().map(|&p| keys[p as usize])).collect();
+        let placed = |vals: &[i64]| -> Vec<i64> {
+            scatter(vals).iter().flat_map(|pos| pos.iter().map(|&p| vals[p as usize])).collect()
+        };
         let (_, vals, ts) = snapshot_ints(&sb);
-        assert_eq!(vals, expect);
+        assert_eq!(vals, placed(&keys));
         assert!(ts.iter().all(|&t| t == 5), "one stamp for the whole batch");
+        // Six more batches from one writer land in append order, each in
+        // its own placement scatter order.
+        let batches: Vec<Vec<i64>> =
+            (0..6).map(|b| (0..16).map(|i| (b * 16 + i) % 7).collect()).collect();
+        for batch in &batches {
+            sb.append_keyed(0, &ints(batch), 6).unwrap();
+        }
+        assert_eq!(sb.seal(), 32 + 6 * 16);
+        let expect: Vec<i64> =
+            std::iter::once(&keys).chain(&batches).flat_map(|b| placed(b)).collect();
+        assert_eq!(snapshot_ints(&sb).1, expect);
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered_at_every_site() {
+        // Poison every mutex the handle owns: the merged view through a
+        // panicking `with` closure, the allocator and each shard directly.
+        // Every public path must still see the right oids and values.
+        for shards in [1, 4] {
+            let sb = ShardedBasket::new(basket(), shards);
+            sb.append(&ints(&[1]), 0).unwrap();
+            let poison = |m: &dyn Fn()| {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(m));
+                assert!(caught.is_err());
+            };
+            poison(&|| sb.with(|_| panic!("reader bug")));
+            poison(&|| {
+                let _g = sb.state.alloc.lock();
+                panic!("allocator poisoned");
+            });
+            for shard in &sb.state.shards {
+                poison(&|| {
+                    let _g = shard.lock();
+                    panic!("shard poisoned");
+                });
+            }
+            assert!(sb.state.merged.is_poisoned() && sb.state.alloc.is_poisoned());
+            assert_eq!(sb.append(&ints(&[2]), 1).unwrap(), 1, "shards={shards}");
+            assert_eq!(sb.append_shard(1, &ints(&[3, 4]), 2).unwrap(), 2, "shards={shards}");
+            assert_eq!(sb.append_keyed(0, &ints(&[5]), 3).unwrap(), 4, "shards={shards}");
+            assert_eq!(sb.append(&ints(&[]), 3).unwrap(), 5, "shards={shards}");
+            assert_eq!(sb.staged_len(), if shards == 1 { 0 } else { 3 }, "shards={shards}");
+            assert_eq!(sb.shard_stats().len(), shards);
+            assert_eq!(sb.seal(), 5, "shards={shards}");
+            assert_eq!(snapshot_ints(&sb), (0, vec![1, 2, 3, 4, 5], vec![0, 1, 2, 2, 3]));
+        }
     }
 
     #[test]
@@ -724,7 +769,7 @@ mod tests {
         }
         let shards = &sb.state.shards;
         let occupied: Vec<usize> = (0..4)
-            .filter(|&i| shards[i].lock().segs.values().map(|s| s.rows).sum::<usize>() > 0)
+            .filter(|&i| shards[i].lock().unwrap().segs.values().map(|s| s.rows).sum::<usize>() > 0)
             .collect();
         assert_eq!(occupied.len(), 1, "all occurrences of one key share a shard");
         assert_eq!(occupied[0], Placement::new(4).of_key(42i64));
@@ -805,20 +850,16 @@ mod tests {
         // Smoke-level concurrency here; the full battery lives in
         // tests/sharded_ingest.rs.
         let sb = ShardedBasket::new(basket(), 4);
-        let threads: Vec<_> = (0..16)
-            .map(|tid| {
-                let sb = sb.clone();
-                std::thread::spawn(move || {
-                    let shard = sb.assign_shard();
+        std::thread::scope(|s| {
+            for tid in 0..16 {
+                let sb = &sb;
+                s.spawn(move || {
                     for i in 0..25 {
-                        sb.append_shard(shard, &ints(&[tid * 1000 + i]), 0).unwrap();
+                        sb.append_shard(tid as usize % 4, &ints(&[tid * 1000 + i]), 0).unwrap();
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(sb.seal(), 400);
         assert_eq!(sb.len(), 400);
         let (base, mut vals, _) = snapshot_ints(&sb);

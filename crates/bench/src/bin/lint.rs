@@ -572,11 +572,18 @@ mod tests {
 fn g(&self) {
     let h = self.b.lock();
 }
+fn h(&self) {
+    let g = a.lock().unwrap_or_else(PoisonError::into_inner);
+    b.lock();
+}
 ";
         let found = audit_locks(text, false);
-        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found.len(), 2, "{found:?}");
         assert_eq!(found[0].0, "x.rs:3");
         assert!(found[0].1.contains("guard from line 2 is live"), "{}", found[0].1);
+        // A guard recovered from poison is still a guard.
+        assert_eq!(found[1].0, "x.rs:10");
+        assert!(found[1].1.contains("guard from line 9 is live"), "{}", found[1].1);
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //!   placement-ordered input per P × placement: the mark never changes
 //!   results, elides a scatter under aligned placement and never under
 //!   round-robin.
-//! * `ingest` — `ShardedBasket` appends from 1, 4 and 16 receptor threads
-//!   over 1–8 shards per placement (round-robin `append_shard`, aligned
-//!   `append_keyed`); every point seals with dense oids and an exact
-//!   checksum. `s1` stages nothing, the contention baseline.
+//! * `ingest` — `ShardedBasket` appends from 1, 4 and 16 writer threads
+//!   over 1–8 shards per placement (round-robin: thread `i` calls
+//!   `append_shard(i % shards, ..)`; aligned: `append_keyed`); every point
+//!   seals with dense oids and an exact checksum. `s1` stages nothing, the
+//!   contention baseline.
 //! * `wire-bytes` — ns/row of `CsvReceptor::parse_bytes` over a 4096-row
 //!   ring per schema, flushed every 256 rows as the network edge does,
 //!   with zero rejects and an exact row count. `padded` is the `int,float`
@@ -375,7 +376,7 @@ fn append_point(
         .map(|tid| {
             let (sb, barrier) = (sb.clone(), Arc::clone(&barrier));
             std::thread::spawn(move || {
-                let shard = sb.assign_shard();
+                let shard = tid % shards;
                 let batch = [Column::Int((0..ROWS_PER_BATCH).map(|r| value(tid, r)).collect())];
                 barrier.wait();
                 let start = Instant::now();

@@ -989,7 +989,7 @@ mod tests {
 
     #[test]
     fn basket_shards_api_and_sharded_results_match_single_shard() {
-        // The same workload at shards ∈ {1, 4}: single-threaded feeding
+        // The same workload at shards ∈ {1, 4}: feeding from one thread
         // is deterministic, so window results must be byte-identical.
         let run = |shards: usize| {
             let mut e =

@@ -57,7 +57,7 @@ use datacell_kernel::Oid;
 use datacell_plan::ResultSet;
 use datacell_telemetry::{Counter, Gauge, Histogram};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -113,7 +113,9 @@ enum Reply {
 }
 
 /// The shared work queue: pending jobs plus a shutdown flag, under one
-/// mutex so workers can sleep on the condvar until either changes.
+/// mutex so workers can sleep on the condvar until either changes. A
+/// poisoned lock is recovered: the workspace's one poison policy, stated
+/// under *Lock order* in `datacell_basket::sharded`.
 struct WorkQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
@@ -138,13 +140,13 @@ impl WorkQueue {
 
     fn push(&self, job: Job) {
         self.depth.inc();
-        self.state.lock().expect("queue lock").jobs.push_back(job);
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).jobs.push_back(job);
         self.ready.notify_one();
     }
 
     /// Block until a job is available or shutdown is signalled.
     fn pop(&self) -> Option<Job> {
-        let mut g = self.state.lock().expect("queue lock");
+        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if g.shutdown {
                 return None;
@@ -153,12 +155,12 @@ impl WorkQueue {
                 self.depth.dec();
                 return Some(j);
             }
-            g = self.ready.wait(g).expect("queue lock");
+            g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn shutdown(&self) {
-        self.state.lock().expect("queue lock").shutdown = true;
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.ready.notify_all();
     }
 }

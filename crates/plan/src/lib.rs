@@ -34,8 +34,7 @@ pub use mal::{Instr, MalOp, MalPlan, MalValue, VarId};
 pub use optimize::optimize;
 pub use result::ResultSet;
 pub use verify::{
-    checked_pass, partition_safety, verify_all, NoSchema, ParSafety, Rule, SchemaOverlay,
-    SchemaSource, VerifyError,
+    checked_pass, verify_all, NoSchema, Rule, SchemaOverlay, SchemaSource, VerifyError,
 };
 pub use window::WindowSpec;
 

@@ -18,8 +18,6 @@
 //!    [`SchemaSource`] at `BindStream`/`BindTable` and propagated through
 //!    select/fetch/join/group/map ops; mismatches are reported with the
 //!    op index and `X_n` names matching [`MalPlan::explain`].
-//! 4. **Partition safety** — a classification ([`partition_safety`]) of
-//!    which nodes may take the `kernel::par` path.
 //!
 //! [`checked_pass`] is the differential harness: it asserts
 //! verifier-cleanliness before *and* after a MAL→MAL pass, on by default
@@ -740,40 +738,6 @@ fn arith_result(op: ArithOp, l: Option<DataType>, r: Option<DataType>) -> Option
 }
 
 // ---------------------------------------------------------------------------
-// Partition safety
-// ---------------------------------------------------------------------------
-
-/// Whether one MAL node may take the partitioned `kernel::par` execution
-/// path at partition fan-out > 1, or always runs the sequential kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParSafety {
-    /// Dispatches to `kernel::par` (select / hashjoin / grouped_agg_multi).
-    Partitionable,
-    /// Always runs the sequential kernel path.
-    Sequential,
-    /// No kernel work: pure binding against the execution context.
-    Bind,
-}
-
-/// Classify every instruction of a plan by partition safety — which nodes
-/// the executor may fan out across `kernel::par` partitions. Mirrors the
-/// dispatch in [`crate::exec::run_segment`]; the lint binary reports it and
-/// tests pin it so a new parallel entry point cannot be wired in silently
-/// without the verifier knowing.
-pub fn partition_safety(plan: &MalPlan) -> Vec<ParSafety> {
-    plan.instrs
-        .iter()
-        .map(|ins| match ins.op {
-            MalOp::BindStream { .. } | MalOp::BindTable { .. } => ParSafety::Bind,
-            MalOp::Select { .. } | MalOp::Join { .. } | MalOp::GroupAgg { .. } => {
-                ParSafety::Partitionable
-            }
-            _ => ParSafety::Sequential,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -941,25 +905,6 @@ mod tests {
         assert_eq!(errs[0].rule, Rule::UseBeforeDef);
         assert_eq!(errs[0].var, Some(1));
         assert_eq!(errs[0].instr, Some(0));
-    }
-
-    #[test]
-    fn partition_safety_classification() {
-        let mut b = MalBuilder::new();
-        let x = bind(&mut b, "x");
-        let c = b.emit(MalOp::Select { input: x, pred: Predicate::gt(1) });
-        let v = b.emit(MalOp::Fetch { cands: c, values: x });
-        let (kd, ads) = b.emit_group_agg(v, vec![(AggKind::Count, None)]);
-        let plan = b.finish(vec!["k".into(), "n".into()], vec![kd, ads[0]]);
-        assert_eq!(
-            partition_safety(&plan),
-            vec![
-                ParSafety::Bind,
-                ParSafety::Partitionable,
-                ParSafety::Sequential,
-                ParSafety::Partitionable
-            ]
-        );
     }
 
     #[test]

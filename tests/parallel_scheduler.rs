@@ -7,7 +7,6 @@
 //! so `Engine::new()` paths exercise whichever pool size the environment
 //! selects, while the determinism checks pin their own counts explicitly.
 
-use datacell::basket::ReceptorHandle;
 use datacell::core::{parse_count, EngineConfig};
 use datacell::prelude::*;
 
@@ -60,7 +59,7 @@ fn multi_query_results_identical_across_worker_counts() {
 }
 
 /// The satellite guarantee: two factories draining one shared basket at
-/// very different speeds, fired from worker threads while a receptor
+/// very different speeds, fired from worker threads while a writer
 /// thread keeps appending, must never observe `RangeUnavailable` for
 /// unconsumed oids — expiry is bounded by the slowest cursor.
 #[test]
@@ -77,37 +76,39 @@ fn shared_basket_two_speeds_concurrent_consumers_never_lose_tuples() {
         engine.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 96 SLIDE 96").unwrap();
 
     let basket = engine.basket("s").unwrap();
-    let mut left = BATCHES;
-    let handle = ReceptorHandle::spawn(basket, 4, move || {
-        if left == 0 {
-            return None;
-        }
-        left -= 1;
-        Some((
-            BATCHES - left,
-            vec![Column::Int(vec![1; PER_BATCH]), Column::Int(vec![2; PER_BATCH])],
-        ))
-    });
-
     let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    loop {
-        // A RangeUnavailable on an unconsumed oid would surface here.
-        engine.run_until_idle().unwrap();
-        fast_out.extend(engine.drain_results(fast).unwrap());
-        slow_out.extend(engine.drain_results(slow).unwrap());
-        if fast_out.len() >= 120 && slow_out.len() >= 5 {
-            break;
+    std::thread::scope(|s| {
+        // The one writer thread (shard 0), stamps 1..=BATCHES; returns
+        // the tuples delivered.
+        let writer = s.spawn(|| {
+            let mut delivered = 0;
+            for ts in 1..=BATCHES {
+                let batch = [Column::Int(vec![1; PER_BATCH]), Column::Int(vec![2; PER_BATCH])];
+                basket.append_shard(0, &batch, ts).unwrap();
+                delivered += batch[0].len();
+            }
+            delivered
+        });
+
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            // A RangeUnavailable on an unconsumed oid would surface here.
+            engine.run_until_idle().unwrap();
+            fast_out.extend(engine.drain_results(fast).unwrap());
+            slow_out.extend(engine.drain_results(slow).unwrap());
+            if fast_out.len() >= 120 && slow_out.len() >= 5 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "stalled: fast={} slow={} windows after 60s",
+                fast_out.len(),
+                slow_out.len()
+            );
+            std::thread::yield_now();
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "stalled: fast={} slow={} windows after 60s",
-            fast_out.len(),
-            slow_out.len()
-        );
-        std::thread::yield_now();
-    }
-    assert_eq!(handle.join().unwrap(), 480);
+        assert_eq!(writer.join().unwrap(), 480);
+    });
     engine.run_until_idle().unwrap();
     fast_out.extend(engine.drain_results(fast).unwrap());
     slow_out.extend(engine.drain_results(slow).unwrap());

@@ -13,11 +13,11 @@
 //! picks all three knobs up from the environment, so the same assertions cover
 //! one shard and the staged, sealed path.
 
-use datacell::basket::ReceptorHandle;
 use datacell::core::EngineConfig;
 use datacell::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Barrier, Mutex};
 
 const APPENDERS: usize = 16;
 const BATCHES_PER_APPENDER: usize = 50;
@@ -39,16 +39,31 @@ fn expected_values() -> Vec<i64> {
     v
 }
 
+/// Writer thread `i`'s loop: append every `(stamp, batch)` that `source`
+/// yields at shard `i % shards` until it returns `None`, and return the
+/// tuples delivered.
+fn write_all(
+    basket: &ShardedBasket,
+    i: usize,
+    mut source: impl FnMut() -> Option<(u64, Vec<Column>)>,
+) -> usize {
+    let shard = i % basket.shards();
+    let mut delivered = 0;
+    while let Some((ts, batch)) = source() {
+        basket.append_shard(shard, &batch, ts).unwrap();
+        delivered += batch[0].len();
+    }
+    delivered
+}
+
 /// Run 16 appender threads against a basket and return the sealed values.
 fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
     let sb = ingest_basket(shards);
-    let barrier = Arc::new(Barrier::new(APPENDERS));
-    let threads: Vec<_> = (0..APPENDERS)
-        .map(|tid| {
-            let sb = sb.clone();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let shard = sb.assign_shard();
+    let barrier = Barrier::new(APPENDERS);
+    std::thread::scope(|s| {
+        for tid in 0..APPENDERS {
+            let (sb, barrier) = (&sb, &barrier);
+            s.spawn(move || {
                 barrier.wait();
                 for b in 0..BATCHES_PER_APPENDER {
                     let base = (tid * 1_000_000 + b * ROWS_PER_BATCH) as i64;
@@ -57,14 +72,11 @@ fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
                     // no meaningful per-thread arrival order, and one
                     // shard (straight into the basket) rejects
                     // regressions rather than clamping them.
-                    sb.append_shard(shard, &[Column::Int(vals)], 0).unwrap();
+                    sb.append_shard(tid % shards, &[Column::Int(vals)], 0).unwrap();
                 }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
+            });
+        }
+    });
     sb.seal();
     let (base, end) = (sb.base_oid(), sb.end_oid());
     let (vals, ts) = sb.with(|b| {
@@ -113,7 +125,7 @@ fn per_appender_batch_order_is_preserved() {
 
 #[test]
 fn factory_results_identical_to_single_shard_run() {
-    // Deterministic (single-threaded) feeding: the sharded engine must
+    // Deterministic feeding from the test's own thread: the sharded engine must
     // produce byte-identical window results to the 1-shard engine, for
     // both execution modes, across drains and GC cycles.
     let run = |shards: usize| {
@@ -158,7 +170,7 @@ fn factory_results_identical_to_single_shard_run() {
 
 #[test]
 fn concurrent_receptor_fleet_aggregates_match_single_shard() {
-    // 16 receptor threads feeding one stream concurrently: per-window
+    // 16 writer threads feeding one stream concurrently: per-window
     // rows depend on the nondeterministic interleave, but tumbling
     // windows partition the stream, so window count, per-window
     // cardinality and the grand total are interleave-invariant — and
@@ -168,27 +180,32 @@ fn concurrent_receptor_fleet_aggregates_match_single_shard() {
             Engine::with_config(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         let q = e.register_sql("SELECT sum(x) FROM s WINDOW SIZE 40 SLIDE 40").unwrap();
-        let handles: Vec<_> = (0..APPENDERS)
-            .map(|tid| {
-                let basket = e.basket("s").unwrap();
-                let mut left = 25i64;
-                ReceptorHandle::spawn(basket, 4, move || {
-                    if left == 0 {
-                        return None;
-                    }
-                    left -= 1;
-                    Some((0, vec![Column::Int(vec![tid as i64 + 1; 8])]))
-                })
-            })
-            .collect();
+        let basket = e.basket("s").unwrap();
         let mut results = Vec::new();
-        // 16 threads × 25 batches × 8 rows = 3200 tuples = 80 windows.
-        while results.len() < 80 {
-            e.run_until_idle().unwrap();
-            results.extend(e.drain_results(q).unwrap());
-            std::thread::yield_now();
-        }
-        let delivered: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let delivered: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..APPENDERS)
+                .map(|tid| {
+                    let basket = &basket;
+                    let mut left = 25i64;
+                    s.spawn(move || {
+                        write_all(basket, tid, move || {
+                            if left == 0 {
+                                return None;
+                            }
+                            left -= 1;
+                            Some((0, vec![Column::Int(vec![tid as i64 + 1; 8])]))
+                        })
+                    })
+                })
+                .collect();
+            // 16 threads × 25 batches × 8 rows = 3200 tuples = 80 windows.
+            while results.len() < 80 {
+                e.run_until_idle().unwrap();
+                results.extend(e.drain_results(q).unwrap());
+                std::thread::yield_now();
+            }
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
         e.run_until_idle().unwrap();
         results.extend(e.drain_results(q).unwrap());
         assert_eq!(delivered, 3200);
@@ -255,26 +272,24 @@ fn basket_level_expiry_cannot_touch_staged_segments() {
 
 #[test]
 fn receptor_fleet_with_gc_loop_under_live_engine() {
-    // End-to-end churn: 16 receptors feed while a separate thread keeps
-    // the engine draining (seal + fire + GC in a loop). Every window of
-    // the standing query must come out exactly once.
-    let engine = Arc::new(std::sync::Mutex::new({
+    // End-to-end churn: 16 writer threads feed while a separate thread
+    // keeps the engine draining (seal + fire + GC in a loop). Every window
+    // of the standing query must come out exactly once.
+    let engine = Mutex::new({
         let mut e =
             Engine::with_config(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         e
-    }));
+    });
     let q = engine
         .lock()
         .unwrap()
         .register_sql("SELECT count(x) FROM s WINDOW SIZE 64 SLIDE 64")
         .unwrap();
     let basket = engine.lock().unwrap().basket("s").unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let driver = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+    let stop = AtomicBool::new(false);
+    let (delivered, results) = std::thread::scope(|s| {
+        let driver = s.spawn(|| {
             let mut results = Vec::new();
             while !stop.load(Ordering::Acquire) {
                 let mut e = engine.lock().unwrap();
@@ -287,27 +302,49 @@ fn receptor_fleet_with_gc_loop_under_live_engine() {
             e.run_until_idle().unwrap();
             results.extend(e.drain_results(q).unwrap());
             results
-        })
-    };
-    let handles: Vec<_> = (0..APPENDERS)
-        .map(|_| {
-            let mut left = 16i64;
-            ReceptorHandle::spawn(basket.clone(), 2, move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                Some((0, vec![Column::Int(vec![7; 4])]))
+        });
+        let handles: Vec<_> = (0..APPENDERS)
+            .map(|tid| {
+                let basket = &basket;
+                let mut left = 16i64;
+                s.spawn(move || {
+                    write_all(basket, tid, move || {
+                        if left == 0 {
+                            return None;
+                        }
+                        left -= 1;
+                        Some((0, vec![Column::Int(vec![7; 4])]))
+                    })
+                })
             })
-        })
-        .collect();
-    let delivered: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    stop.store(true, Ordering::Release);
-    let results = driver.join().unwrap();
+            .collect();
+        let delivered: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        stop.store(true, Ordering::Release);
+        (delivered, driver.join().unwrap())
+    });
     assert_eq!(delivered, APPENDERS * 16 * 4);
     // 1024 tuples / 64 per tumbling window = 16 windows, each count 64.
     assert_eq!(results.len(), 16);
     for r in &results {
         assert_eq!(r.rows(), vec![vec![Value::Int(64)]]);
+    }
+}
+
+#[test]
+fn a_panic_inside_with_leaves_the_stream_usable() {
+    // The poison policy: a reader that panics under the merged-view lock
+    // costs that reader only. Afterwards appends, seals and reads see
+    // every oid and value, with one shard and with staging.
+    for shards in [1, 4] {
+        let sb = ingest_basket(shards);
+        assert_eq!(sb.append(&[Column::Int(vec![1, 2])], 0).unwrap(), 0);
+        let caught = catch_unwind(AssertUnwindSafe(|| sb.with(|_| panic!("reader bug"))));
+        assert!(caught.is_err(), "shards={shards}");
+        assert_eq!(sb.append(&[Column::Int(vec![3])], 1).unwrap(), 2, "shards={shards}");
+        assert_eq!(sb.append_shard(1, &[Column::Int(vec![4, 5])], 2).unwrap(), 3);
+        assert_eq!(sb.seal(), 5, "shards={shards}");
+        let vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
+        assert_eq!(vals, vec![1, 2, 3, 4, 5], "shards={shards}");
+        assert_eq!((sb.base_oid(), sb.end_oid(), sb.staged_len()), (0, 5, 0));
     }
 }
