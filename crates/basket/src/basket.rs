@@ -70,12 +70,10 @@ impl From<KernelError> for BasketError {
 /// Validate a batch against a schema *before any state is mutated*:
 /// arity, column alignment and column types. Returns the row count.
 ///
-/// Shared by [`Basket::append_with_ts`] and the sharded staging path
-/// ([`crate::ShardedBasket`]), so both ingest edges reject exactly the
-/// same batches with the same errors — and so a rejected batch can never
-/// leave a torn basket (some columns extended, others not, timestamps
-/// misaligned with oids) or a permanent gap in the sharded oid sequence.
-pub(crate) fn validate_batch(
+/// [`Basket::append_with_ts`] runs it first, so a rejected batch can
+/// never leave a torn basket (some columns extended, others not,
+/// timestamps misaligned with oids) or consume an oid.
+fn validate_batch(
     name: &str,
     schema: &[(String, DataType)],
     batch: &[Column],
@@ -123,9 +121,7 @@ pub struct Basket {
     base_oid: Oid,
     /// High-water mark of every timestamp ever appended. Unlike
     /// `ts.last()` this survives expiry, so the non-decreasing-stamp rule
-    /// holds across a basket drained to empty — the invariant the sharded
-    /// seal path ([`crate::ShardedBasket`]) relies on when it re-appends
-    /// staged segments on top of an expired prefix.
+    /// holds across a basket drained to empty.
     last_ts: Option<Timestamp>,
 }
 
@@ -250,51 +246,6 @@ impl Basket {
             self.ts.push(t);
         }
         self.last_ts = Some(prev);
-        Ok(start)
-    }
-
-    /// Append an owned batch with per-row timestamps, *moving* the column
-    /// payloads in (string values transfer ownership instead of cloning).
-    /// The sharded seal stitches staged segments into owned sub-batches on
-    /// worker threads and lands them here, so the serial tail of the seal
-    /// is a short splice rather than a second full copy.
-    pub fn append_stitched(
-        &mut self,
-        mut batch: Vec<Column>,
-        ts: Vec<Timestamp>,
-    ) -> crate::Result<Oid> {
-        let n = validate_batch(&self.name, &self.schema, &batch)?;
-        if n == 0 {
-            return Ok(self.end_oid());
-        }
-        if ts.len() != n {
-            return Err(BasketError::Malformed(format!(
-                "{}: {} timestamps for {} rows",
-                self.name,
-                ts.len(),
-                n
-            )));
-        }
-        let first_ts = ts[0];
-        if let Some(last) = self.last_ts {
-            if first_ts < last {
-                return Err(BasketError::Malformed(format!(
-                    "{}: timestamps must be non-decreasing ({} < {})",
-                    self.name, first_ts, last
-                )));
-            }
-        }
-        let start = self.end_oid();
-        for (dst, src) in self.cols.iter_mut().zip(&mut batch) {
-            // Cannot fail: `validate_batch` checked types above.
-            dst.append_owned(src)?;
-        }
-        debug_assert!(
-            ts.windows(2).all(|w| w[0] <= w[1]),
-            "per-row timestamps must be non-decreasing"
-        );
-        self.last_ts = Some(*ts.last().expect("n > 0"));
-        self.ts.extend(ts);
         Ok(start)
     }
 
@@ -521,7 +472,7 @@ mod tests {
 
     #[test]
     fn time_regression_rejected_even_after_drain_to_empty() {
-        // Regression (sharded-seal audit): the non-decreasing-stamp rule
+        // Regression: the non-decreasing-stamp rule
         // used to be checked against `ts.last()`, which a drain-to-empty
         // resets — letting time silently run backwards across expiry.
         let mut b = basket();
@@ -537,7 +488,7 @@ mod tests {
 
     #[test]
     fn drained_to_empty_basket_keeps_end_oid_stable() {
-        // The sharded seal frontier is `end_oid()`; it must not move when
+        // Schedulers poll `end_oid()` for growth; it must not move when
         // a basket is drained to empty, and the next append must continue
         // the global oid sequence exactly where it left off.
         let mut b = basket();
@@ -598,23 +549,5 @@ mod tests {
             .unwrap();
         assert_eq!(b.ts_at(0), Some(10));
         assert_eq!(b.ts_at(2), Some(30));
-    }
-
-    #[test]
-    fn append_stitched_moves_batch_and_checks_shapes() {
-        let mut b = basket();
-        b.append(&batch(vec![1], vec![0.1]), 10).unwrap();
-        let start = b.append_stitched(batch(vec![2, 3], vec![0.2, 0.3]), vec![10, 12]).unwrap();
-        assert_eq!(start, 1);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.ts_at(1), Some(10));
-        assert_eq!(b.ts_at(2), Some(12));
-        // Same rejections as the borrowing append: ts regression, ts/row
-        // count mismatch, schema mismatch. Empty batch is a no-op.
-        assert!(b.append_stitched(batch(vec![4], vec![0.4]), vec![5]).is_err());
-        assert!(b.append_stitched(batch(vec![4], vec![0.4]), vec![12, 13]).is_err());
-        assert!(b.append_stitched(vec![Column::Int(vec![4])], vec![12]).is_err());
-        assert_eq!(b.append_stitched(batch(vec![], vec![]), vec![]).unwrap(), 3);
-        assert_eq!(b.len(), 3);
     }
 }

@@ -12,12 +12,8 @@
 //!   ([`BasicWindow::split`]).
 //! * [`ShardedBasket`] — the one shared stream handle: a basket behind a
 //!   `std::sync::Mutex` ([`ShardedBasket::with`] is the `basket.lock()` /
-//!   `basket.unlock()` bracket of the paper's Algorithms 1–2), fronted by N
-//!   independently-locked staging shards plus a global oid/clock allocator
-//!   so many receptors append without contending on that mutex; a seal
-//!   step merges shards into the ordered view factories read. One shard
-//!   stages nothing: appends write the view directly, byte-identical to a
-//!   bare [`Basket`].
+//!   `basket.unlock()` bracket of the paper's Algorithms 1–2) that
+//!   receptors append to and factories read.
 //! * [`receptor`] — CSV and synthetic-generator receptors, including the
 //!   full parse-and-load path measured by the paper's loading-cost breakdown.
 
@@ -28,7 +24,7 @@ pub mod window;
 
 pub use basket::{Basket, BasketError, Timestamp};
 pub use receptor::{CsvError, CsvReceptor, GeneratorReceptor, MalformedPolicy, ParseOutcome};
-pub use sharded::{Ingest, ShardStats, ShardedBasket};
+pub use sharded::{Ingest, ShardedBasket};
 pub use window::BasicWindow;
 
 /// Result alias for basket operations.

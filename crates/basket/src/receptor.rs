@@ -541,8 +541,8 @@ impl CsvReceptor {
     /// Move the pending batch into a basket, stamping all rows `now`.
     /// Returns the first assigned oid (or the basket end when empty).
     ///
-    /// Generic over the ingest edge: a [`crate::ShardedBasket`] at any
-    /// shard count, or a bench's discarding sink.
+    /// Generic over the ingest edge: a [`crate::ShardedBasket`], or a
+    /// bench's discarding sink.
     pub fn flush_into(&mut self, basket: &impl Ingest, now: Timestamp) -> crate::Result<Oid> {
         let first = basket.ingest(&self.pending, now);
         for col in &mut self.pending {
@@ -599,7 +599,7 @@ mod tests {
     use crate::sharded::ShardedBasket;
 
     fn shared() -> ShardedBasket {
-        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int), ("y", DataType::Float)]), 1)
+        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int), ("y", DataType::Float)]))
     }
 
     #[test]
@@ -693,7 +693,7 @@ mod tests {
         let bytes = b"1\n\n2\n3\n4";
         let (out, used) = r.parse_bytes(bytes, 2).unwrap();
         assert_eq!((out.rows, used), (2, 5)); // "1\n\n2\n"
-        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
+        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
         r.flush_into(&b, 0).unwrap();
         let (out, used) = r.parse_bytes(&bytes[5..], 2).unwrap();
         assert_eq!((out.rows, used), (2, 3)); // "3\n4": the tail counts as a line
@@ -706,41 +706,10 @@ mod tests {
         r.parse("1\n2\n3\n").unwrap();
         let Column::Int(v) = &r.pending[0] else { panic!("int column") };
         let cap = v.capacity();
-        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
+        let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
         r.flush_into(&b, 0).unwrap();
         let Column::Int(v) = &r.pending[0] else { panic!("int column") };
         assert_eq!((v.len(), v.capacity()), (0, cap));
-    }
-
-    #[test]
-    fn receptors_feed_sharded_baskets_through_the_same_api() {
-        // The shard count is invisible to a receptor: the same code
-        // flushes into a 4-shard basket, which seals to the same view.
-        let mut r = CsvReceptor::new(&[DataType::Int, DataType::Float]);
-        r.parse("1,0.5\n2,1.5\n").unwrap();
-        let sb = ShardedBasket::new(
-            Basket::new("s", &[("x", DataType::Int), ("y", DataType::Float)]),
-            4,
-        );
-        assert_eq!(r.flush_into(&sb, 3).unwrap(), 0);
-        assert_eq!(sb.len(), 2); // ordered path seals synchronously
-        let mut g = GeneratorReceptor::new({
-            let mut left = 1;
-            move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                Some(vec![Column::Int(vec![9]), Column::Float(vec![0.9])])
-            }
-        });
-        assert_eq!(g.pump(&sb, 4).unwrap(), Some(1));
-        assert_eq!(g.pump(&sb, 5).unwrap(), None);
-        assert_eq!(sb.len(), 3);
-        sb.with(|bk| {
-            let w = bk.snapshot();
-            assert_eq!(w.col(0).unwrap(), &Column::Int(vec![1, 2, 9]));
-        });
     }
 
     #[test]

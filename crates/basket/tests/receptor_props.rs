@@ -208,7 +208,7 @@ fn ingest(
     let names: Vec<String> = (0..schema.len()).map(|i| format!("c{i}")).collect();
     let named: Vec<(&str, DataType)> =
         names.iter().map(String::as_str).zip(schema.iter().copied()).collect();
-    let basket = ShardedBasket::new(Basket::new("s", &named), 1);
+    let basket = ShardedBasket::new(Basket::new("s", &named));
     let mut receptor =
         CsvReceptor::new(schema).with_delimiter(delimiter as char).with_policy(policy);
     let mut got = Ok(ParseOutcome::default());
@@ -275,7 +275,7 @@ proptest! {
         let names: Vec<String> = (0..schema.len()).map(|i| format!("c{i}")).collect();
         let named: Vec<(&str, DataType)> =
             names.iter().map(String::as_str).zip(schema.iter().copied()).collect();
-        let basket = ShardedBasket::new(Basket::new("s", &named), 1);
+        let basket = ShardedBasket::new(Basket::new("s", &named));
         let mut receptor =
             CsvReceptor::new(&schema).with_delimiter(delimiter as char).with_policy(policy);
         let mut got = Ok(ParseOutcome::default());

@@ -22,11 +22,9 @@
 //!    scrutinee (the guard silently lives for the whole body), every
 //!    lock a `Mutex` leaf (no `.lock()` while a let-bound guard is live),
 //!    and no lock acquired inside a `thread::scope` fan-out block —
-//!    scoped workers must own their data outright (the parallel seal
-//!    collects staged segments *before* spawning its stitchers for
-//!    exactly this reason).
+//!    scoped workers must own their data outright.
 //! 4. **Exposition conformance** — a live engine runs a small
-//!    three-axis workload, its telemetry snapshot (plus the network
+//!    two-axis workload, its telemetry snapshot (plus the network
 //!    edge's `datacell_net_*` families, parse-time histogram included)
 //!    is rendered to
 //!    Prometheus text and re-parsed with the strict
@@ -302,7 +300,7 @@ fn audit_file(rel: &str, text: &str, lock_free: bool, findings: &mut Vec<Finding
                 site.clone(),
                 "lock acquired inside a thread::scope fan-out block; collect \
                  shared state before spawning — scoped workers must own \
-                 their data outright (see the parallel seal's phase split)",
+                 their data outright",
             ));
         }
         if trimmed.starts_with("if let") || trimmed.starts_with("while let") {
@@ -338,17 +336,13 @@ fn audit_file(rel: &str, text: &str, lock_free: bool, findings: &mut Vec<Finding
 // Pass 4: exposition conformance.
 // ---------------------------------------------------------------------------
 
-/// Run a small three-axis workload and hold the engine's exposition, with
+/// Run a small two-axis workload and hold the engine's exposition, with
 /// the network edge's families folded in as `/metrics` serves them, to the
 /// strict parser plus the every-family-has-help rule. Returns the number of
 /// families checked.
 fn lint_exposition(findings: &mut Vec<Finding>) -> usize {
-    let mut e = Engine::with_config(EngineConfig {
-        workers: 2,
-        partitions: 2,
-        basket_shards: 2,
-        ..EngineConfig::from_env()
-    });
+    let mut e =
+        Engine::with_config(EngineConfig { workers: 2, partitions: 2, ..EngineConfig::from_env() });
     e.create_stream("lint_s", &[("k", DataType::Int), ("v", DataType::Int)])
         .expect("lint stream registration");
     e.register_sql("SELECT k, sum(v) FROM lint_s GROUP BY k WINDOW SIZE 32 SLIDE 16")

@@ -1,12 +1,11 @@
-//! `metrics_dump` — drive a sharded aggregation workload through all
-//! three parallelism axes (4 scheduler workers × 4 basket shards × 4
-//! kernel partitions by default) and print the engine's full telemetry
-//! snapshot in Prometheus text format, followed by a human summary:
-//! per-query slide-latency quantiles, the paper's Fig. 7 main-plan vs.
-//! merge split, per-worker fire counts, per-shard staged depth and the
-//! kernel's concat-vs-regroup merge ratio. The first burst goes in over a
-//! real `INGEST` socket while a `SUBSCRIBE`d client reads a result back,
-//! so the dump also carries the network edge's `datacell_net_*` families
+//! `metrics_dump` — drive an aggregation workload through both
+//! parallelism axes (4 scheduler workers × 4 kernel partitions by
+//! default) and print the engine's full telemetry snapshot in Prometheus
+//! text format, followed by a human summary: per-query slide-latency
+//! quantiles, the paper's Fig. 7 main-plan vs. merge split, per-worker
+//! fire counts and the kernel's concat-vs-regroup merge ratio. The first
+//! burst goes in over a real `INGEST` socket while a `SUBSCRIBE`d client
+//! reads a result back, so the dump also carries the network edge's `datacell_net_*` families
 //! (parse, render and write time among them), as `GET /metrics` would
 //! serve them.
 //!
@@ -16,7 +15,7 @@
 //! on a zero where the workload must have left a signal.
 //!
 //! Flags: `--scale f` resizes the per-round batch, `--windows n` sets the
-//! rounds; shards and partitions are 4. `DATACELL_WORKERS` above 1
+//! rounds; partitions are 4. `DATACELL_WORKERS` above 1
 //! overrides the worker count (default 4 here, not the engine's usual 1). `DATACELL_TELEMETRY=0` kills the timed
 //! signals; counters and gauges stay on.
 
@@ -47,21 +46,19 @@ fn batch(rows: usize, seed: &mut u64) -> Vec<Column> {
 fn main() {
     let args = Args::parse();
     // The engine's usual default of one worker would leave the pool
-    // families empty; this dump wants all three axes live.
+    // families empty; this dump wants both axes live.
     let workers = match EngineConfig::from_env().workers {
         1 => 4,
         n => n,
     };
-    let (shards, partitions) = (4, 4);
+    let partitions = 4;
+    // Appends per round: as if four receptors fed the stream.
+    let batches = 4;
     let rounds = args.windows.unwrap_or(8).max(1);
-    let rows_per_shard = args.sized(256, 32);
+    let rows_per_batch = args.sized(256, 32);
 
-    let mut e = Engine::with_config(EngineConfig {
-        workers,
-        partitions,
-        basket_shards: shards,
-        ..EngineConfig::from_env()
-    });
+    let mut e =
+        Engine::with_config(EngineConfig { workers, partitions, ..EngineConfig::from_env() });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     e.create_stream("t", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let queries = [
@@ -82,7 +79,7 @@ fn main() {
     // line back, so the burst is at least one window long and the render
     // and write families carry a signal.
     let mut seed = args.seed.wrapping_add(1);
-    let wire_rows = (rows_per_shard * shards).max(512);
+    let wire_rows = (rows_per_batch * batches).max(512);
     let watched = e.queries().into_iter().find(|&(q, _)| q == queries[1]).unwrap().1;
     let mut csv = String::from("INGEST s\n");
     let burst = batch(wire_rows, &mut seed);
@@ -112,12 +109,11 @@ fn main() {
     let net = server.stats().clone();
     let mut e = server.shutdown().unwrap();
 
-    // N rounds of "one batch per staging shard, then drain" — the
-    // steady-state loop of `shards` receptors feeding standing queries.
-    let b = e.basket("s").unwrap();
+    // N rounds of "`batches` appends, then drain" — the steady-state
+    // loop of receptors feeding standing queries.
     for _ in 0..rounds {
-        for shard in 0..shards {
-            b.append_shard(shard, &batch(rows_per_shard, &mut seed), 0).unwrap();
+        for _ in 0..batches {
+            e.append("s", &batch(rows_per_batch, &mut seed)).unwrap();
         }
         // The join's other side: every slide is two strip probes.
         e.append("t", &batch(64, &mut seed)).unwrap();
@@ -125,12 +121,6 @@ fn main() {
     }
     let slides: usize = queries.iter().map(|&q| e.drain_results(q).unwrap().len()).sum();
     assert!(slides > 0, "workload produced no window slides");
-
-    // Leave a tail staged with no drain after it, like a receptor caught
-    // mid-burst: the staged-depth gauges in the dump must be nonzero.
-    for shard in 0..shards {
-        b.append_shard(shard, &batch(8, &mut seed), 0).unwrap();
-    }
 
     let mut snap = e.telemetry_snapshot();
     net.extend_snapshot(&mut snap);
@@ -140,7 +130,7 @@ fn main() {
 
     // -- human summary + nonzero acceptance checks -------------------------
 
-    println!("# == summary ({workers} workers x {shards} shards x {partitions} partitions, {rounds} rounds, {slides} slides) ==");
+    println!("# == summary ({workers} workers x {partitions} partitions, {rounds} rounds, {slides} slides) ==");
     let fam = snap.family("datacell_query_slide_seconds").expect("query latency family");
     for s in &fam.samples {
         let SampleValue::Histogram(h) = &s.value else { continue };
@@ -172,31 +162,25 @@ fn main() {
         assert!(fires.iter().sum::<f64>() > 0.0, "pool workers never fired a factory");
     }
 
-    let staged = parsed.total("datacell_basket_staged_rows");
-    let imbalance = parsed.total("datacell_basket_shard_imbalance_ratio");
-    println!("# staged rows (tail burst): {staged}, shard imbalance ratio: {imbalance:.3}");
-    assert!(staged > 0.0, "staged tail burst not visible in the dump");
-
     let concat = parsed.total("datacell_kernel_merge_concat_total");
     let regroup = parsed.total("datacell_kernel_merge_regroup_total");
     println!("# kernel merges: concat fast path {concat}, re-group fallback {regroup}");
     assert!(concat + regroup > 0.0, "partitioned run never merged aggregation partials");
 
     // The ORDER BY query exercises SortPerm + Fetch every slide, so the
-    // morsel fetch/sort families must carry a signal, the parallel legs
+    // fetch/sort families must carry a signal, the parallel fetch leg
     // included.
     let fetches = parsed.total("datacell_kernel_fetch_calls_total");
     let sorts = parsed.total("datacell_kernel_sort_calls_total");
     let par_fetches = parsed.total("datacell_kernel_fetch_par_calls_total");
-    let par_sorts = parsed.total("datacell_kernel_sort_par_calls_total");
     let elided = parsed.total("datacell_kernel_scatter_elided_total");
     println!(
         "# kernel fetch/sort: {fetches} fetches ({par_fetches} parallel), \
-         {sorts} sorts ({par_sorts} parallel), {elided} scatters elided"
+         {sorts} sorts, {elided} scatters elided"
     );
     assert!(fetches > 0.0, "ORDER BY workload recorded no fetch calls");
     assert!(sorts > 0.0, "ORDER BY workload recorded no sort calls");
-    assert!(par_sorts > 0.0, "partitioned run never took the parallel sort path");
+    assert!(par_fetches > 0.0, "partitioned run never took the parallel fetch path");
     let joins = parsed.total("datacell_kernel_join_calls_total");
     let probe_rows = parsed.total("datacell_kernel_join_probe_rows_total");
     let pairs = parsed.total("datacell_kernel_join_pairs_total");

@@ -6,8 +6,8 @@
 //!
 //! Naming no sweep runs all of them. `--scale` resizes every input,
 //! `--windows` overrides each sweep's count of timed calls (slides for
-//! `join-strip`, batches per receptor for `ingest`, ring passes for
-//! `wire-bytes`, windows per query for `scheduler`), `--seed` the data.
+//! `join-strip`, ring passes for `wire-bytes`, windows per query for
+//! `scheduler`), `--seed` the data.
 //!
 //! Every case runs through one harness ([`Harness::case`]): per point one
 //! untimed call — the warm-up, whose output must equal the case's first
@@ -30,17 +30,13 @@
 //!   P × placement, on 100 heavy and n/10 light groups. Aggregates are
 //!   byte-identical across P and both placements; an aligned case takes
 //!   the concat merge only (re-group delta 0).
-//! * `sort` — `par::sort_perm` then `par::fetch` (the `ORDER BY` chain)
-//!   over P on dense, skewed and presorted keys, identical at every P;
+//! * `sort` — `par::sort_perm` (one run on the calling thread at every P)
+//!   then `par::fetch` (the `ORDER BY` chain) over P on dense, skewed and
+//!   presorted keys, identical at every P;
 //!   then the aligned-input mark (`mark1`) against none (`mark0`) on
 //!   placement-ordered input per P × placement: the mark never changes
 //!   results, elides a scatter under aligned placement and never under
 //!   round-robin.
-//! * `ingest` — `ShardedBasket` appends from 1, 4 and 16 writer threads
-//!   over 1–8 shards per placement (round-robin: thread `i` calls
-//!   `append_shard(i % shards, ..)`; aligned: `append_keyed`); every point
-//!   seals with dense oids and an exact checksum. `s1` stages nothing, the
-//!   contention baseline.
 //! * `wire-bytes` — ns/row of `CsvReceptor::parse_bytes` over a 4096-row
 //!   ring per schema, flushed every 256 rows as the network edge does,
 //!   with zero rejects and an exact row count. `padded` is the `int,float`
@@ -53,7 +49,9 @@
 //! * `kernel` — the sequential `algebra` operators (select, fetch, concat
 //!   of 512 parts, distinct, sort, group + sum) at 10k / 100k / 1M rows,
 //!   and the P = 1 vs P = 2 crossover of `par::{select, fetch, sort_perm,
-//!   grouped_agg_multi, hashjoin}` at 1k / 8k / 64k / 512k rows.
+//!   grouped_agg_multi, hashjoin}` at 1k / 8k / 64k / 512k rows
+//!   (`sort_perm` sorts on the caller's thread at every P, so its P = 2
+//!   point prices the dispatch only).
 //!
 //! Speedup tracks *physical cores*: on a one- or two-core host the
 //! interesting numbers are the partition, merge and spawn overheads.
@@ -69,7 +67,6 @@ use datacell_kernel::{Bat, Column, DataType, Oid, Placement, PlacementMode, Valu
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::io::Write;
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// A declared sweep: its name and its body, which runs its cases through
@@ -77,12 +74,11 @@ use std::time::{Duration, Instant};
 type Sweep = (&'static str, fn(&mut Harness, &Args));
 
 /// Every sweep, in the order a bare `scale` runs them.
-const SWEEPS: [Sweep; 8] = [
+const SWEEPS: [Sweep; 7] = [
     ("join", join),
     ("join-strip", join_strip),
     ("agg", agg),
     ("sort", sort),
-    ("ingest", ingest),
     ("wire-bytes", wire_bytes),
     ("scheduler", scheduler),
     ("kernel", kernel),
@@ -90,7 +86,7 @@ const SWEEPS: [Sweep; 8] = [
 
 const USAGE: &str = "usage: scale [sweep ...] [--scale f] [--windows n] [--seed n]";
 
-/// The partition (and shard, and worker) counts a sweep runs over.
+/// The partition (and worker) counts a sweep runs over.
 const FANOUTS: [usize; 4] = [1, 2, 4, 8];
 
 const MODES: [(PlacementMode, &str); 2] =
@@ -351,107 +347,7 @@ fn sort(h: &mut Harness, args: &Args) {
             PlacementMode::RoundRobin => assert_eq!(elided, 0, "round-robin honoured the mark"),
         }
     }
-    h.note("shape: P=1 is one run and one morsel on the calling thread: no merge, no spawn");
-}
-
-const ROWS_PER_BATCH: usize = 64;
-
-/// One ingest point: `receptors` threads × `batches` appends into a
-/// `shards`-way basket, then one seal, verified. Returns the append
-/// phase's seconds, the seal's seconds and whether the seal fanned out.
-fn append_point(
-    shards: usize,
-    receptors: usize,
-    batches: usize,
-    mode: PlacementMode,
-    seed: u64,
-) -> (f64, f64, bool) {
-    let sb = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
-    let barrier = Arc::new(Barrier::new(receptors));
-    let value = move |tid: usize, r: usize| seed as i64 + (tid + r) as i64;
-    // Each appender clocks its own span; the phase wall is the envelope
-    // max(end) − min(start). Timing on the main thread would miss work
-    // done before it is scheduled again.
-    let threads: Vec<_> = (0..receptors)
-        .map(|tid| {
-            let (sb, barrier) = (sb.clone(), Arc::clone(&barrier));
-            std::thread::spawn(move || {
-                let shard = tid % shards;
-                let batch = [Column::Int((0..ROWS_PER_BATCH).map(|r| value(tid, r)).collect())];
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..batches {
-                    match mode {
-                        PlacementMode::RoundRobin => sb.append_shard(shard, &batch, 0),
-                        // Key-hash routing on the one Int column: rows land
-                        // on the shards the kernel's aligned morsels own.
-                        PlacementMode::Aligned => sb.append_keyed(0, &batch, 0),
-                    }
-                    .unwrap();
-                }
-                (start, Instant::now())
-            })
-        })
-        .collect();
-    let spans: Vec<(Instant, Instant)> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-    let first = spans.iter().map(|(s, _)| *s).min().unwrap();
-    let last = spans.iter().map(|(_, e)| *e).max().unwrap();
-    let stats0 = stats::snapshot();
-    let start = Instant::now();
-    let end = sb.seal();
-    let seal = start.elapsed().as_secs_f64();
-    let seal_parallel = stats::snapshot().delta(&stats0).seal_par_calls > 0;
-
-    // No tuple lost or duplicated, oids dense from 0, the exact checksum:
-    // placement reorders rows within a batch, never loses or rewrites them.
-    let total = (receptors * batches * ROWS_PER_BATCH) as u64;
-    assert_eq!((end, sb.len() as u64, sb.base_oid()), (total, total, 0), "oids not dense");
-    let sum: i64 = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().iter().sum());
-    let expect: i64 =
-        (0..receptors).flat_map(|t| (0..ROWS_PER_BATCH).map(move |r| value(t, r))).sum::<i64>()
-            * batches as i64;
-    assert_eq!(sum, expect, "value checksum mismatch");
-    ((last - first).as_secs_f64(), seal, seal_parallel)
-}
-
-fn ingest(h: &mut Harness, args: &Args) {
-    let batches = args.windows.unwrap_or_else(|| args.sized(2_000, 50)).max(1);
-    h.note(&format!(
-        "{batches} batches/receptor x {ROWS_PER_BATCH} rows; us and ns_row time the appends"
-    ));
-    for (mode, mode_name) in MODES {
-        for receptors in [1, 4, 16] {
-            let case = &format!("{mode_name}_r{receptors}");
-            let mut first = None;
-            for shards in FANOUTS {
-                // Warm-up pass: first-touch allocation, thread spawn paths.
-                append_point(shards, receptors, (batches / 10).max(1), mode, args.seed);
-                let (append, seal, seal_parallel) =
-                    append_point(shards, receptors, batches, mode, args.seed);
-                let point = &format!("s{shards}");
-                h.point(
-                    &mut first,
-                    (case, point),
-                    receptors * batches * ROWS_PER_BATCH,
-                    (),
-                    append,
-                );
-                h.emit(
-                    case,
-                    point,
-                    "appends_s",
-                    (receptors * batches) as f64 / append,
-                    "appends/s",
-                );
-                h.emit(case, point, "seal_us", seal * 1e6, "us");
-                h.emit(case, point, "seal_parallel", f64::from(u8::from(seal_parallel)), "bool");
-            }
-        }
-    }
-    h.note(
-        "shape: with 4+ receptors appends/s should rise from 1 to 4 shards on multi-core hardware;",
-    );
-    h.note("on one core the table bounds the sharding overhead instead");
+    h.note("shape: the sort is one run on the calling thread at every P; P=1 fetch is one morsel");
 }
 
 /// An ingest edge that drops the batch: `wire-bytes` measures the parser
@@ -496,7 +392,7 @@ fn wire_ring(schema: &[DataType], padded: bool, seed: u64) -> Vec<u8> {
 /// The columns `ring` lands in a basket, parsed in one untimed call.
 fn landed(schema: &[DataType], ring: &[u8]) -> Vec<Column> {
     let named: Vec<(&str, DataType)> = ["a", "b"].into_iter().zip(schema.iter().copied()).collect();
-    let basket = ShardedBasket::new(Basket::new("ring", &named), 1);
+    let basket = ShardedBasket::new(Basket::new("ring", &named));
     let mut receptor = CsvReceptor::new(schema);
     receptor.parse_bytes(ring, usize::MAX).expect("skip policy");
     receptor.flush_into(&basket, 0).expect("flush");

@@ -4,7 +4,7 @@
 //! evaluation (§4). Binaries `fig4` … `fig10` each regenerate one figure's
 //! series. `scale` runs the declared scaling sweeps (`scale [sweep …]`):
 //! the partitioned kernel operators over fan-out and placement, the
-//! sliding join strip, the sharded ingest edge, the CSV parser, the
+//! sliding join strip, the CSV parser, the
 //! parallel Petri-net scheduler over worker counts, and the sequential
 //! kernel operators with their P = 1 vs P = 2 crossover — every point a
 //! wirebench-style `name value unit` line. `lint` and `metrics_dump` are

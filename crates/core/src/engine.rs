@@ -117,15 +117,11 @@ pub struct Engine {
     series: HashMap<usize, QuerySeries>,
     clock: Timestamp,
     /// The `kernel::par` configuration every SQL-registered factory
-    /// executes under: the intra-operator partition fan-out plus the
-    /// placement mode resolved from it. Orthogonal to the scheduler's
-    /// worker count: workers parallelize *across* factories, partitions
-    /// parallelize *inside* one factory's kernel operators.
+    /// executes under: the intra-operator partition fan-out. Orthogonal to
+    /// the scheduler's worker count: workers parallelize *across*
+    /// factories, partitions parallelize *inside* one factory's kernel
+    /// operators.
     par: ParConfig,
-    /// Staging shards per basket — the third parallelism axis: workers
-    /// scale across factories, partitions inside operators, shards across
-    /// *receptors* appending to one stream. 1 stages nothing.
-    basket_shards: usize,
     /// Run the typed static analyzer (`plan::verify`) over every compiled
     /// plan at registration, with the real stream/table schemas. Defaults
     /// to on under `debug_assertions` or `DATACELL_VERIFY=1`.
@@ -140,8 +136,8 @@ impl Default for Engine {
 
 impl Engine {
     /// A fresh engine configured from the environment
-    /// ([`EngineConfig::from_env`]): one worker, one partition and one
-    /// basket shard unless a `DATACELL_*` variable says otherwise.
+    /// ([`EngineConfig::from_env`]): one worker and one partition unless
+    /// a `DATACELL_*` variable says otherwise.
     pub fn new() -> Engine {
         Engine::with_config(EngineConfig::from_env())
     }
@@ -149,20 +145,7 @@ impl Engine {
     /// A fresh engine with exactly this configuration (counts clamped to
     /// at least 1); the environment is not consulted. The configuration
     /// is fixed for the engine's lifetime.
-    ///
-    /// The morsel placement mode is resolved here, once: `Aligned` iff
-    /// `basket_shards == partitions` — the one configuration where
-    /// staging shards and kernel morsels can share the canonical key-hash
-    /// map, making grouped-aggregation partial merges pure concatenation
-    /// — and `RoundRobin` otherwise. Both modes are byte-identical to the
-    /// sequential result.
     pub fn with_config(config: EngineConfig) -> Engine {
-        let (partitions, basket_shards) = (config.partitions.max(1), config.basket_shards.max(1));
-        let placement = if basket_shards == partitions {
-            PlacementMode::Aligned
-        } else {
-            PlacementMode::RoundRobin
-        };
         Engine {
             baskets: HashMap::new(),
             catalog: Catalog::default(),
@@ -170,8 +153,7 @@ impl Engine {
             outputs: HashMap::new(),
             series: HashMap::new(),
             clock: 0,
-            par: ParConfig::new(partitions).with_placement(placement),
-            basket_shards,
+            par: ParConfig::new(config.partitions),
             verify: config.verify,
         }
     }
@@ -197,14 +179,14 @@ impl Engine {
         self.par.partitions()
     }
 
-    /// Staging shards per basket: how many receptors can append to one
-    /// stream without contending on its mutex.
+    /// Always 1: every stream is one basket behind one lock. Kept only
+    /// because the wire-to-result benchmark prints it in its run header
+    /// (`benchmark/src/wire.rs`).
     pub fn basket_shards(&self) -> usize {
-        self.basket_shards
+        1
     }
 
-    /// The morsel placement mode resolved at construction (see
-    /// [`Engine::with_config`]).
+    /// The morsel placement mode: round-robin (`ParConfig::new`'s).
     pub fn placement(&self) -> PlacementMode {
         self.par.placement()
     }
@@ -220,10 +202,7 @@ impl Engine {
         if self.baskets.contains_key(name) {
             return Err(DataCellError::AlreadyExists(name.to_owned()));
         }
-        self.baskets.insert(
-            name.to_owned(),
-            ShardedBasket::new(Basket::new(name, schema), self.basket_shards),
-        );
+        self.baskets.insert(name.to_owned(), ShardedBasket::new(Basket::new(name, schema)));
         Ok(())
     }
 
@@ -243,12 +222,9 @@ impl Engine {
         &mut self.catalog
     }
 
-    /// The shared handle of a stream (receptors feed through this). At
-    /// `basket_shards > 1` appends stage into per-receptor shards and the
-    /// scheduler seals them into the ordered view on every drain; at 1
-    /// shard appends write that view directly. [`ShardedBasket::with`]
-    /// locks the view for reading — never append inside it when
-    /// shards > 1.
+    /// The shared handle of a stream (receptors feed through this):
+    /// [`ShardedBasket::append`] is visible to the scheduler's next scan,
+    /// and [`ShardedBasket::with`] locks the basket for reading.
     pub fn basket(&self, stream: &str) -> Result<ShardedBasket, DataCellError> {
         self.baskets
             .get(stream)
@@ -548,10 +524,10 @@ impl Engine {
     // -- telemetry ---------------------------------------------------------
 
     /// One coherent snapshot of every telemetry signal: the process-wide
-    /// registry (kernel aggregation and basket-seal internals) merged
-    /// with this engine's own series — per-query slide latency and the
-    /// paper's Fig. 7 main-plan/merge cost split, scheduler worker-pool
-    /// utilization, and per-shard basket depth. Render it with
+    /// registry (kernel operator internals) merged with this engine's
+    /// own series — per-query slide latency and the paper's Fig. 7
+    /// main-plan/merge cost split, and scheduler worker-pool
+    /// utilization. Render it with
     /// [`datacell_telemetry::render_text`].
     ///
     /// Engine-local families are assembled from engine-owned handles
@@ -563,7 +539,6 @@ impl Engine {
         let mut snap = datacell_telemetry::global().snapshot();
         self.query_families(&mut snap);
         self.scheduler_families(&mut snap);
-        self.basket_families(&mut snap);
         snap
     }
 
@@ -666,54 +641,6 @@ impl Engine {
         }
         for fam in [fires, busy, idle] {
             snap.push(fam);
-        }
-    }
-
-    /// Basket ingest-edge series: per-shard staged depth, cumulative rows
-    /// and a per-stream shard-imbalance ratio (max over mean of
-    /// cumulative rows; 1.0 is perfectly balanced, 0 when nothing has
-    /// been staged yet).
-    fn basket_families(&self, snap: &mut Snapshot) {
-        let mut names: Vec<&String> = self.baskets.keys().collect();
-        names.sort();
-        let mut staged_rows = Family::new(
-            "datacell_basket_staged_rows",
-            "Rows currently staged (appended, not yet sealed) per basket shard.",
-            MetricKind::Gauge,
-        );
-        let mut staged_segs = Family::new(
-            "datacell_basket_staged_segments",
-            "Staged append segments awaiting seal, per basket shard.",
-            MetricKind::Gauge,
-        );
-        let mut shard_rows = Family::new(
-            "datacell_basket_shard_rows_total",
-            "Rows ever staged into a basket shard.",
-            MetricKind::Counter,
-        );
-        let mut imbalance = Family::new(
-            "datacell_basket_shard_imbalance_ratio",
-            "Max-over-mean of cumulative rows across a basket's shards; 1.0 is balanced.",
-            MetricKind::Gauge,
-        );
-        for name in names {
-            let stats = self.baskets[name].shard_stats();
-            let sum: u64 = stats.iter().map(|s| s.total_rows).sum();
-            let max = stats.iter().map(|s| s.total_rows).max().unwrap_or(0);
-            let ratio = if sum == 0 { 0.0 } else { max as f64 * stats.len() as f64 / sum as f64 };
-            imbalance.push_value(&[("stream", name)], ratio);
-            for (i, s) in stats.iter().enumerate() {
-                let shard = i.to_string();
-                let lbl = [("stream", name.as_str()), ("shard", shard.as_str())];
-                staged_rows.push_value(&lbl, s.staged_rows as f64);
-                staged_segs.push_value(&lbl, s.staged_segments as f64);
-                shard_rows.push_value(&lbl, s.total_rows as f64);
-            }
-        }
-        for fam in [staged_rows, staged_segs, shard_rows, imbalance] {
-            if !fam.samples.is_empty() {
-                snap.push(fam);
-            }
         }
     }
 
@@ -988,110 +915,34 @@ mod tests {
     }
 
     #[test]
-    fn basket_shards_api_and_sharded_results_match_single_shard() {
-        // The same workload at shards ∈ {1, 4}: feeding from one thread
-        // is deterministic, so window results must be byte-identical.
-        let run = |shards: usize| {
-            let mut e =
-                stream_engine(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
-            assert_eq!(e.basket_shards(), shards.max(1));
-            assert_eq!(e.basket("s").unwrap().shards(), shards.max(1));
-            let q =
-                e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 4 SLIDE 2").unwrap();
-            for i in 0..4 {
-                e.append_at(
-                    "s",
-                    &[Column::Int(vec![1, 2, 3]), Column::Int(vec![i, i + 1, i + 2])],
-                    i as u64,
-                )
-                .unwrap();
-            }
-            e.run_until_idle().unwrap();
-            e.drain_results(q)
-                .unwrap()
-                .iter()
-                .map(datacell_plan::ResultSet::rows)
-                .collect::<Vec<_>>()
-        };
-        let seq = run(1);
-        assert!(!seq.is_empty());
-        assert_eq!(run(4), seq, "shards=4 diverged from one shard");
-    }
-
-    #[test]
-    fn placement_auto_resolves_from_configured_counts() {
+    fn config_counts_clamp_and_placement_is_round_robin() {
         // Explicit configs, so no DATACELL_* variable of the harness
         // environment moves either count.
-        let placement = |partitions: usize, basket_shards: usize| {
-            let config = EngineConfig { partitions, basket_shards, ..EngineConfig::default() };
-            let e = Engine::with_config(config);
-            (e.partitions(), e.basket_shards(), e.placement())
-        };
-        // shards == partitions -> aligned (inert at 1 partition: one
-        // morsel regardless); otherwise round-robin.
-        assert_eq!(placement(1, 1), (1, 1, PlacementMode::Aligned));
-        assert_eq!(placement(4, 1), (4, 1, PlacementMode::RoundRobin));
-        assert_eq!(placement(1, 4), (1, 4, PlacementMode::RoundRobin));
-        assert_eq!(placement(4, 4), (4, 4, PlacementMode::Aligned));
-        // Zero counts clamp to 1 before the comparison.
-        assert_eq!(placement(0, 0), (1, 1, PlacementMode::Aligned));
-        assert_eq!(placement(0, 1), (1, 1, PlacementMode::Aligned));
-        assert_eq!(placement(4, 0), (4, 1, PlacementMode::RoundRobin));
+        for (partitions, expect) in [(0, 1), (1, 1), (4, 4)] {
+            let e = Engine::with_config(EngineConfig { partitions, ..EngineConfig::default() });
+            assert_eq!(e.partitions(), expect);
+            assert_eq!((e.basket_shards(), e.placement()), (1, PlacementMode::RoundRobin));
+        }
         let clamped = Engine::with_config(EngineConfig { workers: 0, ..EngineConfig::default() });
         assert_eq!(clamped.workers(), 1);
     }
 
     #[test]
-    fn aligned_placement_reaches_factories_and_matches_roundrobin() {
-        use datacell_kernel::par::stats;
-        let sql = "SELECT x1, sum(x2) FROM s GROUP BY x1 WINDOW SIZE 16 SLIDE 16";
-        let mut per_mode = Vec::new();
-        // 1 shard x 4 partitions resolves to round-robin, 4 x 4 to aligned.
-        for (basket_shards, mode) in [(1, PlacementMode::RoundRobin), (4, PlacementMode::Aligned)] {
-            let config = EngineConfig { partitions: 4, basket_shards, ..EngineConfig::from_env() };
-            let mut e = stream_engine(config);
-            assert_eq!(e.placement(), mode);
-            let q = e.register_sql(sql).unwrap();
-            let xs: Vec<i64> = (0..32).map(|i| i % 7).collect();
-            let ys: Vec<i64> = (0..32).collect();
-            let concat_before = stats::merge_concat_fast_path();
-            e.append("s", &[Column::Int(xs), Column::Int(ys)]).unwrap();
-            e.run_until_idle().unwrap();
-            if mode == PlacementMode::Aligned {
-                // The concat fast path firing proves the mode reached the
-                // factory's kernel execution, not just the engine field.
-                assert!(
-                    stats::merge_concat_fast_path() > concat_before,
-                    "aligned engine must take the merge-free concat path"
-                );
-            }
-            per_mode.push(e.drain_results(q).unwrap());
-        }
-        let (rr, al) = (&per_mode[0], &per_mode[1]);
-        assert_eq!(rr.len(), al.len());
-        assert!(!rr.is_empty());
-        for (a, b) in rr.iter().zip(al) {
-            assert_eq!(a.rows(), b.rows(), "placement modes diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_receptor_appends_visible_after_drain() {
-        // Staged (unsealed) receptor appends must be published by the
-        // engine's drain — including the GC path never touching them.
-        let mut e = stream_engine(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
+    fn handle_appends_are_visible_to_the_next_drain() {
+        // Appends through a cloned stream handle need no engine call to
+        // publish them: the next drain fires on them and GC expires them.
+        let mut e = stream_engine(EngineConfig::from_env());
         let q = e.register_sql("SELECT sum(x2) FROM s WHERE x1 > 0 WINDOW SIZE 2 SLIDE 2").unwrap();
         let b = e.basket("s").unwrap();
-        b.append_shard(0, &[Column::Int(vec![1]), Column::Int(vec![10])], 0).unwrap();
-        b.append_shard(2, &[Column::Int(vec![1]), Column::Int(vec![20])], 0).unwrap();
-        assert_eq!(e.basket_len("s").unwrap(), 0); // staged, not sealed
+        b.append(&[Column::Int(vec![1]), Column::Int(vec![10])], 0).unwrap();
+        b.append(&[Column::Int(vec![1]), Column::Int(vec![20])], 0).unwrap();
+        assert_eq!(e.basket_len("s").unwrap(), 2);
         e.run_until_idle().unwrap();
         let out = e.drain_results(q).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rows(), vec![vec![Value::Int(30)]]);
-        // Fully consumed -> GC expired the sealed prefix, staging empty.
+        // Fully consumed -> GC expired the prefix.
         assert_eq!(e.basket_len("s").unwrap(), 0);
-        assert_eq!(b.staged_len(), 0);
     }
 
     #[test]

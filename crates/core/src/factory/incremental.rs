@@ -137,13 +137,6 @@ pub struct IncrementalFactory {
     preface_time: Duration,
     /// Intra-operator partition fan-out handed to every plan execution.
     par: ParConfig,
-    /// True when some cluster is `placement_aligned`: the per-bw segment
-    /// consumes rows a keyed receptor scatter-ordered by the canonical
-    /// key-hash, so per-bw executions may vouch for their input's scatter
-    /// order and let aligned kernels elide the re-scatter. Matrix and
-    /// merge segments never get the mark — their rows follow join-pair or
-    /// concat order, not the grouping key's placement.
-    aligned_clusters: bool,
 }
 
 impl IncrementalFactory {
@@ -256,7 +249,6 @@ impl IncrementalFactory {
             chunks_done: 0,
             preface_time: Duration::ZERO,
             par,
-            aligned_clusters: plan.clusters.iter().any(|c| c.placement_aligned),
             plan,
         })
     }
@@ -314,10 +306,8 @@ impl IncrementalFactory {
     /// Run the per-bw segment of stream `k` over one basic window; returns
     /// the ring-var values produced.
     fn eval_perbw(&self, k: usize, w: &BasicWindow) -> Result<Slot, DataCellError> {
-        // The aligned-input vouch is applied per call, never stored in
-        // `self.par`: matrix and merge segments must not inherit it.
-        let par = self.par.with_aligned_input(self.aligned_clusters);
-        let ctx = SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par };
+        let ctx =
+            SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par: self.par };
         let statics = |v: VarId| self.statics[v].as_ref();
         self.eval_segment(
             &self.plan.perbw_instrs[k],
@@ -557,7 +547,7 @@ mod tests {
     }
 
     fn basket2() -> ShardedBasket {
-        ShardedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]), 1)
+        ShardedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]))
     }
 
     fn factory(
@@ -692,9 +682,9 @@ mod tests {
         let mal = compile(&plan).unwrap();
         let inc = rewrite(&mal).unwrap();
         let ba =
-            ShardedBasket::new(Basket::new("a", &[("k", DataType::Int), ("v", DataType::Int)]), 1);
+            ShardedBasket::new(Basket::new("a", &[("k", DataType::Int), ("v", DataType::Int)]));
         let bb =
-            ShardedBasket::new(Basket::new("b", &[("k", DataType::Int), ("v", DataType::Int)]), 1);
+            ShardedBasket::new(Basket::new("b", &[("k", DataType::Int), ("v", DataType::Int)]));
         // Window 4, step 2 => n = 2 basic windows.
         // a: k=[1,2 | 3,4 | 5,6], v=[10,20 | 30,40 | 50,60]
         // b: k=[2,3 | 4,9 | 6,1], v=[5,6 | 7,8 | 9,1]
@@ -809,8 +799,8 @@ mod tests {
             .join(LogicalPlan::stream("b"), col("a", "k"), col("b", "k"))
             .aggregate(None, vec![AggExpr::new(AggKind::Count, col("a", "k"), "n")]);
         let inc = rewrite(&compile(&plan).unwrap()).unwrap();
-        let ba = ShardedBasket::new(Basket::new("a", &[("k", DataType::Int)]), 1);
-        let bb = ShardedBasket::new(Basket::new("b", &[("k", DataType::Int)]), 1);
+        let ba = ShardedBasket::new(Basket::new("a", &[("k", DataType::Int)]));
+        let bb = ShardedBasket::new(Basket::new("b", &[("k", DataType::Int)]));
         let inputs = vec![StreamInput::new("a", ba), StreamInput::new("b", bb)];
         let err = IncrementalFactory::new(
             "q",

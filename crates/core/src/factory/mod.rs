@@ -66,13 +66,10 @@ pub trait Factory: Send {
 /// consumption cursor. Several factories can read the same basket at
 /// different positions; the engine expires tuples below the minimum cursor.
 ///
-/// Reads go through the handle's *sealed, oid-ordered* view of the
-/// stream. When the engine runs sharded ingestion
-/// (`DATACELL_BASKET_SHARDS` > 1), receptor appends stage in per-receptor
-/// shards first and the scheduler seals them into this view before every
-/// readiness scan — factories never observe a partially-merged stream,
-/// so cursor arithmetic over `base_oid`/`end_oid` is unaffected by the
-/// shard count.
+/// Reads go through the handle's lock on the one oid-ordered basket of
+/// the stream. An append is whole once it returns, so factories never
+/// observe a partial batch, and cursor arithmetic over
+/// `base_oid`/`end_oid` holds however many receptors append concurrently.
 #[derive(Debug, Clone)]
 pub struct StreamInput {
     /// Stream name.
@@ -180,7 +177,7 @@ mod tests {
     use datacell_kernel::{Column, DataType};
 
     fn shared() -> ShardedBasket {
-        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1)
+        ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]))
     }
 
     #[test]

@@ -148,10 +148,8 @@ mod tests {
     use datacell_plan::{compile, AggExpr, ColumnRef, LogicalPlan};
 
     fn make(plan: LogicalPlan, window: WindowSpec) -> (ReevalFactory, ShardedBasket) {
-        let basket = ShardedBasket::new(
-            Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]),
-            1,
-        );
+        let basket =
+            ShardedBasket::new(Basket::new("s", &[("x1", DataType::Int), ("x2", DataType::Int)]));
         let mal = compile(&plan).unwrap();
         let inputs = vec![StreamInput::new("s", basket.clone())];
         let f =

@@ -242,7 +242,6 @@ mod tests {
         let cluster = Cluster {
             keys_var: 0,
             agg_vars: aggs.iter().enumerate().map(|(j, &k)| (1 + j, k)).collect(),
-            placement_aligned: true,
         };
         let merged =
             merge_frontier(&frontier_plan(kinds, vec![cluster]), |v| parts[v].iter().collect())?;
@@ -375,8 +374,7 @@ mod tests {
     #[test]
     fn frontier_merges_every_unit_into_its_own_slot() {
         // One plan, both unit shapes: X_0 rows, X_1..X_2 a sum cluster.
-        let cluster =
-            Cluster { keys_var: 1, agg_vars: vec![(2, AggKind::Sum)], placement_aligned: true };
+        let cluster = Cluster { keys_var: 1, agg_vars: vec![(2, AggKind::Sum)] };
         let kinds =
             vec![VarKind::Rows, VarKind::GroupKeysPartial, VarKind::GroupedPartial(AggKind::Sum)];
         let parts = [

@@ -93,20 +93,6 @@ pub struct Cluster {
     pub keys_var: VarId,
     /// Aggregate member variables and their kinds.
     pub agg_vars: Vec<(VarId, AggKind)>,
-    /// The node's *input* is placement-aligned: it groups stream-derived
-    /// rows per basic window, so under `PlacementMode::Aligned` the rows
-    /// a keyed receptor routed to shard *i* carry the same canonical
-    /// key-hash the kernel uses to carve morsel *i* — partials own
-    /// disjoint keys end to end. The incremental factory cashes this mark
-    /// in at execution time: per-bw segments of a plan with an aligned
-    /// cluster run with `ParConfig::with_aligned_input(true)`, letting the
-    /// aligned aggregate and join kernels elide their internal re-scatter
-    /// in favor of run-compressed partition copies (the kernel still
-    /// hashes every key, so the mark can never corrupt results). `false`
-    /// for matrix (post-join) clusters, whose input rows follow the join
-    /// pair order, not the grouping key's placement; the kernel then
-    /// re-scatters internally.
-    pub placement_aligned: bool,
 }
 
 /// One unit of the merge frontier: the variables merged together, and by
@@ -249,9 +235,8 @@ impl IncrementalPlan {
             let dests: Vec<String> = ins.dests.iter().map(|d| format!("X_{d}")).collect();
             out.push_str(&format!("{tag} | {} := {}\n", dests.join(", "), ins.op.name()));
         }
-        let aligned = self.clusters.iter().filter(|c| c.placement_aligned).count();
         out.push_str(&format!(
-            "frontier: {:?}\nclusters: {} ({aligned} placement-aligned)\n",
+            "frontier: {:?}\nclusters: {}\n",
             self.frontier,
             self.clusters.len()
         ));
@@ -440,11 +425,7 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
         for v in std::iter::once(keys_var).chain(agg_vars.iter().map(|(v, _)| *v)) {
             push_unique(&mut frontier, v);
         }
-        clusters.push(Cluster {
-            keys_var,
-            agg_vars,
-            placement_aligned: matches!(stages[keys_var], Stage::PerBw(_)),
-        });
+        clusters.push(Cluster { keys_var, agg_vars });
     }
 
     let inc = IncrementalPlan {
@@ -865,27 +846,6 @@ mod tests {
         // Keys and aggs are both cached.
         assert!(inc.frontier.contains(&c.keys_var));
         assert!(inc.frontier.contains(&c.agg_vars[0].0));
-    }
-
-    #[test]
-    fn per_bw_clusters_are_placement_aligned_matrix_clusters_are_not() {
-        // Grouping stream rows directly: the ingest-side key hash and the
-        // kernel morsel hash can line up, so the cluster is marked.
-        let inc = rewrite(&fig3d()).unwrap();
-        assert!(inc.clusters[0].placement_aligned);
-        assert!(inc.explain().contains("clusters: 1 (1 placement-aligned)"));
-        // Grouping join output: rows follow the pair order, not the
-        // grouping key's placement — not marked.
-        let p = LogicalPlan::stream("sA")
-            .join(LogicalPlan::stream("sB"), col("sA", "a1"), col("sB", "b1"))
-            .aggregate(
-                Some(col("sA", "a1")),
-                vec![AggExpr::new(AggKind::Sum, col("sB", "b2"), "s")],
-            );
-        let inc = rewrite(&compile(&p).unwrap()).unwrap();
-        assert_eq!(inc.clusters.len(), 1);
-        assert!(!inc.clusters[0].placement_aligned);
-        assert!(inc.explain().contains("clusters: 1 (0 placement-aligned)"));
     }
 
     #[test]

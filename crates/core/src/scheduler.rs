@@ -40,14 +40,11 @@
 //! callers at compile time), so a slower concurrent consumer can never
 //! lose an unconsumed oid to garbage collection.
 //!
-//! The ingest edge is sharded ([`ShardedBasket`]): receptors append into
-//! per-receptor staging shards, and the scheduler **seals** every basket
-//! at each readiness scan, merging staged segments into the ordered view
-//! before growth marks and firing conditions are evaluated. Factories
-//! only ever read the sealed view, so the whole wake-up/GC machinery is
-//! oblivious to how many receptors are appending concurrently; expiry
-//! operates strictly below the sealed frontier and can never reclaim an
-//! undrained shard.
+//! Receptors append to a stream's one basket ([`ShardedBasket`]) under
+//! its lock, from any thread, and each append is readable once it
+//! returns. The scheduler polls every basket's `end_oid` at each
+//! readiness scan, so a receptor append wakes its readers at the next
+//! scan, however many receptors append concurrently.
 
 use crate::error::DataCellError;
 use crate::factory::{Factory, FireOutcome};
@@ -347,12 +344,9 @@ pub struct Scheduler {
     factories: Vec<Option<Box<dyn Factory>>>,
     /// Petri-net edges: stream (place) → ids of factories reading it.
     deps: HashMap<String, Vec<FactoryId>>,
-    /// Sharded write handle per input stream, with the `end_oid` observed
-    /// at the last candidate scan. The scheduler both polls the basket
-    /// for growth between scans and *seals* it — staged shard segments
-    /// are merged into the ordered view on every scan, which is what
-    /// makes concurrent receptor appends visible to firing conditions. A
-    /// basket whose end moved past its mark wakes its readers via `deps`.
+    /// Shared handle per input stream, with the `end_oid` observed at the
+    /// last candidate scan. A basket whose end moved past its mark wakes
+    /// its readers via `deps`.
     baskets: HashMap<String, (ShardedBasket, Oid)>,
     /// Factories registered since the last drain (always scanned once).
     fresh: Vec<FactoryId>,
@@ -432,7 +426,7 @@ impl Scheduler {
 
     /// Register a factory, recording its Petri-net input edges.
     /// `basket_of` resolves each of the factory's input streams to its
-    /// sharded write handle (the engine passes its basket registry).
+    /// shared handle (the engine passes its basket registry).
     pub fn register(
         &mut self,
         f: Box<dyn Factory>,
@@ -502,12 +496,8 @@ impl Scheduler {
     /// a drain (`&mut self`) has factories out on worker threads, so the
     /// bound always reflects fully-settled cursors and can never expire a
     /// tuple a mid-fire consumer still needs. The dependency map keeps the
-    /// scan to actual readers instead of every registered factory.
-    ///
-    /// Shard-aware by construction: cursors live in the *sealed* view, so
-    /// the bound is always ≤ the basket's sealed `end_oid`, and staged
-    /// (undrained) shard segments — which sit at or past that frontier —
-    /// are out of expiry's reach entirely.
+    /// scan to actual readers instead of every registered factory. Cursors
+    /// never pass the basket's `end_oid`, so neither does the bound.
     pub fn min_consumed(&self, stream: &str) -> Option<Oid> {
         self.deps
             .get(stream)
@@ -564,7 +554,7 @@ impl Scheduler {
                 break;
             }
             // Handle every factory that is back before scanning again: a
-            // scan seals and polls every basket, so scans per drain must
+            // scan polls every basket, so scans per drain must
             // track scheduling rounds, not factories. A factory rearmed
             // here joins the next round, after that scan.
             for _ in 0..returned.len() {
@@ -657,10 +647,6 @@ impl Scheduler {
     /// Transitions to (re)check for readiness: fresh registrations, the
     /// readers of every basket that grew past its mark and — when the
     /// clock moved — every factory (time-based firing conditions).
-    /// Staged shard segments are sealed first (a no-op for single-shard
-    /// baskets), so both the growth marks and the readiness checks see
-    /// every tuple delivered so far and the staged→sealed hop is the only
-    /// latency a sharded receptor append adds.
     fn scan_candidates(&mut self, clock: Timestamp) -> Vec<FactoryId> {
         let clock_moved = self.last_clock != Some(clock);
         self.last_clock = Some(clock);
@@ -669,7 +655,7 @@ impl Scheduler {
             cand.extend(self.ids());
         }
         for (s, (b, mark)) in &mut self.baskets {
-            let end = b.seal();
+            let end = b.end_oid();
             if end > *mark {
                 *mark = end;
                 if let Some(readers) = self.deps.get(s) {
@@ -696,7 +682,7 @@ mod tests {
     const WORKERS: [usize; 3] = [1, 2, 4];
 
     fn shared(name: &str) -> ShardedBasket {
-        ShardedBasket::new(Basket::new(name, &[("x", DataType::Int)]), 1)
+        ShardedBasket::new(Basket::new(name, &[("x", DataType::Int)]))
     }
 
     /// A factory that consumes `step`-sized batches from one stream and
@@ -902,28 +888,23 @@ mod tests {
     }
 
     #[test]
-    fn staged_shard_appends_wake_readers() {
-        // Receptor appends that are still *staged* (unsealed) at drain
-        // time must be published by the scheduler's own seal step and
-        // fire their readers.
+    fn appends_through_a_cloned_handle_wake_readers() {
+        // Receptor appends through a clone of the registered handle, with
+        // no seal or other publishing step, must fire their readers.
         for workers in WORKERS {
             let mut s = Scheduler::new(workers);
-            let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 4);
+            let b = shared("s");
             let id = register_sum(&mut s, "s", &b, 2);
-            // Simulate two receptors: both appends stay staged.
-            b.append_shard(0, &ints(2, 5), 0).unwrap();
-            b.append_shard(1, &ints(2, 7), 0).unwrap();
-            assert_eq!(b.len(), 0);
-            assert_eq!(b.staged_len(), 4);
+            let receptor = b.clone();
+            receptor.append(&ints(2, 5), 0).unwrap();
+            receptor.append(&ints(2, 7), 0).unwrap();
             let e = drain(&mut s);
             assert_eq!(e.len(), 2, "workers={workers}");
             assert!(e.iter().all(|e| e.factory == id));
-            assert_eq!(b.staged_len(), 0);
-            assert_eq!(b.len(), 4);
-            // Quiescent again: staged growth after the drain re-arms the
-            // growth mark via the next drain's seal.
-            b.append_shard(3, &ints(2, 1), 0).unwrap();
+            // Quiescent again: growth after the drain re-arms the mark.
+            receptor.append(&ints(2, 1), 0).unwrap();
             assert_eq!(drain(&mut s).len(), 1, "workers={workers}");
+            assert_eq!(drain(&mut s).len(), 0, "workers={workers}");
         }
     }
 

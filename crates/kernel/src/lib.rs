@@ -17,8 +17,8 @@
 //!   can join streams against stored relations (paper Fig. 1: a single
 //!   factory interacts with both baskets and tables);
 //! * a partitioned parallel runtime in [`par`] — radix-partitioned hash
-//!   join, chunk-parallel select, morsel-parallel fetch and sort, and
-//!   merged grouped-aggregate partials — so a single heavy operator can
+//!   join, chunk-parallel select, morsel-parallel fetch, and merged
+//!   grouped-aggregate partials — so a single heavy operator can
 //!   use several cores ([`ParConfig`] / `DATACELL_PARTITIONS`). When the
 //!   caller vouches that its input is placement-aligned
 //!   ([`ParConfig::with_aligned_input`]), the aggregate and join kernels

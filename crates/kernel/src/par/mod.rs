@@ -9,9 +9,9 @@
 //!
 //! * inputs are carved into disjoint pieces — hash **partitions** for the
 //!   radix join ([`hashjoin`]), contiguous balanced **morsels** for
-//!   [`select`], [`fetch`] and [`grouped_agg`], contiguous position
-//!   **runs** for [`sort`]/[`sort_perm`] (sorted in parallel, then k-way
-//!   merged);
+//!   [`select`], [`fetch`] and [`grouped_agg`]; [`sort`]/[`sort_perm`]
+//!   sort one run on the caller's thread at every `P`, because a serial
+//!   k-way merge of parallel runs cost more than it saved;
 //! * one private runner executes a closure per piece: a single piece runs
 //!   inline on the caller's thread, several run on scoped worker threads
 //!   (one per piece; no pool, no unsafe, no external deps — partition
@@ -31,20 +31,20 @@
 //! sequential join in a documented canonical order — while `select`,
 //! `fetch`, `sort`/`sort_perm` and
 //! `grouped_agg` outputs are byte-identical to sequential at every `P`
-//! (morsels are ascending, the sort merge breaks ties toward the
-//! lowest-position run, and re-grouping preserves first-occurrence key
-//! order), with one carve-out:
+//! (morsels are ascending, the sort is the sequential one, and
+//! re-grouping preserves first-occurrence key order), with one carve-out:
 //! under round-robin placement, float `sum` partials reassociate
 //! non-associative additions, so they are deterministic per `P` but not
 //! `P`-invariant (see [`mod@aggregate`]'s module docs). Under
 //! [`PlacementMode::Aligned`] morsels are carved by the canonical
 //! [`crate::hash::Placement`] key-hash instead: partials own disjoint
 //! keys, the merge is pure concatenation, and even float sums are
-//! byte-identical to sequential at every `P`. When the executing cluster
-//! additionally vouches that keyed ingest already scatter-ordered the
-//! batch ([`ParConfig::with_aligned_input`]), the aligned aggregate and
-//! join elide per-row scatter materialization in favor of run-compressed
-//! partition copies — `stats` counts these as `scatter_elided`.
+//! byte-identical to sequential at every `P`. When the caller
+//! additionally vouches that its batch is already scatter-ordered by
+//! that key-hash ([`ParConfig::with_aligned_input`]), the aligned
+//! aggregate and join elide per-row scatter materialization in favor of
+//! run-compressed partition copies — `stats` counts these as
+//! `scatter_elided`.
 
 mod aggregate;
 mod fetch;
@@ -123,12 +123,9 @@ pub mod stats {
         grouped_agg_par_calls: Counter,
         merge_concat: Counter,
         merge_regroup: Counter,
-        seal_calls: Counter,
-        seal_par_calls: Counter,
         fetch_calls: Counter,
         fetch_par_calls: Counter,
         sort_calls: Counter,
-        sort_par_calls: Counter,
         scatter_elided: Counter,
         join_calls: Counter,
         join_probe_rows: Counter,
@@ -138,9 +135,7 @@ pub mod stats {
         agg_seconds_par: Histogram,
         fetch_seconds_seq: Histogram,
         fetch_seconds_par: Histogram,
-        sort_seconds_seq: Histogram,
-        sort_seconds_par: Histogram,
-        sort_merge_seconds: Histogram,
+        sort_seconds: Histogram,
     }
 
     fn metrics() -> &'static Metrics {
@@ -164,11 +159,6 @@ pub mod stats {
                     "datacell_kernel_merge_regroup_total",
                     "Partial-merges that fell back to concat + re-group + compensation.",
                 ),
-                seal_calls: r.counter("datacell_kernel_seal_total", "Multi-segment basket seals."),
-                seal_par_calls: r.counter(
-                    "datacell_kernel_seal_par_total",
-                    "Basket seals that stitched segments on parallel worker threads.",
-                ),
                 fetch_calls: r.counter(
                     "datacell_kernel_fetch_calls_total",
                     "Fetch (tuple-reconstruction) kernel calls (any partition count).",
@@ -177,14 +167,8 @@ pub mod stats {
                     "datacell_kernel_fetch_par_calls_total",
                     "Fetch kernel calls that fanned morsels out over P > 1 threads.",
                 ),
-                sort_calls: r.counter(
-                    "datacell_kernel_sort_calls_total",
-                    "Sort/sort-perm kernel calls (any partition count).",
-                ),
-                sort_par_calls: r.counter(
-                    "datacell_kernel_sort_par_calls_total",
-                    "Sort/sort-perm kernel calls that sorted P > 1 runs on parallel threads.",
-                ),
+                sort_calls: r
+                    .counter("datacell_kernel_sort_calls_total", "Sort/sort-perm kernel calls."),
                 scatter_elided: r.counter(
                     "datacell_kernel_scatter_elided_total",
                     "Aligned-input kernel calls that skipped per-row scatter in favor of \
@@ -227,19 +211,9 @@ pub mod stats {
                     "Wall time of one fetch kernel call, morsel fan-out included.",
                     &[("path", "par")],
                 ),
-                sort_seconds_seq: r.histogram_with(
+                sort_seconds: r.histogram(
                     "datacell_kernel_sort_seconds",
-                    "Wall time of computing one sort permutation (sort or sort-perm call), run fan-out included.",
-                    &[("path", "seq")],
-                ),
-                sort_seconds_par: r.histogram_with(
-                    "datacell_kernel_sort_seconds",
-                    "Wall time of computing one sort permutation (sort or sort-perm call), run fan-out included.",
-                    &[("path", "par")],
-                ),
-                sort_merge_seconds: r.histogram(
-                    "datacell_kernel_sort_merge_seconds",
-                    "Wall time of the k-way run merge inside one parallel sort call.",
+                    "Wall time of computing one sort permutation (sort or sort-perm call).",
                 ),
             }
         })
@@ -302,31 +276,15 @@ pub mod stats {
         }
     }
 
-    /// Record one sort/sort-perm kernel call; `parallel` marks calls that
-    /// sorted `P > 1` runs on scoped threads.
-    pub(crate) fn record_sort(parallel: bool) {
-        let m = metrics();
-        m.sort_calls.inc();
-        if parallel {
-            m.sort_par_calls.inc();
-        }
+    /// Record one sort/sort-perm kernel call.
+    pub(crate) fn record_sort() {
+        metrics().sort_calls.inc();
     }
 
-    /// Record the wall time of one sort/sort-perm kernel call into the
-    /// per-path histogram.
-    pub(crate) fn record_sort_time(parallel: bool, start: Option<Instant>) {
-        let m = metrics();
-        if parallel {
-            m.sort_seconds_par.record_since(start);
-        } else {
-            m.sort_seconds_seq.record_since(start);
-        }
-    }
-
-    /// Record the wall time of the k-way run merge inside one parallel
-    /// sort call.
-    pub(crate) fn record_sort_merge_time(start: Option<Instant>) {
-        metrics().sort_merge_seconds.record_since(start);
+    /// Record the wall time of one sort/sort-perm kernel call (see
+    /// [`record_grouped_agg_time`] for the `start` contract).
+    pub(crate) fn record_sort_time(start: Option<Instant>) {
+        metrics().sort_seconds.record_since(start);
     }
 
     /// Record one aligned-input kernel call that skipped its per-row
@@ -345,18 +303,6 @@ pub mod stats {
         m.join_probe_rows.add(probe_rows as u64);
         m.join_pairs.add(pairs as u64);
         m.join_seconds.record_since(start);
-    }
-
-    /// Record one multi-segment basket seal; `parallel` marks seals that
-    /// fanned segment stitching out over scoped worker threads. Public
-    /// because the basket crate (a kernel dependent) reports its seals
-    /// through the same stats surface the benches read.
-    pub fn record_seal(parallel: bool) {
-        let m = metrics();
-        m.seal_calls.inc();
-        if parallel {
-            m.seal_par_calls.inc();
-        }
     }
 
     /// Total grouped-aggregate kernel calls (any `P`).
@@ -381,16 +327,6 @@ pub mod stats {
         metrics().merge_regroup.get()
     }
 
-    /// Total multi-segment basket seals.
-    pub fn seal_calls() -> u64 {
-        metrics().seal_calls.get()
-    }
-
-    /// Basket seals that stitched segments on parallel worker threads.
-    pub fn seal_par_calls() -> u64 {
-        metrics().seal_par_calls.get()
-    }
-
     /// Total fetch kernel calls (any `P`).
     pub fn fetch_calls() -> u64 {
         metrics().fetch_calls.get()
@@ -401,14 +337,9 @@ pub mod stats {
         metrics().fetch_par_calls.get()
     }
 
-    /// Total sort/sort-perm kernel calls (any `P`).
+    /// Total sort/sort-perm kernel calls.
     pub fn sort_calls() -> u64 {
         metrics().sort_calls.get()
-    }
-
-    /// Sort/sort-perm kernel calls that sorted `P > 1` parallel runs.
-    pub fn sort_par_calls() -> u64 {
-        metrics().sort_par_calls.get()
     }
 
     /// Aligned-input kernel calls that elided their scatter phase.
@@ -416,7 +347,7 @@ pub mod stats {
         metrics().scatter_elided.get()
     }
 
-    /// All fourteen kernel counters read at one instant. The idiom for proving
+    /// All eleven kernel counters read at one instant. The idiom for proving
     /// a code path was reached is `let before = stats::snapshot(); ...;
     /// let d = stats::snapshot().delta(&before);` followed by asserts on
     /// the fields of `d` — replacing hand-rolled read-before/read-after
@@ -431,18 +362,12 @@ pub mod stats {
         pub merge_concat_fast_path: u64,
         /// Partial-merges on the re-group fallback path.
         pub merge_regroup_fallback: u64,
-        /// Total multi-segment basket seals.
-        pub seal_calls: u64,
-        /// Basket seals that stitched on parallel threads.
-        pub seal_par_calls: u64,
         /// Total fetch kernel calls.
         pub fetch_calls: u64,
         /// Fetch calls that fanned out over `P > 1` threads.
         pub fetch_par_calls: u64,
         /// Total sort/sort-perm kernel calls.
         pub sort_calls: u64,
-        /// Sort calls that sorted `P > 1` parallel runs.
-        pub sort_par_calls: u64,
         /// Aligned-input calls that elided their scatter phase.
         pub scatter_elided: u64,
         /// Hash-join kernel calls (one-shot joins and strip probes).
@@ -469,12 +394,9 @@ pub mod stats {
                 merge_regroup_fallback: self
                     .merge_regroup_fallback
                     .saturating_sub(earlier.merge_regroup_fallback),
-                seal_calls: self.seal_calls.saturating_sub(earlier.seal_calls),
-                seal_par_calls: self.seal_par_calls.saturating_sub(earlier.seal_par_calls),
                 fetch_calls: self.fetch_calls.saturating_sub(earlier.fetch_calls),
                 fetch_par_calls: self.fetch_par_calls.saturating_sub(earlier.fetch_par_calls),
                 sort_calls: self.sort_calls.saturating_sub(earlier.sort_calls),
-                sort_par_calls: self.sort_par_calls.saturating_sub(earlier.sort_par_calls),
                 scatter_elided: self.scatter_elided.saturating_sub(earlier.scatter_elided),
                 join_calls: self.join_calls.saturating_sub(earlier.join_calls),
                 join_probe_rows: self.join_probe_rows.saturating_sub(earlier.join_probe_rows),
@@ -492,12 +414,9 @@ pub mod stats {
             grouped_agg_par_calls: m.grouped_agg_par_calls.get(),
             merge_concat_fast_path: m.merge_concat.get(),
             merge_regroup_fallback: m.merge_regroup.get(),
-            seal_calls: m.seal_calls.get(),
-            seal_par_calls: m.seal_par_calls.get(),
             fetch_calls: m.fetch_calls.get(),
             fetch_par_calls: m.fetch_par_calls.get(),
             sort_calls: m.sort_calls.get(),
-            sort_par_calls: m.sort_par_calls.get(),
             scatter_elided: m.scatter_elided.get(),
             join_calls: m.join_calls.get(),
             join_probe_rows: m.join_probe_rows.get(),
@@ -557,10 +476,9 @@ impl ParConfig {
     }
 
     /// The same config with the aligned-input mark set: the caller vouches
-    /// that the executing cluster was marked `placement_aligned` by the
-    /// incremental rewriter, i.e. keyed ingest scatter-ordered this batch
-    /// by the canonical [`crate::hash::Placement`] before the kernel saw
-    /// it. The mark is a *hint*, never trusted for correctness: elision
+    /// that this batch is already scatter-ordered by the canonical
+    /// [`crate::hash::Placement`] (the engine never sets it; the `scale`
+    /// sweeps and the kernel's own tests do). The mark is a *hint*, never trusted for correctness: elision
     /// paths still hash every key and only skip materializing per-row
     /// position lists (run-compressed copies replace per-element gathers),
     /// so a mismarked input degrades to per-row runs, not wrong answers.
@@ -594,14 +512,14 @@ impl ParConfig {
     }
 
     /// True when the caller marked this batch as already scatter-ordered
-    /// by keyed ingest (see [`ParConfig::with_aligned_input`]).
+    /// (see [`ParConfig::with_aligned_input`]).
     pub fn aligned_input(&self) -> bool {
         self.aligned_input
     }
 
     /// True when aligned operators may take their scatter-elision fast
-    /// path: placement is [`PlacementMode::Aligned`] *and* the executing
-    /// cluster vouched for its input's scatter order.
+    /// path: placement is [`PlacementMode::Aligned`] *and* the caller
+    /// vouched for its input's scatter order.
     pub fn input_is_aligned(&self) -> bool {
         self.aligned_input && self.placement == PlacementMode::Aligned
     }

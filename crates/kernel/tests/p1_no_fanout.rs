@@ -27,13 +27,12 @@ fn one_morsel_calls_leave_the_par_counters_alone() {
     }
     let d = stats::snapshot().delta(&before);
     assert_eq!((d.sort_calls, d.fetch_calls, d.grouped_agg_calls), (2, 2, 2));
-    assert_eq!((d.sort_par_calls, d.fetch_par_calls, d.grouped_agg_par_calls), (0, 0, 0));
+    assert_eq!((d.fetch_par_calls, d.grouped_agg_par_calls), (0, 0));
 
     // The same calls at P = 4 do fan out, so the zeros above are not vacuous.
     let cfg = ParConfig::new(4);
-    par::sort(&vals, false, &cfg).unwrap();
     par::fetch(&cands, &vals, &cfg).unwrap();
     par::grouped_agg_multi(&keys, &specs, &cfg).unwrap();
     let d = stats::snapshot().delta(&before);
-    assert_eq!((d.sort_par_calls, d.fetch_par_calls, d.grouped_agg_par_calls), (1, 1, 1));
+    assert_eq!((d.fetch_par_calls, d.grouped_agg_par_calls), (1, 1));
 }

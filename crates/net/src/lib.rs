@@ -5,7 +5,7 @@
 //! i.e., a set of separate processes per stream and per client,
 //! respectively, to listen for new data and to deliver results" (paper §2)
 //! — here one nonblocking TCP event loop multiplexing many client
-//! connections onto the engine's sharded ingest edge and draining query
+//! connections onto the engine's stream baskets and draining query
 //! results back out to subscribers.
 //!
 //! The crate is deliberately **std-only**: a `poll(2)` loop over
@@ -86,8 +86,8 @@
 //! Two explicit safety valves, both observable in `/metrics`:
 //!
 //! * **Ingest backpressure** — when the total unconsumed backlog across all
-//!   actively-ingesting streams (sealed rows retained in baskets plus rows
-//!   staged in shards) exceeds [`NetConfig::staging_budget`], the loop
+//!   actively-ingesting streams (rows retained in their baskets) exceeds
+//!   [`NetConfig::staging_budget`], the loop
 //!   stops *reading* ingest sockets. Kernel TCP buffers fill and the
 //!   senders block: flow control reaches the producer without any
 //!   unbounded queue inside the engine.
@@ -119,10 +119,10 @@ use std::time::Duration;
 pub struct NetConfig {
     /// Flush a connection's parsed-but-unflushed CSV rows into its basket
     /// once this many are pending, even mid-pass. Batching amortizes the
-    /// shard lock; every pass ends with a flush regardless, so this bounds
+    /// basket lock; every pass ends with a flush regardless, so this bounds
     /// per-connection memory, not latency.
     pub batch_rows: usize,
-    /// Total unconsumed rows (basket + staged) across actively-ingesting
+    /// Total rows retained in the baskets of actively-ingesting
     /// streams above which the loop stops reading ingest sockets until the
     /// scheduler catches up.
     pub staging_budget: usize,

@@ -203,8 +203,8 @@ impl EventLoop {
         any
     }
 
-    /// Unconsumed backlog across the distinct streams being ingested:
-    /// sealed rows still retained in the basket plus rows staged in shards.
+    /// Unconsumed backlog across the distinct streams being ingested: rows
+    /// still retained in their baskets.
     fn ingest_backlog(&self) -> usize {
         let mut seen: HashMap<&str, usize> = HashMap::new();
         for conn in &self.conns {
@@ -212,7 +212,7 @@ impl EventLoop {
                 continue;
             }
             if let Role::Ingest { stream, basket, .. } = &conn.role {
-                seen.entry(stream.as_str()).or_insert_with(|| basket.len() + basket.staged_len());
+                seen.entry(stream.as_str()).or_insert_with(|| basket.len());
             }
         }
         seen.values().sum()
@@ -698,7 +698,6 @@ mod tests {
         assert!(conn.inbuf.unconsumed().is_empty(), "EOF consumes the tail");
         let Role::Ingest { receptor, .. } = &mut conn.role else { panic!("still ingesting") };
         receptor.flush_into(&basket, engine.clock()).unwrap();
-        basket.seal();
         let cols = basket.with(|b| {
             let w = b.snapshot();
             vec![w.col(0).unwrap().clone(), w.col(1).unwrap().clone()]

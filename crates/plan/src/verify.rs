@@ -920,6 +920,12 @@ mod tests {
             out.instrs.clear();
             out
         });
+        if !enabled() {
+            // Verification off (a release build without DATACELL_VERIFY):
+            // the pass runs unchecked and its output comes back as is.
+            assert!(res.is_ok_and(|out| out.instrs.is_empty()));
+            return;
+        }
         match res {
             Err(PlanError::Verify(e)) => {
                 assert_eq!(e.rule, Rule::ResultUnwritten);

@@ -3,7 +3,7 @@
 //!
 //! This crate sits *below* `datacell-kernel` in the dependency order and is
 //! deliberately std-only, so every layer of the engine — kernel operators,
-//! basket staging, schedulers, the engine facade — can record into the same
+//! receptors, schedulers, the engine facade — can record into the same
 //! registry without dependency cycles.
 //!
 //! The pieces:
@@ -17,8 +17,8 @@
 //! - [`Registry`] — associates handles with a metric name, help text and
 //!   constant labels, and renders them into a [`Snapshot`]. The process-wide
 //!   [`global()`] registry holds signals that are inherently process-scoped
-//!   (the kernel's morsel counters, basket seal timings); engine-local
-//!   series (per-query latency, scheduler utilization, per-shard depth) are
+//!   (the kernel's morsel counters, the receptors' reject counts);
+//!   engine-local series (per-query latency, scheduler utilization) are
 //!   built into families by `Engine::telemetry_snapshot` so that two engines
 //!   in one process never collide on a `query="q0"` label.
 //! - [`render_text`] / [`parse_text`] — Prometheus text-format exposition
@@ -577,8 +577,8 @@ fn entry(name: &str, help: &str, labels: &[(&str, &str)], metric: Metric) -> Ent
 }
 
 /// The process-wide registry: home of signals that are inherently
-/// process-scoped, like the `kernel::par` morsel counters and the basket
-/// seal timings. Engine-scoped series (per-query, per-worker, per-shard)
+/// process-scoped, like the `kernel::par` morsel counters and the
+/// receptors' reject counts. Engine-scoped series (per-query, per-worker)
 /// are assembled by `Engine::telemetry_snapshot` instead, so label values
 /// like `query="q0"` never collide across engines in one process.
 #[must_use]

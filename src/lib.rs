@@ -16,7 +16,7 @@
 //!   factories, the Petri-net scheduler and the `DataCell` engine itself;
 //! * [`sql`] — a SQL subset front-end with continuous-query window clauses;
 //! * [`net`] — the network edge: a std-only nonblocking TCP server
-//!   multiplexing many ingest connections onto the sharded basket edge,
+//!   multiplexing many ingest connections onto the stream baskets,
 //!   fanning query results out to subscribers, and serving `/metrics`;
 //! * [`sysx`] — a simulated specialized tuple-at-a-time stream engine, the
 //!   paper's commercial "SystemX" baseline;

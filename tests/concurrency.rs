@@ -1,8 +1,8 @@
 //! Concurrency: writer threads feeding baskets while the engine
 //! schedules factories — the multi-process shape of the paper's Fig. 1
 //! (receptor processes + kernel) on scoped threads — and the
-//! `ShardedBasket` handle itself under concurrent writers, readers,
-//! sealers and expiry.
+//! `ShardedBasket` handle itself under concurrent writers, readers and
+//! expiry.
 //!
 //! This file runs under the CI worker matrix (`DATACELL_WORKERS=1,2,4`):
 //! `Engine::new()` picks the worker count up from the environment, so the
@@ -12,25 +12,22 @@ use datacell::core::EngineConfig;
 use datacell::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Writer thread `i`'s loop: append every `(stamp, batch)` that `source`
-/// yields at shard `i % shards` until it returns `None`, and return the
-/// tuples delivered.
+/// A writer thread's loop: append every `(stamp, batch)` that `source`
+/// yields until it returns `None`, and return the tuples delivered.
 fn write_all(
     basket: &ShardedBasket,
-    i: usize,
     mut source: impl FnMut() -> Option<(u64, Vec<Column>)>,
 ) -> usize {
-    let shard = i % basket.shards();
     let mut delivered = 0;
     while let Some((ts, batch)) = source() {
-        basket.append_shard(shard, &batch, ts).unwrap();
+        basket.append(&batch, ts).unwrap();
         delivered += batch[0].len();
     }
     delivered
 }
 
-fn one_int_column(shards: usize) -> ShardedBasket {
-    ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards)
+fn one_int_column() -> ShardedBasket {
+    ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]))
 }
 
 #[test]
@@ -46,7 +43,7 @@ fn writer_thread_feeds_running_engine() {
     let mut left = 50u64;
     let delivered = std::thread::scope(|s| {
         let writer = s.spawn(|| {
-            write_all(&basket, 0, move || {
+            write_all(&basket, move || {
                 if left == 0 {
                     return None;
                 }
@@ -89,7 +86,7 @@ fn two_writer_threads_feed_a_join() {
     let (a, b) = (engine.basket("a").unwrap(), engine.basket("b").unwrap());
     let feed = |basket: &ShardedBasket, seed: i64| {
         let mut left = 20i64;
-        write_all(basket, seed as usize, move || {
+        write_all(basket, move || {
             if left == 0 {
                 return None;
             }
@@ -146,7 +143,7 @@ fn receptor_fleet_feeds_worker_pool() {
             .map(|basket| {
                 let mut left = 30u64;
                 s.spawn(move || {
-                    write_all(basket, 0, move || {
+                    write_all(basket, move || {
                         if left == 0 {
                             return None;
                         }
@@ -191,11 +188,11 @@ fn receptor_fleet_feeds_worker_pool() {
 
 #[test]
 fn concurrent_reader_sees_monotonic_growth() {
-    let basket = one_int_column(1);
+    let basket = one_int_column();
     let mut left = 200;
     std::thread::scope(|s| {
         let writer = s.spawn(|| {
-            write_all(&basket, 0, move || {
+            write_all(&basket, move || {
                 if left == 0 {
                     return None;
                 }
@@ -226,14 +223,14 @@ fn concurrent_consumers_at_different_speeds_never_lose_unconsumed_oids() {
     // expiry rule. No consumer may ever observe RangeUnavailable for
     // an oid it has not consumed.
     const TOTAL: u64 = 600;
-    let basket = one_int_column(1);
+    let basket = one_int_column();
     let cursors = [AtomicU64::new(0), AtomicU64::new(0)];
     let done = AtomicBool::new(false);
 
     let mut left = TOTAL;
     std::thread::scope(|s| {
         let feeder = s.spawn(|| {
-            write_all(&basket, 0, move || {
+            write_all(&basket, move || {
                 if left == 0 {
                     return None;
                 }
@@ -302,15 +299,18 @@ fn concurrent_consumers_at_different_speeds_never_lose_unconsumed_oids() {
 
 #[test]
 fn receptor_fleet_on_sharded_basket_delivers_all() {
-    // 8 writer threads (thread i at shard i % 4) feed one sharded
-    // basket while a "scheduler" thread seals concurrently — the
-    // engine's wake-up pattern. Nothing may be lost or doubled.
-    let sb = one_int_column(4);
+    // 8 writer threads feed one basket while a "scheduler" thread polls
+    // its end oid concurrently — the engine's wake-up pattern. Nothing
+    // may be lost or doubled, and the end never moves backwards.
+    let sb = one_int_column();
     let done = AtomicBool::new(false);
     let delivered: usize = std::thread::scope(|s| {
         s.spawn(|| {
+            let mut last = 0;
             while !done.load(Ordering::Acquire) {
-                sb.seal();
+                let end = sb.end_oid();
+                assert!(end >= last, "end oid regressed: {end} < {last}");
+                last = end;
                 std::thread::yield_now();
             }
         });
@@ -319,7 +319,7 @@ fn receptor_fleet_on_sharded_basket_delivers_all() {
             .map(|tid| {
                 let mut left = 40i64;
                 s.spawn(move || {
-                    write_all(sb, tid, move || {
+                    write_all(sb, move || {
                         if left == 0 {
                             return None;
                         }
@@ -335,44 +335,11 @@ fn receptor_fleet_on_sharded_basket_delivers_all() {
         delivered
     });
     assert_eq!(delivered, 8 * 40 * 2);
-    assert_eq!(sb.seal(), 640);
-    assert_eq!(sb.len(), 640);
+    assert_eq!((sb.base_oid(), sb.end_oid(), sb.len()), (0, 640, 640));
     let mut vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
     vals.sort_unstable();
     let mut expect: Vec<i64> =
         (0..8).flat_map(|t| (0..40).flat_map(move |i| [t * 100 + i, t * 100 + i])).collect();
-    expect.sort_unstable();
-    assert_eq!(vals, expect);
-}
-
-#[test]
-fn keyed_receptor_fleet_loses_nothing() {
-    // 4 writer threads place every row by key hash (`append_keyed`).
-    let sb = ShardedBasket::new(Basket::new("s", &[("k", DataType::Int)]), 4);
-    let delivered: usize = std::thread::scope(|s| {
-        let writers: Vec<_> = (0..4i64)
-            .map(|tid| {
-                let sb = &sb;
-                s.spawn(move || {
-                    (0..30i64)
-                        .rev()
-                        .map(|left| {
-                            sb.append_keyed(0, &[Column::Int(vec![left % 5, tid * 100 + left])], 0)
-                                .unwrap();
-                            2
-                        })
-                        .sum::<usize>()
-                })
-            })
-            .collect();
-        writers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
-    assert_eq!(delivered, 4 * 30 * 2);
-    assert_eq!(sb.seal(), 240);
-    let mut vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
-    vals.sort_unstable();
-    let mut expect: Vec<i64> =
-        (0..4i64).flat_map(|t| (0..30).flat_map(move |i| [i % 5, t * 100 + i])).collect();
     expect.sort_unstable();
     assert_eq!(vals, expect);
 }

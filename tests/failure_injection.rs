@@ -145,7 +145,7 @@ fn empty_window_scalar_aggregates_drop_the_row() {
 
 #[test]
 fn time_regression_in_appends_is_rejected() {
-    let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), 1);
+    let b = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
     b.append(&[Column::Int(vec![1])], 100).unwrap();
     let err = b.append(&[Column::Int(vec![2])], 50);
     assert!(err.is_err());

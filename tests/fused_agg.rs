@@ -1,8 +1,8 @@
 //! The `GroupAgg` node, end to end: byte-identical results against the
 //! reference chain of sequential kernel calls (`algebra::group` +
 //! `*_grouped`) at every partition fan-out, a golden aggregation pin
-//! through the sharded-ingest + parallel-scheduler + partitioned-kernel
-//! path (all three axes at 4), proof via the kernel stats counters that
+//! through the parallel-scheduler + partitioned-kernel path (4 workers
+//! × 4 partitions), proof via the kernel stats counters that
 //! SQL aggregation actually reaches `kernel::par`'s parallel
 //! grouped-aggregate path at partitions > 1, and the optimizer's
 //! same-column filter-conjunction merge at the SQL level.
@@ -105,15 +105,14 @@ fn group_agg_matches_kernel_chain_on_string_keys_and_empty_input() {
     }
 }
 
-/// Golden pin: a SQL aggregation query through the full three-axis
-/// parallel stack — sharded ingest (4), parallel scheduler (4 workers),
-/// partitioned kernel (4) — must produce exactly the rows the fully
-/// sequential engine produces, in the same (first-occurrence) order.
+/// Golden pin: a SQL aggregation query through the parallel stack —
+/// parallel scheduler (4 workers), partitioned kernel (4) — must produce
+/// exactly the rows the fully sequential engine produces, in the same
+/// (first-occurrence) order.
 #[test]
 fn golden_fused_aggregation_through_sharded_parallel_path() {
-    let run = |basket_shards: usize, workers: usize, partitions: usize| {
-        let config =
-            EngineConfig { workers, partitions, basket_shards, ..EngineConfig::from_env() };
+    let run = |workers: usize, partitions: usize| {
+        let config = EngineConfig { workers, partitions, ..EngineConfig::from_env() };
         let mut e = Engine::with_config(config);
         e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
         let q = e
@@ -148,10 +147,10 @@ fn golden_fused_aggregation_through_sharded_parallel_path() {
             vec![Value::Int(1), Value::Int(150), Value::Int(2), Value::Float(75.0)],
         ],
     ];
-    let sequential = run(1, 1, 1);
+    let sequential = run(1, 1);
     assert_eq!(sequential, golden, "sequential run drifted from the golden pin");
-    let parallel = run(4, 4, 4);
-    assert_eq!(parallel, golden, "sharded+parallel run drifted from the golden pin");
+    let parallel = run(4, 4);
+    assert_eq!(parallel, golden, "parallel run drifted from the golden pin");
 }
 
 /// Acceptance proof: with partitions > 1, a SQL-level aggregation query

@@ -4,15 +4,11 @@
 //! pins the *exact* per-window rows, so any drift in window-boundary
 //! arithmetic, empty-window handling or landmark accumulation fails loudly.
 
-use datacell::core::{EngineConfig, RegisterOptions};
+use datacell::core::RegisterOptions;
 use datacell::prelude::*;
 
 fn engine() -> Engine {
-    engine_with(EngineConfig::from_env())
-}
-
-fn engine_with(config: EngineConfig) -> Engine {
-    let mut e = Engine::with_config(config);
+    let mut e = Engine::new();
     e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
     e
 }
@@ -150,30 +146,6 @@ fn golden_time_landmark_query() {
             vec![vec![Value::Int(2), Value::Int(30)]],
             vec![vec![Value::Int(3), Value::Int(60)]],
             vec![vec![Value::Int(4), Value::Int(100)]],
-        ],
-    );
-}
-
-#[test]
-fn golden_time_windows_survive_sharded_ingestion() {
-    // The RANGE golden, fed through the sharded path (ordered appends,
-    // shards = 4): byte-identical to the one-shard run above — the
-    // allocator's clock handling must not disturb time-window slicing.
-    let mut e = engine_with(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
-    let q =
-        e.register_sql("SELECT count(x1), sum(x2) FROM s WINDOW RANGE 20 MS SLIDE 10 MS").unwrap();
-    feed_trace(&mut e);
-    e.advance_clock(60);
-    e.run_until_idle().unwrap();
-    let got = rows(&e.drain_results(q).unwrap());
-    insta_eq(
-        &got,
-        &[
-            vec![vec![Value::Int(4), Value::Int(100)]],
-            vec![vec![Value::Int(3), Value::Int(120)]],
-            vec![vec![Value::Int(2), Value::Int(110)]],
-            vec![vec![Value::Int(1), Value::Int(60)]],
-            vec![],
         ],
     );
 }

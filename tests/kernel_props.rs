@@ -1,9 +1,9 @@
 //! Property tests on the column-store kernel: every bulk operator agrees
 //! with a naive row-at-a-time reference implementation, and algebraic
 //! identities the incremental rewriter relies on actually hold — plus the
-//! basket layer's sharded-ingest law: any interleaved append schedule
-//! through a `ShardedBasket` drains to the same stream sequential appends
-//! to a plain `Basket` produce.
+//! basket layer's shared-handle law: any append schedule through a
+//! `ShardedBasket` drains to the same stream sequential appends to a
+//! plain `Basket` produce.
 
 use datacell::basket::{Basket, ShardedBasket};
 use datacell::kernel::algebra::{self, AggKind, Predicate};
@@ -194,7 +194,6 @@ fn frontier_plan() -> datacell::core::IncrementalPlan {
         clusters: vec![Cluster {
             keys_var: 8,
             agg_vars: aggs.iter().enumerate().map(|(j, &k)| (9 + j, k)).collect(),
-            placement_aligned: true,
         }],
         matrix_pair: None,
     }
@@ -598,12 +597,11 @@ proptest! {
 
     #[test]
     fn sharded_append_schedule_matches_sequential_reference(
-        // A schedule of (shard hint, batch, clock increment, seal?) steps:
-        // the proptest explores arbitrary single-writer interleavings
-        // across shards, batch shapes (empty batches included) and seal
-        // points — the deterministic core of what racing receptors do.
+        // A schedule of (batch, clock step, seal?) steps: arbitrary batch
+        // shapes (empty batches included), stamps that may step back and
+        // seal points, through the shared handle and a plain basket.
         schedule in prop::collection::vec(
-            (0usize..8, prop::collection::vec(-50i64..50, 0..5), 0u64..3, any::<bool>()),
+            (prop::collection::vec(-50i64..50, 0..5), -1i64..3, any::<bool>()),
             0..40,
         ),
     ) {
@@ -611,67 +609,54 @@ proptest! {
             let w = b.snapshot();
             (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec(), w.timestamps().to_vec())
         };
-        for shards in [1usize, 2, 8] {
-            let sharded = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
-            let mut reference = Basket::new("s", &[("x", DataType::Int)]);
-            let mut ts = 0u64;
-            for (shard, vals, dt, seal) in &schedule {
-                ts += dt;
-                let batch = [Column::Int(vals.clone())];
-                sharded.append_shard(*shard, &batch, ts).unwrap();
-                reference.append(&batch, ts).unwrap();
-                if *seal {
-                    sharded.seal();
-                }
+        let shared = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        let mut reference = Basket::new("s", &[("x", DataType::Int)]);
+        let mut ts = 1u64;
+        for (vals, dt, seal) in &schedule {
+            ts = ts.saturating_add_signed(*dt);
+            let batch = [Column::Int(vals.clone())];
+            // A stamp behind the high-water mark is rejected alike on
+            // both paths, and consumes no oid.
+            prop_assert_eq!(shared.append(&batch, ts), reference.append(&batch, ts));
+            if *seal {
+                prop_assert_eq!(shared.seal(), reference.end_oid());
             }
-            sharded.seal();
-            // The sealed stream is *exactly* the sequential stream — same
-            // oids, same values, same stamps (which implies the equal-
-            // multiset law) — and staging is empty.
-            prop_assert_eq!(sharded.staged_len(), 0, "shards={}", shards);
-            prop_assert_eq!(sharded.with(|b| drained(b)), drained(&reference), "shards={}", shards);
-            prop_assert_eq!(sharded.end_oid(), reference.end_oid(), "shards={}", shards);
         }
+        // The handle's stream is *exactly* the sequential stream — same
+        // oids, same values, same stamps.
+        prop_assert_eq!(shared.with(|b| drained(b)), drained(&reference));
+        prop_assert_eq!(shared.end_oid(), reference.end_oid());
     }
 
     #[test]
     fn sharded_drain_equals_reference_across_expiry(
         schedule in prop::collection::vec(
-            (0usize..4, prop::collection::vec(0i64..100, 1..4), any::<bool>()),
+            (prop::collection::vec(0i64..100, 1..4), any::<bool>()),
             1..30,
         ),
         expire_each in 1u64..6,
     ) {
-        // Same law with expiry churning the merged view between appends:
-        // consumed prefixes disappear identically on both paths and the
-        // suffix still matches.
-        for shards in [1usize, 2, 8] {
-            let sharded = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards);
-            let mut reference = Basket::new("s", &[("x", DataType::Int)]);
-            for (i, (shard, vals, seal)) in schedule.iter().enumerate() {
-                let batch = [Column::Int(vals.clone())];
-                sharded.append_shard(*shard, &batch, i as u64).unwrap();
-                reference.append(&batch, i as u64).unwrap();
-                if *seal {
-                    sharded.seal();
-                    let upto = sharded.end_oid().saturating_sub(expire_each);
-                    sharded.with(|b| b.expire_upto(upto));
-                    reference.expire_upto(upto);
-                }
+        // Expiry through the handle's lock between appends: consumed
+        // prefixes disappear identically on both paths and the suffix
+        // still matches.
+        let shared = ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]));
+        let mut reference = Basket::new("s", &[("x", DataType::Int)]);
+        for (i, (vals, expire)) in schedule.iter().enumerate() {
+            let batch = [Column::Int(vals.clone())];
+            shared.append(&batch, i as u64).unwrap();
+            reference.append(&batch, i as u64).unwrap();
+            if *expire {
+                let upto = shared.end_oid().saturating_sub(expire_each);
+                shared.with(|b| b.expire_upto(upto));
+                reference.expire_upto(upto);
             }
-            sharded.seal();
-            let suffix = |b: &Basket| {
-                let w = b.snapshot();
-                (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec())
-            };
-            // Align both views at the same expiry front before comparing
-            // (reference expiry used the sharded view's frontier, which
-            // may trail the reference when data was staged).
-            let front = sharded.base_oid().max(reference.base_oid());
-            sharded.with(|b| b.expire_upto(front));
-            reference.expire_upto(front);
-            prop_assert_eq!(sharded.with(|b| suffix(b)), suffix(&reference), "shards={}", shards);
         }
+        let suffix = |b: &Basket| {
+            let w = b.snapshot();
+            (w.base_oid(), w.col(0).unwrap().as_int().unwrap().to_vec())
+        };
+        prop_assert_eq!(shared.with(|b| suffix(b)), suffix(&reference));
+        prop_assert_eq!((shared.base_oid(), shared.len()), (reference.base_oid(), reference.len()));
     }
 
     #[test]

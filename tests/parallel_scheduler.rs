@@ -78,13 +78,13 @@ fn shared_basket_two_speeds_concurrent_consumers_never_lose_tuples() {
     let basket = engine.basket("s").unwrap();
     let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
     std::thread::scope(|s| {
-        // The one writer thread (shard 0), stamps 1..=BATCHES; returns
+        // The one writer thread, stamps 1..=BATCHES; returns
         // the tuples delivered.
         let writer = s.spawn(|| {
             let mut delivered = 0;
             for ts in 1..=BATCHES {
                 let batch = [Column::Int(vec![1; PER_BATCH]), Column::Int(vec![2; PER_BATCH])];
-                basket.append_shard(0, &batch, ts).unwrap();
+                basket.append(&batch, ts).unwrap();
                 delivered += batch[0].len();
             }
             delivered

@@ -1,17 +1,17 @@
-//! Sharded basket ingestion under real concurrency: many appender threads
-//! pushing into one `ShardedBasket` while the engine schedules, seals and
-//! garbage-collects. The invariants on trial:
+//! Basket ingestion under real concurrency: many appender threads pushing
+//! into one `ShardedBasket` (one basket behind one lock) while the engine
+//! schedules and garbage-collects. The invariants on trial:
 //!
 //! * no tuple is lost or duplicated, regardless of thread interleaving;
-//! * oids stay dense and monotone (the global allocator contract);
-//! * factory results are identical to the single-shard (nothing staged) run
-//!   wherever determinism allows, and aggregate-equal where it does not;
-//! * `min_consumed`-bounded expiry never reclaims an undrained shard.
+//! * oids stay dense and monotone, and each appender's batches keep its
+//!   own order;
+//! * window results are interleave-invariant wherever the query makes
+//!   them so;
+//! * `min_consumed`-bounded expiry never reclaims an unread oid.
 //!
-//! This file runs under the CI `config` matrix (shards 1 and 4, the
-//! latter also crossed with workers=4 × partitions=4): `Engine::new()`
-//! picks all three knobs up from the environment, so the same assertions cover
-//! one shard and the staged, sealed path.
+//! This file runs under the CI `config` matrix: `EngineConfig::from_env()`
+//! picks the worker and partition counts up from the environment, so the
+//! same assertions cover the sequential and the parallel engine.
 
 use datacell::core::EngineConfig;
 use datacell::prelude::*;
@@ -23,8 +23,8 @@ const APPENDERS: usize = 16;
 const BATCHES_PER_APPENDER: usize = 50;
 const ROWS_PER_BATCH: usize = 4;
 
-fn ingest_basket(shards: usize) -> ShardedBasket {
-    ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]), shards)
+fn ingest_basket() -> ShardedBasket {
+    ShardedBasket::new(Basket::new("s", &[("x", DataType::Int)]))
 }
 
 /// Value encoding: appender id × 1M + sequence, so losses, duplicates and
@@ -39,26 +39,24 @@ fn expected_values() -> Vec<i64> {
     v
 }
 
-/// Writer thread `i`'s loop: append every `(stamp, batch)` that `source`
-/// yields at shard `i % shards` until it returns `None`, and return the
-/// tuples delivered.
+/// A writer thread's loop: append every `(stamp, batch)` that `source`
+/// yields until it returns `None`, and return the tuples delivered.
 fn write_all(
     basket: &ShardedBasket,
-    i: usize,
     mut source: impl FnMut() -> Option<(u64, Vec<Column>)>,
 ) -> usize {
-    let shard = i % basket.shards();
     let mut delivered = 0;
     while let Some((ts, batch)) = source() {
-        basket.append_shard(shard, &batch, ts).unwrap();
+        basket.append(&batch, ts).unwrap();
         delivered += batch[0].len();
     }
     delivered
 }
 
-/// Run 16 appender threads against a basket and return the sealed values.
-fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
-    let sb = ingest_basket(shards);
+/// Run 16 appender threads against a basket and return its oid range,
+/// values and stamps.
+fn stress() -> (u64, u64, Vec<i64>, Vec<u64>) {
+    let sb = ingest_basket();
     let barrier = Barrier::new(APPENDERS);
     std::thread::scope(|s| {
         for tid in 0..APPENDERS {
@@ -69,15 +67,13 @@ fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
                     let base = (tid * 1_000_000 + b * ROWS_PER_BATCH) as i64;
                     let vals: Vec<i64> = (0..ROWS_PER_BATCH as i64).map(|r| base + r).collect();
                     // One shared stamp: across racing appenders there is
-                    // no meaningful per-thread arrival order, and one
-                    // shard (straight into the basket) rejects
-                    // regressions rather than clamping them.
-                    sb.append_shard(tid % shards, &[Column::Int(vals)], 0).unwrap();
+                    // no meaningful per-thread arrival order, and the
+                    // basket rejects regressions rather than clamping them.
+                    sb.append(&[Column::Int(vals)], 0).unwrap();
                 }
             });
         }
     });
-    sb.seal();
     let (base, end) = (sb.base_oid(), sb.end_oid());
     let (vals, ts) = sb.with(|b| {
         let w = b.snapshot();
@@ -88,19 +84,46 @@ fn stress(shards: usize) -> (u64, u64, Vec<i64>, Vec<u64>) {
 
 #[test]
 fn sixteen_appenders_lose_and_duplicate_nothing() {
-    for shards in [1, 2, 4, 8] {
-        let (base, end, vals, ts) = stress(shards);
-        let total = (APPENDERS * BATCHES_PER_APPENDER * ROWS_PER_BATCH) as u64;
-        // Dense, monotone oids: exactly [0, total) resident.
-        assert_eq!(base, 0, "shards={shards}");
-        assert_eq!(end, total, "shards={shards}");
-        assert_eq!(vals.len() as u64, total, "shards={shards}");
-        // Timestamps are non-decreasing in oid order (allocator clamp).
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "shards={shards}: ts regressed");
-        // The multiset of values is exactly what the appenders sent.
-        let mut sorted = vals;
-        sorted.sort_unstable();
-        assert_eq!(sorted, expected_values(), "shards={shards}");
+    let (base, end, vals, ts) = stress();
+    let total = (APPENDERS * BATCHES_PER_APPENDER * ROWS_PER_BATCH) as u64;
+    // Dense, monotone oids: exactly [0, total) resident.
+    assert_eq!((base, end, vals.len() as u64), (0, total, total));
+    // Timestamps are non-decreasing in oid order.
+    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "ts regressed");
+    // The multiset of values is exactly what the appenders sent.
+    let mut sorted = vals;
+    sorted.sort_unstable();
+    assert_eq!(sorted, expected_values());
+}
+
+#[test]
+fn writer_fleets_land_dense_oids_and_the_exact_checksum() {
+    // 1, 4 and 16 writer threads, each appending the same 64-row batch
+    // many times: every fleet lands dense oids from 0 and exactly the
+    // sum of what it sent.
+    const BATCHES: usize = 50;
+    const ROWS: i64 = 64;
+    for writers in [1i64, 4, 16] {
+        let sb = ingest_basket();
+        let value = |tid: i64, r: i64| 1_000 * tid + r;
+        std::thread::scope(|s| {
+            for tid in 0..writers {
+                let sb = &sb;
+                s.spawn(move || {
+                    let batch = [Column::Int((0..ROWS).map(|r| value(tid, r)).collect())];
+                    for _ in 0..BATCHES {
+                        sb.append(&batch, 0).unwrap();
+                    }
+                });
+            }
+        });
+        let total = writers as u64 * BATCHES as u64 * ROWS as u64;
+        assert_eq!((sb.base_oid(), sb.end_oid(), sb.len() as u64), (0, total, total));
+        let sum: i64 = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().iter().sum());
+        let expect: i64 =
+            (0..writers).flat_map(|t| (0..ROWS).map(move |r| value(t, r))).sum::<i64>()
+                * BATCHES as i64;
+        assert_eq!(sum, expect, "writers={writers}: checksum mismatch");
     }
 }
 
@@ -109,7 +132,7 @@ fn per_appender_batch_order_is_preserved() {
     // Oid order must respect each appender's own append order even when
     // appenders interleave arbitrarily — allocation order is the stream
     // order, and one appender's allocations are sequential.
-    let (_, _, vals, _) = stress(4);
+    let (_, _, vals, _) = stress();
     let mut last_seen = [-1i64; APPENDERS];
     for v in vals {
         let tid = (v / 1_000_000) as usize;
@@ -124,81 +147,35 @@ fn per_appender_batch_order_is_preserved() {
 }
 
 #[test]
-fn factory_results_identical_to_single_shard_run() {
-    // Deterministic feeding from the test's own thread: the sharded engine must
-    // produce byte-identical window results to the 1-shard engine, for
-    // both execution modes, across drains and GC cycles.
-    let run = |shards: usize| {
-        let mut e =
-            Engine::with_config(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
-        e.create_stream("s", &[("x1", DataType::Int), ("x2", DataType::Int)]).unwrap();
-        let qi = e
-            .register_sql(
-                "SELECT x1, sum(x2) FROM s WHERE x1 > 1 GROUP BY x1 WINDOW SIZE 8 SLIDE 4",
-            )
-            .unwrap();
-        let qr = e
-            .register_sql_with(
-                "SELECT count(x1) FROM s WINDOW SIZE 6 SLIDE 3",
-                datacell::core::RegisterOptions { mode: ExecMode::Reevaluation, chunker: None },
-            )
-            .unwrap();
-        let mut out = Vec::new();
-        for round in 0..6u64 {
-            let xs: Vec<i64> = (0..10).map(|i| (i + round as i64) % 5).collect();
-            let ys: Vec<i64> = (0..10).map(|i| i * (round as i64 + 1)).collect();
-            e.append_at("s", &[Column::Int(xs), Column::Int(ys)], round).unwrap();
-            e.run_until_idle().unwrap();
-            for q in [qi, qr] {
-                out.push(
-                    e.drain_results(q)
-                        .unwrap()
-                        .iter()
-                        .map(datacell::plan::ResultSet::rows)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-        out
-    };
-    let single = run(1);
-    assert!(single.iter().any(|r| !r.is_empty()));
-    for shards in [2, 4] {
-        assert_eq!(run(shards), single, "shards={shards} diverged from single-shard results");
-    }
-}
-
-#[test]
 fn concurrent_receptor_fleet_aggregates_match_single_shard() {
-    // 16 writer threads feeding one stream concurrently: per-window
-    // rows depend on the nondeterministic interleave, but tumbling
-    // windows partition the stream, so window count, per-window
-    // cardinality and the grand total are interleave-invariant — and
-    // must match the single-shard run.
-    let run = |shards: usize| {
-        let mut e =
-            Engine::with_config(EngineConfig { basket_shards: shards, ..EngineConfig::from_env() });
+    // 16 writers' batches feeding one stream: per-window rows depend on
+    // the nondeterministic interleave, but tumbling windows partition the
+    // stream, so window count, per-window cardinality and the grand total
+    // are interleave-invariant — and must match one writer appending the
+    // same batches in order into the stream's one basket.
+    let run = |threads: usize| {
+        let mut e = Engine::with_config(EngineConfig::from_env());
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         let q = e.register_sql("SELECT sum(x) FROM s WINDOW SIZE 40 SLIDE 40").unwrap();
         let basket = e.basket("s").unwrap();
         let mut results = Vec::new();
         let delivered: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..APPENDERS)
-                .map(|tid| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
                     let basket = &basket;
-                    let mut left = 25i64;
+                    // Thread t writes appender ids t, t + threads, ...
+                    let mut batches = (0..APPENDERS)
+                        .filter(move |tid| tid % threads == t)
+                        .flat_map(|tid| std::iter::repeat_n(tid, 25));
                     s.spawn(move || {
-                        write_all(basket, tid, move || {
-                            if left == 0 {
-                                return None;
-                            }
-                            left -= 1;
+                        write_all(basket, move || {
+                            let tid = batches.next()?;
                             Some((0, vec![Column::Int(vec![tid as i64 + 1; 8])]))
                         })
                     })
                 })
                 .collect();
-            // 16 threads × 25 batches × 8 rows = 3200 tuples = 80 windows.
+            // 16 appenders × 25 batches × 8 rows = 3200 tuples = 80 windows.
             while results.len() < 80 {
                 e.run_until_idle().unwrap();
                 results.extend(e.drain_results(q).unwrap());
@@ -209,39 +186,35 @@ fn concurrent_receptor_fleet_aggregates_match_single_shard() {
         e.run_until_idle().unwrap();
         results.extend(e.drain_results(q).unwrap());
         assert_eq!(delivered, 3200);
-        assert_eq!(results.len(), 80, "shards={shards}");
+        assert_eq!(results.len(), 80, "threads={threads}");
+        assert!(results.iter().all(|r| r.rows().len() == 1), "threads={threads}");
         let total: i64 = results.iter().map(|r| r.rows()[0][0].as_i64().unwrap()).sum();
         total
     };
     let expected: i64 = (1..=APPENDERS as i64).map(|v| v * 200).sum();
     assert_eq!(run(1), expected);
-    assert_eq!(run(4), expected);
+    assert_eq!(run(APPENDERS), expected);
 }
 
 #[test]
 fn gc_never_reclaims_an_undrained_shard() {
-    // A slow factory (window 100) keeps `min_consumed` low while staged
-    // segments pile up unsealed; GC runs on every drain. Nothing staged
-    // may ever be lost — the final window must see every tuple.
-    let mut e = Engine::with_config(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
+    // A slow factory (window 100) keeps `min_consumed` low while appends
+    // through a receptor's handle pile up; GC runs on every drain. No
+    // unread tuple may ever be lost — the final window must see them all.
+    let mut e = Engine::with_config(EngineConfig::from_env());
     e.create_stream("s", &[("x", DataType::Int)]).unwrap();
     let slow = e.register_sql("SELECT sum(x) FROM s WINDOW SIZE 100 SLIDE 100").unwrap();
     let fast = e.register_sql("SELECT count(x) FROM s WINDOW SIZE 5 SLIDE 5").unwrap();
     let b = e.basket("s").unwrap();
     for i in 0..20i64 {
-        // Two staged appends per round; drains seal + GC in between.
-        b.append_shard((i % 4) as usize, &[Column::Int(vec![i * 5 + 1, i * 5 + 2])], 0).unwrap();
-        b.append_shard(
-            ((i + 1) % 4) as usize,
-            &[Column::Int(vec![i * 5 + 3, i * 5 + 4, i * 5 + 5])],
-            0,
-        )
-        .unwrap();
+        // Two receptor appends per round; drains fire + GC in between.
+        b.append(&[Column::Int(vec![i * 5 + 1, i * 5 + 2])], 0).unwrap();
+        b.append(&[Column::Int(vec![i * 5 + 3, i * 5 + 4, i * 5 + 5])], 0).unwrap();
         e.run_until_idle().unwrap();
-        // The sealed-but-unconsumed suffix survives: the fast query has
-        // consumed everything sealed, the slow one bounds expiry.
-        let sealed = b.end_oid() - b.base_oid();
-        assert!(sealed <= 100, "GC must keep at most one slow window resident");
+        // The unconsumed suffix survives: the fast query has consumed
+        // everything, the slow one bounds expiry.
+        let resident = b.end_oid() - b.base_oid();
+        assert!(resident <= 100, "GC must keep at most one slow window resident");
     }
     // 20 rounds × 5 tuples = 100: exactly one slow window, sum = 1..=100.
     e.run_until_idle().unwrap();
@@ -252,32 +225,12 @@ fn gc_never_reclaims_an_undrained_shard() {
 }
 
 #[test]
-fn basket_level_expiry_cannot_touch_staged_segments() {
-    // Direct basket-level version of the GC invariant: staged segments
-    // sit at or past the sealed frontier, and expiry is capped at that
-    // frontier, so even `expire_upto(u64::MAX)` cannot reach them.
-    let sb = ingest_basket(4);
-    sb.append_shard(0, &[Column::Int(vec![1, 2])], 0).unwrap();
-    sb.seal();
-    sb.append_shard(1, &[Column::Int(vec![3, 4])], 1).unwrap();
-    sb.append_shard(2, &[Column::Int(vec![5])], 2).unwrap();
-    sb.with(|b| b.expire_upto(u64::MAX));
-    assert_eq!(sb.len(), 0);
-    assert_eq!(sb.staged_len(), 3);
-    assert_eq!(sb.seal(), 5);
-    let vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
-    assert_eq!(vals, vec![3, 4, 5]);
-    assert_eq!(sb.base_oid(), 2); // expired prefix stays expired
-}
-
-#[test]
 fn receptor_fleet_with_gc_loop_under_live_engine() {
     // End-to-end churn: 16 writer threads feed while a separate thread
-    // keeps the engine draining (seal + fire + GC in a loop). Every window
+    // keeps the engine draining (fire + GC in a loop). Every window
     // of the standing query must come out exactly once.
     let engine = Mutex::new({
-        let mut e =
-            Engine::with_config(EngineConfig { basket_shards: 4, ..EngineConfig::from_env() });
+        let mut e = Engine::with_config(EngineConfig::from_env());
         e.create_stream("s", &[("x", DataType::Int)]).unwrap();
         e
     });
@@ -304,11 +257,11 @@ fn receptor_fleet_with_gc_loop_under_live_engine() {
             results
         });
         let handles: Vec<_> = (0..APPENDERS)
-            .map(|tid| {
+            .map(|_| {
                 let basket = &basket;
                 let mut left = 16i64;
                 s.spawn(move || {
-                    write_all(basket, tid, move || {
+                    write_all(basket, move || {
                         if left == 0 {
                             return None;
                         }
@@ -332,19 +285,16 @@ fn receptor_fleet_with_gc_loop_under_live_engine() {
 
 #[test]
 fn a_panic_inside_with_leaves_the_stream_usable() {
-    // The poison policy: a reader that panics under the merged-view lock
-    // costs that reader only. Afterwards appends, seals and reads see
-    // every oid and value, with one shard and with staging.
-    for shards in [1, 4] {
-        let sb = ingest_basket(shards);
-        assert_eq!(sb.append(&[Column::Int(vec![1, 2])], 0).unwrap(), 0);
-        let caught = catch_unwind(AssertUnwindSafe(|| sb.with(|_| panic!("reader bug"))));
-        assert!(caught.is_err(), "shards={shards}");
-        assert_eq!(sb.append(&[Column::Int(vec![3])], 1).unwrap(), 2, "shards={shards}");
-        assert_eq!(sb.append_shard(1, &[Column::Int(vec![4, 5])], 2).unwrap(), 3);
-        assert_eq!(sb.seal(), 5, "shards={shards}");
-        let vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
-        assert_eq!(vals, vec![1, 2, 3, 4, 5], "shards={shards}");
-        assert_eq!((sb.base_oid(), sb.end_oid(), sb.staged_len()), (0, 5, 0));
-    }
+    // The poison policy: a reader that panics under the basket's lock
+    // costs that reader only. Afterwards appends and reads see every oid
+    // and value.
+    let sb = ingest_basket();
+    assert_eq!(sb.append(&[Column::Int(vec![1, 2])], 0).unwrap(), 0);
+    let caught = catch_unwind(AssertUnwindSafe(|| sb.with(|_| panic!("reader bug"))));
+    assert!(caught.is_err());
+    assert_eq!(sb.append(&[Column::Int(vec![3])], 1).unwrap(), 2);
+    assert_eq!(sb.append(&[Column::Int(vec![4, 5])], 2).unwrap(), 3);
+    let vals = sb.with(|b| b.snapshot().col(0).unwrap().as_int().unwrap().to_vec());
+    assert_eq!(vals, vec![1, 2, 3, 4, 5]);
+    assert_eq!((sb.base_oid(), sb.end_oid()), (0, 5));
 }

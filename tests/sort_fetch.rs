@@ -1,13 +1,10 @@
 //! The morsel-parallel fetch & sort paths, end to end: the SortPerm →
 //! Fetch head-oid contract pinned through the partitioned executor, a
-//! golden ORDER BY / top-k SQL pin through the full three-axis parallel
-//! stack (all axes at 4) against the sequential engine, proof via the
-//! kernel stats counters that an aligned engine actually elides the
-//! aggregate re-scatter, and the new telemetry families surfacing in
-//! `Engine::telemetry_snapshot()`.
+//! golden ORDER BY / top-k SQL pin through the parallel stack (4 workers
+//! × 4 partitions) against the sequential engine, and the fetch/sort
+//! telemetry families surfacing in `Engine::telemetry_snapshot()`.
 
 use datacell::core::EngineConfig;
-use datacell::kernel::{par, PlacementMode};
 use datacell::plan::exec::{execute, WindowCtx};
 use datacell::plan::mal::{MalBuilder, MalOp, MalPlan};
 use datacell::prelude::*;
@@ -62,15 +59,14 @@ fn sort_perm_head_oids_compose_with_fetch_at_every_p() {
     }
 }
 
-/// Golden pin: a SQL ORDER BY ... DESC LIMIT query through the full
-/// three-axis parallel stack — sharded ingest (4), parallel scheduler
-/// (4 workers), partitioned kernel (4) — must produce exactly the rows
-/// the fully sequential engine produces, in the same order.
+/// Golden pin: a SQL ORDER BY ... DESC LIMIT query through the parallel
+/// stack — parallel scheduler (4 workers), partitioned kernel (4) — must
+/// produce exactly the rows the fully sequential engine produces, in the
+/// same order.
 #[test]
 fn golden_order_by_top_k_through_sharded_parallel_path() {
-    let run = |basket_shards: usize, workers: usize, partitions: usize| {
-        let config =
-            EngineConfig { workers, partitions, basket_shards, ..EngineConfig::from_env() };
+    let run = |workers: usize, partitions: usize| {
+        let config = EngineConfig { workers, partitions, ..EngineConfig::from_env() };
         let mut e = Engine::with_config(config);
         e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
         let q = e
@@ -103,64 +99,10 @@ fn golden_order_by_top_k_through_sharded_parallel_path() {
             vec![Value::Int(3), Value::Int(70)],
         ],
     ];
-    let sequential = run(1, 1, 1);
+    let sequential = run(1, 1);
     assert_eq!(sequential, golden, "sequential run drifted from the golden pin");
-    let parallel = run(4, 4, 4);
-    assert_eq!(parallel, golden, "sharded+parallel run drifted from the golden pin");
-}
-
-/// Acceptance proof for the re-scatter elision: a 4×4×4 engine (which
-/// auto-resolves to aligned placement) running a grouped aggregation
-/// demonstrably takes the elided path — the rewriter marks the per-bw
-/// cluster `placement_aligned`, the incremental factory vouches its
-/// input, and the kernel skips the per-row scatter. Results must still
-/// match the sequential engine.
-#[test]
-fn aligned_engine_elides_aggregate_scatter() {
-    let run = |basket_shards: usize, placement: PlacementMode| {
-        let config =
-            EngineConfig { workers: 4, partitions: 4, basket_shards, ..EngineConfig::from_env() };
-        let mut e = Engine::with_config(config);
-        assert_eq!(e.placement(), placement, "{basket_shards} shards x 4 partitions");
-        e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
-        let q = e
-            .register_sql("SELECT k, sum(v), avg(v) FROM s GROUP BY k WINDOW SIZE 512 SLIDE 256")
-            .unwrap();
-        let ks: Vec<i64> = (0..512).map(|i| i % 16).collect();
-        let vs: Vec<i64> = (0..512).collect();
-        e.append("s", &[Column::Int(ks), Column::Int(vs)]).unwrap();
-        e.run_until_idle().unwrap();
-        let out = e.drain_results(q).unwrap();
-        out.iter().map(datacell::plan::ResultSet::rows).collect::<Vec<_>>()
-    };
-
-    let sequential = {
-        let mut e = Engine::new();
-        e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
-        let q = e
-            .register_sql("SELECT k, sum(v), avg(v) FROM s GROUP BY k WINDOW SIZE 512 SLIDE 256")
-            .unwrap();
-        let ks: Vec<i64> = (0..512).map(|i| i % 16).collect();
-        let vs: Vec<i64> = (0..512).collect();
-        e.append("s", &[Column::Int(ks), Column::Int(vs)]).unwrap();
-        e.run_until_idle().unwrap();
-        let out = e.drain_results(q).unwrap();
-        out.iter().map(datacell::plan::ResultSet::rows).collect::<Vec<_>>()
-    };
-
-    let before = par::stats::snapshot();
-    let aligned = run(4, PlacementMode::Aligned);
-    let delta = par::stats::snapshot().delta(&before);
-    assert_eq!(aligned, sequential, "aligned elided run diverged from sequential");
-    assert!(
-        delta.scatter_elided > 0,
-        "aligned 4x4x4 aggregation never took the elided scatter path"
-    );
-
-    // One shard under four partitions resolves to round-robin placement,
-    // which never honours the mark; results still agree.
-    let round_robin = run(1, PlacementMode::RoundRobin);
-    assert_eq!(round_robin, sequential, "round-robin run diverged from sequential");
+    let parallel = run(4, 4);
+    assert_eq!(parallel, golden, "parallel run drifted from the golden pin");
 }
 
 /// The new kernel fetch/sort telemetry families surface in the engine's
@@ -168,12 +110,8 @@ fn aligned_engine_elides_aggregate_scatter() {
 /// rendered exposition stays parse-clean.
 #[test]
 fn fetch_sort_families_render_in_engine_snapshot() {
-    let mut e = Engine::with_config(EngineConfig {
-        workers: 2,
-        partitions: 4,
-        basket_shards: 2,
-        ..EngineConfig::from_env()
-    });
+    let mut e =
+        Engine::with_config(EngineConfig { workers: 2, partitions: 4, ..EngineConfig::from_env() });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let q = e
         .register_sql("SELECT k, v FROM s ORDER BY v DESC LIMIT 5 WINDOW SIZE 256 SLIDE 128")
@@ -192,8 +130,8 @@ fn fetch_sort_families_render_in_engine_snapshot() {
     assert!(parsed.total("datacell_kernel_sort_calls_total") > 0.0, "no sort calls:\n{text}");
     assert!(parsed.total("datacell_kernel_fetch_calls_total") > 0.0, "no fetch calls:\n{text}");
     assert!(
-        parsed.total("datacell_kernel_sort_par_calls_total") > 0.0,
-        "partitions=4 ORDER BY never took the parallel sort path:\n{text}"
+        parsed.total("datacell_kernel_fetch_par_calls_total") > 0.0,
+        "partitions=4 ORDER BY never took the parallel fetch path:\n{text}"
     );
     for fam in ["datacell_kernel_sort_seconds", "datacell_kernel_fetch_seconds"] {
         assert!(

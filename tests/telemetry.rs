@@ -3,7 +3,7 @@
 //! Prometheus-text exposition roundtrip.
 //!
 //! Stability and monotonicity assertions deliberately look only at the
-//! *engine-local* families (query, scheduler and basket series): the
+//! *engine-local* families (query and scheduler series): the
 //! process-global registry is shared with every other test running in
 //! this binary, so its kernel counters may move between two snapshots
 //! through no fault of the engine under test.
@@ -14,27 +14,18 @@ use datacell::telemetry::{parse_text, render_text, Snapshot};
 
 /// Name prefixes of families assembled from engine-owned handles (as
 /// opposed to the process-global registry).
-const LOCAL_PREFIXES: &[&str] = &[
-    "datacell_query_",
-    "datacell_scheduler_",
-    "datacell_basket_staged_",
-    "datacell_basket_shard_",
-];
+const LOCAL_PREFIXES: &[&str] = &["datacell_query_", "datacell_scheduler_"];
 
 fn local_only(mut snap: Snapshot) -> Snapshot {
     snap.families.retain(|f| LOCAL_PREFIXES.iter().any(|p| f.name.starts_with(p)));
     snap
 }
 
-/// An engine with all three parallelism axes at 4 and one standing
-/// grouped aggregation.
-fn engine_4x4x4() -> (Engine, QueryId) {
-    let mut e = Engine::with_config(EngineConfig {
-        workers: 4,
-        partitions: 4,
-        basket_shards: 4,
-        ..EngineConfig::from_env()
-    });
+/// An engine with both parallelism axes at 4 and one standing grouped
+/// aggregation.
+fn engine_4x4() -> (Engine, QueryId) {
+    let mut e =
+        Engine::with_config(EngineConfig { workers: 4, partitions: 4, ..EngineConfig::from_env() });
     e.create_stream("s", &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
     let q = e.register_sql("SELECT k, sum(v) FROM s GROUP BY k WINDOW SIZE 64 SLIDE 32").unwrap();
     (e, q)
@@ -49,7 +40,7 @@ fn feed(e: &mut Engine, rows: usize) {
 
 #[test]
 fn quiesced_snapshot_is_stable() {
-    let (mut e, _q) = engine_4x4x4();
+    let (mut e, _q) = engine_4x4();
     feed(&mut e, 256);
     // No appends, no drains between the two reads: every engine-local
     // series — including worker busy/idle time, which is only recorded
@@ -61,7 +52,7 @@ fn quiesced_snapshot_is_stable() {
 
 #[test]
 fn counters_are_monotone_across_drains() {
-    let (mut e, _q) = engine_4x4x4();
+    let (mut e, _q) = engine_4x4();
     feed(&mut e, 256);
     let p1 = parse_text(&render_text(&local_only(e.telemetry_snapshot()))).unwrap();
     feed(&mut e, 256);
@@ -103,7 +94,7 @@ fn per_query_series_follow_registration() {
 
 #[test]
 fn exposition_roundtrips_and_documents_every_family() {
-    let (mut e, q) = engine_4x4x4();
+    let (mut e, q) = engine_4x4();
     feed(&mut e, 512);
     let snap = e.telemetry_snapshot();
     let text = render_text(&snap);
@@ -117,7 +108,7 @@ fn exposition_roundtrips_and_documents_every_family() {
     let drained = e.drain_results(q).unwrap().len() as f64;
     let slides_parsed = parsed.get("datacell_query_slides_total", &[("query", "q0")]).unwrap();
     assert_eq!(slides_parsed, drained);
-    // The three-axis workload left its marks in every subsystem.
+    // The two-axis workload left its marks in every subsystem.
     assert!(parsed.total("datacell_scheduler_worker_fires_total") > 0.0);
-    assert!(parsed.total("datacell_basket_shard_rows_total") > 0.0);
+    assert!(parsed.total("datacell_kernel_grouped_agg_par_calls_total") > 0.0);
 }
