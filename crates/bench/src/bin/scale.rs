@@ -192,11 +192,21 @@ fn join(h: &mut Harness, args: &Args) {
     }
 }
 
+/// One pair of cell `cell` of a slide — the new row's cells by right slot,
+/// then the new column's by left slot — as an order-free fingerprint term:
+/// a slide's terms summed compare its pairs cell by cell, whatever order
+/// each way emits them in.
+fn pair_print(cell: usize, left: u64, right: u64) -> u64 {
+    let x = (cell as u64) << 42 ^ left << 21 ^ right;
+    x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
+}
+
 /// Median ns/slide of the join strip and of the same cells joined one by
 /// one, and the median pairs per slide, over `slides` slides of a window
 /// of `n` basic windows. Basic window `t` of a stream is `bats[t]`, so the
 /// window after slide `t` is `bats[t + 1..=t + n]`. The two ways run as
-/// separate passes: run alternately, each evicts the other's tables.
+/// separate passes: run alternately, each evicts the other's tables. Both
+/// must emit the same pairs in every cell of every slide.
 fn strip_point(n: usize, step: usize, keys: i64, slides: usize, seed: u64) -> [f64; 3] {
     let stream = |salt: u64| -> Vec<Bat> {
         (0..n + slides).map(|t| lcg_int_bat(step, keys, seed + 2 * t as u64 + salt)).collect()
@@ -205,14 +215,13 @@ fn strip_point(n: usize, step: usize, keys: i64, slides: usize, seed: u64) -> [f
     fn refs(bats: &[Bat]) -> Vec<&Bat> {
         bats.iter().collect()
     }
-    let pairs_of = |cells: &[(Bat, Bat)]| cells.iter().map(|(lo, _)| lo.len()).sum::<usize>();
 
     let mut indexes = [&lefts, &rights].map(|bats| {
         let mut index = JoinIndex::with_capacity(n * step);
         bats[..n].iter().for_each(|bat| index.push(bat).unwrap());
         index
     });
-    let (mut strip_ns, mut cells_ns, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut strip_ns, mut cells_ns, mut prints) = (Vec::new(), Vec::new(), Vec::new());
     for t in 0..slides {
         let (new_left, new_right) = (&lefts[t + n], &rights[t + n]);
         let start = Instant::now();
@@ -224,22 +233,52 @@ fn strip_point(n: usize, step: usize, keys: i64, slides: usize, seed: u64) -> [f
         let col = left.probe(&refs(&lefts[t + 1..t + n]), new_right).unwrap();
         left.push(new_left).unwrap();
         strip_ns.push(start.elapsed().as_nanos() as f64);
-        pairs.push(pairs_of(&row) + pairs_of(&col));
+        let mut print = 0u64;
+        let mut add = |cell: usize, left: &[u32], right: &[u32]| {
+            for (&l, &r) in left.iter().zip(right) {
+                print = print.wrapping_add(pair_print(cell, l.into(), r.into()));
+            }
+        };
+        // A row hit is (right position, left position), a column hit
+        // (left position, right position).
+        for r in 0..row.runs() {
+            let (right, left) = row.run(r);
+            add(r, left, right);
+        }
+        for r in 0..col.runs() {
+            let (left, right) = col.run(r);
+            add(n + r, left, right);
+        }
+        prints.push((print, row.len() + col.len()));
     }
-    for (t, &strip_pairs) in pairs.iter().enumerate() {
+    for (t, &(strip_print, strip_pairs)) in prints.iter().enumerate() {
         let (new_left, new_right) = (&lefts[t + n], &rights[t + n]);
         let start = Instant::now();
         let row = rights[t + 1..=t + n].iter().map(|r| algebra::hashjoin(new_left, r).unwrap());
         let col = lefts[t + 1..t + n].iter().map(|l| algebra::hashjoin(l, new_right).unwrap());
         let cells: Vec<(Bat, Bat)> = row.chain(col).collect();
         cells_ns.push(start.elapsed().as_nanos() as f64);
-        assert_eq!(pairs_of(&cells), strip_pairs, "strip and cells disagree at n = {n}");
+        // The transient inputs make every oid a position.
+        let oids = |b: &Bat| b.tail.as_oid().unwrap().to_vec();
+        let (mut print, mut pairs) = (0u64, 0);
+        for (cell, (lo, ro)) in cells.iter().enumerate() {
+            pairs += lo.len();
+            for (l, r) in oids(lo).into_iter().zip(oids(ro)) {
+                print = print.wrapping_add(pair_print(cell, l, r));
+            }
+        }
+        assert_eq!(
+            (print, pairs),
+            (strip_print, strip_pairs),
+            "strip and cells disagree at n = {n}"
+        );
     }
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    [median(strip_ns), median(cells_ns), median(pairs.into_iter().map(|p| p as f64).collect())]
+    let pairs = prints.into_iter().map(|(_, p)| p as f64).collect();
+    [median(strip_ns), median(cells_ns), median(pairs)]
 }
 
 fn join_strip(h: &mut Harness, args: &Args) {

@@ -2,7 +2,9 @@
 //! metrics — the shared machinery behind every figure harness.
 
 use crate::workload::{gen_join_stream, gen_q1_stream, selectivity_threshold};
-use datacell_core::{AdaptiveChunker, Engine, ExecMode, QueryId, RegisterOptions, SlideMetrics};
+use datacell_core::{
+    AdaptiveChunker, Engine, ExecMode, QueryId, RegisterOptions, ResultSet, SlideMetrics,
+};
 use datacell_kernel::DataType;
 use std::time::{Duration, Instant};
 use sysx::{QuerySpec, SysxEngine};
@@ -61,6 +63,8 @@ pub struct RunOutcome {
     pub wall: Duration,
     /// Total result rows across all windows.
     pub rows: usize,
+    /// Per-produced-window results (empty for the SystemX simulator).
+    pub results: Vec<ResultSet>,
 }
 
 impl RunOutcome {
@@ -80,6 +84,17 @@ impl RunOutcome {
     /// Total time spent in merge machinery.
     pub fn merge_total(&self) -> Duration {
         self.per_window.iter().map(|m| m.merge).sum()
+    }
+
+    /// Whether both runs produced the same windows, each with the same rows
+    /// in any order.
+    pub fn agrees_with(&self, other: &RunOutcome) -> bool {
+        self.results.len() == other.results.len()
+            && self
+                .results
+                .iter()
+                .zip(&other.results)
+                .all(|(a, b)| a.sorted_rows() == b.sorted_rows())
     }
 }
 
@@ -141,12 +156,13 @@ pub struct Q3Config {
     pub seed: u64,
 }
 
-/// Drain the query and keep the slide record that came with each window.
-fn drain_metrics(engine: &mut Engine, q: QueryId) -> (Vec<SlideMetrics>, usize) {
+/// Drain the query: every window's result and the slide record that came
+/// with it.
+fn drain(engine: &mut Engine, q: QueryId, wall: Duration) -> RunOutcome {
     let drained = engine.drain_with_metrics(q).expect("query exists");
-    let metrics: Vec<SlideMetrics> = drained.into_iter().map(|(_, m)| m).collect();
-    let rows = metrics.iter().map(|m| m.rows).sum();
-    (metrics, rows)
+    let (results, per_window): (Vec<ResultSet>, Vec<SlideMetrics>) = drained.into_iter().unzip();
+    let rows = per_window.iter().map(|m| m.rows).sum();
+    RunOutcome { per_window, wall, rows, results }
 }
 
 /// Run Q1 — `SELECT x1, sum(x2) FROM s WHERE x1 > v GROUP BY x1` — in the
@@ -165,8 +181,7 @@ pub fn run_q1(mode: &Mode, cfg: &Q1Config) -> RunOutcome {
     let t0 = Instant::now();
     feed_in_batches(&mut engine, "s", &data, cfg.step);
     let wall = t0.elapsed();
-    let (per_window, rows) = drain_metrics(&mut engine, q);
-    RunOutcome { per_window, wall, rows }
+    drain(&mut engine, q, wall)
 }
 
 /// Run Q2 — `SELECT max(s1.v), avg(s2.v) FROM s1, s2 WHERE s1.k = s2.k`.
@@ -185,8 +200,7 @@ pub fn run_q2(mode: &Mode, cfg: &Q2Config) -> RunOutcome {
     let t0 = Instant::now();
     feed_two_in_batches(&mut engine, ("s1", &d1), ("s2", &d2), cfg.step);
     let wall = t0.elapsed();
-    let (per_window, rows) = drain_metrics(&mut engine, q);
-    RunOutcome { per_window, wall, rows }
+    drain(&mut engine, q, wall)
 }
 
 /// Run Q3 — `SELECT max(x1), sum(x2) FROM s WHERE x1 > v` over a landmark
@@ -205,8 +219,7 @@ pub fn run_q3_landmark(mode: &Mode, cfg: &Q3Config) -> RunOutcome {
     let t0 = Instant::now();
     feed_in_batches(&mut engine, "s", &data, cfg.step);
     let wall = t0.elapsed();
-    let (per_window, rows) = drain_metrics(&mut engine, q);
-    RunOutcome { per_window, wall, rows }
+    drain(&mut engine, q, wall)
 }
 
 /// Run Q2 on the SystemX simulator (tuple-at-a-time): returns the wall
@@ -229,6 +242,7 @@ pub fn run_sysx_q2(cfg: &Q2Config) -> RunOutcome {
         per_window: vec![SlideMetrics::default(); produced],
         wall,
         rows: e.drain_results().len(),
+        results: Vec::new(),
     }
 }
 
@@ -288,6 +302,7 @@ mod tests {
         assert_eq!(b.per_window.len(), 6);
         assert_eq!(a.rows, b.rows);
         assert!(a.rows > 0);
+        assert!(a.agrees_with(&b));
     }
 
     #[test]
@@ -297,6 +312,8 @@ mod tests {
         let b = run_q2(&Mode::DataCellR, &cfg);
         assert_eq!(a.per_window.len(), 4);
         assert_eq!(b.per_window.len(), 4);
+        assert_eq!(a.results.len(), 4);
+        assert!(a.agrees_with(&b));
     }
 
     #[test]

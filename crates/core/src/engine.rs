@@ -1123,7 +1123,7 @@ mod tests {
         let t2 = e2
             .explain_sql("SELECT count(a.k) FROM a, b WHERE a.k = b.k WINDOW SIZE 4 SLIDE 2")
             .unwrap();
-        assert!(t2.contains("per-cell"));
+        assert!(t2.contains("per-strip") && t2.contains("per-slot"), "{t2}");
     }
 
     #[test]

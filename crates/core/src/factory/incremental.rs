@@ -4,98 +4,162 @@
 //!
 //! * **One segment walker.** Every piece of an [`IncrementalPlan`] — the
 //!   static segment at registration, the per-basic-window segment, the
-//!   per-cell segment of a two-stream join (Fig. 3e) and the merge segment
+//!   per-slot segment of a two-stream join (Fig. 3e) and the merge segment
 //!   — runs through [`exec::run_segment`]. What differs is only which
 //!   instructions it walks and where it borrows the variables they do not
-//!   define: statics, ring slot `i`/`j`, or the merged frontier. Cached
+//!   define: statics, the new ring slot, or the merged frontier. Cached
 //!   values are lent by reference, never copied into the walk.
 //! * **One frontier merge.** Partials meet at three levels — ring slots
-//!   and matrix cells into the window, `[cumulative, new]` into a landmark
-//!   window, chunk partials into one basic window (the m-chunk
-//!   optimization of §3, driven by the [`AdaptiveChunker`]) — and all
-//!   three are [`merge_frontier`] over a different list of parts.
+//!   into the window, `[cumulative, new]` into a landmark window, chunk
+//!   partials into one basic window (the m-chunk optimization of §3,
+//!   driven by the [`AdaptiveChunker`]) — and all three are
+//!   [`merge_frontier`] over a different list of parts.
 //! * **One slide step.** [`Factory::fire`] takes one basic window (or one
 //!   chunk of it) per stream, by count or by deadline — the only place the
 //!   window flavours differ — runs the per-bw segment, and then does the
 //!   **transition** of Algorithm 2 lines 20–21: the oldest ring slot pops
-//!   off the front, the new one pushes onto the back (computing only the
-//!   new row and column of the join matrix), and once the window is
-//!   complete the frontier is merged and the merge segment produces the
-//!   result. A landmark window is the same step without expiry: its ring
-//!   collapses to the merged cumulative after every slide.
+//!   off the front, the new one pushes onto the back (folding in the join
+//!   cells the slide adds), and once the window is complete the frontier
+//!   is merged and the merge segment produces the result. A landmark
+//!   window is the same step without expiry: its ring collapses to the
+//!   merged cumulative after every slide.
 //!
-//! **The new row and column are one strip, probed once.** The join that
-//! enters the matrix ([`IncrementalPlan::is_entry_join`]) is not walked
-//! per cell. Each joined stream has a [`JoinIndex`] over the join keys of
-//! its whole window, one run per ring slot, pushed and expired with the
-//! rings. On a slide the new left keys probe the right stream's index —
-//! every cell of the new row at once — and the new right keys probe the
-//! left stream's index as it stood before this slide — the rest of the new
-//! column: `2 × step` probe rows instead of `(2n − 1) × step`. The index
-//! hands back one pair list per ring slot; each cell then runs what
-//! follows the join (fetches, aggregates) through the one walker, its
-//! `env` seeded with that cell's pairs.
+//! **A join keeps n ring slots, not an n × n matrix.** Cell `(i, j)` of
+//! Fig. 3e — basic window `i` of the left stream joined with basic window
+//! `j` of the right — enters when its newer slot arrives and leaves when
+//! its older slot `min(i, j)` expires (the bilinear rule of DBSP). So a
+//! slide that pushes slot `t` adds, for every live slot `e`, the cells
+//! `(t, e)` and `(e, t)`, and they expire with slot `e`: they are folded
+//! ([`fold_part`]) into ring slot `e` of every join frontier variable as
+//! soon as they are made, and the window merge reads `n` parts.
 //!
-//! Part order is fixed: rings oldest → newest, matrix cells row-major.
-//! `SlideMetrics::main_plan` covers ingest, per-bw/per-cell evaluation,
+//! **The new cells are one strip, probed once.** The join that enters the
+//! matrix ([`IncrementalPlan::is_entry_join`]) is not walked per cell. Each
+//! joined stream has a [`JoinIndex`] over the join keys of its whole
+//! window, one run per ring slot, pushed and expired with the rings. On a
+//! slide the new left keys probe the right stream's index — every cell of
+//! the new row at once — and the new right keys probe the left stream's
+//! index as it stood before this slide — the rest of the new column:
+//! `2 × step` probe rows instead of `(2n − 1) × step`. The index hands back
+//! matching positions grouped by run, that is by expiry slot. Per slot,
+//! the strip gathers the join's outputs and every *pair fetch*
+//! ([`IncrementalPlan::pair_sides`]) straight from those positions, each
+//! row read from the basic window its cell names; what is left of the
+//! matrix segment then runs once per slot over the gathered columns.
+//!
+//! Part order is fixed: rings oldest → newest; within a join slot, its
+//! cells in the order they were made, the row cell before the column cell.
+//! `SlideMetrics::main_plan` covers ingest, per-bw/per-slot evaluation,
 //! the chunk fold and the transition; `merge` covers the frontier merge
 //! and the merge segment.
 
 use super::{Factory, FireOutcome, SegmentCtx, Step, StreamInput};
 use crate::adaptive::AdaptiveChunker;
 use crate::error::DataCellError;
-use crate::merge::merge_frontier;
+use crate::merge::{fold_part, merge_frontier};
 use crate::metrics::SlideMetrics;
 use crate::rewrite::{IncrementalPlan, Stage};
 use datacell_basket::{BasicWindow, Timestamp};
-use datacell_kernel::algebra::JoinIndex;
-use datacell_kernel::{Bat, Oid, ParConfig, Table};
+use datacell_kernel::algebra::{self, JoinIndex, RunHits};
+use datacell_kernel::{Bat, Column, Oid, ParConfig, Table};
 use datacell_plan::exec::{self, ExecCtx};
-use datacell_plan::{MalValue, ResultSet, VarId, WindowSpec};
+use datacell_plan::{MalOp, MalValue, ResultSet, VarId, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// The values one segment run caches: ring (or matrix) variable → value.
+/// The values one segment run caches: ring variable → value.
 type Slot = Vec<(VarId, MalValue)>;
 
 /// Most rows a join index is sized for at registration (24 MB of index).
 const PRESIZED_ROWS: usize = 1 << 20;
 
-/// One entry join of the matrix and the sliding state that evaluates it
-/// per strip.
+/// A pair fetch: `dest := fetch(cands, values)`, `values` a per-bw
+/// variable of joined side `side`.
+struct PairFetch {
+    dest: VarId,
+    cands: VarId,
+    values: VarId,
+    side: usize,
+}
+
+/// The entry join of a two-stream join and the sliding state that answers
+/// it, with its pair fetches, per strip. Side 0 is the left stream, 1 the
+/// right.
 struct Strip {
-    /// The join's inputs: the ring variables holding the left and the
-    /// right stream's keys.
-    keys: (VarId, VarId),
-    /// The join's outputs: the aligned oid lists a cell's segment is
-    /// seeded with.
-    pairs: (VarId, VarId),
-    /// One index per joined stream over its ring of keys, one run per
-    /// slot. Between slides the two hold the same number of runs as the
-    /// rings hold slots.
-    left: JoinIndex,
-    right: JoinIndex,
+    /// The join's inputs: per side, the ring variable holding its keys.
+    keys: [VarId; 2],
+    /// The join's outputs: per side, the candidates the pair fetches
+    /// start from.
+    pairs: [VarId; 2],
+    /// Every pair fetch, in program order (a chain's first link before
+    /// the next).
+    fetches: Vec<PairFetch>,
+    /// One index per side over its ring of keys, one run per slot.
+    /// Between slides the two hold as many runs as the rings hold slots.
+    index: [JoinIndex; 2],
 }
 
 impl Strip {
     /// Index the new basic window of both streams and join it against the
-    /// window: the `(left oids, right oids)` of every new cell, the new
-    /// row left to right, then the new column top down. `rings` already
+    /// window: the new row (new left keys against every right slot) and
+    /// the rest of the new column (new right keys against every older
+    /// left slot), each grouped by the other side's slot. `rings` already
     /// hold the new slots.
-    fn slide(&mut self, rings: &[VecDeque<MalValue>]) -> Result<Vec<(Bat, Bat)>, DataCellError> {
+    fn slide(&mut self, rings: &[VecDeque<MalValue>]) -> Result<[RunHits; 2], DataCellError> {
         let slots = |v: VarId| {
             rings[v].iter().map(|val| val.as_bat("join keys")).collect::<Result<Vec<&Bat>, _>>()
         };
-        let (left, right) = (slots(self.keys.0)?, slots(self.keys.1)?);
+        let (left, right) = (slots(self.keys[0])?, slots(self.keys[1])?);
         let (new_left, older_left) = left.split_last().expect("the rings hold the new slot");
         let new_right = right[left.len() - 1];
-        self.right.push(new_right)?;
-        let row = self.right.probe(&right, new_left)?;
-        let col = self.left.probe(older_left, new_right)?;
-        self.left.push(new_left)?;
-        // A probe answers `(run oids, probe oids)`: the row's runs are
-        // right slots, the column's are left slots.
-        Ok(row.into_iter().map(|(ro, lo)| (lo, ro)).chain(col).collect())
+        let [left_index, right_index] = &mut self.index;
+        right_index.push(new_right)?;
+        let row = right_index.probe(&right, new_left)?;
+        let col = left_index.probe(older_left, new_right)?;
+        left_index.push(new_left)?;
+        Ok([row, col])
+    }
+
+    /// The env of slot `e`'s segment run: the join's outputs and every
+    /// pair fetch over the cells that expire with slot `e`, the row cell
+    /// `(t, e)` then the column cell `(e, t)` (none when `e == t`), each
+    /// row read from the basic window its cell names.
+    fn gather(
+        &self,
+        rings: &[VecDeque<MalValue>],
+        [row, col]: &[RunHits; 2],
+        e: usize,
+        nvars: usize,
+    ) -> Result<Vec<Option<MalValue>>, DataCellError> {
+        let t = row.runs() - 1;
+        let (row_right, row_left) = row.run(e);
+        let (col_left, col_right) = if e < t { col.run(e) } else { (&[][..], &[][..]) };
+        // Per side, its `(slot, positions)` in the row cell and in the
+        // column cell.
+        let cells = [[(t, row_left), (e, col_left)], [(e, row_right), (t, col_right)]];
+        let split = row_left.len();
+        let bat = |v: VarId, slot: usize| rings[v][slot].as_bat("pair fetch");
+        let mut env: Vec<Option<MalValue>> = vec![None; nvars];
+        for (side, parts) in cells.iter().enumerate() {
+            let mut oids: Vec<Oid> = Vec::with_capacity(split + parts[1].1.len());
+            for &(slot, positions) in parts {
+                let keys = bat(self.keys[side], slot)?;
+                oids.extend(positions.iter().map(|&p| keys.oid_at(p as usize)));
+            }
+            env[self.pairs[side]] = Some(MalValue::Bat(Bat::transient(Column::Oid(oids))));
+        }
+        for f in &self.fetches {
+            let cands = env[f.cands].as_ref().expect("gathered in program order");
+            let (row_cands, col_cands) = cands.as_bat("pair fetch")?.tail.as_oid()?.split_at(split);
+            let [(row_slot, _), (col_slot, _)] = cells[f.side];
+            let mut gathered = algebra::fetch_oids(row_cands, bat(f.values, row_slot)?)?;
+            if !col_cands.is_empty() {
+                let mut rest = algebra::fetch_oids(col_cands, bat(f.values, col_slot)?)?;
+                gathered.append_owned(&mut rest)?;
+            }
+            env[f.dest] = Some(MalValue::Bat(Bat::transient(gathered)));
+        }
+        Ok(env)
     }
 }
 
@@ -108,20 +172,20 @@ pub struct IncrementalFactory {
     inputs: Vec<StreamInput>,
     /// Static variable values, computed at construction.
     statics: Vec<Option<MalValue>>,
-    /// Per-bw intermediates: `rings[var][slot]`, oldest slot first (empty
-    /// for variables that are not cached). A landmark window keeps one
-    /// slot per frontier variable: the cumulative.
+    /// Cached intermediates: `rings[var][slot]`, oldest slot first (empty
+    /// for variables that are not cached). A per-bw variable holds its
+    /// basic window's value; a join frontier variable holds the cells that
+    /// expire with the slot, folded into one part. A landmark window keeps
+    /// one slot per frontier variable: the cumulative.
     rings: Vec<VecDeque<MalValue>>,
-    /// Matrix intermediates: `matrix[var][row][col]` (row = left bw slot).
-    matrix: Vec<VecDeque<VecDeque<MalValue>>>,
     /// Ring variables (cached per slot) by producing stream.
     ring_vars: Vec<Vec<VarId>>,
-    /// Matrix ring variables.
+    /// Join frontier variables, one ring slot per basic window.
     matrix_vars: Vec<VarId>,
-    /// The matrix's entry joins, evaluated per strip.
-    strips: Vec<Strip>,
-    /// The matrix instructions evaluated per cell: all but the entry joins.
-    cell_instrs: Vec<usize>,
+    /// The join's entry and pair fetches, evaluated per strip.
+    strip: Option<Strip>,
+    /// The matrix instructions evaluated per slot: all but the strip's.
+    slot_instrs: Vec<usize>,
     advances: usize,
     emitted: usize,
     /// Chunking state (single-stream count-sliding only): the partials of
@@ -208,8 +272,6 @@ impl IncrementalFactory {
                     .collect()
             })
             .collect();
-        let (entry_joins, cell_instrs): (Vec<usize>, Vec<usize>) =
-            plan.matrix_instrs.iter().partition(|&&i| plan.is_entry_join(i));
         // A count-based window retains at most its own size per stream, so
         // its indexes are sized once, here; a time-based or very large one
         // grows them as rows arrive.
@@ -218,30 +280,34 @@ impl IncrementalFactory {
             .zip(window.step_count())
             .map_or(0, |(n, step)| n * step)
             .min(PRESIZED_ROWS);
-        let strips = entry_joins
-            .into_iter()
-            .map(|i| {
+        // `rewrite` admits a matrix only behind exactly one entry join.
+        let sides = plan.pair_sides();
+        let strip = plan.matrix_instrs.iter().find(|&&i| plan.is_entry_join(i)).map(|&join| {
+            let ins = &plan.mal.instrs[join];
+            let args = ins.op.args();
+            let fetches = plan.matrix_instrs.iter().filter_map(|&i| {
                 let ins = &plan.mal.instrs[i];
-                let args = ins.op.args();
-                Strip {
-                    keys: (args[0], args[1]),
-                    pairs: (ins.dests[0], ins.dests[1]),
-                    left: JoinIndex::with_capacity(window_rows),
-                    right: JoinIndex::with_capacity(window_rows),
-                }
-            })
-            .collect();
+                let MalOp::Fetch { cands, values } = ins.op else { return None };
+                let side = sides[ins.dests[0]]?;
+                Some(PairFetch { dest: ins.dests[0], cands, values, side })
+            });
+            Strip {
+                keys: [args[0], args[1]],
+                pairs: [ins.dests[0], ins.dests[1]],
+                fetches: fetches.collect(),
+                index: [(); 2].map(|_| JoinIndex::with_capacity(window_rows)),
+            }
+        });
         Ok(IncrementalFactory {
             label: label.into(),
             window,
             inputs,
             statics,
             rings: vec![VecDeque::new(); nvars],
-            matrix: vec![VecDeque::new(); nvars],
             ring_vars,
             matrix_vars: plan.matrix_ring_vars(),
-            strips,
-            cell_instrs,
+            strip,
+            slot_instrs: plan.slot_instrs(),
             advances: 0,
             emitted: 0,
             chunker,
@@ -284,22 +350,17 @@ impl IncrementalFactory {
 
     // -- the three segment runs that cache or produce values ----------------
 
-    /// Run `instrs` over an env holding only `seed`, borrowing what they do
-    /// not define from `outer`, and take the values of `outs`.
-    fn eval_segment<'a>(
-        &'a self,
+    /// Run `instrs` over `env`, borrowing the statics they do not define,
+    /// and take the values of `outs`.
+    fn eval_segment(
+        &self,
         instrs: &[usize],
-        seed: Slot,
+        mut env: Vec<Option<MalValue>>,
         outs: &[VarId],
-        outer: impl Fn(VarId) -> Option<&'a MalValue>,
         ctx: &dyn ExecCtx,
     ) -> Result<Slot, DataCellError> {
-        let mal = &self.plan.mal;
-        let mut env: Vec<Option<MalValue>> = vec![None; mal.nvars];
-        for (v, val) in seed {
-            env[v] = Some(val);
-        }
-        exec::run_segment(mal, instrs.iter().copied(), &mut env, outer, ctx)?;
+        let statics = |v: VarId| self.statics[v].as_ref();
+        exec::run_segment(&self.plan.mal, instrs.iter().copied(), &mut env, statics, ctx)?;
         take_slot(&mut env, outs)
     }
 
@@ -308,34 +369,21 @@ impl IncrementalFactory {
     fn eval_perbw(&self, k: usize, w: &BasicWindow) -> Result<Slot, DataCellError> {
         let ctx =
             SegmentCtx { windows: &[(&self.plan.mal.streams[k], w)], tables: None, par: self.par };
-        let statics = |v: VarId| self.statics[v].as_ref();
-        self.eval_segment(
-            &self.plan.perbw_instrs[k],
-            Slot::new(),
-            &self.ring_vars[k],
-            statics,
-            &ctx,
-        )
+        let env = vec![None; self.plan.mal.nvars];
+        self.eval_segment(&self.plan.perbw_instrs[k], env, &self.ring_vars[k], &ctx)
     }
 
-    /// Run the per-cell segment for matrix cell (row `i`, col `j`) over the
-    /// cell's entry-join `pairs`: the left stream's ring variables resolve
-    /// to slot `i`, the right stream's to slot `j`.
-    fn eval_cell(&self, i: usize, j: usize, pairs: Slot) -> Result<Slot, DataCellError> {
-        let (ls, rs) = self.plan.matrix_pair.expect("matrix segment implies a pair");
-        let outer = |v: VarId| {
-            self.statics[v].as_ref().or_else(|| match self.plan.stages[v] {
-                Stage::PerBw(k) if k == ls => self.rings[v].get(i),
-                Stage::PerBw(k) if k == rs => self.rings[v].get(j),
-                _ => None,
-            })
-        };
+    /// Run the per-slot segment over `env`, the strip's gather for one
+    /// slot, and take the join frontier values it makes. The segment reads
+    /// no per-bw variable (`rewrite` guarantees it): only the gathered
+    /// columns and statics.
+    fn eval_slot(&self, env: Vec<Option<MalValue>>) -> Result<Slot, DataCellError> {
         let ctx = SegmentCtx { windows: &[], tables: None, par: self.par };
-        self.eval_segment(&self.cell_instrs, pairs, &self.matrix_vars, outer, &ctx)
+        self.eval_segment(&self.slot_instrs, env, &self.matrix_vars, &ctx)
     }
 
-    /// Merge the frontier over the rings and the matrix, run the merge
-    /// segment over the merged values and assemble the window result.
+    /// Merge the frontier over the rings, run the merge segment over the
+    /// merged values and assemble the window result.
     fn merge_window(&mut self) -> Result<ResultSet, DataCellError> {
         let plan = &self.plan;
         // Held back on purpose: the window's parts are copied out of the
@@ -350,8 +398,7 @@ impl IncrementalFactory {
         // as a claimed gain (ROADMAP, Next directions 1).
         let mut held: Vec<Vec<MalValue>> = vec![Vec::new(); plan.mal.nvars];
         for &v in &plan.frontier {
-            let cached = self.rings[v].iter().chain(self.matrix[v].iter().flatten());
-            held[v] = cached.cloned().collect();
+            held[v] = self.rings[v].iter().cloned().collect();
         }
         let mut env = merge_frontier(plan, |v| held[v].iter().collect())?;
         if self.window.is_landmark() {
@@ -370,55 +417,51 @@ impl IncrementalFactory {
 
     // -- the transition (Algorithm 2 lines 20–21) ---------------------------
 
-    /// Pop the oldest basic window.
+    /// Pop the oldest basic window: every ring's oldest slot, the join
+    /// cells that expire with it included.
     fn expire_oldest(&mut self) {
         for ring in &mut self.rings {
             ring.pop_front();
         }
-        for strip in &mut self.strips {
-            strip.left.expire();
-            strip.right.expire();
-        }
-        for m in &mut self.matrix {
-            m.pop_front(); // oldest left row
-            for row in m.iter_mut() {
-                row.pop_front(); // oldest right column
-            }
+        if let Some(strip) = &mut self.strip {
+            strip.index.iter_mut().for_each(JoinIndex::expire);
         }
     }
 
-    /// Push the new basic window's values onto the rings and compute the
-    /// matrix cells it adds.
+    /// Push the new basic window's values onto the rings and fold the join
+    /// cells it adds into the slots that expire them.
     fn push_new_slots(&mut self, new: Slot) -> Result<(), DataCellError> {
         for (v, val) in new {
             self.rings[v].push_back(val);
         }
-        if let Some((ls, _)) = self.plan.matrix_pair {
-            // Both streams push one slot per fire and expire together, so
-            // the matrix is square. The new left row meets every right
-            // slot, then every older left row meets the new right column:
-            // each row fills left to right. The entry joins are answered
-            // for all of these cells at once, in this order.
-            let join_input = self.ring_vars[ls].first().expect("a joined stream caches its input");
-            let last = self.rings[*join_input].len() - 1;
-            let mut seeds = vec![Slot::new(); 2 * last + 1];
-            for strip in &mut self.strips {
-                for (seed, (lo, ro)) in seeds.iter_mut().zip(strip.slide(&self.rings)?) {
-                    seed.push((strip.pairs.0, MalValue::Bat(lo)));
-                    seed.push((strip.pairs.1, MalValue::Bat(ro)));
-                }
+        let Some(strip) = &mut self.strip else { return Ok(()) };
+        let hits = strip.slide(&self.rings)?;
+        let strip = self.strip.as_ref().expect("sliding above");
+        let t = hits[0].runs() - 1;
+        for e in 0..=t {
+            // A slot no new cell matched folds in nothing: every merge
+            // rule keeps a part as it is under an empty one.
+            if e < t && hits[0].run(e).0.is_empty() && hits[1].run(e).0.is_empty() {
+                continue;
             }
-            let new_row = (0..=last).map(|j| (last, j));
-            let new_col = (0..last).map(|i| (i, last));
-            for ((i, j), pairs) in new_row.chain(new_col).zip(seeds) {
-                for (v, val) in self.eval_cell(i, j, pairs)? {
-                    let m = &mut self.matrix[v];
-                    if m.len() == i {
-                        m.push_back(VecDeque::new());
-                    }
-                    debug_assert_eq!(m[i].len(), j, "cells fill left-to-right");
-                    m[i].push_back(val);
+            let cells =
+                self.eval_slot(strip.gather(&self.rings, &hits, e, self.plan.mal.nvars)?)?;
+            if e == t {
+                for (v, val) in cells {
+                    self.rings[v].push_back(val);
                 }
+                continue;
+            }
+            // Lend slot `e` of every join frontier variable to the fold.
+            let mut held: Vec<Option<MalValue>> = vec![None; self.plan.mal.nvars];
+            let mut new: Vec<Option<MalValue>> = vec![None; self.plan.mal.nvars];
+            for (v, val) in cells {
+                held[v] = Some(std::mem::replace(&mut self.rings[v][e], MalValue::Absent));
+                new[v] = Some(val);
+            }
+            fold_part(&self.plan, &mut held, new)?;
+            for &v in &self.matrix_vars {
+                self.rings[v][e] = held[v].take().expect("folded in place");
             }
         }
         Ok(())
@@ -714,6 +757,53 @@ mod tests {
         assert_eq!(results[0].rows(), vec![vec![Value::Int(40), Value::Float(6.0)]]);
         // Window 2: a k=3..6; b k={4,9,6,1}: matches k=4 (40,7), k=6 (60,9).
         assert_eq!(results[1].rows(), vec![vec![Value::Int(60), Value::Float(8.0)]]);
+    }
+
+    #[test]
+    fn join_state_is_n_ring_slots_per_frontier_variable() {
+        // Per slide, the new cells fold into the slots that expire them:
+        // after every window each join frontier variable holds exactly one
+        // part per basic window, never a part per cell.
+        let step = 3;
+        for n in [4usize, 32] {
+            let plan = LogicalPlan::stream("a")
+                .join(LogicalPlan::stream("b"), col("a", "k"), col("b", "k"))
+                .aggregate(
+                    Some(col("a", "k")),
+                    vec![
+                        AggExpr::new(AggKind::Max, col("a", "v"), "mx"),
+                        AggExpr::new(AggKind::Avg, col("b", "v"), "av"),
+                    ],
+                );
+            let inc = rewrite(&compile(&plan).unwrap()).unwrap();
+            let schema = [("k", DataType::Int), ("v", DataType::Int)];
+            let (ba, bb) = (Basket::new("a", &schema), Basket::new("b", &schema));
+            let (ba, bb) = (ShardedBasket::new(ba), ShardedBasket::new(bb));
+            let rows = (n + 5) * step;
+            let keys: Vec<i64> = (0..rows as i64).map(|i| i % 5).collect();
+            let vals: Vec<i64> = (0..rows as i64).collect();
+            for b in [&ba, &bb] {
+                b.append(&[Column::Int(keys.clone()), Column::Int(vals.clone())], 0).unwrap();
+            }
+            let inputs = vec![StreamInput::new("a", ba), StreamInput::new("b", bb)];
+            let window = WindowSpec::CountSliding { size: n * step, step };
+            let par = ParConfig::sequential();
+            let mut f =
+                IncrementalFactory::new("q", inc, window, inputs, HashMap::new(), None, par)
+                    .unwrap();
+            assert_eq!(f.matrix_vars.len(), 4, "keys, max, and avg's sum and count");
+            let mut produced = 0;
+            while let FireOutcome::Produced { .. } | FireOutcome::Progressed = f.fire(0).unwrap() {
+                if f.advances < n {
+                    continue;
+                }
+                produced += 1;
+                for &v in f.matrix_vars.iter().chain(f.ring_vars.iter().flatten()) {
+                    assert_eq!(f.rings[v].len(), n, "n = {n}: X_{v} after window {produced}");
+                }
+            }
+            assert_eq!(produced, 6);
+        }
     }
 
     #[test]

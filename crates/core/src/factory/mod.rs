@@ -148,7 +148,7 @@ impl Step {
 
 /// The execution context of both factories: it lends plan execution the
 /// stream windows of this call (a whole window for re-evaluation, one
-/// basic window for a per-bw segment, none for per-cell and merge
+/// basic window for a per-bw segment, none for per-slot and merge
 /// segments) and the table snapshot, and owns nothing.
 pub(crate) struct SegmentCtx<'a> {
     pub windows: &'a [(&'a str, &'a BasicWindow)],

@@ -9,9 +9,12 @@
 //!
 //! * [`rewrite`](mod@rewrite) — the incremental plan rewriter (§3): splits the window
 //!   into basic windows, replicates plan fragments, inserts `concat` +
-//!   compensating actions, classifies join flows into n×n matrices;
+//!   compensating actions, classifies join flows into the n×n matrix of
+//!   Fig. 3e (evaluated per expiry slot);
 //! * [`merge`] — [`merge::merge_frontier`], the one `concat` +
-//!   compensation step, called at the window, landmark and chunk level;
+//!   compensation step, called at the window, landmark and chunk level,
+//!   and [`merge::fold_part`], the same rule folding join cells into the
+//!   slot that expires them;
 //! * [`factory`] — continuous query plans as resumable state machines
 //!   (§2): [`factory::incremental::IncrementalFactory`] (Algorithm 2) and
 //!   [`factory::reeval::ReevalFactory`] (Algorithm 1, the DataCellR

@@ -7,19 +7,21 @@
 //! count is to be compensated by a sum of the partial results." (paper §3)
 //!
 //! [`merge_frontier`] is that rule — `concat` plus one compensating action
-//! per frontier unit — and the only entry point. The incremental factory
-//! calls it at every level at which partials meet, changing nothing but
-//! where the parts come from:
+//! per frontier unit. The incremental factory calls it at every level at
+//! which partials meet, changing nothing but where the parts come from:
 //!
-//! * ring slots / matrix cells → the window's merged frontier;
+//! * ring slots → the window's merged frontier;
 //! * `[cumulative, new basic window]` → a landmark window's next cumulative;
 //! * chunk partials → one basic window's ring slot (the m-chunk
 //!   optimization: "process the latest basic window incrementally just as
 //!   we process the whole window incrementally").
 //!
+//! [`fold_part`] is the same rule over two parts, kept in place: a join's
+//! new cells fold into the ring slot that expires them.
+//!
 //! Every rule is associative over the part list, which is what makes the
-//! three levels interchangeable: merging `[merge([a, b]), c]` equals
-//! merging `[a, b, c]` (property-tested in `tests/kernel_props.rs`).
+//! levels interchangeable: merging `[merge([a, b]), c]` equals merging
+//! `[a, b, c]` (property-tested in `tests/kernel_props.rs`).
 
 use crate::error::DataCellError;
 use crate::rewrite::{Cluster, IncrementalPlan, MergeUnit, VarKind};
@@ -44,10 +46,50 @@ pub fn merge_frontier<'a>(
     for unit in plan.merge_units() {
         match unit {
             MergeUnit::Var(v, kind) => out[v] = Some(merge_var(kind, &parts(v))?),
-            MergeUnit::Cluster(c) => merge_cluster(c, &parts, &mut out)?,
+            MergeUnit::Cluster(c) => {
+                for (v, merged) in merge_cluster(c, &parts)? {
+                    out[v] = Some(merged);
+                }
+            }
         }
     }
     Ok(out)
+}
+
+/// Fold the part `new` into the part `held`, for every frontier unit `new`
+/// holds (both env-shaped): `held` becomes the merge of `[held, new]`.
+/// Row-faithful values (`Rows`, `DistinctRows`, `SortedRows`) grow in
+/// place — a held part is then a concatenation of parts, which the window
+/// merge compensates as a whole — so nothing held is copied; scalar and
+/// grouped partials fold by their merge rule.
+pub fn fold_part(
+    plan: &IncrementalPlan,
+    held: &mut [Option<MalValue>],
+    mut new: Vec<Option<MalValue>>,
+) -> Result<(), DataCellError> {
+    for unit in plan.merge_units() {
+        match unit {
+            MergeUnit::Var(v, kind) => {
+                let (Some(acc), Some(part)) = (held[v].as_mut(), new[v].take()) else { continue };
+                match (kind, acc, part) {
+                    (
+                        VarKind::Rows | VarKind::DistinctRows | VarKind::SortedRows { .. },
+                        MalValue::Bat(acc),
+                        MalValue::Bat(mut part),
+                    ) => acc.tail.append_owned(&mut part.tail)?,
+                    (kind, acc, part) => *acc = merge_var(kind, &[&*acc, &part])?,
+                }
+            }
+            MergeUnit::Cluster(c) if new[c.keys_var].is_some() => {
+                let parts = |v: VarId| held[v].iter().chain(&new[v]).collect();
+                for (v, merged) in merge_cluster(c, &parts)? {
+                    held[v] = Some(merged);
+                }
+            }
+            MergeUnit::Cluster(_) => {}
+        }
+    }
+    Ok(())
 }
 
 /// Merge the parts of a variable that crosses the frontier on its own.
@@ -162,11 +204,11 @@ fn both_f64(a: &Value, b: &Value) -> Result<(f64, f64), DataCellError> {
 /// keys and per-group partials, re-group the concatenated keys, and apply
 /// the grouped compensating aggregate per member — the kernel's
 /// [`par::regroup_partials`], the same merge a fanned-out `GroupAgg` runs.
+/// Returns every member's merged value, keys first.
 fn merge_cluster<'a>(
     c: &Cluster,
     parts: &impl Fn(VarId) -> Vec<&'a MalValue>,
-    out: &mut [Option<MalValue>],
-) -> Result<(), DataCellError> {
+) -> Result<Vec<(VarId, MalValue)>, DataCellError> {
     let key_parts = columns(&parts(c.keys_var))?;
     let slots = c
         .agg_vars
@@ -174,11 +216,9 @@ fn merge_cluster<'a>(
         .map(|&(v, kind)| Ok((kind, columns(&parts(v))?)))
         .collect::<Result<Vec<_>, DataCellError>>()?;
     let (keys, cols) = par::regroup_partials(&key_parts, &slots)?;
-    out[c.keys_var] = Some(MalValue::Bat(Bat::transient(keys)));
-    for (&(v, _), col) in c.agg_vars.iter().zip(cols) {
-        out[v] = Some(MalValue::Bat(Bat::transient(col)));
-    }
-    Ok(())
+    let members = std::iter::once(c.keys_var).chain(c.agg_vars.iter().map(|&(v, _)| v));
+    let merged = std::iter::once(keys).chain(cols);
+    Ok(members.zip(merged).map(|(v, col)| (v, MalValue::Bat(Bat::transient(col)))).collect())
 }
 
 #[cfg(test)]
@@ -369,6 +409,50 @@ mod tests {
         let keys = vec![bat(vec![1, 2])];
         let sums = vec![bat(vec![10])];
         assert!(merge_group(&[AggKind::Sum], &[keys, sums]).is_err());
+    }
+
+    #[test]
+    fn fold_part_equals_the_merge_of_both_parts() {
+        // X_0 rows, X_1 a partial max, X_2 absent from the new part, X_3..X_4
+        // a sum cluster: each unit folds as merging [held, new] would.
+        let cluster = Cluster { keys_var: 3, agg_vars: vec![(4, AggKind::Sum)] };
+        let kinds = vec![
+            VarKind::Rows,
+            VarKind::PartialScalar(AggKind::Max),
+            VarKind::PartialScalar(AggKind::Sum),
+            VarKind::GroupKeysPartial,
+            VarKind::GroupedPartial(AggKind::Sum),
+        ];
+        let plan = frontier_plan(kinds, vec![cluster]);
+        let held = [bat(vec![1, 2]), int(5), int(7), bat(vec![7, 8]), bat(vec![1, 2])];
+        let new = [
+            Some(bat(vec![3])),
+            Some(MalValue::Absent),
+            None,
+            Some(bat(vec![8, 9])),
+            Some(bat(vec![10, 20])),
+        ];
+        let whole =
+            merge_frontier(&plan, |v| std::iter::once(&held[v]).chain(&new[v]).collect()).unwrap();
+        let mut folded: Vec<Option<MalValue>> = held.iter().cloned().map(Some).collect();
+        fold_part(&plan, &mut folded, new.to_vec()).unwrap();
+        assert_eq!(folded, whole);
+        assert_eq!(col(folded[0].as_ref().unwrap()), &Column::Int(vec![1, 2, 3]));
+        assert_eq!(col(folded[4].as_ref().unwrap()), &Column::Int(vec![1, 12, 20]));
+    }
+
+    #[test]
+    fn fold_part_appends_rows_in_place() {
+        // The held part's buffer grows; nothing it holds is copied out.
+        let plan = frontier_plan(vec![VarKind::DistinctRows], vec![]);
+        let mut first = Column::Int(Vec::with_capacity(64));
+        first.append(&Column::Int(vec![4, 5])).unwrap();
+        let before = first.as_int().unwrap().as_ptr();
+        let mut held = vec![Some(MalValue::Bat(Bat::transient(first)))];
+        fold_part(&plan, &mut held, vec![Some(bat(vec![5, 6]))]).unwrap();
+        let grown = col(held[0].as_ref().unwrap());
+        assert_eq!(grown, &Column::Int(vec![4, 5, 5, 6]));
+        assert_eq!(grown.as_int().unwrap().as_ptr(), before);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub struct SlideMetrics {
     pub window_index: usize,
     /// Total time for the slide.
     pub total: Duration,
-    /// Time in the original plan's operators (per-basic-window / per-cell
+    /// Time in the original plan's operators (per-basic-window / per-slot
     /// evaluation; for re-evaluation: the whole-window execution).
     pub main_plan: Duration,
     /// Time in merge machinery (concat, compensation, transitions).

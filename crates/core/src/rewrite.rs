@@ -21,9 +21,14 @@
 //!
 //! Multi-stream joins get the n×n replication of Fig. 3(e): the join (and
 //! everything downstream of it that is still replicable) is classified
-//! `Matrix` and yields one value per pair of basic windows. The join that
-//! enters the matrix ([`IncrementalPlan::is_entry_join`]) is evaluated per
-//! strip — the new row and column at once; what follows it runs per cell.
+//! `Matrix`, one value per pair of basic windows — a *cell*. Cell `(i, j)`
+//! expires with its older slot `min(i, j)`, so the runtime keeps no matrix:
+//! it folds every new cell into the ring slot that expires it. The join
+//! that enters the matrix ([`IncrementalPlan::is_entry_join`]) and the
+//! *pair fetches* behind it ([`IncrementalPlan::pair_sides`]) are answered
+//! per strip — the new row and column at once, straight from the join
+//! index's hits; what follows runs once per expiry slot over the cells
+//! gathered for it. [`rewrite`] refuses a matrix that this cannot resolve.
 //!
 //! `avg` is *expanded* (Fig. 3c) by a MAL→MAL pre-pass into `sum`+`count`
 //! flows merged by a division.
@@ -41,7 +46,8 @@ pub enum Stage {
     /// Computed once per basic window of stream `k` (index into
     /// [`MalPlan::streams`]).
     PerBw(usize),
-    /// Computed once per *pair* of basic windows (two-stream join flows).
+    /// Computed per *pair* of basic windows (two-stream join flows); the
+    /// runtime evaluates the new pairs of a slide once per expiry slot.
     Matrix,
     /// Computed once per slide, over merged frontier values.
     Merge,
@@ -161,11 +167,11 @@ pub struct IncrementalPlan {
     pub matrix_instrs: Vec<usize>,
     /// Instructions evaluated per slide over merged data.
     pub merge_instrs: Vec<usize>,
-    /// Frontier variables: flow variables whose per-bw (or per-cell) values
+    /// Frontier variables: flow variables whose per-bw (or per-slot) values
     /// are cached and merged.
     pub frontier: Vec<VarId>,
-    /// Per-bw variables that matrix cells read (join inputs); cached in
-    /// rings even if not themselves merged.
+    /// Per-bw variables that the matrix reads (join keys, pair-fetched
+    /// values); cached in rings even if not themselves merged.
     pub ring_only: Vec<VarId>,
     /// Group-by clusters.
     pub clusters: Vec<Cluster>,
@@ -197,13 +203,77 @@ impl IncrementalPlan {
     /// inputs are still per-basic-window values, the left stream's and the
     /// right stream's? The runtime evaluates it once per slide for the
     /// whole new row and column of the matrix (a strip) through a join
-    /// index per stream, not once per cell; every other matrix instruction
-    /// runs per cell.
+    /// index per stream, not once per cell.
     pub fn is_entry_join(&self, i: usize) -> bool {
         let ins = &self.mal.instrs[i];
         matches!(ins.op, MalOp::Join { .. })
             && self.stages[ins.dests[0]] == Stage::Matrix
             && ins.op.args().iter().all(|&a| matches!(self.stages[a], Stage::PerBw(_)))
+    }
+
+    /// Per variable, the joined side (`0` left, `1` right) whose rows it
+    /// gathers, if it is an entry-join output or a *pair fetch*: a matrix
+    /// `Fetch` of a per-bw variable of that side through candidates that
+    /// are an entry-join output or another pair fetch of the same side
+    /// (Fig. 3e's chain through a selection). The strip resolves these
+    /// straight from its hits; every other matrix instruction runs once
+    /// per expiry slot.
+    pub fn pair_sides(&self) -> Vec<Option<usize>> {
+        let mut sides = vec![None; self.mal.nvars];
+        let Some((left, right)) = self.matrix_pair else { return sides };
+        for &i in &self.matrix_instrs {
+            let ins = &self.mal.instrs[i];
+            if self.is_entry_join(i) {
+                sides[ins.dests[0]] = Some(0);
+                sides[ins.dests[1]] = Some(1);
+            } else if let MalOp::Fetch { cands, values } = ins.op {
+                let own = |s: usize| self.stages[values] == Stage::PerBw([left, right][s]);
+                sides[ins.dests[0]] = sides[cands].filter(|&s| own(s));
+            }
+        }
+        sides
+    }
+
+    /// Is instruction `i` an entry join or a pair fetch — answered by the
+    /// strip, not run per slot?
+    fn is_strip_instr(&self, i: usize, sides: &[Option<usize>]) -> bool {
+        let ins = &self.mal.instrs[i];
+        self.is_entry_join(i)
+            || matches!(ins.op, MalOp::Fetch { .. }) && sides[ins.dests[0]].is_some()
+    }
+
+    /// The matrix instructions that run once per expiry slot: all but the
+    /// entry join and the pair fetches, in program order.
+    pub fn slot_instrs(&self) -> Vec<usize> {
+        let sides = self.pair_sides();
+        self.matrix_instrs.iter().copied().filter(|&i| !self.is_strip_instr(i, &sides)).collect()
+    }
+
+    /// The rule the per-slot runtime rests on: the matrix has exactly one
+    /// entry join, and every per-bw variable a matrix instruction reads is
+    /// read by that join or through a pair fetch of its own side (a slot
+    /// gathers cells of two basic windows per side, so nothing else could
+    /// tell which one a row came from). The first breach, as `(instr, var,
+    /// reason)`.
+    fn slot_path_breach(&self) -> Option<(usize, Option<VarId>, String)> {
+        let joins: Vec<usize> =
+            self.matrix_instrs.iter().copied().filter(|&i| self.is_entry_join(i)).collect();
+        if !self.matrix_instrs.is_empty() && joins.len() != 1 {
+            let at = joins.get(1).copied().unwrap_or(self.matrix_instrs[0]);
+            return Some((
+                at,
+                None,
+                format!("the matrix has {} entry joins (want 1)", joins.len()),
+            ));
+        }
+        let sides = self.pair_sides();
+        self.matrix_instrs.iter().copied().filter(|&i| !self.is_strip_instr(i, &sides)).find_map(
+            |i| {
+                let args = self.mal.instrs[i].op.args();
+                let v = args.into_iter().find(|&a| matches!(self.stages[a], Stage::PerBw(_)))?;
+                Some((i, Some(v), "per-bw variable read outside a pair fetch of its side".into()))
+            },
+        )
     }
 
     /// The frontier as merge units: every variable that merges on its own
@@ -224,12 +294,13 @@ impl IncrementalPlan {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str("incremental plan (stage | instruction):\n");
+        let sides = self.pair_sides();
         for (i, ins) in self.mal.instrs.iter().enumerate() {
             let tag = match self.stages[ins.dests[0]] {
                 Stage::Static => "static ".to_owned(),
                 Stage::PerBw(k) => format!("per-bw[{k}]"),
-                Stage::Matrix if self.is_entry_join(i) => "per-strip".to_owned(),
-                Stage::Matrix => "per-cell".to_owned(),
+                Stage::Matrix if self.is_strip_instr(i, &sides) => "per-strip".to_owned(),
+                Stage::Matrix => "per-slot".to_owned(),
                 Stage::Merge => "merge  ".to_owned(),
             };
             let dests: Vec<String> = ins.dests.iter().map(|d| format!("X_{d}")).collect();
@@ -330,8 +401,10 @@ pub fn expand_avg(plan: &MalPlan) -> MalPlan {
 ///
 /// Errors with [`DataCellError::Unsupported`] for shapes outside the
 /// incremental rewriter's reach (more than one stream-stream join, ops that
-/// mix two streams without a join, landmark joins are rejected later by the
-/// factory). Callers can fall back to re-evaluation mode for those.
+/// mix two streams without a join, a matrix that reads a per-bw variable
+/// other than through its entry join or a pair fetch of that variable's
+/// side; landmark joins are rejected later by the factory). Callers can
+/// register those in re-evaluation mode.
 pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
     // Expand avg so every aggregate has a compensating action. The pass
     // runs under the differential verifier (`checked_pass`): a
@@ -441,6 +514,13 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
         clusters,
         matrix_pair,
     };
+    if let Some((i, _, reason)) = inc.slot_path_breach() {
+        return Err(DataCellError::Unsupported(format!(
+            "[{i:02}] {}: {reason}; a join this shape has no per-slot incremental plan \
+             (use re-evaluation)",
+            inc.mal.instrs[i].op.name()
+        )));
+    }
     // Close the loop: under the verifier, the classification itself is a
     // pass whose output must satisfy the ring-variable discipline.
     if datacell_plan::verify::enabled() {
@@ -457,7 +537,9 @@ pub fn rewrite(plan: &MalPlan) -> Result<IncrementalPlan, DataCellError> {
 /// segments partition the program and agree with the per-variable stages;
 /// every frontier variable is a flow variable with a mergeable kind;
 /// `ring_vars`/`matrix_ring_vars` are consistent with the stages; matrix
-/// instructions exist only alongside a joined stream pair; every cluster
+/// instructions exist only alongside a joined stream pair, behind exactly
+/// one entry join, and read per-bw variables only through it or a pair
+/// fetch of their own side; every cluster
 /// member is a frontier variable whose kind matches its slot; and,
 /// conversely, every grouped-partial frontier variable belongs to exactly
 /// one cluster.
@@ -572,6 +654,13 @@ pub fn verify_incremental(inc: &IncrementalPlan) -> Result<(), DataCellError> {
     }
     if !inc.matrix_instrs.is_empty() && inc.matrix_pair.is_none() {
         return ring_err("matrix instructions without a joined stream pair".into(), None);
+    }
+    if let Some((i, var, reason)) = inc.slot_path_breach() {
+        let mut e = VerifyError::at(&inc.mal, i, Rule::RingDiscipline, reason);
+        if let Some(v) = var {
+            e = e.with_var(v);
+        }
+        return fail(e);
     }
 
     // Cluster members live on the frontier with the kinds their slots
@@ -730,8 +819,9 @@ fn combined_flow(
                 }
             }
             (Stage::Matrix, Stage::PerBw(k)) | (Stage::PerBw(k), Stage::Matrix) => {
-                // Reading a per-bw var inside a matrix cell is fine if the
-                // stream is one of the joined pair.
+                // Reading a per-bw var inside the matrix is fine if the
+                // stream is one of the joined pair (and, checked once the
+                // plan is classified, through a pair fetch of its side).
                 match matrix_pair {
                     Some((a, b)) if k == *a || k == *b => flow = Stage::Matrix,
                     _ => {
@@ -873,7 +963,7 @@ mod tests {
         let inc = rewrite(&fig3e()).unwrap();
         assert_eq!(inc.matrix_pair, Some((0, 1)));
         assert!(!inc.matrix_instrs.is_empty());
-        // The max over the join is a per-cell partial scalar.
+        // The max over the join is a per-slot partial scalar.
         let max_var =
             inc.frontier.iter().find(|&&v| inc.kinds[v] == VarKind::PartialScalar(AggKind::Max));
         assert!(max_var.is_some());
@@ -883,8 +973,10 @@ mod tests {
         for &v in &inc.ring_only {
             assert!(matches!(inc.stages[v], Stage::PerBw(_)));
         }
-        // The join itself enters the matrix per strip; what follows it in
-        // the matrix segment runs per cell. Same line shape for both.
+        // The join itself enters the matrix per strip, and so do the pair
+        // fetches behind it: both sides' selections chain a fetch of the
+        // selected oids into the fetch of the values. What follows runs
+        // per slot. Same line shape for all.
         let entry: Vec<usize> =
             inc.matrix_instrs.iter().copied().filter(|&i| inc.is_entry_join(i)).collect();
         assert_eq!(entry.len(), 1);
@@ -892,7 +984,46 @@ mod tests {
         let line = format!("per-strip | X_{}, X_{} := algebra.join\n", dests[0], dests[1]);
         let text = inc.explain();
         assert!(text.contains(&line), "{text}");
-        assert_eq!(text.matches("per-cell | X_").count(), inc.matrix_instrs.len() - 1);
+        let sides = inc.pair_sides();
+        let fetched: Vec<VarId> = inc
+            .matrix_instrs
+            .iter()
+            .filter(|&&i| matches!(inc.mal.instrs[i].op, MalOp::Fetch { .. }))
+            .map(|&i| inc.mal.instrs[i].dests[0])
+            .collect();
+        assert_eq!(fetched.len(), 3, "{text}");
+        assert!(fetched.iter().all(|&v| sides[v].is_some()), "{text}");
+        // The chain `fetch(fetch(join left, select), bind)` stays on side 0.
+        let chained = inc.mal.instrs.iter().find_map(|ins| match ins.op {
+            MalOp::Fetch { cands, .. } if fetched.contains(&cands) => Some(ins.dests[0]),
+            _ => None,
+        });
+        assert_eq!(chained.map(|v| sides[v]), Some(Some(0)), "{text}");
+        assert_eq!(text.matches("per-strip | X_").count(), 4, "{text}");
+        assert_eq!(inc.slot_instrs().len(), 1);
+        assert_eq!(text.matches("per-slot | X_").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn matrix_reading_a_per_bw_variable_off_the_pair_path_is_unsupported() {
+        // `max(a.v + b.v)` the hand-built way: a join, then a map over the
+        // left side's joined values and the right stream's raw column. A
+        // slot mixes rows of two right basic windows, so the raw column
+        // cannot be lined up with the gathered rows.
+        use datacell_plan::mal::MalBuilder;
+        let mut b = MalBuilder::new();
+        let ak = b.emit(MalOp::BindStream { stream: "a".into(), attr: "k".into() });
+        let bk = b.emit(MalOp::BindStream { stream: "b".into(), attr: "k".into() });
+        let (jl, _) = b.emit_join(ak, bk);
+        let av = b.emit(MalOp::BindStream { stream: "a".into(), attr: "v".into() });
+        let bv = b.emit(MalOp::BindStream { stream: "b".into(), attr: "v".into() });
+        let joined = b.emit(MalOp::Fetch { cands: jl, values: av });
+        let mixed = b.emit(MalOp::MapArith { left: joined, right: bv, op: ArithOp::Add });
+        let m = b.emit(MalOp::ScalarAgg { kind: AggKind::Max, vals: mixed });
+        let plan = b.finish(vec!["m".into()], vec![m]);
+        let err = rewrite(&plan).expect_err("no per-slot plan for this shape");
+        assert!(matches!(err, DataCellError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("batcalc"), "{err}");
     }
 
     #[test]
@@ -1013,6 +1144,21 @@ mod tests {
         // Matrix instructions without a joined pair.
         let mut inc = rewrite(&fig3e()).unwrap();
         inc.matrix_pair = None;
+        assert_ring_err(verify_incremental(&inc));
+
+        // A matrix instruction reading a per-bw variable of the other side:
+        // the chained pair fetch of side 0 re-pointed at side 1's values.
+        let mut inc = rewrite(&fig3e()).unwrap();
+        let sides = inc.pair_sides();
+        let other = inc.perbw_instrs[1][0];
+        let right_values = inc.mal.instrs[other].dests[0];
+        let fetch = inc.matrix_instrs.iter().copied().find(|&i| {
+            let ins = &inc.mal.instrs[i];
+            matches!(ins.op, MalOp::Fetch { .. }) && sides[ins.dests[0]] == Some(0)
+        });
+        let i = fetch.expect("fig3e fetches through the left side");
+        let MalOp::Fetch { values, .. } = &mut inc.mal.instrs[i].op else { unreachable!() };
+        *values = right_values;
         assert_ring_err(verify_incremental(&inc));
     }
 

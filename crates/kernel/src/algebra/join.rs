@@ -33,7 +33,8 @@
 //! entry first within one probe tuple's matches. Which side probes is the
 //! caller's choice, not a size heuristic: the incremental factory's strip
 //! probes each new basic window against the other stream's index
-//! ([`JoinIndex::probe`], one pair list per live run), and the one-shot
+//! ([`JoinIndex::probe`], matching positions grouped by live run, as
+//! [`RunHits`]), and the one-shot
 //! [`hashjoin`] is "push the smaller input as the only run, probe with the
 //! larger".
 
@@ -197,6 +198,40 @@ pub struct JoinIndex {
     head: u32,
 }
 
+/// What one [`JoinIndex::probe`] matched, grouped by run: for run `r`, the
+/// positions of its matching rows and, aligned with them, the positions of
+/// the probe rows they match.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunHits {
+    /// One past the last hit of each run, oldest run first.
+    ends: Vec<usize>,
+    build: Vec<u32>,
+    probe: Vec<u32>,
+}
+
+impl RunHits {
+    /// Runs the probe covered.
+    pub fn runs(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Pairs over all runs.
+    pub fn len(&self) -> usize {
+        self.build.len()
+    }
+
+    /// Whether nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.build.is_empty()
+    }
+
+    /// Run `r`'s `(run positions, probe positions)`, aligned.
+    pub fn run(&self, r: usize) -> (&[u32], &[u32]) {
+        let span = r.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[r];
+        (&self.build[span.clone()], &self.probe[span])
+    }
+}
+
 impl JoinIndex {
     /// An empty index with room for `rows` retained rows: pushing never
     /// reallocates while the live rows stay within that.
@@ -227,11 +262,11 @@ impl JoinIndex {
         }
     }
 
-    /// Join `probe` against every live run: one aligned `(run oids, probe
-    /// oids)` pair of candidate BATs per run, oldest run first, each in
-    /// the module's order contract. `runs` lends the key BAT of every live
-    /// run, oldest first, exactly as they were pushed.
-    pub fn probe(&self, runs: &[&Bat], probe: &Bat) -> Result<Vec<(Bat, Bat)>> {
+    /// Join `probe` against every live run: the matching positions grouped
+    /// by run, oldest run first, each run's pairs in the module's order
+    /// contract. `runs` lends the key BAT of every live run, oldest first,
+    /// exactly as they were pushed.
+    pub fn probe(&self, runs: &[&Bat], probe: &Bat) -> Result<RunHits> {
         let start = datacell_telemetry::timer();
         let lens = runs.iter().map(|r| r.len());
         if runs.len() != self.runs.len() || !lens.eq(self.runs.iter().map(|&n| n as usize)) {
@@ -241,26 +276,27 @@ impl JoinIndex {
                 right: self.runs.len(),
             });
         }
-        // Count, then scatter: every per-run list is allocated once, at
-        // its final size.
+        // Count, then scatter each hit to its run's place in two flat lists.
         let mut hits: Vec<(u32, u32, u32)> = Vec::with_capacity(probe.len());
-        let mut counts = vec![0usize; runs.len()];
+        let mut ends = vec![0usize; runs.len()];
         self.walk(runs, probe, 0..row_count(probe.len())?, |run, i, j| {
             hits.push((run as u32, i, j));
-            counts[run] += 1;
+            ends[run] += 1;
         })?;
-        let mut lists: Vec<(Vec<Oid>, Vec<Oid>)> =
-            counts.iter().map(|&n| (Vec::with_capacity(n), Vec::with_capacity(n))).collect();
+        let (mut next, mut total) = (Vec::with_capacity(runs.len()), 0);
+        for end in &mut ends {
+            next.push(total);
+            total += *end;
+            *end = total;
+        }
+        let (mut build, mut probed) = (vec![0u32; total], vec![0u32; total]);
         for &(run, i, j) in &hits {
-            let (run_oids, probe_oids) = &mut lists[run as usize];
-            run_oids.push(runs[run as usize].hseq + u64::from(i));
-            probe_oids.push(probe.hseq + u64::from(j));
+            let at = &mut next[run as usize];
+            (build[*at], probed[*at]) = (i, j);
+            *at += 1;
         }
         stats::record_join(probe.len(), hits.len(), start);
-        Ok(lists
-            .into_iter()
-            .map(|(run_oids, probe_oids)| (oid_bat(run_oids), oid_bat(probe_oids)))
-            .collect())
+        Ok(RunHits { ends, build, probe: probed })
     }
 
     /// Index the rows of `keys` at `positions` as the newest run.
@@ -473,10 +509,17 @@ mod tests {
         assert_eq!(lo.len(), 6);
     }
 
+    /// The probe's pairs per run, as `(run oid, probe oid)`.
     fn probe_pairs(index: &JoinIndex, runs: &[&Bat], probe: &Bat) -> Vec<Vec<(u64, u64)>> {
-        let oids = |b: &Bat| b.tail.as_oid().unwrap().to_vec();
-        let lists = index.probe(runs, probe).unwrap();
-        lists.iter().map(|(r, p)| oids(r).into_iter().zip(oids(p)).collect()).collect()
+        let hits = index.probe(runs, probe).unwrap();
+        assert_eq!(hits.runs(), runs.len());
+        let oids =
+            |run: &Bat, (i, j): (&u32, &u32)| (run.oid_at(*i as usize), probe.oid_at(*j as usize));
+        let pairs = |(r, run): (usize, &&Bat)| {
+            let (build, probed) = hits.run(r);
+            build.iter().zip(probed).map(|p| oids(run, p)).collect()
+        };
+        runs.iter().enumerate().map(pairs).collect()
     }
 
     #[test]
@@ -505,7 +548,7 @@ mod tests {
         index.expire();
         index.expire(); // nothing left to drop
         assert_eq!(index.rows(), 0);
-        assert!(index.probe(&[], &probe).unwrap().is_empty());
+        assert_eq!(index.probe(&[], &probe).unwrap(), RunHits::default());
     }
 
     #[test]

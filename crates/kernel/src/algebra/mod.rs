@@ -25,7 +25,7 @@ pub use aggregate::{count_grouped, max_grouped, min_grouped, sum_grouped};
 pub use concat::{concat, concat_columns};
 pub use fetch::{fetch, fetch_oids};
 pub use group::{group, group_derive, Groups};
-pub use join::{hashjoin, JoinIndex};
+pub use join::{hashjoin, JoinIndex, RunHits};
 pub(crate) use join::{hashjoin_with, join_build_probe};
 pub use map::{div_values, map_arith, map_arith_scalar, ArithOp};
 pub use select::{select, select_range, select_slice, CmpOp, Predicate};

@@ -12,10 +12,10 @@
 //! result over all tuples in the window" (paper §3). The incremental
 //! runtime in `datacell-core` calls the same walker once per segment of
 //! the rewritten plan: the static segment at registration, the per-bw
-//! segment over one *basic window*, the per-cell segment with ring slots
-//! `i`/`j` resolved by reference (and the cell's join pairs already in its
-//! `env`: the join that enters the matrix is answered per strip, not
-//! walked here), and the merge segment over the merged frontier.
+//! segment over one *basic window*, the per-slot segment of a two-stream
+//! join (its `env` already holding the slot's gathered join pairs and pair
+//! fetches: those are answered per strip, not walked here), and the merge
+//! segment over the merged frontier.
 
 use crate::mal::{MalOp, MalPlan, MalValue, VarId};
 use crate::result::ResultSet;

@@ -135,13 +135,18 @@ fn fig3_explains_match_expected_structure() {
     let inc = rewrite(&compile(&q.plan).unwrap()).unwrap();
     assert_eq!(inc.clusters.len(), 1);
 
-    // (e): the join is a matrix between streams 0 and 1.
+    // (e): the join is a matrix between streams 0 and 1. Registration
+    // optimizes first, which pushes each selection below the join (the
+    // figure's shape); a selection left above the join reads a stream's
+    // column off the per-slot path, which the rewriter refuses.
     let q = datacell::sql::parse(
         "SELECT max(sA.a1) FROM sA, sB WHERE sA.a1 < 15 AND sB.a1 < 12 AND sA.a1 = sB.a1 \
          WINDOW SIZE 4 SLIDE 2",
     )
     .unwrap();
-    let inc = rewrite(&compile(&q.plan).unwrap()).unwrap();
+    let unpushed = rewrite(&compile(&q.plan).unwrap());
+    assert!(matches!(unpushed, Err(datacell::core::DataCellError::Unsupported(_))));
+    let inc = rewrite(&compile(&datacell::plan::optimize(q.plan)).unwrap()).unwrap();
     assert_eq!(inc.matrix_pair, Some((0, 1)));
     assert!(inc
         .matrix_instrs

@@ -194,6 +194,52 @@ fn golden_time_sliding_join_with_a_one_sided_empty_basic_window() {
     assert_eq!(got, rows(&e.drain_results(qr).unwrap()), "re-evaluation disagrees");
 }
 
+#[test]
+fn golden_time_sliding_join_over_four_basic_windows_with_silent_sides() {
+    // WINDOW RANGE 40 MS SLIDE 10 MS: n = 4 basic windows per side. `a` is
+    // silent in [10,20), `b` in [20,30), and both in [40,50), so empty
+    // basic windows slide through both rings, both join indexes and the
+    // join slots they expire.
+    //   basic windows   a (k,v)            b (k,v)
+    //   [ 0,10)         (1,10) (2,20)      (1,100)
+    //   [10,20)         -                  (2,200)
+    //   [20,30)         (1,30)             -
+    //   [30,40)         (2,40)             (1,300)
+    //   [40,50)         -                  -
+    //   [50,60)         (1,50)             (2,400)
+    //   [60,70)         (2,60)             (1,500)
+    //   [ 0,40): 10-100 10-300 30-100 30-300 20-200 40-200 -> 6, 1200, 40
+    //   [10,50): 30-300 40-200                             -> 2,  500, 40
+    //   [20,60): 30-300 50-300 40-400                      -> 3, 1000, 50
+    //   [30,70): 40-400 60-400 50-300 50-500               -> 4, 1600, 60
+    let sql = "SELECT count(a.v), sum(b.v), max(a.v) FROM a, b WHERE a.k = b.k \
+               WINDOW RANGE 40 MS SLIDE 10 MS";
+    let mut e = Engine::new();
+    for s in ["a", "b"] {
+        e.create_stream(s, &[("k", DataType::Int), ("v", DataType::Int)]).unwrap();
+    }
+    let qi = e.register_sql(sql).unwrap();
+    let qr = e
+        .register_sql_with(sql, RegisterOptions { mode: ExecMode::Reevaluation, chunker: None })
+        .unwrap();
+    let a: &[(u64, i64, i64)] =
+        &[(2, 1, 10), (5, 2, 20), (23, 1, 30), (31, 2, 40), (55, 1, 50), (64, 2, 60)];
+    let b: &[(u64, i64, i64)] =
+        &[(3, 1, 100), (14, 2, 200), (36, 1, 300), (52, 2, 400), (61, 1, 500)];
+    for (stream, trace) in [("a", a), ("b", b)] {
+        for &(ts, k, v) in trace {
+            e.append_at(stream, &[Column::Int(vec![k]), Column::Int(vec![v])], ts).unwrap();
+        }
+    }
+    e.advance_clock(70);
+    e.run_until_idle().unwrap();
+    let got = rows(&e.drain_results(qi).unwrap());
+    let row =
+        |n: i64, sum: i64, max: i64| vec![vec![Value::Int(n), Value::Int(sum), Value::Int(max)]];
+    insta_eq(&got, &[row(6, 1200, 40), row(2, 500, 40), row(3, 1000, 50), row(4, 1600, 60)]);
+    assert_eq!(got, rows(&e.drain_results(qr).unwrap()), "re-evaluation disagrees");
+}
+
 /// Pinned-comparison helper with a readable diff on mismatch.
 #[track_caller]
 fn insta_eq(got: &[Vec<Vec<Value>>], want: &[Vec<Vec<Value>>]) {

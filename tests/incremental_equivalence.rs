@@ -114,15 +114,20 @@ proptest! {
         left in prop::collection::vec((0i64..6, 0i64..100), 12..60),
         right in prop::collection::vec((0i64..6, 0i64..100), 12..60),
         step in 1usize..4,
-        n in 2usize..4,
-        // Scalar partials per cell; joined rows; a selection under the
+        n in 2usize..9,
+        // Scalar partials per slot; joined rows; a selection under the
         // join (basic windows of varying size, empty ones included, whose
-        // keys are transient BATs); a group-by over the joined rows.
+        // keys are transient BATs); selections under both sides (Fig. 3e:
+        // each side's values fetched through a chain of pair fetches); a
+        // count; a group-by over the joined rows, keyed by either side.
         query in prop::sample::select(vec![
             "SELECT max(a.v), sum(b.v) FROM a, b WHERE a.k = b.k",
             "SELECT a.v, b.v FROM a, b WHERE a.k = b.k",
             "SELECT max(a.v), sum(b.v) FROM a, b WHERE a.k = b.k AND a.v > 50",
+            "SELECT max(a.v), min(b.v) FROM a, b WHERE a.k = b.k AND a.v > 30 AND b.v < 70",
+            "SELECT count(a.k) FROM a, b WHERE a.k = b.k",
             "SELECT a.k, count(b.v) FROM a, b WHERE a.k = b.k GROUP BY a.k",
+            "SELECT b.k, sum(a.v), max(b.v) FROM a, b WHERE a.k = b.k GROUP BY b.k",
         ]),
     ) {
         let size = step * n;

@@ -952,8 +952,8 @@ proptest! {
             prop_assert_eq!(index.rows(), live.iter().map(Bat::len).sum::<usize>());
             let runs: Vec<&Bat> = live.iter().collect();
             let got = index.probe(&runs, &probe).unwrap();
-            prop_assert_eq!(got.len(), live.len());
-            for (run, (run_oids, probe_oids)) in live.iter().zip(&got) {
+            prop_assert_eq!(got.runs(), live.len());
+            for (r, run) in live.iter().enumerate() {
                 // The order contract: by probe position, newest run row
                 // first within one probe row's matches.
                 let mut expect = Vec::new();
@@ -964,9 +964,12 @@ proptest! {
                         }
                     }
                 }
-                let oids = |b: &Bat| b.tail.as_oid().unwrap().to_vec();
-                let pairs: Vec<(u64, u64)> =
-                    oids(run_oids).into_iter().zip(oids(probe_oids)).collect();
+                let (build, probed) = got.run(r);
+                let pairs: Vec<(u64, u64)> = build
+                    .iter()
+                    .zip(probed)
+                    .map(|(&i, &j)| (run.oid_at(i as usize), probe.oid_at(j as usize)))
+                    .collect();
                 prop_assert_eq!(pairs, expect);
             }
         }

@@ -164,6 +164,52 @@ fn grouped_sum_without_a_value_column_is_rejected() {
     assert_eq!(errs[0].op, Some("group.agg"));
 }
 
+#[test]
+fn join_reading_a_stream_column_off_its_pair_path_has_no_incremental_plan() {
+    // `max(b.v)` fetched through the *left* side's join output: a
+    // structurally valid plan (one-shot execution answers it), but a join
+    // slot gathers the rows of two basic windows per side, and only a pair
+    // fetch of `b`'s own side says which one each row came from.
+    use datacell::basket::BasicWindow;
+    use datacell::core::{rewrite, verify_incremental, DataCellError};
+    use datacell::kernel::Column;
+    use datacell::plan::exec::{execute, WindowCtx};
+    let mut b = MalBuilder::new();
+    let ak = b.emit(MalOp::BindStream { stream: "a".into(), attr: "k".into() });
+    let bk = b.emit(MalOp::BindStream { stream: "b".into(), attr: "k".into() });
+    let (jl, _) = b.emit_join(ak, bk);
+    let bv = b.emit(MalOp::BindStream { stream: "b".into(), attr: "v".into() });
+    let crossed = b.emit(MalOp::Fetch { cands: jl, values: bv });
+    let m = b.emit(MalOp::ScalarAgg { kind: AggKind::Max, vals: crossed });
+    let plan = b.finish(vec!["m".into()], vec![m]);
+    assert!(verify_all(&plan, &NoSchema).is_empty());
+
+    let err = rewrite(&plan).expect_err("no per-slot plan for this shape");
+    let DataCellError::Unsupported(msg) = &err else { panic!("want Unsupported, got {err}") };
+    assert!(msg.contains("[04] algebra.fetch"), "{msg}");
+
+    // The same fetch with `a`'s values is a pair fetch, and the plan
+    // rewrites and verifies clean.
+    let mut ok = plan.clone();
+    ok.instrs[4] = Instr { dests: vec![crossed], op: MalOp::Fetch { cands: jl, values: ak } };
+    verify_incremental(&rewrite(&ok).unwrap()).unwrap();
+
+    // Re-evaluation runs the refused plan whole.
+    let window = |k: Vec<i64>, v: Vec<i64>| {
+        let n = k.len();
+        BasicWindow::new(
+            0,
+            vec![Column::Int(k), Column::Int(v)],
+            vec![0; n],
+            vec!["k".into(), "v".into()],
+        )
+    };
+    let (wa, wb) = (window(vec![1, 2], vec![0, 0]), window(vec![2, 1], vec![7, 9]));
+    let ctx = WindowCtx::new().with_stream("a", &wa).with_stream("b", &wb);
+    let rows = execute(&plan, &ctx).unwrap().rows();
+    assert_eq!(rows, vec![vec![Value::Int(9)]]);
+}
+
 // ---------------------------------------------------------------------------
 // The SQL corpus verifies clean through the whole pipeline.
 // ---------------------------------------------------------------------------
